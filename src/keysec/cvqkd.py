@@ -135,7 +135,8 @@ def false_alarm_tradeoff(
             fa = 1.0 if thr < mean else 0.0
             miss = 1.0 if thr >= mean + shift else 0.0
         else:
-            fa = 1.0 - _gauss_cdf(thr, mean, sd)
+            # the upper tail directly: 1 - cdf rounds to 0 about 9 sd above the mean
+            fa = 0.5 * math.erfc((thr - mean) / (sd * math.sqrt(2.0)))
             miss = _gauss_cdf(thr, mean + shift, sd)
         out.append(TradeoffPoint(threshold=thr, false_alarm_probability=fa, miss_probability=miss))
     return out

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dist import KeyDistribution, binary_entropy
 from .numerics import (
+    BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ResourceLimitError,
@@ -296,15 +297,22 @@ def mixture_posterior(
 
 
 def _map_success(prior: np.ndarray, like_by_weight: np.ndarray, n: int) -> float:
-    """Success of the best guess of x from y: sum_y max_x prior(x) L(x XOR y)."""
+    """Success of the best guess of x from y: sum_y max_x prior(x) L(x XOR y).
+
+    Off the prior's support the product is 0 and the max is never
+    negative, so each y maximizes over the support alone, in blocks of y
+    rows; the per-y maxima are then summed in y order.
+    """
     size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    pop = np.array([int(v).bit_count() for v in xs], dtype=np.int64)
-    total = 0.0
-    for y in range(size):
-        weights = pop[np.bitwise_xor(xs, y)]
-        total += float(np.max(prior * like_by_weight[weights]))
-    return total
+    support = np.flatnonzero(prior)
+    mass = prior[support]
+    like = like_by_weight[np.bitwise_count(np.arange(size))]  # L by x XOR y
+    best = np.empty(size)
+    rows = max(1, BLOCK_ENTRIES // len(support))
+    for start in range(0, size, rows):
+        ys = np.arange(start, min(start + rows, size))
+        best[ys] = (mass * like[ys[:, None] ^ support]).max(axis=1)
+    return float(np.add.accumulate(best)[-1])
 
 
 def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageComparison:

@@ -14,18 +14,28 @@ a different message.  Because the hash is GF-linear in the message, a
 substitution forgery ``(M XOR D, t XOR dt)`` succeeds exactly when
 ``h_alpha(D) = dt`` -- the mask cancels -- so the search space is the
 (message difference, tag difference) grid.
+
+The search runs over the table ``H[d, alpha] = h_alpha(d)``.  Linearity
+gives it cheaply: ``b * m_blk`` basis rows cost ``b * m_blk * 2^b`` field
+multiplies, and every other row is an XOR of two earlier ones.  Scoring
+a key posterior then buckets its mass by ``H[d, alpha]`` for every
+difference ``d`` -- ``2^(b * m_blk) * 2^b`` array additions -- and all
+transcript posteriors of a game are stacked and scored in one pass.
+``HashFamilySpec.hash_value`` stays as the scalar reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .dist import KeyDistribution, statistical_distance
 from .numerics import (
+    BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ResourceLimitError,
@@ -98,16 +108,6 @@ def _is_irreducible(poly: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=32)
-def _mul_table(modulus: int, width: int):
-    if width > 8:
-        return None
-    size = 1 << width
-    return [
-        [_gf_mul(a, b, modulus, width) for b in range(size)] for a in range(size)
-    ]
-
-
 @dataclass(frozen=True)
 class HashFamilySpec:
     """Polynomial-evaluation hash over ``GF(2^field_bits)``.
@@ -151,11 +151,16 @@ class HashFamilySpec:
     def message_space(self) -> int:
         return 1 << (self.field_bits * self.message_blocks)
 
-    def blocks(self, message: int) -> tuple:
-        if not 0 <= message < self.message_space:
+    def _check_message(self, message: int) -> None:
+        # by bit length: message_space itself is a huge integer for many blocks
+        bits = self.field_bits * self.message_blocks
+        if message < 0 or int(message).bit_length() > bits:
             raise ValidationError(
-                f"message {message} outside [0, {self.message_space}) for {self.message_blocks} blocks"
+                f"message {message} outside [0, 2^{bits}) for {self.message_blocks} blocks"
             )
+
+    def blocks(self, message: int) -> tuple:
+        self._check_message(message)
         mask = self.tag_space - 1
         return tuple((message >> (j * self.field_bits)) & mask for j in range(self.message_blocks))
 
@@ -168,18 +173,13 @@ class HashFamilySpec:
         """
         if not 0 <= alpha < self.tag_space:
             raise ValidationError(f"key value {alpha} outside [0, {self.tag_space})")
-        blocks = self.blocks(message)
-        table = _mul_table(self.modulus, self.field_bits)
-        if table is not None:
-            row_for = table.__getitem__
-            acc = 0
-            for c in reversed(blocks):
-                acc = row_for(acc)[alpha] ^ c
-            return row_for(acc)[alpha]
+        self._check_message(message)
+        b = self.field_bits
         acc = 0
-        for c in reversed(blocks):
-            acc = _gf_mul(acc, alpha, self.modulus, self.field_bits) ^ c
-        return _gf_mul(acc, alpha, self.modulus, self.field_bits)
+        # zero blocks above the message's top block would leave acc at 0
+        for j in reversed(range(-(-int(message).bit_length() // b))):
+            acc = _gf_mul(acc, alpha, self.modulus, b) ^ ((message >> (j * b)) & (self.tag_space - 1))
+        return _gf_mul(acc, alpha, self.modulus, b)
 
 
 @dataclass(frozen=True)
@@ -238,22 +238,111 @@ def _key_dist_for(spec: HashFamilySpec, dist: KeyDistribution, what: str) -> Non
         )
 
 
-def _best_forgery(spec: HashFamilySpec, post) -> Number:
-    """Best (message difference, tag difference) mass under a key posterior.
+def _basis_rows(spec: HashFamilySpec, bits: int) -> np.ndarray:
+    """``H[2^k, alpha]`` for ``k < bits``: bit ``k`` of a message is the
+    coefficient ``x^(k mod b)`` of block ``k // b``, hashed to
+    ``x^(k mod b) * alpha^(k // b + 1)``."""
+    b, mod = spec.field_bits, spec.modulus
+    rows = [[0] * spec.tag_space for _ in range(bits)]
+    for alpha in range(spec.tag_space):
+        power = alpha
+        for k in range(bits):
+            if k and k % b == 0:
+                power = _gf_mul(power, alpha, mod, b)
+            rows[k][alpha] = _gf_mul(power, 1 << (k % b), mod, b)
+    return np.array(rows, dtype=np.intp).reshape(bits, spec.tag_space)
 
-    Exhausts all nonzero differences; the return is unnormalized (scales
-    with ``sum(post)``).
+
+def _hash_blocks(basis: np.ndarray, stop: int, rows: int):
+    """Yield ``(start, H[start:start + rows])`` over messages ``[0, stop)``,
+    where ``H[d, alpha] = h_alpha(d)`` and ``rows`` is a power of two;
+    ``basis`` holds at least the first ``(stop - 1).bit_length()`` basis
+    rows.
+
+    The hash is GF-linear in the message, so ``H[r | 2^k] = H[r] XOR
+    H[2^k]`` for ``r < 2^k``: a table of the first ``rows`` messages is
+    filled by doubling from the basis rows, and every later block is that
+    table XOR ``H[start]`` (``start`` is a multiple of ``rows``, so its
+    bits are disjoint from the table's).
+    """
+    bits = (stop - 1).bit_length()
+    size = basis.shape[1]
+    low = min(rows.bit_length() - 1, bits)
+    table = np.zeros((1 << low, size), dtype=np.intp)
+    for k in range(low):
+        np.bitwise_xor(table[: 1 << k], basis[k], out=table[1 << k : 2 << k])
+    for start in range(0, stop, len(table)):
+        high = np.zeros(size, dtype=np.intp)
+        for k in range(low, bits):
+            if start >> k & 1:
+                high ^= basis[k]
+        yield start, table[: stop - start] ^ high
+
+
+def _hash_table(basis: np.ndarray, stop: int) -> np.ndarray:
+    """``H[d, alpha]`` for every message ``d < stop``, in one array."""
+    return next(_hash_blocks(basis, stop, 1 << (stop - 1).bit_length()))[1]
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` entries per block: a power of two, at least 1,
+    keeping a block within ``BLOCK_ENTRIES``."""
+    return 1 << max(0, (BLOCK_ENTRIES // width).bit_length() - 1)
+
+
+def _bucket_mass(basis: np.ndarray, posts: np.ndarray, stop: int):
+    """Yield ``(start, acc)`` block by block over messages ``d < stop``, with
+    ``acc[p, r, dt]`` the mass of ``posts[p]`` on keys hashing
+    ``start + r`` to ``dt``.
+
+    One unbuffered ``np.add.at`` per block adds every key into its bucket
+    in flat (p, r, alpha) order, so each bucket sums its keys in index
+    order and float sums are those of a plain loop over the keys.
+    """
+    count, size = posts.shape
+    for start, block in _hash_blocks(basis, stop, _block_rows(count * size)):
+        acc = np.zeros((count, len(block), size), dtype=posts.dtype)
+        cells = np.arange(count * len(block)).reshape(count, -1, 1) * size + block
+        weights = np.broadcast_to(posts[:, None, :], acc.shape)
+        np.add.at(acc.reshape(-1), cells.reshape(-1), weights.reshape(-1))
+        yield start, acc
+
+
+def _best_forgery(basis: np.ndarray, posts: np.ndarray) -> np.ndarray:
+    """Per posterior row: the best (message difference, tag difference) mass.
+
+    Exhausts all nonzero differences of the ``len(basis)``-bit message
+    space; the values are unnormalized (they scale with the row's total).
     """
     best = None
-    size = spec.tag_space
-    for d in range(1, spec.message_space):
-        acc = [post[0] - post[0]] * size  # typed zero
-        for alpha in range(size):
-            acc[spec.hash_value(alpha, d)] += post[alpha]
-        top = max(acc)
-        if best is None or top > best:
-            best = top
+    for start, acc in _bucket_mass(basis, posts, 1 << len(basis)):
+        if start == 0:
+            acc[:, 0] = 0  # d = 0 is no forgery; every mass is >= 0
+        top = acc.reshape(len(posts), -1).max(axis=1)
+        best = top if best is None else np.maximum(best, top)
     return best
+
+
+def _ratio(num, den) -> Number:
+    """A mass over its normalizer: Fraction for exact numerators, float otherwise."""
+    if isinstance(num, np.floating):
+        return float(num) / float(den)
+    return Fraction(int(num), int(den))
+
+
+def _numerators(dist: KeyDistribution, exact: bool) -> tuple:
+    """The law as (numerators, denominator): integers over the common
+    denominator when exact, floats over 1 otherwise."""
+    if not exact:
+        return [float(p) for p in dist.probs], 1
+    probs = [Fraction(p) for p in dist.probs]
+    den = math.lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
+def _check_work(work: int, what: str, cap: int = _WORK_CAP, cap_name: str = "work cap") -> None:
+    if work > cap:
+        raise ResourceLimitError(f"{what} needs {work} steps, over the {cap_name} of {cap}")
 
 
 def attack_success(
@@ -281,6 +370,21 @@ def attack_success(
     Multi-use substitution (``uses >= 2``) scores a canonical transcript
     of distinct messages ``1..uses``; the single-use game maximizes over
     the observed message.
+
+    Every game runs over the hash table ``H[d, alpha]``, generated by
+    GF-linearity from ``b * m_blk`` basis rows computed once per call.
+    Substitution stacks the key posteriors of all transcripts and buckets
+    each by
+    ``H[d, alpha]`` for every nonzero difference ``d``: about
+    ``posteriors * 2^(b * m_blk) * 2^b`` additions, done as array work in
+    blocks of at most ``BLOCK_ENTRIES`` entries.  Masked impersonation
+    buckets the prior per message, then takes every tag's hit mass with
+    one XOR-gather of the mask.  Exact laws become integer numerators
+    over one common denominator, in int64 while the game's total
+    numerator stays below 2^62 and as Python integers beyond; float laws
+    are summed in the order a loop over the keys would use.  Every cap is
+    checked before anything is allocated; a refusal states the work
+    requested and the cap.
     """
     if attack not in ("impersonation", "substitution"):
         raise ValidationError(f"unknown attack {attack!r}; expected impersonation or substitution")
@@ -288,98 +392,88 @@ def attack_success(
     if keys.tag_key_dist is not None:
         _key_dist_for(spec, keys.tag_key_dist, "tag key distribution")
     size = spec.tag_space
-    msgs = spec.message_space
-    if msgs > _MAX_MESSAGE_SPACE:
+    bits = spec.field_bits * spec.message_blocks
+    if bits > _MAX_MESSAGE_SPACE.bit_length() - 1:  # before 2^bits is ever built
         raise ResourceLimitError(
-            f"message space 2^{spec.field_bits * spec.message_blocks} exceeds the enumeration cap"
+            f"message space of 2^{bits} messages exceeds the enumeration cap of "
+            f"{_MAX_MESSAGE_SPACE} = 2^{_MAX_MESSAGE_SPACE.bit_length() - 1}"
         )
+    msgs = spec.message_space
     exact = keys.hash_key_dist.mode == "rational" and (
         keys.tag_key_dist is None or keys.tag_key_dist.mode == "rational"
     )
-    if exact:
-        prior = [Fraction(x) for x in keys.hash_key_dist.probs]
-        zero, unit = Fraction(0), Fraction(1, size)
-    else:
-        prior = [float(x) for x in keys.hash_key_dist.probs]
-        zero, unit = 0.0, 1.0 / size
 
-    if keys.tag_key_dist is None:
-        # ideal pad: posterior == prior for every transcript
+    masked = keys.tag_key_dist is not None
+    if not masked:
         if attack == "impersonation":
-            return sum(prior, zero) * unit
-        if msgs * size > _WORK_CAP:
-            raise ResourceLimitError(
-                f"difference search of {msgs - 1} x {size} exceeds the work cap"
+            # ideal pad: posterior == prior for every transcript
+            zero, unit = (Fraction(0), Fraction(1, size)) if exact else (0.0, 1.0 / size)
+            convert = Fraction if exact else float
+            return sum((convert(x) for x in keys.hash_key_dist.probs), zero) * unit
+        masks = 0  # mask factors in the game's joint law: one per tag
+        _check_work(msgs * size, f"difference search of {msgs - 1} x {size}")
+    elif attack == "impersonation":
+        masks = 1
+        _check_work(msgs * size * size, f"impersonation enumeration of {msgs} x {size} x {size}")
+    elif keys.uses == 1:
+        masks = 1
+        _check_work(
+            (msgs * size) ** 2,
+            f"substitution transcript enumeration of ({msgs} x {size})^2",
+        )
+    else:
+        masks = uses = keys.uses
+        if uses >= msgs:
+            raise ValidationError(
+                f"{uses} distinct observed messages do not fit a {msgs}-message space"
             )
-        return _best_forgery(spec, prior)
+        tuples = size**uses
+        what = f"multi-use enumeration of {size}^{uses} tag tuples"
+        _check_work(tuples, what, _MAX_TAG_TUPLES, "tag-tuple cap")
+        _check_work(tuples * msgs * size, f"{what} x {msgs} x {size}")
 
-    mask = [Fraction(x) for x in keys.tag_key_dist.probs] if exact else [
-        float(x) for x in keys.tag_key_dist.probs
-    ]
+    prior, den = _numerators(keys.hash_key_dist, exact)
+    mask, mask_den = _numerators(keys.tag_key_dist, exact) if masked else ([], 1)
+    den *= mask_den**masks  # the total numerator of the game's joint law
+    dtype = np.float64 if not exact else np.int64 if den < 1 << 62 else object
+    prior = np.array(prior, dtype=dtype)
+    basis = _basis_rows(spec, bits)
+    if not masked:
+        return _ratio(_best_forgery(basis, prior[None, :])[0], den)
+    mask = np.array(mask, dtype=dtype)
+    tags = np.arange(size)
 
     if attack == "impersonation":
-        if msgs * size * size > _WORK_CAP:
-            raise ResourceLimitError("impersonation enumeration exceeds the work cap")
-        best = zero
-        for m in range(msgs):
-            hashed = [zero] * size
-            for alpha in range(size):
-                hashed[spec.hash_value(alpha, m)] += prior[alpha]
-            for t in range(size):
-                hit = sum((hashed[hv] * mask[t ^ hv] for hv in range(size)), zero)
-                if hit > best:
-                    best = hit
-        return best
+        gathered = mask[np.bitwise_xor.outer(tags, tags)]  # [hv, t] = mask[t ^ hv]
+        tops = []
+        for _, acc in _bucket_mass(basis, prior[None, :], msgs):
+            hashed = acc[0]  # [m, hv]: key mass hashing m to hv
+            hit = np.zeros_like(hashed)
+            for hv in range(size):
+                hit += hashed[:, hv, None] * gathered[hv]
+            tops.append(hit.max())
+        return _ratio(max(tops), den)
 
-    uses = keys.uses
-    if uses == 1:
-        if (msgs * size) * (msgs * size) > _WORK_CAP:
-            raise ResourceLimitError("substitution transcript enumeration exceeds the work cap")
-        best = zero
-        for m in range(msgs):
-            hvals = [spec.hash_value(alpha, m) for alpha in range(size)]
-            acc_m = zero
-            for t in range(size):
-                post = [prior[a] * mask[t ^ hvals[a]] for a in range(size)]
-                weight = sum(post, zero)
-                if weight == 0:
-                    continue
-                hit = _best_forgery(spec, post)
-                if tag_averaged:
-                    acc_m += hit
-                else:
-                    cond = hit / weight
-                    if cond > best:
-                        best = cond
-            if tag_averaged and acc_m > best:
-                best = acc_m
-        return best
-
-    if uses >= msgs:
-        raise ValidationError(
-            f"{uses} distinct observed messages do not fit a {msgs}-message space"
-        )
-    tuples = size**uses
-    if tuples > _MAX_TAG_TUPLES or tuples * msgs * size > _WORK_CAP:
-        raise ResourceLimitError("multi-use tag-tuple enumeration exceeds the work cap")
-    observed = list(range(1, uses + 1))
-    hval_rows = [[spec.hash_value(alpha, m) for alpha in range(size)] for m in observed]
-    best = zero
-    for tags in product(range(size), repeat=uses):
-        post = list(prior)
-        for row, t in zip(hval_rows, tags):
-            post = [post[a] * mask[t ^ row[a]] for a in range(size)]
-        weight = sum(post, zero)
-        if weight == 0:
-            continue
-        hit = _best_forgery(spec, post)
-        if tag_averaged:
-            best += hit
-        else:
-            cond = hit / weight
-            if cond > best:
-                best = cond
-    return best
+    if keys.uses == 1:
+        # posts[m, t, alpha] = P(alpha, tag t on message m)
+        table = _hash_table(basis, msgs)
+        posts = prior * mask[tags[:, None] ^ table[:, None, :]]
+        groups = msgs
+    else:
+        # posts[t_1, ..., t_uses, alpha] for observed messages 1..uses
+        posts = prior
+        for row in _hash_table(basis, uses + 1)[1:]:
+            posts = posts[..., None, :] * mask[tags[:, None] ^ row]
+        groups = 1
+    posts = posts.reshape(-1, size)
+    hits = _best_forgery(basis, posts)
+    if tag_averaged:
+        # per observed-message choice, its hits summed over the tags in order
+        totals = np.add.accumulate(hits.reshape(groups, -1), axis=1)[:, -1]
+        return _ratio(totals.max(), den)
+    # worst case: each transcript's conditional success hit / P(transcript)
+    weights = np.add.accumulate(posts, axis=1)[:, -1]
+    return max(_ratio(hit, weight) for hit, weight in zip(hits, weights) if weight > 0)
 
 
 def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> DegradedLevels:
@@ -421,11 +515,23 @@ def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:
             "message difference; a colliding key pair needs at least 2 blocks"
         )
     size = spec.tag_space
-    for d in range(1, spec.message_space):
+    # d = 2^b + 1 hashes to alpha + alpha^2, which vanishes at alpha = 0 and
+    # 1, so the first colliding difference lies below 2^(b + 1)
+    stop = 2 * size
+    basis = _basis_rows(spec, (stop - 1).bit_length())
+    for start, block in _hash_blocks(basis, stop, _block_rows(size)):
+        ordered = np.sort(block, axis=1)
+        colliding = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        colliding = colliding[colliding + start > 0]
+        if not colliding.size:
+            continue
+        d = start + int(colliding[0])
         seen: dict = {}
-        for alpha in range(size):
-            hv = spec.hash_value(alpha, d)
+        for alpha, hv in enumerate(block[d - start].tolist()):
             if hv in seen:
+                # the witness claims certainty: confirm it by scalar Horner
+                if spec.hash_value(seen[hv], d) != hv or spec.hash_value(alpha, d) != hv:
+                    raise RuntimeError("internal check failed: hash table and Horner disagree")
                 probs = [Fraction(0)] * size
                 probs[seen[hv]] = Fraction(1, 2)
                 probs[alpha] = Fraction(1, 2)

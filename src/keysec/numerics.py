@@ -24,6 +24,10 @@ Number = Union[int, float, Fraction]
 #: slack used when validating float-mode probability data
 VALIDATION_TOL = 1e-9
 
+#: largest intermediate array, in entries, that a blocked enumeration kernel
+#: (MAC forgery search, ECPA guessing) allocates at once
+BLOCK_ENTRIES = 1 << 14
+
 #: environment variable consulted by the CLI when --mode is not given
 MODE_ENV_VAR = "KEYSEC_NUMERIC_MODE"
 

@@ -9,6 +9,7 @@ plain Fraction sums everywhere else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -141,6 +142,7 @@ def bits_int(bits) -> int:
     return sum(bit << i for i, bit in enumerate(bits))
 
 
+@functools.lru_cache(maxsize=None)  # pure, over at most 2^(2b) operand pairs
 def gf_mul_oracle(x: int, y: int, b: int, modulus: int) -> int:
     mod_bits = int_bits(modulus, b + 1)
     return bits_int(poly_mul_mod(int_bits(x, b), int_bits(y, b), mod_bits))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from keysec import (
     CvParams,
     ValidationError,
@@ -100,6 +101,17 @@ def test_tradeoff_frozen():
     assert pts[1].false_alarm_probability == pytest.approx(0.5, abs=1e-12)
     assert pts[3].miss_probability == pytest.approx(0.5, abs=1e-12)
     assert pts[3].false_alarm_probability == pytest.approx(0.146254939091943, abs=1e-12)
+
+
+def test_tradeoff_far_tail_does_not_underflow():
+    # 10 sd above the mean, 1 - cdf would round to 0; the tail is ~7.6e-24
+    p = CvParams(s=1.0, t=1.0, a=0.1, b=0.1)
+    mean, sd = p.s * p.t, output_uncertainty(p).absolute
+    thr = mean + 10 * sd
+    (pt,) = false_alarm_tradeoff(p, [thr], 0.2)
+    expected = 1 - oracles.gauss_cdf_mp(thr, mean, sd)
+    assert pt.false_alarm_probability > 0
+    assert pt.false_alarm_probability == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_tradeoff_zero_width_is_a_step():

@@ -6,9 +6,13 @@ hashing, exhaustive bucket counting).
 """
 
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from keysec import (
@@ -25,6 +29,7 @@ from keysec import (
     forgeable_key_distribution,
     statistical_distance,
 )
+from keysec import mac
 from keysec.mac import DEFAULT_MODULI
 
 NONUNIFORM = [F(5, 16), F(1, 16), F(3, 16), F(1, 16), F(2, 16), F(1, 16), F(2, 16), F(1, 16)]
@@ -209,3 +214,127 @@ def test_forgery_witness_breaks_the_scheme(b):
 def test_forgery_witness_needs_two_blocks():
     with pytest.raises(InfeasibleError):
         forgeable_key_distribution(HashFamilySpec(field_bits=3, message_blocks=1))
+
+
+#: every irreducible polynomial of degree 1..5 over GF(2), x^b term included
+IRREDUCIBLE = {
+    1: (0b10, 0b11),
+    2: (0b111,),
+    3: (0b1011, 0b1101),
+    4: (0x13, 0x19, 0x1F),
+    5: (0x25, 0x29, 0x2F, 0x37, 0x3B, 0x3D),
+}
+
+
+@pytest.mark.parametrize(
+    "b,m,modulus",
+    [(b, m, mod) for b in (1, 2, 3, 4) for m in (1, 2, 3) for mod in IRREDUCIBLE[b]]
+    + [(5, 2, mod) for mod in IRREDUCIBLE[5]],
+)
+def test_hash_table_matches_polynomial_oracle(b, m, modulus):
+    spec = HashFamilySpec(field_bits=b, message_blocks=m, modulus=modulus)
+    msgs = spec.message_space
+    basis = mac._basis_rows(spec, b * m)
+    table = mac._hash_table(basis, msgs)
+    blocked = np.concatenate([block for _, block in mac._hash_blocks(basis, msgs, 4)])
+    expected = [
+        [oracles.hash_oracle(alpha, d, b, m, modulus) for alpha in range(1 << b)]
+        for d in range(msgs)
+    ]
+    assert table.tolist() == expected
+    assert blocked.tolist() == expected
+
+
+def _law(weights):
+    total = sum(weights)
+    return [F(w, total) for w in weights]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ideal_pad_substitution_within_independent_bounds(data):
+    b = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 3))
+    modulus = data.draw(st.sampled_from(IRREDUCIBLE[b]))
+    weights = data.draw(
+        st.lists(st.integers(0, 50), min_size=1 << b, max_size=1 << b).filter(any)
+    )
+    probs = _law(weights)
+    spec = HashFamilySpec(field_bits=b, message_blocks=m, modulus=modulus)
+    got = attack_success(spec, MacKeyModel(hash_key_dist=KeyDistribution(b, probs)), "substitution")
+    eps = F(m, 1 << b)
+    delta = oracles.tv_distance(probs, [F(1, 1 << b)] * (1 << b))
+    assert got <= eps + delta  # distance bound
+    assert got <= (1 << b) * max(probs) * eps  # Dodis-Yu min-entropy bound
+    if b <= 3:
+        assert got == oracles.substitution_success_oracle(b, m, modulus, probs)
+
+
+#: the large-denominator two-use game below, frozen from a per-posterior
+#: loop over Fraction arithmetic
+WORST_OBJECT_PATH = F(717804235616299842472202296294677811, 763378304299100494489559022632943937)
+AVERAGED_OBJECT_PATH = F(913979714256876727217955, 1073749405663908831288484)
+
+
+def test_large_denominators_take_the_object_path(monkeypatch):
+    # 2^40-scale denominators with two uses: the total numerator
+    # den_hash * den_mask^2 is ~2^120, past int64
+    spec = HashFamilySpec(field_bits=2, message_blocks=2)
+    keys = MacKeyModel(
+        hash_key_dist=KeyDistribution(2, _law([2**40 + 1, 3**25, 7**14, 5**17])),
+        tag_key_dist=KeyDistribution(2, _law([2**39 + 7, 11**11, 13**10, 2**40 - 87])),
+        uses=2,
+    )
+    dtypes = []
+    real = mac._best_forgery
+
+    def spy(basis, posts):
+        dtypes.append(posts.dtype)
+        return real(basis, posts)
+
+    monkeypatch.setattr(mac, "_best_forgery", spy)
+    worst = attack_success(spec, keys, "substitution")
+    averaged = attack_success(spec, keys, "substitution", tag_averaged=True)
+    assert dtypes == [np.dtype(object)] * 2
+    assert worst == WORST_OBJECT_PATH
+    assert averaged == AVERAGED_OBJECT_PATH
+    small = MacKeyModel(
+        hash_key_dist=KeyDistribution(2, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)]),
+        tag_key_dist=KeyDistribution(2, [F(1, 3), F(1, 3), F(1, 6), F(1, 6)]),
+        uses=2,
+    )
+    attack_success(spec, small, "substitution")
+    assert dtypes[-1] == np.dtype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "b,m,mask,uses,attack,work,cap",
+    [
+        (6, 3, False, 1, "substitution", "2^18", 1 << 16),  # message space
+        (8, 2, False, 1, "substitution", 1 << 24, 1 << 22),  # difference search
+        (6, 2, True, 1, "impersonation", 1 << 24, 1 << 22),
+        (4, 2, True, 1, "substitution", 1 << 24, 1 << 22),  # single-use transcripts
+        (5, 2, True, 3, "substitution", 1 << 15, 1 << 12),  # tag tuples
+        (4, 3, True, 2, "substitution", 1 << 24, 1 << 22),  # multi-use transcripts
+    ],
+)
+def test_refusals_state_work_and_cap(b, m, mask, uses, attack, work, cap):
+    uniform = KeyDistribution.uniform(b, mode="rational")
+    keys = MacKeyModel(hash_key_dist=uniform, tag_key_dist=uniform if mask else None, uses=uses)
+    with pytest.raises(ResourceLimitError, match=rf"\b{re.escape(str(work))}\b.*\b{cap}\b"):
+        attack_success(HashFamilySpec(field_bits=b, message_blocks=m), keys, attack)
+
+
+def test_many_blocks_never_build_the_message_space(monkeypatch):
+    def untouchable(self):
+        raise AssertionError("2^(b * m_blk) was built")
+
+    monkeypatch.setattr(HashFamilySpec, "message_space", property(untouchable))
+    spec = HashFamilySpec(field_bits=8, message_blocks=10**6)
+    keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(8, mode="rational"))
+    with pytest.raises(ResourceLimitError, match=r"2\^8000000\b.*\b65536\b"):
+        attack_success(spec, keys, "substitution")
+    wit = forgeable_key_distribution(spec)
+    assert (wit.message_delta, wit.tag_delta) == (257, 0)
+    # blocks above the message's top block are zero and hash to nothing
+    assert spec.hash_value(3, 257) == oracles.hash_oracle(3, 257, 8, 2, spec.modulus)
