@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, is_rational
+from .numerics import Number, ValidationError, is_rational, parse_number
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -184,18 +184,20 @@ def guarantee_gap(
     return float(log10_current) - required
 
 
-def parse_security_level(text: str) -> float:
-    """Parse a distance level into log10 form.
+def parse_security_level(text: str, mode: str = "float") -> Number:
+    """Parse a distance level into log10 form, in the given numeric mode.
 
     Accepts a plain decimal like ``1e-20`` / ``0.001`` or the explicit
-    ``log10:-301.03`` form for levels far below float range.
+    ``log10:-301.03`` form for levels far below float range (its value is
+    read by `parse_number`, so ``log10:-1/3`` works too).  Rational mode
+    returns Fractions: the log10 value itself, or the 28-digit decimal
+    logarithm of a plain level.  Non-finite values are refused.
     """
     text = text.strip()
     if text.startswith("log10:"):
-        try:
-            value = float(text[len("log10:") :])
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse {text!r}") from exc
+        value = parse_number(text[len("log10:") :], mode)
+        if isinstance(value, float) and not math.isfinite(value):  # Fractions are finite
+            raise ValidationError(f"log10 of a distance level must be finite: {text!r}")
         if value > 0:
             raise ValidationError(f"log10 of a distance level cannot be positive: {text!r}")
         return value
@@ -203,8 +205,10 @@ def parse_security_level(text: str) -> float:
         dec = Decimal(text)
     except InvalidOperation as exc:
         raise ValidationError(f"cannot parse security level {text!r}") from exc
+    if not dec.is_finite():
+        raise ValidationError(f"distance level must be finite, got {text!r}")
     if dec <= 0:
         raise ValidationError(f"distance level must be positive, got {text!r}")
     if dec > 1:
         raise ValidationError(f"distance level cannot exceed 1, got {text!r}")
-    return float(dec.log10())
+    return Fraction(dec.log10()) if mode == "rational" else float(dec.log10())

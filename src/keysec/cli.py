@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -177,25 +176,6 @@ def _event(text: str) -> EventSpec:
     return EventSpec.from_text(text)
 
 
-def _level(text: str, mode: str):
-    """Security level -> log10 form; 'log10:x' admits sub-float-range levels."""
-    text = text.strip()
-    if text.startswith("log10:"):
-        value = parse_number(text[6:], mode)
-        if value > 0:
-            raise ValidationError(f"log10 of a distance level cannot be positive: {text!r}")
-        return value
-    if mode == "rational":
-        try:
-            dec = Decimal(text)
-        except InvalidOperation as exc:
-            raise ValidationError(f"cannot parse security level {text!r}") from exc
-        if dec <= 0 or dec > 1:
-            raise ValidationError(f"distance level must be in (0, 1], got {text!r}")
-        return Fraction(dec.log10())
-    return _budget.parse_security_level(text)
-
-
 def _subset(text) -> tuple | None:
     if text is None:
         return None
@@ -235,7 +215,7 @@ def _jsonable(value):
     if isinstance(value, float):
         return value
     if isinstance(value, KeyDistribution):
-        return [_jsonable(p) for p in value.probs]
+        return value.as_array().tolist() if value.mode == "float" else value.formatted()
     if hasattr(value, "_asdict"):
         return {k: _jsonable(v) for k, v in value._asdict().items()}
     if isinstance(value, (list, tuple)):
@@ -255,7 +235,7 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-def _emit(args: argparse.Namespace, mode: str, outputs: dict) -> None:
+def _render(args: argparse.Namespace, mode: str, outputs: dict) -> str:
     envelope = {
         "command": args.command,
         "inputs": _inputs_echo(args),
@@ -263,7 +243,10 @@ def _emit(args: argparse.Namespace, mode: str, outputs: dict) -> None:
         "provenance": PROVENANCE[args.command],
         "numeric_mode": mode,
     }
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    try:
+        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # strict JSON has no NaN or infinity
+        raise ValidationError(f"an output is not a finite number: {exc}") from exc
 
 
 # ---------------------------------------------------------------- handlers
@@ -452,13 +435,14 @@ def _cmd_budget_markov(args, mode):
 
 
 def _cmd_budget_individual(args, mode):
-    budget = _budget.LogBudget(_level(args.d, mode), _budget.as_markov_exponent(args.exponent))
+    level = _budget.parse_security_level(args.d, mode)
+    budget = _budget.LogBudget(level, _budget.as_markov_exponent(args.exponent))
     return {"log10_individual": _budget.individual_level(budget)}
 
 
 def _cmd_budget_accumulate(args, mode):
     res = _budget.accumulated_failure(
-        float(_level(args.d_round, "float")),
+        _budget.parse_security_level(args.d_round),
         _float(args.rate, "rate"),
         _float(args.seconds, "seconds"),
     )
@@ -466,7 +450,7 @@ def _cmd_budget_accumulate(args, mode):
 
 
 def _cmd_budget_bits(args, mode):
-    return {"bits": _budget.near_uniform_bits(_level(args.d, mode), args.exponent)}
+    return {"bits": _budget.near_uniform_bits(_budget.parse_security_level(args.d, mode), args.exponent)}
 
 
 def _cmd_budget_required(args, mode):
@@ -475,8 +459,8 @@ def _cmd_budget_required(args, mode):
 
 def _cmd_budget_gap(args, mode):
     target = args.target if args.target is not None else f"log10:{_budget.DEFAULT_ONE_SHOT_LOG10:g}"
-    current = _level(args.current, mode)
-    target_level = _level(target, mode)
+    current = _budget.parse_security_level(args.current, mode)
+    target_level = _budget.parse_security_level(target, mode)
     exp = _budget.as_markov_exponent(args.exponent)
     gap = _budget.guarantee_gap(current, target_level, exp)
     required = (
@@ -701,6 +685,7 @@ def main(argv=None) -> int:
     try:
         mode = resolve_mode(args.mode)
         outputs = args.func(args, mode)
+        text = _render(args, mode, outputs)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -713,7 +698,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, mode, outputs)
+    print(text)
     if args.command == "verify-all" and not outputs["all_passed"]:
         return 1
     return 0

@@ -15,6 +15,7 @@ is checkable without Monte Carlo slack.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, binary_entropy
+from .dist import KeyDistribution, Lattice, binary_entropy
 from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
@@ -271,29 +272,34 @@ def mixture_posterior(
     y = _as_word(observation, n)
     exact = ensemble.mode == "rational" and is_rational(channel.crossover)
     q = Fraction(channel.crossover) if exact else float(channel.crossover)
-    zero = Fraction(0) if exact else 0.0
     size = 1 << n
-    prior = [zero] * size
     if syndromes_hidden:
         chosen = zip(ensemble.codes, ensemble.weights)
     else:
         if not 0 <= code_index < len(ensemble.codes):
             raise ValidationError(f"code index {code_index} outside the {len(ensemble.codes)}-code ensemble")
-        one = Fraction(1) if exact else 1.0
-        chosen = [(ensemble.codes[code_index], one)]
-    for code, weight in chosen:
-        words = code.codewords()
-        share = weight / len(words)
-        for x in words:
-            prior[x] += share
-    post = [
-        prior[x] * q ** (x ^ y).bit_count() * (1 - q) ** (n - (x ^ y).bit_count())
-        for x in range(size)
-    ]
-    total = sum(post, zero)
+        chosen = [(ensemble.codes[code_index], Fraction(1))]
+    shares = [(list(code.codewords()), weight / len(code.codewords())) for code, weight in chosen]
+    flips = np.bitwise_count(np.arange(size) ^ y)
+    if exact:
+        # integer numerators: prior over the lcm of the shares, likelihood a^c (b - a)^(n - c) over b^n
+        den = math.lcm(*(share.denominator for _, share in shares))
+        prior = np.zeros(size, dtype=object)
+        for words, share in shares:
+            prior[words] += share.numerator * (den // share.denominator)
+        a, b = q.numerator, q.denominator
+        post = prior * np.array([a**c * (b - a) ** (n - c) for c in range(n + 1)], dtype=object)[flips]
+        total = post.sum()
+    else:
+        prior = np.zeros(size)
+        for words, share in shares:
+            prior[words] += float(share)
+        post = prior * np.array([q**c for c in range(n + 1)])[flips]
+        post = post * np.array([(1 - q) ** (n - c) for c in range(n + 1)])[flips]
+        total = sum(post.tolist(), 0.0)  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
-    return KeyDistribution(n, [p / total for p in post])
+    return KeyDistribution(n, Lattice(post, total) if exact else post / total)
 
 
 def _map_success(prior: np.ndarray, like_by_weight: np.ndarray, n: int) -> float:

@@ -10,11 +10,14 @@ and mass-transport maximizers for conditional-event deviations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dist import KeyDistribution, _shannon_bits, statistical_distance
+import numpy as np
+
+from .dist import KeyDistribution, Lattice, _shannon_bits, _transport, _wide, statistical_distance
 from .numerics import InfeasibleError, Number, ValidationError, is_rational
 
 __all__ = [
@@ -144,6 +147,10 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
             )
         peak = Fraction(1, size) + eps
         other = Fraction(1, size) - eps / (size - 1)
+        den = math.lcm(peak.denominator, other.denominator)
+        nums = [other.numerator * (den // other.denominator)] * size
+        nums[at] = peak.numerator * (den // peak.denominator)
+        law = Lattice(nums, den)
     else:
         eps = float(epsilon)
         if eps < 0:
@@ -156,10 +163,9 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
         eps = min(eps, (size - 1) / size)
         peak = 1.0 / size + eps
         other = 1.0 / size - eps / (size - 1)
-    probs = [other] * size
-    probs[at] = peak
-    dist = KeyDistribution(n, probs)
-    return SpikeResult(distribution=dist, p1=peak, distance=eps)
+        law = np.full(size, other)
+        law[at] = peak
+    return SpikeResult(distribution=KeyDistribution(n, law), p1=peak, distance=eps)
 
 
 def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
@@ -183,8 +189,10 @@ def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
     size = 1 << n
     p1 = 2.0 ** (-lam * n)
     rest = (1.0 - p1) / (size - 1)
-    dist = KeyDistribution(n, [p1] + [rest] * (size - 1))
-    info = n - _shannon_bits(dist.probs)
+    law = np.full(size, rest)
+    law[0] = p1
+    dist = KeyDistribution(n, law)
+    info = n - _shannon_bits(law)
     bound = n * p1
     if info > bound + 1e-9:
         raise RuntimeError(
@@ -212,12 +220,16 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
             raise ValidationError(f"mixture weight must be in [0, 1], got {lam_x}")
         lo = (1 - lam_x) / size
         hi = lam_x + lo
-        if any(pk < lo or pk > hi for pk in p.probs):
+        nums, den = p.lattice
+        if Fraction(int(nums.min()), den) < lo or Fraction(int(nums.max()), den) > hi:
             return None
         if lam_x == 0:
             residual = KeyDistribution.uniform(p.n, mode="rational")
         else:
-            residual = KeyDistribution(p.n, [(pk - lo) / lam_x for pk in p.probs])
+            # (num/den - lo) / lam over the denominator den * lo.den * lam.num
+            scale = lo.denominator * lam_x.denominator
+            shifted = _wide(nums, den * scale) * scale - lo.numerator * lam_x.denominator * den
+            residual = KeyDistribution(p.n, Lattice(shifted, den * lo.denominator * lam_x.numerator))
         return MixtureDecomposition(uniform_weight=1 - lam_x, residual=residual)
     lam_f = float(lam)
     if not -1e-12 <= lam_f <= 1 + 1e-12:
@@ -226,14 +238,16 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     lo = (1.0 - lam_f) / size
     hi = lam_f + lo
     slack = 1e-12
-    if any(pk < lo - slack or pk > hi + slack for pk in p.probs):
+    law = p.as_array()
+    if law.min() < lo - slack or law.max() > hi + slack:
         return None
     if lam_f == 0.0:
         residual = KeyDistribution.uniform(p.n)
     else:
-        raw = [max(float(pk) - lo, 0.0) / lam_f for pk in p.probs]
-        total = sum(raw)
-        residual = KeyDistribution(p.n, [r / total for r in raw])
+        shifted = law - lo
+        raw = np.where(shifted < 0.0, 0.0, shifted) / lam_f  # max(x, 0.0) keeps -0.0
+        total = sum(raw.tolist())  # left to right, as the scalar formula
+        residual = KeyDistribution(p.n, raw / total)
     return MixtureDecomposition(uniform_weight=1.0 - lam_f, residual=residual)
 
 
@@ -284,16 +298,8 @@ def max_conditional_deviation(
     else:
         donors, receivers, moved = inside, complement, move_down
 
-    u = Fraction(1, size) if exact else 1.0 / size
-    probs = [u] * size
-    if moved > 0:
-        take, give = moved / len(donors), moved / len(receivers)
-        for k in donors:
-            probs[k] = u - take
-        for k in receivers:
-            probs[k] = u + give
-    deviation = moved / u_event
-    return ConditionalDeviation(distribution=KeyDistribution(n, probs), deviation=deviation)
+    law = _transport(size, donors, receivers, moved)
+    return ConditionalDeviation(distribution=KeyDistribution(n, law), deviation=moved / u_event)
 
 
 def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) -> EventBoundReport:

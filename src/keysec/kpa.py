@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, statistical_distance
+from .dist import KeyDistribution, _transport, _wide, statistical_distance
 from .numerics import Number, ResourceLimitError, ValidationError, is_rational
 
 __all__ = [
@@ -104,6 +104,14 @@ class BreachWitness(NamedTuple):
     subset_value: int
 
 
+def _subset_values(split: KeySplit, k2: np.ndarray) -> np.ndarray:
+    """`KeySplit.subset_value` of every entry of ``k2``."""
+    sub = np.zeros_like(k2)
+    for j, pos in enumerate(split.subset_bits):
+        sub |= ((k2 >> pos) & 1) << j
+    return sub
+
+
 def _check_cap(n: int, mode: str) -> None:
     cap = RATIONAL_ENUM_BITS if mode == "rational" else FLOAT_ENUM_BITS
     if n > cap:
@@ -127,32 +135,19 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
     _check_cap(p.n, p.mode)
-    s = split.subset_size
-    uniform = KeyDistribution.uniform(p.n, mode=p.mode)
-    delta = statistical_distance(p, uniform)
-    if p.mode == "rational":
-        groups: dict = {}
-        for k, pk in enumerate(p.probs):
-            key = (split.k1_of(k), split.subset_value(split.k2_of(k)))
-            groups[key] = groups.get(key, Fraction(0)) + pk
-        best: dict = {}
-        for (k1, _v), mass in groups.items():
-            if mass > best.get(k1, Fraction(-1)):
-                best[k1] = mass
-        avg = sum(best.values(), Fraction(0))
+    s, width = split.subset_size, 1 << split.n1
+    exact = p.mode == "rational"
+    law = p.lattice.nums if exact else p.as_array()
+    # joint[v, k1] = P(K2* = v, K1 = k1): rows of the (K2, K1) table added in K2 order
+    joint = np.zeros((1 << s, width), dtype=law.dtype)
+    np.add.at(joint, _subset_values(split, np.arange(1 << split.n2)), law.reshape(-1, width))
+    best = joint.max(axis=0).sum()
+    delta = statistical_distance(p)  # to the uniform law
+    if exact:
+        avg = Fraction(int(best), p.lattice.den)
         bound = Fraction(1, 1 << s) + delta
         return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound)
-    arr = p.as_array()
-    ks = np.arange(p.size, dtype=np.int64)
-    k1 = ks & ((1 << split.n1) - 1)
-    k2 = ks >> split.n1
-    sub = np.zeros(p.size, dtype=np.int64)
-    for j, pos in enumerate(split.subset_bits):
-        sub |= ((k2 >> pos) & 1) << j
-    gid = k1 + (sub << split.n1)
-    joint = np.bincount(gid, weights=arr, minlength=(1 << split.n1) * (1 << s))
-    avg = float(joint.reshape(1 << s, 1 << split.n1).max(axis=0).sum())
-    bound = 1.0 / (1 << s) + float(delta)
+    avg, bound = float(best), 1.0 / (1 << s) + delta
     return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + 1e-9)
 
 
@@ -180,29 +175,17 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     _check_cap(n, "rational" if exact else "float")
     size = 1 << n
     u = Fraction(1, size) if exact else 1.0 / size
-    receivers = []
-    donors = []
-    for k2 in range(1 << split.n2):
-        k = k2 << split.n1  # k1 = 0 slice
-        if split.subset_value(k2) == 0:
-            receivers.append(k)
-        else:
-            donors.append(k)
+    k2 = np.arange(1 << split.n2)
+    hit = _subset_values(split, k2) == 0
+    receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
     moved = min(eps, u * len(donors))
-    probs = [u] * size
-    if moved > 0:
-        take, give = moved / len(donors), moved / len(receivers)
-        for k in donors:
-            probs[k] = u - take
-        for k in receivers:
-            probs[k] = u + give
     s = split.subset_size
     if exact:
         worst = Fraction(1, 1 << s) + moved * (1 << split.n1)
     else:
         worst = 1.0 / (1 << s) + moved * (1 << split.n1)
     return BreachWitness(
-        distribution=KeyDistribution(n, probs),
+        distribution=KeyDistribution(n, _transport(size, donors, receivers, moved)),
         worst_conditional_p=worst,
         k1_value=0,
         subset_value=0,
@@ -218,13 +201,11 @@ def eve_bit_agreement(p: KeyDistribution) -> Number:
     this is the quantity a bitwise-error-rate argument has to bound.
     """
     _check_cap(p.n, p.mode)
-    guess = max(range(p.size), key=lambda k: (p.probs[k], -k))
-    if p.mode == "rational":
-        total = Fraction(0)
-        for k, pk in enumerate(p.probs):
-            total += pk * (p.n - (k ^ guess).bit_count())
-        return total / p.n
-    arr = p.as_array()
-    ks = np.arange(p.size, dtype=np.int64)
-    flips = np.array([(int(k) ^ guess).bit_count() for k in ks], dtype=float)
-    return float(np.dot(arr, (p.n - flips) / p.n))
+    exact = p.mode == "rational"
+    law = p.lattice.nums if exact else p.as_array()
+    guess = int(np.argmax(law))  # the first, so the lowest index, on ties
+    agree = p.n - np.bitwise_count(np.arange(p.size) ^ guess).astype(np.int64)
+    if not exact:
+        return float(np.dot(law, agree / p.n))
+    den = p.lattice.den * p.n
+    return Fraction(int((_wide(law, den) * agree).sum()), den)

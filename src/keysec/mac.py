@@ -26,7 +26,6 @@ transcript posteriors of a game are stacked and scored in one pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -331,13 +330,9 @@ def _ratio(num, den) -> Number:
 
 
 def _numerators(dist: KeyDistribution, exact: bool) -> tuple:
-    """The law as (numerators, denominator): integers over the common
-    denominator when exact, floats over 1 otherwise."""
-    if not exact:
-        return [float(p) for p in dist.probs], 1
-    probs = [Fraction(p) for p in dist.probs]
-    den = math.lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
+    """The law as (numerators, denominator): its lattice when exact, floats
+    over 1 otherwise."""
+    return dist.lattice if exact else (dist.as_array(), 1)
 
 
 def _check_work(work: int, what: str, cap: int = _WORK_CAP, cap_name: str = "work cap") -> None:
@@ -407,9 +402,9 @@ def attack_success(
     if not masked:
         if attack == "impersonation":
             # ideal pad: posterior == prior for every transcript
-            zero, unit = (Fraction(0), Fraction(1, size)) if exact else (0.0, 1.0 / size)
-            convert = Fraction if exact else float
-            return sum((convert(x) for x in keys.hash_key_dist.probs), zero) * unit
+            if exact:
+                return Fraction(1, size)  # every exact law sums to 1
+            return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
         masks = 0  # mask factors in the game's joint law: one per tag
         _check_work(msgs * size, f"difference search of {msgs - 1} x {size}")
     elif attack == "impersonation":

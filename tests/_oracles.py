@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -268,6 +269,119 @@ def avg_guess_oracle(probs, n1: int, n2: int, subset):
     for k1 in range(1 << n1):
         total += max(groups.get((k1, v), 0) for v in range(1 << len(subset)))
     return total
+
+
+# ------------------------------------------- tuple-of-scalars reference law
+#
+# Every measure below is evaluated on the plain tuple of a law's entries
+# (Fractions or floats) with scalar Python arithmetic, as the formulas
+# read.  Where the package's float result comes out of a numpy reduction
+# (a pairwise sum, a BLAS dot product), the reference performs that same
+# reduction on the values it computed itself.
+
+
+def is_exact(probs) -> bool:
+    return all(isinstance(p, Fraction) for p in probs)
+
+
+def ref_uniform(n: int, exact: bool) -> tuple:
+    size = 1 << n
+    return (Fraction(1, size),) * size if exact else (1.0 / size,) * size
+
+
+def ref_distance(p, q):
+    if is_exact(p) and is_exact(q):
+        return sum((abs(a - b) for a, b in zip(p, q)), Fraction(0)) / 2
+    return 0.5 * math.fsum(abs(float(a) - float(b)) for a, b in zip(p, q))
+
+
+def ref_shannon(probs) -> float:
+    return -math.fsum(float(p) * math.log2(float(p)) for p in probs if p > 0)
+
+
+def ref_entropy_stats(probs) -> tuple:
+    """(p1, min-entropy, Shannon entropy)."""
+    p1 = max(probs)
+    return p1, -math.log2(float(p1)), ref_shannon(probs)
+
+
+def ref_avg_guess(probs, n1: int, n2: int, subset) -> tuple:
+    """(average best guess of K2* given K1, its bound 2^-s + delta, verdict)."""
+    exact = is_exact(probs)
+    groups = {}
+    for key, p in enumerate(probs):
+        k1, k2 = key & ((1 << n1) - 1), key >> n1
+        v = sum(((k2 >> pos) & 1) << j for j, pos in enumerate(subset))
+        groups[(k1, v)] = groups.get((k1, v), 0) + p
+    best = [max(groups[(k1, v)] for v in range(1 << len(subset))) for k1 in range(1 << n1)]
+    delta = ref_distance(probs, ref_uniform(n1 + n2, exact))
+    if exact:
+        avg = sum(best, Fraction(0))
+        bound = Fraction(1, 1 << len(subset)) + delta
+        return avg, bound, avg <= bound
+    avg = float(np.sum(np.array(best)))  # numpy's pairwise order
+    bound = 1.0 / (1 << len(subset)) + delta
+    return avg, bound, avg <= bound + 1e-9
+
+
+def ref_bit_agreement(probs, n: int):
+    guess = max(range(len(probs)), key=lambda k: (probs[k], -k))
+    agree = [n - bin(k ^ guess).count("1") for k in range(len(probs))]
+    if is_exact(probs):
+        return sum((p * a for p, a in zip(probs, agree)), Fraction(0)) / n
+    return float(np.dot(np.array([float(p) for p in probs]), np.array(agree) / n))  # BLAS order
+
+
+def ref_mixture(probs, n: int, lam):
+    """(uniform weight, residual entries), or None when no decomposition exists."""
+    size = 1 << n
+    if is_exact(probs):
+        lam = Fraction(lam)
+        lo = (1 - lam) / size
+        if any(p < lo or p > lam + lo for p in probs):
+            return None
+        if lam == 0:
+            return 1 - lam, ref_uniform(n, True)
+        return 1 - lam, tuple((p - lo) / lam for p in probs)
+    lam = min(max(float(lam), 0.0), 1.0)
+    lo = (1.0 - lam) / size
+    if any(p < lo - 1e-12 or p > lam + lo + 1e-12 for p in probs):
+        return None
+    if lam == 0.0:
+        return 1.0 - lam, ref_uniform(n, False)
+    raw = [max(float(p) - lo, 0.0) / lam for p in probs]
+    total = sum(raw)
+    return 1.0 - lam, tuple(r / total for r in raw)
+
+
+def ref_probe(prior, rows) -> tuple:
+    """(mutual information I(K; Y), d criterion) of a prior and conditional rows."""
+    exact = is_exact(prior)
+    size, width = len(prior), len(rows[0])
+    joint = [[prior[k] * rows[k][y] for y in range(width)] for k in range(size)]
+    if exact:
+        marginal = [sum((joint[k][y] for k in range(size)), Fraction(0)) for y in range(width)]
+    else:
+        marginal = [math.fsum(joint[k][y] for k in range(size)) for y in range(width)]
+    h_prior = ref_shannon(prior)
+    h_cond = 0.0
+    for y in range(width):
+        py = float(marginal[y])
+        if py > 0.0:
+            h_cond += py * ref_shannon([float(joint[k][y]) / py for k in range(size)])
+    info = min(max(h_prior - h_cond, 0.0), h_prior)
+    if exact:
+        d = sum(
+            (abs(joint[k][y] - marginal[y] / size) for k in range(size) for y in range(width)),
+            Fraction(0),
+        ) / 2
+    else:
+        d = 0.5 * math.fsum(
+            abs(float(joint[k][y]) - float(marginal[y]) / size)
+            for k in range(size)
+            for y in range(width)
+        )
+    return info, d
 
 
 def gauss_cdf_mp(x, mean, sigma):

@@ -138,6 +138,16 @@ def test_parse_security_level():
         parse_security_level("junk")
 
 
+def test_parse_security_level_modes_and_non_finite_values():
+    assert parse_security_level("log10:-9", "rational") == F(-9)
+    assert parse_security_level("log10:-1/3") == -1 / 3
+    assert parse_security_level("0.001", "rational") == F(-3)
+    for text in ("log10:-inf", "log10:nan", "log10:inf", "nan", "-inf", "snan"):
+        for mode in ("float", "rational"):
+            with pytest.raises(ValidationError):
+                parse_security_level(text, mode)
+
+
 def test_headline_numbers_stay_in_log_domain():
     # a 1000-bit near-uniform claim needs ~10^-301; that level must be
     # representable and usable without ever leaving log space

@@ -101,6 +101,21 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_non_finite_inputs_exit_2_with_one_line(capsys):
+    for argv in (
+        ("dist", "entropy", "--p", '["nan","1.0"]'),
+        ("dist", "delta", "--p", "[Infinity, 0]", "--q", "uniform:1"),
+        ("budget", "near-uniform-bits", "--mode", "float", "--d", "log10:-inf"),
+        ("budget", "near-uniform-bits", "--mode", "float", "--d", "log10:nan"),
+        ("budget", "near-uniform-bits", "--mode", "rational", "--d", "log10:-inf"),
+        ("budget", "near-uniform-bits", "--mode", "rational", "--d", "log10:nan"),
+        ("budget", "accumulate", "--d-round", "nan", "--rate", "1", "--seconds", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
 def test_verify_all_reports_and_exits_zero(capsys):
     env = run_json(capsys, "verify-all", "--n-max", "6", "--seed", "42")
     assert env["outputs"]["all_passed"] is True

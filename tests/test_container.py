@@ -1,0 +1,253 @@
+"""The array-backed KeyDistribution against a tuple-of-scalars reference.
+
+`KeyDistribution` stores a float64 array or an exact integer lattice.
+The reference (`_oracles.ref_*`) evaluates every measure on the plain
+tuple of entries with scalar arithmetic.  Float results must carry
+identical bits and exact results identical Fractions, over random float
+and rational laws at n = 1..10 with zeros, large denominators (numerators
+up to 2^80, so the lattice's Python-int path runs) and splits with
+target subsets.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import _oracles as oracles
+from keysec import (
+    ClassicalProbeModel,
+    EventSpec,
+    KeyDistribution,
+    KeySplit,
+    ValidationError,
+    average_conditional_guess,
+    check_mixture_decomposition,
+    conditional_breach_witness,
+    d_criterion,
+    entropy_stats,
+    eve_bit_agreement,
+    max_conditional_deviation,
+    mutual_information,
+    statistical_distance,
+)
+
+
+def same(a, b) -> bool:
+    """Equal values of the same type; floats compared bit for bit."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return type(b) is float and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+def draw_law(rng: random.Random, n: int, exact: bool, scale_bits: int, zeros: float) -> tuple:
+    size = 1 << n
+    if exact:
+        weights = [0 if rng.random() < zeros else rng.randrange(1, 1 << scale_bits) for _ in range(size)]
+        weights[rng.randrange(size)] += 1
+        return tuple(F(w, sum(weights)) for w in weights)
+    weights = [0.0 if rng.random() < zeros else rng.random() ** 2 for _ in range(size)]
+    weights[rng.randrange(size)] += 0.5
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def laws(draw, n=None, n_min=1, exact=None):
+    """(n, entries) of a random law; the entries come from a seeded generator."""
+    n = draw(st.integers(n_min, 10)) if n is None else n
+    exact = draw(st.booleans()) if exact is None else exact
+    scale_bits = draw(st.sampled_from([6, 40, 62, 80]))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    return n, draw_law(random.Random(draw(st.integers(0, 2**32))), n, exact, scale_bits, zeros)
+
+
+@st.composite
+def law_pairs(draw):
+    n, p = draw(laws())
+    _, q = draw(laws(n=n))
+    return n, p, q
+
+
+@st.composite
+def splits(draw, n):
+    n1 = draw(st.integers(1, n - 1))
+    subset = None
+    if draw(st.booleans()):
+        subset = draw(st.lists(st.integers(0, n - n1 - 1), min_size=1, unique=True))
+    return KeySplit(n1, n - n1, subset)
+
+
+# ---------------------------------------------------------------- container
+
+
+@given(laws())
+def test_probs_equality_and_hash_match_the_tuple(law):
+    n, probs = law
+    p = KeyDistribution(n, list(probs))
+    assert p.probs == probs
+    assert all(type(x) is (F if p.mode == "rational" else float) for x in p.probs)
+    assert p == KeyDistribution(n, probs) and hash(p) == hash((n, probs))
+    as_floats = tuple(float(x) for x in probs)
+    f = KeyDistribution(n, as_floats)
+    assert (p == f) == ((n, probs) == (n, as_floats))
+    if p == f:
+        assert hash(p) == hash(f)
+    assert KeyDistribution.from_json(p.to_json()) == p
+    assert same(list(p.as_array().tolist()), [float(x) for x in probs])
+
+
+def test_lattice_is_canonical_and_widens_for_large_numerators():
+    small = KeyDistribution(2, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+    assert small.lattice.den == 8 and small.lattice.nums.tolist() == [4, 2, 1, 1]
+    assert small.lattice.nums.dtype == np.int64
+    huge = KeyDistribution(1, [F(1, 2**80), 1 - F(1, 2**80)])
+    assert huge.lattice.nums.dtype == object and huge.lattice.den == 2**80
+    assert huge.probs == (F(1, 2**80), 1 - F(1, 2**80))
+    # an unreduced lattice is reduced, so equal laws compare equal
+    assert KeyDistribution(2, small.lattice._replace(nums=small.lattice.nums * 3, den=24)) == small
+
+
+# ---------------------------------------------------------------- measures
+
+
+@given(law_pairs())
+def test_statistical_distance_matches_reference(pair):
+    n, p, q = pair
+    dp, dq = KeyDistribution(n, p), KeyDistribution(n, q)
+    assert same(statistical_distance(dp, dq), oracles.ref_distance(p, q))
+    uniform = oracles.ref_uniform(n, dp.mode == "rational")
+    assert same(statistical_distance(dp), oracles.ref_distance(p, uniform))
+    assert same(statistical_distance(dp), statistical_distance(dp, KeyDistribution.uniform(n, dp.mode)))
+
+
+@given(laws())
+def test_entropy_stats_match_reference(law):
+    n, probs = law
+    assert same(tuple(entropy_stats(KeyDistribution(n, probs))), oracles.ref_entropy_stats(probs))
+
+
+@given(st.data())
+def test_average_guess_matches_reference(data):
+    n, probs = data.draw(laws(n_min=2))
+    split = data.draw(splits(n))
+    res = average_conditional_guess(KeyDistribution(n, probs), split)
+    assert same(tuple(res), oracles.ref_avg_guess(probs, split.n1, split.n2, split.subset_bits))
+
+
+@pytest.mark.parametrize("x", [0.8987919599055768, 0.9873506349586143, 0.8741944479676026, 0.8306978238042115])
+def test_entropy_keeps_the_bits_of_math_log2(x):
+    # inputs where np.log2 rounds differently and the difference reaches the sum
+    law = (x, 1 - x)
+    assert same(entropy_stats(KeyDistribution(1, law)).shannon_bits, oracles.ref_shannon(law))
+
+
+@given(laws())
+def test_bit_agreement_matches_reference(law):
+    n, probs = law
+    assert same(eve_bit_agreement(KeyDistribution(n, probs)), oracles.ref_bit_agreement(probs, n))
+
+
+@given(laws(), st.sampled_from(["tight", "random", "zero", "one"]), st.floats(0, 1))
+def test_mixture_matches_reference(law, which, u):
+    n, probs = law
+    size = 1 << n
+    lo, hi = float(min(probs)), float(max(probs))
+    need = max(0.0, 1 - size * lo, (size * hi - 1) / (size - 1))
+    lam = {"tight": min(1.0, need + 1e-9), "random": u, "zero": 0.0, "one": 1.0}[which]
+    if isinstance(probs[0], F) and which == "tight":
+        lam = max(F(0), 1 - size * min(probs), (size * max(probs) - 1) / (size - 1))
+    res = check_mixture_decomposition(KeyDistribution(n, probs), lam)
+    ref = oracles.ref_mixture(probs, n, lam)
+    if ref is None:
+        assert res is None
+    else:
+        assert same(res.uniform_weight, ref[0]) and same(res.residual.probs, ref[1])
+
+
+def test_mixture_residual_keeps_negative_zero():
+    law = (-0.0, 1.0)  # -0.0 lies in [0, 1]; max(-0.0 - 0.0, 0.0) is -0.0
+    res = check_mixture_decomposition(KeyDistribution(1, law), 1.0)
+    assert same(res.residual.probs, oracles.ref_mixture(law, 1, 1.0)[1])
+
+
+@given(st.data())
+def test_probe_model_matches_reference(data):
+    n, prior = data.draw(laws(n=data.draw(st.integers(1, 6))))
+    exact = isinstance(prior[0], F)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    width = data.draw(st.integers(1, 6))
+    rows = [_row(rng, width, exact) for _ in prior]
+    model = ClassicalProbeModel(KeyDistribution(n, prior), rows)
+    assert model.conditional == tuple(tuple(r) for r in rows)
+    info, d = oracles.ref_probe(prior, rows)
+    assert same(mutual_information(model), info)
+    assert same(d_criterion(model), d)
+
+
+def _row(rng: random.Random, width: int, exact: bool) -> list:
+    if exact:
+        weights = [rng.randrange(0, 30) for _ in range(width)]
+        weights[rng.randrange(width)] += 1
+        return [F(w, sum(weights)) for w in weights]
+    weights = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(width)]
+    weights[rng.randrange(width)] += 0.5
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+# ---------------------------------------------------------------- transport
+
+
+@given(st.integers(2, 8), st.data())
+def test_breach_witness_is_the_raising_conditional_deviation(n, data):
+    split = data.draw(splits(n))
+    eps = data.draw(st.one_of(st.fractions(0, 1, max_denominator=1000), st.floats(0, 1)))
+    breach = conditional_breach_witness(n, eps, split)
+    # A = the K1 = 0 slice, B = its members with K2* = 0
+    slice_ = [k2 << split.n1 for k2 in range(1 << split.n2)]
+    members = [k for k in slice_ if split.subset_value(k >> split.n1) == 0]
+    dev = max_conditional_deviation(n, eps, EventSpec(slice_), EventSpec(members))
+    assert dev.distribution == breach.distribution
+    assert same(breach.distribution.probs, dev.distribution.probs)
+    s = split.subset_size
+    base = F(1, 1 << s) if isinstance(dev.deviation, F) else 1.0 / (1 << s)
+    assert same(breach.worst_conditional_p, base + dev.deviation)
+
+
+# ---------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [math.nan, 1.0],
+        [1.0, math.nan],
+        [math.inf, 0.0],
+        [-math.inf, 1.0],
+        [1.5, -0.5],
+        [0.7, 0.7],
+        [F(3, 2), F(-1, 2)],
+        [F(1, 2), F(1, 3)],
+    ],
+)
+def test_refuses_non_finite_out_of_range_and_bad_totals(probs):
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, probs)
+
+
+def test_refuses_non_finite_entries_in_every_entry_point():
+    with pytest.raises(ValidationError, match="nan"):
+        KeyDistribution.from_json('["nan", "1.0"]')
+    with pytest.raises(ValidationError):
+        KeyDistribution.from_json("[Infinity, 0]")
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, np.array([math.nan, 1.0]))
+    with pytest.raises(ValidationError):
+        ClassicalProbeModel(KeyDistribution.uniform(1), [[math.nan, 1.0], [0.5, 0.5]])
