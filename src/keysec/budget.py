@@ -147,8 +147,10 @@ def near_uniform_bits(log10_d: Number, exponent: Union[str, Number] = Fraction(1
     if log10_d >= 0:
         raise ValidationError(f"need log10 d < 0, got {log10_d!r}")
     exp = as_markov_exponent(exponent)
-    value = -float(log10_d) * float(exp) * math.log2(10.0)
-    return int(math.floor(value + 1e-9))
+    try:
+        return int(math.floor(-float(log10_d) * float(exp) * math.log2(10.0) + 1e-9))
+    except OverflowError as exc:  # the level, or the bit count, exceeds float range
+        raise ValidationError(f"log10 d is too far below 0 for a float bit count (exponent {exp})") from exc
 
 
 def required_d_for_near_uniform(n: int) -> float:

@@ -11,6 +11,13 @@ formula or model the numbers came from, and outputs are rendered
 exactly ("num/den" strings) in rational mode.  Exit codes: 0 success,
 1 usage (or a failing verify-all), 2 validation error, 3 resource cap.
 
+A subcommand is one `COMMANDS` entry: its help line, its provenance
+(required, since every envelope states one), its flags and its handler.
+Each flag declares a reader, a default or `REQUIRED`, and a help line.
+`main` reads every flag once through its reader and hands the values to
+the handler, which makes the library call; `build_parser` is a loop
+over the table.
+
 Distribution arguments accept ``uniform:N``, ``spike:N:EPS``, an inline
 JSON array, or ``@path`` to a JSON file.  The numeric mode comes from
 ``--mode``, else the KEYSEC_NUMERIC_MODE environment variable, else
@@ -23,6 +30,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +59,7 @@ from .extremal import (
 )
 from .kpa import KeySplit, average_conditional_guess, conditional_breach_witness, eve_bit_agreement
 from .numerics import (
+    MODES,
     InfeasibleError,
     ResourceLimitError,
     ValidationError,
@@ -60,41 +69,7 @@ from .numerics import (
 )
 from .verify import run_invariant_suite
 
-__all__ = ["main", "console_main", "build_parser"]
-
-PROVENANCE = {
-    "dist delta": "delta(P,Q) = (1/2) sum_i |P_i - Q_i| (total-variation distance)",
-    "dist entropy": "p1 = max_i P_i; min-entropy = -log2 p1; Shannon entropy with 0 log 0 = 0",
-    "dist mi": "I(K;Y) = H(K) - H(K|Y) over the probe model's joint law",
-    "dist trace": "T(rho,sigma) = (1/2) sum |eigenvalues(rho - sigma)|",
-    "dist d-criterion": "d = (1/2) sum_{k,y} |p(k) p(y|k) - pbar(y)/N| (joint vs uniform-key product)",
-    "dist binary-entropy": "h(q) = -q log2 q - (1-q) log2(1-q)",
-    "dist event-bound": "|P(A) - Q(A)| <= delta(P,Q) for every event A",
-    "spike construct": "peak 1/N + eps, others 1/N - eps/(N-1); distance from uniform is exactly eps",
-    "spike low-info": "p1 = 2^(-lam n), remainder uniform; n - H(P) <= n 2^(-lam n)",
-    "mixture check": "P = (1-lam) U + lam P' exists iff (1-lam)/N <= P_i <= lam + (1-lam)/N for all i",
-    "conditional max-deviation": "max |P(B|A) - U(B|A)| under delta(P,U) <= eps; optimum min(eps, movable)/U(A)",
-    "kpa avg-guess": "sum_k1 max_v P(K2*=v, K1=k1) <= 2^(-|K2*|) + delta(P,U)",
-    "kpa breach": "mass moved inside one K1 slice: conditional guess 2^(-|K2*|) + moved 2^(n1)",
-    "kpa bit-agreement": "expected fraction of key bits matching the most probable key value",
-    "mac epsilon": "polynomial evaluation over GF(2^b): eps = message_blocks / 2^b",
-    "mac attack": "exact optimal forgery success against the posterior hash-key distribution",
-    "mac degrade": "imperfect keys: eps + eps_h (hash key) and eps + m eps_t (m masked tags), clipped at 1",
-    "mac forgery-witness": "two-point hash-key law making one substitution forgery succeed with certainty",
-    "ecpa leak": "reconciliation disclosure leak = f n h(Q)",
-    "ecpa posterior": "Bayes posterior over data words given a noisy view of a hidden-code codeword",
-    "ecpa compare": "exact MAP success: code known (averaged), hidden-code mixture, no code structure",
-    "budget markov": "Pr[Z >= threshold] <= min(1, mean/threshold) for non-negative Z",
-    "budget individual": "average-to-individual conversion: log10 d' = exponent * log10 d",
-    "budget accumulate": "union bound over rounds: log10 total = log10 d_round + log10(rate seconds), capped at 0",
-    "budget near-uniform-bits": "largest n with 2^-n >= d^exponent: floor(-log10_d exponent log2 10)",
-    "budget required-d": "near-uniform n-bit key needs d ~ 2^-n: log10 d = -n log10 2",
-    "budget gap": "orders short of target: current - target/exponent (positive = insufficient)",
-    "cvqkd uncertainty": "relative = a + b - ab = 1 - (1-a)(1-b); absolute = relative S T",
-    "cvqkd verdict": "loss limit if S T < threshold; masked if (a+b-ab) S T > threshold",
-    "cvqkd tradeoff": "declared model: Gaussian level around S T, attack shifts mean up; alarm above threshold",
-    "verify-all": "cross-module invariant suite",
-}
+__all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 
 
 # ---------------------------------------------------------------- parsing
@@ -167,24 +142,12 @@ def _state(text: str, mode: str) -> HermitianState:
         raw = json.loads(_maybe_file(text))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"state is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("state must be a JSON matrix or diag:<distribution>")
     return HermitianState(np.array([[_complex_entry(v) for v in row] for row in raw]))
 
 
-def _event(text: str) -> EventSpec:
-    return EventSpec.from_text(text)
-
-
-def _subset(text) -> tuple | None:
-    if text is None:
-        return None
-    return tuple(_int(part, "subset position") for part in str(text).split(","))
-
-
-def _codes(values, what: str = "code") -> list:
-    if not values:
-        raise ValidationError(f"at least one --{what} is required")
+def _codes(values: list) -> list:
     out = []
     for value in values:
         body = _maybe_file(value)
@@ -193,27 +156,362 @@ def _codes(values, what: str = "code") -> list:
     return out
 
 
-def _weights(text: str | None, count: int, mode: str) -> tuple:
-    if text is None:
-        if mode == "rational":
-            return tuple(Fraction(1, count) for _ in range(count))
-        return tuple(1.0 / count for _ in range(count))
-    parts = [parse_number(p, mode) for p in text.split(",")]
-    if len(parts) != count:
-        raise ValidationError(f"{len(parts)} weights for {count} codes")
-    return tuple(parts)
+# ---------------------------------------------------------------- readers
+#
+# A reader turns the text of one flag into its value: reader(text, mode, flag),
+# where ``flag`` is the flag's name without dashes, for error messages.
+
+_DIST = lambda text, mode, flag: _distribution(text, mode)
+_NUMBER = lambda text, mode, flag: parse_number(text, mode)
+_INT = lambda text, mode, flag: _int(text, flag)
+_FLOAT = lambda text, mode, flag: _float(text, flag)
+_STATE = lambda text, mode, flag: _state(text, mode)
+_MATRIX = lambda text, mode, flag: _matrix(text, mode)
+_EVENT = lambda text, mode, flag: EventSpec.from_text(text)
+_SUBSET = lambda text, mode, flag: tuple(_int(part, "subset position") for part in text.split(","))
+_CODES = lambda values, mode, flag: _codes(values)  # the one repeatable flag: a list of every --code
+_WEIGHTS = lambda text, mode, flag: tuple(parse_number(part, mode) for part in text.split(","))
+_LEVEL = lambda text, mode, flag: _budget.parse_security_level(text, mode)
+_FLOAT_LEVEL = lambda text, mode, flag: _budget.parse_security_level(text)  # float whatever the mode
+_EXPONENT = lambda text, mode, flag: _budget.as_markov_exponent(text)
+_THRESHOLDS = lambda text, mode, flag: [_float(part, "threshold") for part in text.split(",")]
+
+#: default of a flag that must be given
+REQUIRED = object()
+
+
+class Arg(NamedTuple):
+    """One flag: its reader, its default (or REQUIRED) and its help line.
+
+    The reader is a function (text, mode, flag) -> value.  None passes the
+    text through as given, or the bool of a flag whose default is False
+    (a switch); a tuple of choices passes the chosen text through.  A flag
+    that is absent and defaults to None skips its reader and stays None,
+    which leaves it out of the envelope's inputs.
+    """
+
+    reader: Callable | tuple | None
+    default: object
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    """One subcommand: help line, provenance, flags in order, and the handler.
+
+    The handler takes a namespace of the flags' values (dashes become
+    underscores) and ``mode``; it returns the outputs, as a dict or as a
+    library NamedTuple whose fields are the output names.
+    """
+
+    help: str
+    provenance: str
+    args: dict
+    handler: Callable
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _helped(args: dict, **helps: str) -> dict:
+    """A shared flag set with help lines for the flags named (by value name) in ``helps``."""
+    return {flag: arg._replace(help=helps.get(_dest(flag), arg.help)) for flag, arg in args.items()}
+
+
+# ---------------------------------------------------------------- handlers
+
+
+def _family(a) -> _mac.HashFamilySpec:
+    return _mac.HashFamilySpec(field_bits=a.b, message_blocks=a.blocks, modulus=a.modulus or 0)
+
+
+def _ensemble(a) -> _ecpa.CodeEnsemble:
+    count = len(a.code)
+    weights = a.weights or [Fraction(1, count) if a.mode == "rational" else 1.0 / count] * count
+    if len(weights) != count:
+        raise ValidationError(f"{len(weights)} weights for {count} codes")
+    return _ecpa.CodeEnsemble(a.code, weights)
+
+
+def _cv_params(a) -> _cvqkd.CvParams:
+    return _cvqkd.CvParams(s=a.s, t=a.t, a=a.a, b=a.b)
+
+
+def _mixture_check(a):
+    result = check_mixture_decomposition(a.p, a.lam)
+    if result is None:
+        return {"decomposable": False, "uniform_weight": None, "residual": None}
+    return {"decomposable": True, **result._asdict()}
+
+
+def _mac_attack(a):
+    keys = _mac.MacKeyModel(hash_key_dist=a.hash_key, tag_key_dist=a.tag_key, uses=a.uses)
+    return {"success": _mac.attack_success(_family(a), keys, a.attack, tag_averaged=a.tag_averaged)}
+
+
+def _budget_gap(a):
+    target = a.target
+    if target is None:
+        target = _budget.parse_security_level(f"log10:{_budget.DEFAULT_ONE_SHOT_LOG10:g}", a.mode)
+    gap = _budget.guarantee_gap(a.current, target, a.exponent)
+    exact = isinstance(gap, Fraction)
+    required = Fraction(target) / a.exponent if exact else float(target) / float(a.exponent)
+    return {"gap_orders": gap, "log10_required_average": required}
+
+
+def _verify_all(a):
+    results = run_invariant_suite(n_max=a.n_max, seed=a.seed)
+    return {"all_passed": all(r.passed for r in results), "results": results}
+
+
+# ---------------------------------------------------------------- commands
+
+_PROBE = {"--prior": Arg(_DIST, REQUIRED), "--conditional": Arg(_MATRIX, REQUIRED)}
+_SPLIT = {"--n1": Arg(_INT, REQUIRED), "--n2": Arg(_INT, REQUIRED), "--subset": Arg(_SUBSET, None)}
+_FAMILY = {
+    "--b": Arg(lambda text, mode, flag: _int(text, "field bits"), REQUIRED),
+    "--blocks": Arg(lambda text, mode, flag: _int(text, "message blocks"), REQUIRED),
+    "--modulus": Arg(lambda text, mode, flag: _int(text, flag) if text else None, None),
+}
+_ENSEMBLE = {"--code": Arg(_CODES, REQUIRED), "--weights": Arg(_WEIGHTS, None)}
+_CV = {flag: Arg(_FLOAT, REQUIRED) for flag in ("--s", "--t", "--a", "--b")}
+
+GROUPS = {
+    "dist": "distances, entropies, and probe-model measures",
+    "spike": "extremal spike constructions",
+    "mixture": "uniform-mixture decomposition",
+    "conditional": "conditional-event deviation extremes",
+    "kpa": "split-key known-plaintext analysis",
+    "mac": "authentication with imperfect keys",
+    "ecpa": "error-correction leakage analysis",
+    "budget": "log-domain security-budget arithmetic",
+    "cvqkd": "CV-QKD monitoring arithmetic",
+}
+
+COMMANDS = {
+    "dist delta": Command(
+        "statistical distance between two distributions",
+        "delta(P,Q) = (1/2) sum_i |P_i - Q_i| (total-variation distance)",
+        {"--p": Arg(_DIST, REQUIRED), "--q": Arg(_DIST, REQUIRED)},
+        lambda a: {"delta": statistical_distance(a.p, a.q)},
+    ),
+    "dist entropy": Command(
+        "guessing probability and entropies",
+        "p1 = max_i P_i; min-entropy = -log2 p1; Shannon entropy with 0 log 0 = 0",
+        {"--p": Arg(_DIST, REQUIRED)},
+        lambda a: dict(zip(("p1", "min_entropy_bits", "shannon_entropy_bits"), entropy_stats(a.p))),
+    ),
+    "dist mi": Command(
+        "mutual information of a probe model",
+        "I(K;Y) = H(K) - H(K|Y) over the probe model's joint law",
+        _helped(_PROBE, conditional="JSON matrix p(y|k) or @file"),
+        lambda a: {"mutual_information_bits": mutual_information(ClassicalProbeModel(a.prior, a.conditional))},
+    ),
+    "dist trace": Command(
+        "trace distance between two states",
+        "T(rho,sigma) = (1/2) sum |eigenvalues(rho - sigma)|",
+        {"--rho": Arg(_STATE, REQUIRED, "JSON matrix, @file, or diag:<distribution>"),
+         "--sigma": Arg(_STATE, REQUIRED)},
+        lambda a: {"trace_distance": trace_distance(a.rho, a.sigma)},
+    ),
+    "dist d-criterion": Command(
+        "joint-vs-uniform-product distance",
+        "d = (1/2) sum_{k,y} |p(k) p(y|k) - pbar(y)/N| (joint vs uniform-key product)",
+        _PROBE,
+        lambda a: {"d": d_criterion(ClassicalProbeModel(a.prior, a.conditional))},
+    ),
+    "dist binary-entropy": Command(
+        "binary entropy h(q)",
+        "h(q) = -q log2 q - (1-q) log2(1-q)",
+        {"--q": Arg(_NUMBER, REQUIRED)},
+        lambda a: {"h": binary_entropy(a.q)},
+    ),
+    "dist event-bound": Command(
+        "event probability gap vs distance",
+        "|P(A) - Q(A)| <= delta(P,Q) for every event A",
+        {"--p": Arg(_DIST, REQUIRED), "--q": Arg(_DIST, REQUIRED),
+         "--event": Arg(_EVENT, REQUIRED, "comma-separated key values")},
+        lambda a: dict(zip(("lhs", "bound", "holds"), check_event_bound(a.p, a.q, a.event))),
+    ),
+    "spike construct": Command(
+        "maximal-guess distribution at fixed distance",
+        "peak 1/N + eps, others 1/N - eps/(N-1); distance from uniform is exactly eps",
+        {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED), "--at": Arg(_INT, "0")},
+        lambda a: construct_spike(a.n, a.eps, at=a.at),
+    ),
+    "spike low-info": Command(
+        "vanishing-information, high-guess family",
+        "p1 = 2^(-lam n), remainder uniform; n - H(P) <= n 2^(-lam n)",
+        {"--n": Arg(_INT, REQUIRED), "--lam": Arg(_FLOAT, REQUIRED)},
+        lambda a: construct_low_info_high_guess(a.n, a.lam),
+    ),
+    "mixture check": Command(
+        "decompose P as (1-lam) uniform + lam residual",
+        "P = (1-lam) U + lam P' exists iff (1-lam)/N <= P_i <= lam + (1-lam)/N for all i",
+        {"--p": Arg(_DIST, REQUIRED), "--lam": Arg(_NUMBER, REQUIRED)},
+        _mixture_check,
+    ),
+    "conditional max-deviation": Command(
+        "worst conditional shift under a distance budget",
+        "max |P(B|A) - U(B|A)| under delta(P,U) <= eps; optimum min(eps, movable)/U(A)",
+        {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED),
+         "--event": Arg(_EVENT, REQUIRED), "--sub-event": Arg(_EVENT, REQUIRED)},
+        lambda a: max_conditional_deviation(a.n, a.eps, a.event, a.sub_event),
+    ),
+    "kpa avg-guess": Command(
+        "averaged conditional guess vs its bound",
+        "sum_k1 max_v P(K2*=v, K1=k1) <= 2^(-|K2*|) + delta(P,U)",
+        {"--p": Arg(_DIST, REQUIRED), **_helped(_SPLIT, subset="K2 bit positions, default all")},
+        lambda a: average_conditional_guess(a.p, KeySplit(a.n1, a.n2, a.subset)),
+    ),
+    "kpa breach": Command(
+        "single-slice conditioning breach witness",
+        "mass moved inside one K1 slice: conditional guess 2^(-|K2*|) + moved 2^(n1)",
+        {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED), **_SPLIT},
+        lambda a: conditional_breach_witness(a.n, a.eps, KeySplit(a.n1, a.n2, a.subset)),
+    ),
+    "kpa bit-agreement": Command(
+        "expected bit agreement of the best guess",
+        "expected fraction of key bits matching the most probable key value",
+        {"--p": Arg(_DIST, REQUIRED)},
+        lambda a: {"agreement": eve_bit_agreement(a.p)},
+    ),
+    "mac epsilon": Command(
+        "family universality level",
+        "polynomial evaluation over GF(2^b): eps = message_blocks / 2^b",
+        _helped(_FAMILY, modulus="field polynomial bit pattern (hex ok)"),
+        lambda a: {"epsilon": _mac.asu_epsilon(_family(a))},
+    ),
+    "mac attack": Command(
+        "exact optimal forgery probability",
+        "exact optimal forgery success against the posterior hash-key distribution",
+        {**_FAMILY,
+         "--attack": Arg(("impersonation", "substitution"), REQUIRED),
+         "--hash-key": Arg(_DIST, REQUIRED),
+         "--tag-key": Arg(lambda text, mode, flag: _distribution(text, mode) if text else None, None,
+                          "mask distribution; omit for the ideal pad"),
+         "--uses": Arg(_INT, "1"),
+         "--tag-averaged": Arg(None, False)},
+        _mac_attack,
+    ),
+    "mac degrade": Command(
+        "universality after imperfect keys",
+        "imperfect keys: eps + eps_h (hash key) and eps + m eps_t (m masked tags), clipped at 1",
+        {"--eps": Arg(_NUMBER, REQUIRED), "--eps-h": Arg(_NUMBER, REQUIRED),
+         "--eps-t": Arg(_NUMBER, REQUIRED), "--m": Arg(_INT, REQUIRED)},
+        lambda a: _mac.degraded_epsilon(a.eps, a.eps_h, a.eps_t, a.m),
+    ),
+    "mac forgery-witness": Command(
+        "key law defeating the worst case",
+        "two-point hash-key law making one substitution forgery succeed with certainty",
+        _FAMILY,
+        lambda a: _mac.forgeable_key_distribution(_family(a)),
+    ),
+    "ecpa leak": Command(
+        "reconciliation disclosure f n h(Q)",
+        "reconciliation disclosure leak = f n h(Q)",
+        {"--f": Arg(_FLOAT, REQUIRED), "--n": Arg(_INT, REQUIRED), "--q": Arg(_NUMBER, REQUIRED)},
+        lambda a: {"leak_bits": _ecpa.ec_leak(a.f, a.n, a.q)},
+    ),
+    "ecpa posterior": Command(
+        "posterior over data words",
+        "Bayes posterior over data words given a noisy view of a hidden-code codeword",
+        {**_helped(_ENSEMBLE, code="parity rows ('0110;1011'), or @file; repeatable",
+                   weights="comma-separated code weights"),
+         "--observation": Arg(None, REQUIRED, "observed bits, e.g. 0110"),
+         "--crossover": Arg(_NUMBER, REQUIRED),
+         "--code-known": Arg(None, False, "reveal the code index"),
+         "--code-index": Arg(lambda text, mode, flag: _int(text, "code index"), "0")},
+        lambda a: {"posterior": _ecpa.mixture_posterior(
+            _ensemble(a), a.observation, _ecpa.EveChannel(a.crossover),
+            syndromes_hidden=not a.code_known, code_index=a.code_index,
+        )},
+    ),
+    "ecpa compare": Command(
+        "guessing success with/without code structure",
+        "exact MAP success: code known (averaged), hidden-code mixture, no code structure",
+        {**_ENSEMBLE, "--crossover": Arg(_NUMBER, REQUIRED)},
+        lambda a: _ecpa.leakage_comparison(_ensemble(a), _ecpa.EveChannel(a.crossover)),
+    ),
+    "budget markov": Command(
+        "average-to-tail bound",
+        "Pr[Z >= threshold] <= min(1, mean/threshold) for non-negative Z",
+        {"--mean": Arg(_NUMBER, REQUIRED), "--threshold": Arg(_NUMBER, REQUIRED)},
+        lambda a: {"bound": _budget.markov_tail_bound(a.mean, a.threshold)},
+    ),
+    "budget individual": Command(
+        "individual-guarantee level",
+        "average-to-individual conversion: log10 d' = exponent * log10 d",
+        {"--d": Arg(_LEVEL, REQUIRED, "level as 1e-20 or log10:-20"),
+         "--exponent": Arg(_EXPONENT, REQUIRED, "1, 1/2, or 1/3")},
+        lambda a: {"log10_individual": _budget.individual_level(_budget.LogBudget(a.d, a.exponent))},
+    ),
+    "budget accumulate": Command(
+        "union bound over rounds",
+        "union bound over rounds: log10 total = log10 d_round + log10(rate seconds), capped at 0",
+        {"--d-round": Arg(_FLOAT_LEVEL, REQUIRED), "--rate": Arg(_FLOAT, REQUIRED, "rounds per second"),
+         "--seconds": Arg(_FLOAT, REQUIRED)},
+        lambda a: _budget.accumulated_failure(a.d_round, a.rate, a.seconds),
+    ),
+    "budget near-uniform-bits": Command(
+        "honest near-uniform key length",
+        "largest n with 2^-n >= d^exponent: floor(-log10_d exponent log2 10)",
+        {"--d": Arg(_LEVEL, REQUIRED), "--exponent": Arg(None, "1")},
+        lambda a: {"bits": _budget.near_uniform_bits(a.d, a.exponent)},
+    ),
+    "budget required-d": Command(
+        "level demanded by an n-bit claim",
+        "near-uniform n-bit key needs d ~ 2^-n: log10 d = -n log10 2",
+        {"--n": Arg(_INT, REQUIRED)},
+        lambda a: {"log10_d": _budget.required_d_for_near_uniform(a.n)},
+    ),
+    "budget gap": Command(
+        "orders of magnitude to a target",
+        "orders short of target: current - target/exponent (positive = insufficient)",
+        {"--current": Arg(_LEVEL, REQUIRED),
+         "--target": Arg(_LEVEL, None, "individual target (default log10:-15)"),
+         "--exponent": Arg(_EXPONENT, REQUIRED)},
+        _budget_gap,
+    ),
+    "cvqkd uncertainty": Command(
+        "combined output uncertainty",
+        "relative = a + b - ab = 1 - (1-a)(1-b); absolute = relative S T",
+        _CV,
+        lambda a: _cvqkd.output_uncertainty(_cv_params(a)),
+    ),
+    "cvqkd verdict": Command(
+        "intercept-resend detectability verdict",
+        "loss limit if S T < threshold; masked if (a+b-ab) S T > threshold",
+        {**_CV, "--loss-threshold": Arg(lambda text, mode, flag: _float(text, "loss threshold"), "0.5"),
+         "--masking-threshold": Arg(lambda text, mode, flag: _float(text, "masking threshold"), "0.25")},
+        lambda a: _cvqkd.detectability_verdict(
+            _cv_params(a), loss_threshold=a.loss_threshold, masking_threshold=a.masking_threshold
+        ),
+    ),
+    "cvqkd tradeoff": Command(
+        "false-alarm / miss threshold sweep",
+        "declared model: Gaussian level around S T, attack shifts mean up; alarm above threshold",
+        {**_CV, "--shift": Arg(_FLOAT, REQUIRED, "attack signature shift of the mean level"),
+         "--thresholds": Arg(_THRESHOLDS, REQUIRED, "comma-separated grid")},
+        lambda a: {"points": _cvqkd.false_alarm_tradeoff(_cv_params(a), a.thresholds, a.shift)},
+    ),
+    "verify-all": Command(
+        "run the cross-module invariant suite",
+        "cross-module invariant suite",
+        {"--n-max": Arg(_INT, "10"), "--seed": Arg(_INT, "42")},
+        _verify_all,
+    ),
+}
 
 
 # ---------------------------------------------------------------- output
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+    if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, Fraction):
         return format_number(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, KeyDistribution):
         return value.as_array().tolist() if value.mode == "float" else value.formatted()
     if hasattr(value, "_asdict"):
@@ -226,7 +524,7 @@ def _jsonable(value):
 
 
 def _inputs_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "command", "mode", "group", "action"}
+    skip = {"command", "mode", "group", "action"}
     out = {}
     for key, value in vars(args).items():
         if key in skip or value is None:
@@ -235,12 +533,12 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-def _render(args: argparse.Namespace, mode: str, outputs: dict) -> str:
+def _render(args: argparse.Namespace, mode: str, outputs) -> str:
     envelope = {
         "command": args.command,
         "inputs": _inputs_echo(args),
         "outputs": _jsonable(outputs),
-        "provenance": PROVENANCE[args.command],
+        "provenance": COMMANDS[args.command].provenance,
         "numeric_mode": mode,
     }
     try:
@@ -249,268 +547,7 @@ def _render(args: argparse.Namespace, mode: str, outputs: dict) -> str:
         raise ValidationError(f"an output is not a finite number: {exc}") from exc
 
 
-# ---------------------------------------------------------------- handlers
-
-
-def _cmd_dist_delta(args, mode):
-    p = _distribution(args.p, mode)
-    q = _distribution(args.q, mode)
-    return {"delta": statistical_distance(p, q)}
-
-
-def _cmd_dist_entropy(args, mode):
-    stats = entropy_stats(_distribution(args.p, mode))
-    return {
-        "p1": stats.p1,
-        "min_entropy_bits": stats.min_entropy_bits,
-        "shannon_entropy_bits": stats.shannon_bits,
-    }
-
-
-def _probe_model(args, mode) -> ClassicalProbeModel:
-    return ClassicalProbeModel(_distribution(args.prior, mode), _matrix(args.conditional, mode))
-
-
-def _cmd_dist_mi(args, mode):
-    return {"mutual_information_bits": mutual_information(_probe_model(args, mode))}
-
-
-def _cmd_dist_trace(args, mode):
-    return {"trace_distance": trace_distance(_state(args.rho, mode), _state(args.sigma, mode))}
-
-
-def _cmd_dist_dcrit(args, mode):
-    return {"d": d_criterion(_probe_model(args, mode))}
-
-
-def _cmd_dist_h(args, mode):
-    return {"h": binary_entropy(parse_number(args.q, mode))}
-
-
-def _cmd_dist_event_bound(args, mode):
-    report = check_event_bound(_distribution(args.p, mode), _distribution(args.q, mode), _event(args.event))
-    return {"lhs": report.gap, "bound": report.distance, "holds": report.holds}
-
-
-def _cmd_spike_construct(args, mode):
-    res = construct_spike(_int(args.n, "n"), parse_number(args.eps, mode), at=_int(args.at, "at"))
-    return {"distribution": res.distribution, "p1": res.p1, "distance": res.distance}
-
-
-def _cmd_spike_low_info(args, mode):
-    res = construct_low_info_high_guess(_int(args.n, "n"), _float(args.lam, "lam"))
-    return {
-        "distribution": res.distribution,
-        "p1": res.p1,
-        "info_bits": res.info_bits,
-        "info_bound_bits": res.info_bound_bits,
-    }
-
-
-def _cmd_mixture_check(args, mode):
-    result = check_mixture_decomposition(_distribution(args.p, mode), parse_number(args.lam, mode))
-    if result is None:
-        return {"decomposable": False, "uniform_weight": None, "residual": None}
-    return {
-        "decomposable": True,
-        "uniform_weight": result.uniform_weight,
-        "residual": result.residual,
-    }
-
-
-def _cmd_conditional_max_dev(args, mode):
-    res = max_conditional_deviation(
-        _int(args.n, "n"), parse_number(args.eps, mode), _event(args.event), _event(args.sub_event)
-    )
-    return {"distribution": res.distribution, "deviation": res.deviation}
-
-
-def _split_from(args) -> KeySplit:
-    return KeySplit(_int(args.n1, "n1"), _int(args.n2, "n2"), _subset(args.subset))
-
-
-def _cmd_kpa_avg(args, mode):
-    res = average_conditional_guess(_distribution(args.p, mode), _split_from(args))
-    return {"avg_p1": res.avg_p1, "bound": res.bound, "holds": res.holds}
-
-
-def _cmd_kpa_breach(args, mode):
-    res = conditional_breach_witness(_int(args.n, "n"), parse_number(args.eps, mode), _split_from(args))
-    return {
-        "distribution": res.distribution,
-        "worst_conditional_p": res.worst_conditional_p,
-        "k1_value": res.k1_value,
-        "subset_value": res.subset_value,
-    }
-
-
-def _cmd_kpa_agreement(args, mode):
-    return {"agreement": eve_bit_agreement(_distribution(args.p, mode))}
-
-
-def _family(args) -> _mac.HashFamilySpec:
-    modulus = _int(args.modulus, "modulus") if args.modulus else 0
-    return _mac.HashFamilySpec(
-        field_bits=_int(args.b, "field bits"),
-        message_blocks=_int(args.blocks, "message blocks"),
-        modulus=modulus,
-    )
-
-
-def _cmd_mac_epsilon(args, mode):
-    return {"epsilon": _mac.asu_epsilon(_family(args))}
-
-
-def _cmd_mac_attack(args, mode):
-    keys = _mac.MacKeyModel(
-        hash_key_dist=_distribution(args.hash_key, mode),
-        tag_key_dist=_distribution(args.tag_key, mode) if args.tag_key else None,
-        uses=_int(args.uses, "uses"),
-    )
-    success = _mac.attack_success(_family(args), keys, args.attack, tag_averaged=args.tag_averaged)
-    return {"success": success}
-
-
-def _cmd_mac_degrade(args, mode):
-    res = _mac.degraded_epsilon(
-        parse_number(args.eps, mode),
-        parse_number(args.eps_h, mode),
-        parse_number(args.eps_t, mode),
-        _int(args.m, "m"),
-    )
-    return {"hash_key_level": res.hash_key_level, "tag_key_level": res.tag_key_level}
-
-
-def _cmd_mac_witness(args, mode):
-    res = _mac.forgeable_key_distribution(_family(args))
-    return {
-        "distribution": res.distribution,
-        "message_delta": res.message_delta,
-        "tag_delta": res.tag_delta,
-        "distance": res.distance,
-    }
-
-
-def _cmd_ecpa_leak(args, mode):
-    return {
-        "leak_bits": _ecpa.ec_leak(
-            _float(args.f, "f"), _int(args.n, "n"), parse_number(args.q, mode)
-        )
-    }
-
-
-def _ensemble_from(args, mode) -> _ecpa.CodeEnsemble:
-    codes = _codes(args.code)
-    return _ecpa.CodeEnsemble(codes, _weights(args.weights, len(codes), mode))
-
-
-def _cmd_ecpa_posterior(args, mode):
-    posterior = _ecpa.mixture_posterior(
-        _ensemble_from(args, mode),
-        args.observation,
-        _ecpa.EveChannel(parse_number(args.crossover, mode)),
-        syndromes_hidden=not args.code_known,
-        code_index=_int(args.code_index, "code index"),
-    )
-    return {"posterior": posterior}
-
-
-def _cmd_ecpa_compare(args, mode):
-    cmp = _ecpa.leakage_comparison(
-        _ensemble_from(args, mode), _ecpa.EveChannel(parse_number(args.crossover, mode))
-    )
-    return {
-        "p1_no_code": cmp.p1_no_code,
-        "p1_code_known_avg": cmp.p1_code_known_avg,
-        "p1_mixture": cmp.p1_mixture,
-    }
-
-
-def _cmd_budget_markov(args, mode):
-    return {
-        "bound": _budget.markov_tail_bound(
-            parse_number(args.mean, mode), parse_number(args.threshold, mode)
-        )
-    }
-
-
-def _cmd_budget_individual(args, mode):
-    level = _budget.parse_security_level(args.d, mode)
-    budget = _budget.LogBudget(level, _budget.as_markov_exponent(args.exponent))
-    return {"log10_individual": _budget.individual_level(budget)}
-
-
-def _cmd_budget_accumulate(args, mode):
-    res = _budget.accumulated_failure(
-        _budget.parse_security_level(args.d_round),
-        _float(args.rate, "rate"),
-        _float(args.seconds, "seconds"),
-    )
-    return {"rounds": res.rounds, "log10_total": res.log10_total}
-
-
-def _cmd_budget_bits(args, mode):
-    return {"bits": _budget.near_uniform_bits(_budget.parse_security_level(args.d, mode), args.exponent)}
-
-
-def _cmd_budget_required(args, mode):
-    return {"log10_d": _budget.required_d_for_near_uniform(_int(args.n, "n"))}
-
-
-def _cmd_budget_gap(args, mode):
-    target = args.target if args.target is not None else f"log10:{_budget.DEFAULT_ONE_SHOT_LOG10:g}"
-    current = _budget.parse_security_level(args.current, mode)
-    target_level = _budget.parse_security_level(target, mode)
-    exp = _budget.as_markov_exponent(args.exponent)
-    gap = _budget.guarantee_gap(current, target_level, exp)
-    required = (
-        Fraction(target_level) / exp
-        if isinstance(gap, Fraction)
-        else float(target_level) / float(exp)
-    )
-    return {"gap_orders": gap, "log10_required_average": required}
-
-
-def _cv_params(args) -> _cvqkd.CvParams:
-    return _cvqkd.CvParams(
-        s=_float(args.s, "s"), t=_float(args.t, "t"), a=_float(args.a, "a"), b=_float(args.b, "b")
-    )
-
-
-def _cmd_cv_uncertainty(args, mode):
-    res = _cvqkd.output_uncertainty(_cv_params(args))
-    return {"relative": res.relative, "absolute": res.absolute}
-
-
-def _cmd_cv_verdict(args, mode):
-    res = _cvqkd.detectability_verdict(
-        _cv_params(args),
-        loss_threshold=_float(args.loss_threshold, "loss threshold"),
-        masking_threshold=_float(args.masking_threshold, "masking threshold"),
-    )
-    return {"verdict": res.verdict, "loss_limited": res.loss_limited, "masked": res.masked}
-
-
-def _cmd_cv_tradeoff(args, mode):
-    grid = [_float(part, "threshold") for part in args.thresholds.split(",")]
-    points = _cvqkd.false_alarm_tradeoff(_cv_params(args), grid, _float(args.shift, "shift"))
-    return {"points": points}
-
-
-def _cmd_verify_all(args, mode):
-    results = run_invariant_suite(n_max=_int(args.n_max, "n-max"), seed=_int(args.seed, "seed"))
-    return {"all_passed": all(r.passed for r in results), "results": results}
-
-
-# ---------------------------------------------------------------- parser
-
-
-def _add(sub, group: str, name: str, handler, helptext: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=helptext)
-    p.set_defaults(func=handler, command=f"{group} {name}" if group else name)
-    p.add_argument("--mode", choices=("rational", "float"), default=None,
-                   help="numeric backend (default: KEYSEC_NUMERIC_MODE or float)")
-    return p
+# ---------------------------------------------------------------- entry points
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,158 +556,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantitative security analysis of imperfect (non-uniform) cryptographic keys.",
     )
     top = parser.add_subparsers(dest="group", metavar="command")
-
-    dist = top.add_parser("dist", help="distances, entropies, and probe-model measures")
-    ds = dist.add_subparsers(dest="action", metavar="action")
-    p = _add(ds, "dist", "delta", _cmd_dist_delta, "statistical distance between two distributions")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p = _add(ds, "dist", "entropy", _cmd_dist_entropy, "guessing probability and entropies")
-    p.add_argument("--p", required=True)
-    p = _add(ds, "dist", "mi", _cmd_dist_mi, "mutual information of a probe model")
-    p.add_argument("--prior", required=True)
-    p.add_argument("--conditional", required=True, help="JSON matrix p(y|k) or @file")
-    p = _add(ds, "dist", "trace", _cmd_dist_trace, "trace distance between two states")
-    p.add_argument("--rho", required=True, help="JSON matrix, @file, or diag:<distribution>")
-    p.add_argument("--sigma", required=True)
-    p = _add(ds, "dist", "d-criterion", _cmd_dist_dcrit, "joint-vs-uniform-product distance")
-    p.add_argument("--prior", required=True)
-    p.add_argument("--conditional", required=True)
-    p = _add(ds, "dist", "binary-entropy", _cmd_dist_h, "binary entropy h(q)")
-    p.add_argument("--q", required=True)
-    p = _add(ds, "dist", "event-bound", _cmd_dist_event_bound, "event probability gap vs distance")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--event", required=True, help="comma-separated key values")
-
-    spike = top.add_parser("spike", help="extremal spike constructions")
-    ss = spike.add_subparsers(dest="action", metavar="action")
-    p = _add(ss, "spike", "construct", _cmd_spike_construct, "maximal-guess distribution at fixed distance")
-    p.add_argument("--n", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--at", default="0")
-    p = _add(ss, "spike", "low-info", _cmd_spike_low_info, "vanishing-information, high-guess family")
-    p.add_argument("--n", required=True)
-    p.add_argument("--lam", required=True)
-
-    mixture = top.add_parser("mixture", help="uniform-mixture decomposition")
-    ms = mixture.add_subparsers(dest="action", metavar="action")
-    p = _add(ms, "mixture", "check", _cmd_mixture_check, "decompose P as (1-lam) uniform + lam residual")
-    p.add_argument("--p", required=True)
-    p.add_argument("--lam", required=True)
-
-    conditional = top.add_parser("conditional", help="conditional-event deviation extremes")
-    cs = conditional.add_subparsers(dest="action", metavar="action")
-    p = _add(cs, "conditional", "max-deviation", _cmd_conditional_max_dev,
-             "worst conditional shift under a distance budget")
-    p.add_argument("--n", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--sub-event", required=True)
-
-    kpa = top.add_parser("kpa", help="split-key known-plaintext analysis")
-    ks = kpa.add_subparsers(dest="action", metavar="action")
-    p = _add(ks, "kpa", "avg-guess", _cmd_kpa_avg, "averaged conditional guess vs its bound")
-    p.add_argument("--p", required=True)
-    p.add_argument("--n1", required=True)
-    p.add_argument("--n2", required=True)
-    p.add_argument("--subset", default=None, help="K2 bit positions, default all")
-    p = _add(ks, "kpa", "breach", _cmd_kpa_breach, "single-slice conditioning breach witness")
-    p.add_argument("--n", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--n1", required=True)
-    p.add_argument("--n2", required=True)
-    p.add_argument("--subset", default=None)
-    p = _add(ks, "kpa", "bit-agreement", _cmd_kpa_agreement, "expected bit agreement of the best guess")
-    p.add_argument("--p", required=True)
-
-    mac = top.add_parser("mac", help="authentication with imperfect keys")
-    mcs = mac.add_subparsers(dest="action", metavar="action")
-    p = _add(mcs, "mac", "epsilon", _cmd_mac_epsilon, "family universality level")
-    p.add_argument("--b", required=True)
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--modulus", default=None, help="field polynomial bit pattern (hex ok)")
-    p = _add(mcs, "mac", "attack", _cmd_mac_attack, "exact optimal forgery probability")
-    p.add_argument("--b", required=True)
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--modulus", default=None)
-    p.add_argument("--attack", required=True, choices=("impersonation", "substitution"))
-    p.add_argument("--hash-key", required=True)
-    p.add_argument("--tag-key", default=None, help="mask distribution; omit for the ideal pad")
-    p.add_argument("--uses", default="1")
-    p.add_argument("--tag-averaged", action="store_true")
-    p = _add(mcs, "mac", "degrade", _cmd_mac_degrade, "universality after imperfect keys")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--eps-h", required=True)
-    p.add_argument("--eps-t", required=True)
-    p.add_argument("--m", required=True)
-    p = _add(mcs, "mac", "forgery-witness", _cmd_mac_witness, "key law defeating the worst case")
-    p.add_argument("--b", required=True)
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--modulus", default=None)
-
-    ecpa = top.add_parser("ecpa", help="error-correction leakage analysis")
-    es = ecpa.add_subparsers(dest="action", metavar="action")
-    p = _add(es, "ecpa", "leak", _cmd_ecpa_leak, "reconciliation disclosure f n h(Q)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--q", required=True)
-    p = _add(es, "ecpa", "posterior", _cmd_ecpa_posterior, "posterior over data words")
-    p.add_argument("--code", action="append", required=True,
-                   help="parity rows ('0110;1011'), or @file; repeatable")
-    p.add_argument("--weights", default=None, help="comma-separated code weights")
-    p.add_argument("--observation", required=True, help="observed bits, e.g. 0110")
-    p.add_argument("--crossover", required=True)
-    p.add_argument("--code-known", action="store_true", help="reveal the code index")
-    p.add_argument("--code-index", default="0")
-    p = _add(es, "ecpa", "compare", _cmd_ecpa_compare, "guessing success with/without code structure")
-    p.add_argument("--code", action="append", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--crossover", required=True)
-
-    budget = top.add_parser("budget", help="log-domain security-budget arithmetic")
-    bs = budget.add_subparsers(dest="action", metavar="action")
-    p = _add(bs, "budget", "markov", _cmd_budget_markov, "average-to-tail bound")
-    p.add_argument("--mean", required=True)
-    p.add_argument("--threshold", required=True)
-    p = _add(bs, "budget", "individual", _cmd_budget_individual, "individual-guarantee level")
-    p.add_argument("--d", required=True, help="level as 1e-20 or log10:-20")
-    p.add_argument("--exponent", required=True, help="1, 1/2, or 1/3")
-    p = _add(bs, "budget", "accumulate", _cmd_budget_accumulate, "union bound over rounds")
-    p.add_argument("--d-round", required=True)
-    p.add_argument("--rate", required=True, help="rounds per second")
-    p.add_argument("--seconds", required=True)
-    p = _add(bs, "budget", "near-uniform-bits", _cmd_budget_bits, "honest near-uniform key length")
-    p.add_argument("--d", required=True)
-    p.add_argument("--exponent", default="1")
-    p = _add(bs, "budget", "required-d", _cmd_budget_required, "level demanded by an n-bit claim")
-    p.add_argument("--n", required=True)
-    p = _add(bs, "budget", "gap", _cmd_budget_gap, "orders of magnitude to a target")
-    p.add_argument("--current", required=True)
-    p.add_argument("--target", default=None, help="individual target (default log10:-15)")
-    p.add_argument("--exponent", required=True)
-
-    cv = top.add_parser("cvqkd", help="CV-QKD monitoring arithmetic")
-    cvs = cv.add_subparsers(dest="action", metavar="action")
-    p = _add(cvs, "cvqkd", "uncertainty", _cmd_cv_uncertainty, "combined output uncertainty")
-    for flag in ("--s", "--t", "--a", "--b"):
-        p.add_argument(flag, required=True)
-    p = _add(cvs, "cvqkd", "verdict", _cmd_cv_verdict, "intercept-resend detectability verdict")
-    for flag in ("--s", "--t", "--a", "--b"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--loss-threshold", default="0.5")
-    p.add_argument("--masking-threshold", default="0.25")
-    p = _add(cvs, "cvqkd", "tradeoff", _cmd_cv_tradeoff, "false-alarm / miss threshold sweep")
-    for flag in ("--s", "--t", "--a", "--b"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--shift", required=True, help="attack signature shift of the mean level")
-    p.add_argument("--thresholds", required=True, help="comma-separated grid")
-
-    p = _add(top, "", "verify-all", _cmd_verify_all, "run the cross-module invariant suite")
-    p.add_argument("--n-max", default="10")
-    p.add_argument("--seed", default="42")
-
+    actions = {}
+    for command, entry in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group and group not in actions:
+            group_parser = top.add_parser(group, help=GROUPS[group])
+            actions[group] = group_parser.add_subparsers(dest="action", metavar="action")
+        p = (actions[group] if group else top).add_parser(name, help=entry.help)
+        p.set_defaults(command=command)
+        p.add_argument("--mode", choices=MODES, default=None,
+                       help="numeric backend (default: KEYSEC_NUMERIC_MODE or float)")
+        for flag, arg in entry.args.items():
+            if arg.default is REQUIRED:
+                kwargs = {"required": True}
+            elif arg.default is False:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"default": arg.default}
+            if arg.reader is _CODES:
+                kwargs["action"] = "append"
+            if isinstance(arg.reader, tuple):
+                kwargs["choices"] = arg.reader
+            p.add_argument(flag, help=arg.help, **kwargs)
     return parser
+
+
+def _read(args: argparse.Namespace, mode: str) -> argparse.Namespace:
+    """Every flag of the command through its reader, in declaration order."""
+    values = argparse.Namespace(mode=mode)
+    for flag, arg in COMMANDS[args.command].args.items():
+        text = getattr(args, _dest(flag))
+        if text is not None and callable(arg.reader):
+            text = arg.reader(text, mode, flag[2:])
+        setattr(values, _dest(flag), text)
+    return values
 
 
 def main(argv=None) -> int:
@@ -679,12 +598,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if not hasattr(args, "func"):
+    if not hasattr(args, "command"):
         parser.print_usage(sys.stderr)
         return 1
     try:
         mode = resolve_mode(args.mode)
-        outputs = args.func(args, mode)
+        outputs = COMMANDS[args.command].handler(_read(args, mode))
         text = _render(args, mode, outputs)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -692,10 +611,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     print(text)

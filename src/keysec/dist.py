@@ -88,17 +88,6 @@ def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
     return np.array([a / den for a in nums.ravel().tolist()]).reshape(nums.shape)
 
 
-def _kinds_mode(values: Sequence) -> str | None:
-    """Mode of a homogeneous collection, from its set of entry types; None
-    when the entries mix modes or include an unsupported type."""
-    kinds = set(map(type, values))
-    if all(issubclass(t, float) for t in kinds):
-        return "float"
-    if all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in kinds):
-        return "rational"
-    return None
-
-
 def _float_rows(entries, width: int, label) -> np.ndarray:
     """Validated read-only float64 rows of ``width`` probabilities, from a
     flat sequence of floats or a float64 array.
@@ -207,7 +196,7 @@ class KeyDistribution:
             nums = probs.nums.tolist() if isinstance(probs.nums, np.ndarray) else list(probs.nums)
             data = _lattice_rows(nums, probs.den, count, label)
         else:
-            mode = mode or _kinds_mode(probs) or infer_mode(probs)  # infer_mode raises the precise error
+            mode = mode or infer_mode(probs)
             data = (_exact_rows if mode == "rational" else _float_rows)(probs, count, label)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
@@ -302,7 +291,7 @@ class KeyDistribution:
             raise ValidationError(f"distribution is not valid JSON: {exc}") from exc
         if not isinstance(raw, list) or not raw:
             raise ValidationError("distribution JSON must be a non-empty array")
-        if mode != "rational" and _kinds_mode(raw) == "float":
+        if mode != "rational" and set(map(type, raw)) == {float}:
             probs = raw  # float(repr(x)) == x, NaN and infinities included
         else:
             entries = [str(item) for item in raw]
@@ -394,7 +383,7 @@ class ClassicalProbeModel:
             if len(row) != width:
                 raise ValidationError(f"conditional row {k} has {len(row)} entries, expected {width}")
         flat = list(itertools.chain.from_iterable(rows))
-        if (_kinds_mode(flat) or infer_mode(flat)) != prior.mode:
+        if infer_mode(flat) != prior.mode:
             raise ValidationError("conditional rows do not match the prior's numeric mode")
         validated = _exact_rows if prior.mode == "rational" else _float_rows
         object.__setattr__(self, "prior", prior)
@@ -551,9 +540,9 @@ def entropy_stats(p: KeyDistribution) -> EntropyStats:
 
 def binary_entropy(q: Number) -> float:
     """Entropy ``h(q) = -q log2 q - (1-q) log2 (1-q)`` of a coin with bias q."""
-    qf = float(q)
-    if not 0.0 <= qf <= 1.0:
+    if not 0 <= q <= 1:  # before float(q), which overflows on a huge Fraction
         raise ValidationError(f"binary entropy argument {q!r} outside [0, 1]")
+    qf = float(q)
     if qf == 0.0 or qf == 1.0:
         return 0.0
     return -qf * math.log2(qf) - (1.0 - qf) * math.log2(1.0 - qf)

@@ -23,14 +23,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, binary_entropy
+from .dist import KeyDistribution, Lattice, _exact_rows, _float_rows, binary_entropy
 from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ResourceLimitError,
     ValidationError,
-    check_probability_vector,
     infer_mode,
     is_rational,
 )
@@ -180,10 +179,11 @@ class CodeEnsemble:
         n = codes[0].n_data
         if any(c.n_data != n for c in codes):
             raise ValidationError("all codes in an ensemble must share the data length")
-        mode = infer_mode(weights)
-        if mode == "rational":
+        if infer_mode(weights) == "rational":
             weights = tuple(Fraction(w) for w in weights)
-        check_probability_vector(weights, mode, what="ensemble weights")
+            _exact_rows(weights, len(weights), "ensemble weights".format)
+        else:
+            _float_rows(weights, len(weights), "ensemble weights".format)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "weights", weights)
 
@@ -204,7 +204,7 @@ class EveChannel:
 
     def __post_init__(self):
         q = self.crossover
-        if q < 0 or q > Fraction(1, 2):
+        if not 0 <= q <= Fraction(1, 2):  # NaN fails both comparisons
             raise ValidationError(f"crossover must lie in [0, 1/2], got {q!r}")
 
 

@@ -14,10 +14,9 @@ rather than silently coerced.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Number = Union[int, float, Fraction]
 
@@ -59,19 +58,25 @@ def is_rational(value: Number) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
 
+def _kind(t: type) -> str | None:
+    if issubclass(t, float):
+        return "float"
+    if issubclass(t, (int, Fraction)) and not issubclass(t, bool):
+        return "rational"
+    return None
+
+
 def infer_mode(values: Iterable[Number]) -> str:
-    """Mode of a homogeneous collection; mixed exact/float entries are an error."""
-    saw_rational = saw_float = False
-    for v in values:
-        if is_rational(v):
-            saw_rational = True
-        elif isinstance(v, float):
-            saw_float = True
-        else:
-            raise ValidationError(f"unsupported numeric entry {v!r}")
-    if saw_rational and saw_float:
+    """Mode of a homogeneous collection, read from its set of entry types;
+    mixed exact/float entries are an error."""
+    values = values if isinstance(values, (list, tuple)) else list(values)
+    kinds = {_kind(t) for t in set(map(type, values))}
+    if None in kinds:
+        bad = next(v for v in values if _kind(type(v)) is None)
+        raise ValidationError(f"unsupported numeric entry {bad!r}")
+    if len(kinds) > 1:
         raise ValidationError("entries mix exact rationals and floats; pick one backend")
-    return "rational" if saw_rational else "float"
+    return kinds.pop() if kinds else "float"
 
 
 def parse_number(text: str, mode: str) -> Number:
@@ -93,24 +98,6 @@ def parse_number(text: str, mode: str) -> Number:
         raise ValidationError(f"cannot parse {text!r} as a {mode} number") from exc
 
 
-def coerce_to_mode(value: Number, mode: str) -> Number:
-    """Cast a scalar into the given backend (floats become exact binary rationals)."""
-    if mode == "rational":
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite value {value!r}")
-            return Fraction(value)
-        return Fraction(value)
-    return float(value)
-
-
-def exact_sum(values: Sequence[Number]) -> Number:
-    """Sum that stays exact on the rational path and compensated on the float path."""
-    if values and all(is_rational(v) for v in values):
-        return sum(values, Fraction(0))
-    return math.fsum(values)
-
-
 def format_number(value: Number) -> str:
     """Canonical string form: ``num/den`` for rationals, ``repr`` for floats."""
     if isinstance(value, Fraction):
@@ -118,19 +105,3 @@ def format_number(value: Number) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return f"{value}/1"
     return repr(float(value))
-
-
-def check_probability_vector(probs: Sequence[Number], mode: str, what: str = "distribution") -> None:
-    """Entries in [0, 1] and total mass 1 (exact, or within VALIDATION_TOL)."""
-    if not probs:
-        raise ValidationError(f"{what} must have at least one entry")
-    lo = -VALIDATION_TOL if mode == "float" else 0
-    for i, p in enumerate(probs):
-        if p < lo or p > 1 + VALIDATION_TOL:
-            raise ValidationError(f"{what} entry {i} is {p!r}, outside [0, 1]")
-    total = exact_sum(probs)
-    if mode == "rational":
-        if total != 1:
-            raise ValidationError(f"{what} sums to {total}, not 1")
-    elif abs(total - 1.0) > VALIDATION_TOL:
-        raise ValidationError(f"{what} sums to {total!r}, not 1 (tolerance {VALIDATION_TOL})")

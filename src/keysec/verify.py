@@ -36,6 +36,7 @@ from .extremal import (
     max_conditional_deviation,
 )
 from .kpa import KeySplit, average_conditional_guess, conditional_breach_witness, eve_bit_agreement
+from .numerics import ValidationError
 
 __all__ = ["InvariantResult", "run_invariant_suite"]
 
@@ -380,7 +381,7 @@ _CHECKS: list = [
 def run_invariant_suite(n_max: int = 10, seed: int = 42) -> list:
     """Run every invariant check; returns one result per check."""
     if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+        raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
     results = []
     for name, fn in _CHECKS:
         rng = random.Random(f"{seed}:{name}")

@@ -1,10 +1,13 @@
 """Command-line front end: envelopes, exit codes, determinism."""
 
+import argparse
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
-from keysec.cli import main
+from keysec.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +113,14 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("budget", "near-uniform-bits", "--mode", "rational", "--d", "log10:-inf"),
         ("budget", "near-uniform-bits", "--mode", "rational", "--d", "log10:nan"),
         ("budget", "accumulate", "--d-round", "nan", "--rate", "1", "--seconds", "1"),
+        ("budget", "near-uniform-bits", "--mode", "rational", "--d", "log10:-1e400"),
+        ("budget", "near-uniform-bits", "--mode", "float", "--d", "log10:-1e308"),
+        ("verify-all", "--n-max", "0"),
+        ("dist", "binary-entropy", "--mode", "rational", "--q", "1e400"),
+        ("dist", "trace", "--rho", "[1, 2]", "--sigma", "[[1]]"),
+        ("ecpa", "compare", "--code", "0111;1011", "--code", "1100;0011", "--crossover", "0.1",
+         "--weights", "nan,0.5"),
+        ("ecpa", "compare", "--code", "0111;1011", "--crossover", "nan"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -171,3 +182,69 @@ def test_budget_gap_via_cli(capsys):
     env = run_json(capsys, "budget", "near-uniform-bits", "--d", "log10:-400",
                    "--exponent", "1")
     assert env["outputs"]["bits"] == 1328
+
+
+#: one small call per subcommand, for the registry coverage test
+SAMPLE_ARGV = {
+    "dist delta": ["--p", "uniform:2", "--q", "spike:2:1/8"],
+    "dist entropy": ["--p", '["1/2","1/4","1/8","1/8"]'],
+    "dist mi": ["--prior", "uniform:1", "--conditional", '[["1/2","1/2"],["1","0"]]'],
+    "dist trace": ["--rho", "diag:spike:1:1/4", "--sigma", "diag:uniform:1"],
+    "dist d-criterion": ["--prior", "uniform:1", "--conditional", '[["1/2","1/2"],["1","0"]]'],
+    "dist binary-entropy": ["--q", "1/4"],
+    "dist event-bound": ["--p", "spike:2:1/8", "--q", "uniform:2", "--event", "0,1"],
+    "spike construct": ["--n", "2", "--eps", "1/8", "--at", "3"],
+    "spike low-info": ["--n", "4", "--lam", "0.5"],
+    "mixture check": ["--p", "spike:2:1/8", "--lam", "1/2"],
+    "conditional max-deviation": ["--n", "2", "--eps", "1/10", "--event", "0,1", "--sub-event", "0"],
+    "kpa avg-guess": ["--p", "spike:3:1/8", "--n1", "1", "--n2", "2", "--subset", "0"],
+    "kpa breach": ["--n", "3", "--eps", "1/16", "--n1", "1", "--n2", "2"],
+    "kpa bit-agreement": ["--p", "spike:2:1/8"],
+    "mac epsilon": ["--b", "3", "--blocks", "2", "--modulus", "0xB"],
+    "mac attack": ["--b", "2", "--blocks", "2", "--attack", "substitution", "--hash-key", "uniform:2",
+                   "--tag-key", "spike:2:1/8", "--tag-averaged"],
+    "mac degrade": ["--eps", "1/8", "--eps-h", "1/100", "--eps-t", "1/50", "--m", "3"],
+    "mac forgery-witness": ["--b", "3", "--blocks", "2"],
+    "ecpa leak": ["--f", "1.2", "--n", "100", "--q", "1/20"],
+    "ecpa posterior": ["--code", "0111;1011", "--code", "1100;0011", "--weights", "1/4,3/4",
+                       "--observation", "0110", "--crossover", "1/10", "--code-known"],
+    "ecpa compare": ["--code", "0111;1011", "--code", "1100;0011", "--crossover", "1/10"],
+    "budget markov": ["--mean", "1/1000", "--threshold", "1/10"],
+    "budget individual": ["--d", "1e-20", "--exponent", "1/2"],
+    "budget accumulate": ["--d-round", "1e-14", "--rate", "100", "--seconds", "3600"],
+    "budget near-uniform-bits": ["--d", "log10:-20", "--exponent", "1/3"],
+    "budget required-d": ["--n", "128"],
+    "budget gap": ["--current", "1e-9", "--exponent", "1/2"],
+    "cvqkd uncertainty": ["--s", "1", "--t", "1", "--a", "0.01", "--b", "0.01"],
+    "cvqkd verdict": ["--s", "1.5", "--t", "0.9", "--a", "0.05", "--b", "0.1"],
+    "cvqkd tradeoff": ["--s", "1.5", "--t", "0.9", "--a", "0.05", "--b", "0.1", "--shift", "0.4",
+                       "--thresholds", "1,1.4"],
+    "verify-all": ["--n-max", "2", "--seed", "3"],
+}
+
+
+def _parser_commands() -> set:
+    """Every subcommand path the argparse tree exposes."""
+    def walk(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {prefix}
+        return set().union(*(walk(p, f"{prefix} {name}".strip()) for name, p in subs[0].choices.items()))
+    return walk(build_parser(), "")
+
+
+_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "report_envelope.schema.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) | _parser_commands()))
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_every_registry_command_emits_a_schema_valid_envelope(capsys, command, mode):
+    assert command in COMMANDS, f"{command!r} is in the parser but not in COMMANDS"
+    assert command in SAMPLE_ARGV, f"{command!r} has no sample argv"
+    assert COMMANDS[command].provenance
+    env = run_json(capsys, *command.split(), *SAMPLE_ARGV[command], "--mode", mode)
+    jsonschema.Draft202012Validator(_SCHEMA).validate(env)
+    assert (env["command"], env["numeric_mode"]) == (command, mode)
+    assert env["provenance"] == COMMANDS[command].provenance

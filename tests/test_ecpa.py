@@ -73,6 +73,9 @@ def test_channel_and_ensemble_validation():
         EveChannel(-0.1)
     with pytest.raises(ValidationError):
         EveChannel(0.6)  # beyond symmetric-channel midpoint
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="crossover"):
+            EveChannel(bad)
     c1 = ParityCheckMatrix.from_text(C1_TEXT)
     with pytest.raises(ValidationError):
         CodeEnsemble([c1, ParityCheckMatrix.from_text("011\n101")], (F(1, 2), F(1, 2)))
@@ -80,6 +83,24 @@ def test_channel_and_ensemble_validation():
         CodeEnsemble([c1], (F(1, 2),))  # weights must sum to one
     ens = CodeEnsemble([c1], (F(1),))
     assert ens.mode == "rational"
+
+
+def test_ensemble_weight_checks():
+    codes = [ParityCheckMatrix.from_text(t) for t in (C1_TEXT, C2_TEXT, "1111")]
+    ens = CodeEnsemble(codes, (F(1, 3),) * 3)  # exact total, no rounding
+    assert ens.mode == "rational" and all(type(w) is F for w in ens.weights)
+    assert CodeEnsemble(codes[:2], (0.5, 0.5 + 1e-12)).mode == "float"  # float slack
+    for weights, message in (
+        ((F(1, 2), F(1, 3)), "ensemble weights sums to 5/6, not 1"),
+        ((0.7, 0.7), "ensemble weights sums to 1.4"),
+        ((F(-1, 4), F(5, 4)), "ensemble weights entry 0 is Fraction\\(-1, 4\\), outside"),
+        ((float("nan"), 1.0), "ensemble weights entry 0 is nan, outside"),
+        ((float("nan"), 0.5), "ensemble weights entry 0 is nan, outside"),
+        ((0.5, float("inf")), "ensemble weights entry 1 is inf, outside"),
+        ((0.5, F(1, 2)), "mix exact rationals and floats"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            CodeEnsemble(codes[:2], weights)
 
 
 def test_mixture_posterior_frozen():

@@ -4,9 +4,6 @@ import pytest
 
 from keysec.numerics import (
     ValidationError,
-    check_probability_vector,
-    coerce_to_mode,
-    exact_sum,
     format_number,
     infer_mode,
     parse_number,
@@ -44,6 +41,11 @@ def test_infer_mode():
     # bools are not numbers here
     with pytest.raises(ValidationError):
         infer_mode([True, False])
+    # an unsupported entry is named even when the others mix modes; any iterable is read
+    with pytest.raises(ValidationError, match="unsupported numeric entry 'x'"):
+        infer_mode([0.5, Fraction(1, 2), "x"])
+    assert infer_mode(iter([Fraction(1, 3), 2])) == "rational"
+    assert infer_mode([]) == "float"
 
 
 def test_resolve_mode_env(monkeypatch):
@@ -61,31 +63,3 @@ def test_format_number():
     assert format_number(Fraction(1, 3)) == "1/3"
     assert format_number(2) == "2/1"
     assert format_number(0.25) == "0.25"
-
-
-def test_exact_sum_stays_exact():
-    vals = [Fraction(1, 3)] * 3
-    assert exact_sum(vals) == 1
-    assert isinstance(exact_sum(vals), Fraction)
-    # float path is compensated: classic fsum example
-    assert exact_sum([1e100, 1.0, -1e100]) == 1.0
-
-
-def test_coerce_to_mode():
-    assert coerce_to_mode(0.5, "rational") == Fraction(1, 2)
-    assert coerce_to_mode(Fraction(1, 4), "float") == 0.25
-    with pytest.raises(ValidationError):
-        coerce_to_mode(float("nan"), "rational")
-
-
-def test_check_probability_vector():
-    check_probability_vector([Fraction(1, 2), Fraction(1, 2)], "rational")
-    check_probability_vector([0.5, 0.5 + 1e-12], "float")
-    with pytest.raises(ValidationError):
-        check_probability_vector([], "float")
-    with pytest.raises(ValidationError):
-        check_probability_vector([Fraction(1, 2), Fraction(1, 3)], "rational")
-    with pytest.raises(ValidationError):
-        check_probability_vector([0.7, 0.7], "float")
-    with pytest.raises(ValidationError):
-        check_probability_vector([Fraction(-1, 4), Fraction(5, 4)], "rational")
