@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from keysec import KeyDistribution
 from keysec.numerics import (
     ValidationError,
     format_number,
@@ -63,3 +64,28 @@ def test_format_number():
     assert format_number(Fraction(1, 3)) == "1/3"
     assert format_number(2) == "2/1"
     assert format_number(0.25) == "0.25"
+
+
+def test_exact_sum_stays_exact():
+    # probability vectors are totalled inside the law containers
+    third = Fraction(1, 3)
+    total = KeyDistribution(2, [third, third, third, 0]).prob_of(range(4))
+    assert total == 1
+    assert isinstance(total, Fraction)
+    # float path is compensated: ten 0.1 add up to 0.9999999999999999 left to right
+    assert sum([0.1] * 10) != 1.0
+    assert KeyDistribution(4, [0.1] * 10 + [0.0] * 6).prob_of(range(16)) == 1.0
+
+
+def test_check_probability_vector():
+    # the checks run when a law is built; a 1-bit key takes 2-entry vectors
+    assert KeyDistribution(1, [Fraction(1, 2), Fraction(1, 2)]).mode == "rational"
+    assert KeyDistribution(1, [0.5, 0.5 + 1e-12]).mode == "float"
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, [])
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, [Fraction(1, 2), Fraction(1, 3)])
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, [0.7, 0.7])
+    with pytest.raises(ValidationError):
+        KeyDistribution(1, [Fraction(-1, 4), Fraction(5, 4)])
