@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, is_rational, parse_number
+from .numerics import Number, ValidationError, check_scalar, parse_number, scalar_mode
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -51,21 +51,13 @@ def as_markov_exponent(value: Union[str, Number]) -> Fraction:
     Anything else -- notably 1/4 -- is rejected: iterating the tail bound
     twice buys the cube root, and no further.
     """
-    if isinstance(value, str):
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse exponent {value!r}") from exc
-    if is_rational(value):
-        frac = Fraction(value)
-        if frac in MARKOV_EXPONENTS:
+    value = check_scalar(value, "exponent")
+    slack = 1e-12 if scalar_mode(value) == "float" else 0
+    for frac in MARKOV_EXPONENTS:
+        if abs(value - frac) <= slack:
             return frac
-    else:
-        for frac in MARKOV_EXPONENTS:
-            if abs(float(value) - float(frac)) <= 1e-12:
-                return frac
     raise ValidationError(
-        f"exponent {value!r} is not admissible: the average-to-individual "
+        f"exponent {value} is not admissible: the average-to-individual "
         "conversion supports only 1, 1/2, 1/3 (in particular not 1/4)"
     )
 
@@ -78,8 +70,7 @@ class LogBudget:
     markov_exponent: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.log10_d > 0:
-            raise ValidationError(f"log10 of a distance level cannot be positive, got {self.log10_d!r}")
+        object.__setattr__(self, "log10_d", check_scalar(self.log10_d, "log10 of a distance level", hi=0))
         object.__setattr__(self, "markov_exponent", as_markov_exponent(self.markov_exponent))
 
 
@@ -90,18 +81,10 @@ class AccumulatedFailure(NamedTuple):
 
 def markov_tail_bound(mean: Number, threshold: Number) -> Number:
     """Tail bound ``Pr[Z >= threshold] <= min(1, mean / threshold)`` for Z >= 0."""
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold!r}")
-    if mean < 0:
-        raise ValidationError(f"mean of a non-negative variable cannot be {mean!r}")
-    ratio = (
-        Fraction(mean) / Fraction(threshold)
-        if is_rational(mean) and is_rational(threshold)
-        else float(mean) / float(threshold)
-    )
-    if ratio >= 1:
-        return Fraction(1) if isinstance(ratio, Fraction) else 1.0
-    return ratio
+    threshold = check_scalar(threshold, "threshold", lo=0, lo_open=True)
+    mean = check_scalar(mean, "mean of a non-negative variable", lo=0)
+    one = check_scalar(1, "probability bound", mode=scalar_mode(mean, threshold))
+    return min(mean / threshold, one)
 
 
 def individual_level(budget: LogBudget) -> Number:
@@ -112,9 +95,7 @@ def individual_level(budget: LogBudget) -> Number:
     price of a square or cube root -- i.e. the log10 level shrinks by the
     exponent factor.
     """
-    if is_rational(budget.log10_d):
-        return Fraction(budget.log10_d) * budget.markov_exponent
-    return float(budget.log10_d) * float(budget.markov_exponent)
+    return budget.log10_d * budget.markov_exponent
 
 
 def accumulated_failure(
@@ -126,12 +107,11 @@ def accumulated_failure(
     ``log10_d_round + log10(rounds)``, capped at 0 (a probability bound
     never exceeds 1).
     """
-    if rounds_per_second <= 0 or seconds <= 0:
-        raise ValidationError("rate and duration must be positive")
-    if log10_d_round > 0:
-        raise ValidationError(f"per-round level must satisfy log10 d <= 0, got {log10_d_round!r}")
-    rounds = float(rounds_per_second) * float(seconds)
-    total = float(log10_d_round) + math.log10(rounds)
+    rate = check_scalar(rounds_per_second, "rate", lo=0, mode="float", lo_open=True)
+    seconds = check_scalar(seconds, "duration", lo=0, mode="float", lo_open=True)
+    level = check_scalar(log10_d_round, "per-round level log10 d", hi=0, mode="float")
+    rounds = check_scalar(rate * seconds, "rounds (rate times duration)", lo=0, lo_open=True)
+    total = level + math.log10(rounds)
     return AccumulatedFailure(rounds=rounds, log10_total=min(total, 0.0))
 
 
@@ -144,8 +124,7 @@ def near_uniform_bits(log10_d: Number, exponent: Union[str, Number] = Fraction(1
     absorbs float round-off so exact powers of two invert cleanly
     (e.g. ``log10_d = -15`` must yield 49, not 48).
     """
-    if log10_d >= 0:
-        raise ValidationError(f"need log10 d < 0, got {log10_d!r}")
+    log10_d = check_scalar(log10_d, "log10 d", hi=0, hi_open=True)
     exp = as_markov_exponent(exponent)
     try:
         return int(math.floor(-float(log10_d) * float(exp) * math.log2(10.0) + 1e-9))
@@ -177,13 +156,11 @@ def guarantee_gap(
     between them.
     """
     exp = as_markov_exponent(exponent)
-    if log10_current >= 0 or log10_target_individual >= 0:
-        raise ValidationError("levels must satisfy log10 d < 0")
-    if is_rational(log10_current) and is_rational(log10_target_individual):
-        required = Fraction(log10_target_individual) / exp
-        return Fraction(log10_current) - required
-    required = float(log10_target_individual) / float(exp)
-    return float(log10_current) - required
+    current = check_scalar(log10_current, "current level log10 d", hi=0, hi_open=True)
+    target = check_scalar(log10_target_individual, "target level log10 d", hi=0, hi_open=True)
+    # exact only when both levels are: beside a float current level the target is read as a float
+    target = check_scalar(target, "target level log10 d", mode=scalar_mode(current, target))
+    return current - target / exp
 
 
 def parse_security_level(text: str, mode: str = "float") -> Number:
@@ -197,12 +174,7 @@ def parse_security_level(text: str, mode: str = "float") -> Number:
     """
     text = text.strip()
     if text.startswith("log10:"):
-        value = parse_number(text[len("log10:") :], mode)
-        if isinstance(value, float) and not math.isfinite(value):  # Fractions are finite
-            raise ValidationError(f"log10 of a distance level must be finite: {text!r}")
-        if value > 0:
-            raise ValidationError(f"log10 of a distance level cannot be positive: {text!r}")
-        return value
+        return check_scalar(parse_number(text[len("log10:") :], mode), "log10 of a distance level", hi=0)
     try:
         dec = Decimal(text)
     except InvalidOperation as exc:

@@ -254,9 +254,7 @@ def _budget_gap(a):
     if target is None:
         target = _budget.parse_security_level(f"log10:{_budget.DEFAULT_ONE_SHOT_LOG10:g}", a.mode)
     gap = _budget.guarantee_gap(a.current, target, a.exponent)
-    exact = isinstance(gap, Fraction)
-    required = Fraction(target) / a.exponent if exact else float(target) / float(a.exponent)
-    return {"gap_orders": gap, "log10_required_average": required}
+    return {"gap_orders": gap, "log10_required_average": target / a.exponent}
 
 
 def _verify_all(a):
@@ -271,7 +269,7 @@ _SPLIT = {"--n1": Arg(_INT, REQUIRED), "--n2": Arg(_INT, REQUIRED), "--subset": 
 _FAMILY = {
     "--b": Arg(lambda text, mode, flag: _int(text, "field bits"), REQUIRED),
     "--blocks": Arg(lambda text, mode, flag: _int(text, "message blocks"), REQUIRED),
-    "--modulus": Arg(lambda text, mode, flag: _int(text, flag) if text else None, None),
+    "--modulus": Arg(_INT, None),
 }
 _ENSEMBLE = {"--code": Arg(_CODES, REQUIRED), "--weights": Arg(_WEIGHTS, None)}
 _CV = {flag: Arg(_FLOAT, REQUIRED) for flag in ("--s", "--t", "--a", "--b")}
@@ -388,8 +386,7 @@ COMMANDS = {
         {**_FAMILY,
          "--attack": Arg(("impersonation", "substitution"), REQUIRED),
          "--hash-key": Arg(_DIST, REQUIRED),
-         "--tag-key": Arg(lambda text, mode, flag: _distribution(text, mode) if text else None, None,
-                          "mask distribution; omit for the ideal pad"),
+         "--tag-key": Arg(_DIST, None, "mask distribution; omit for the ideal pad"),
          "--uses": Arg(_INT, "1"),
          "--tag-averaged": Arg(None, False)},
         _mac_attack,
@@ -622,3 +619,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

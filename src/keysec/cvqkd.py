@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .numerics import Number, ValidationError
+from .numerics import Number, ValidationError, check_scalar
 
 __all__ = [
     "CvParams",
@@ -45,13 +45,11 @@ class CvParams:
     b: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValidationError(f"photon number must be positive, got {self.s!r}")
-        if not 0 < self.t <= 1:
-            raise ValidationError(f"transmittance must lie in (0, 1], got {self.t!r}")
-        for name, v in (("a", self.a), ("b", self.b)):
-            if not 0 <= v < 1:
-                raise ValidationError(f"fractional uncertainty {name} must lie in [0, 1), got {v!r}")
+        object.__setattr__(self, "s", check_scalar(self.s, "photon number", lo=0, lo_open=True))
+        object.__setattr__(self, "t", check_scalar(self.t, "transmittance", lo=0, hi=1, lo_open=True))
+        for name in ("a", "b"):
+            what = f"fractional uncertainty {name}"
+            object.__setattr__(self, name, check_scalar(getattr(self, name), what, lo=0, hi=1, hi_open=True))
 
 
 class Uncertainty(NamedTuple):
@@ -88,9 +86,10 @@ def detectability_verdict(
     legitimate blur swallows the attack signature).  Both flags are
     reported; when both hold the loss limit names the verdict.
     """
-    for name, v in (("loss_threshold", loss_threshold), ("masking_threshold", masking_threshold)):
-        if not 0 < v < 1:
-            raise ValidationError(f"{name} must lie in (0, 1), got {v!r}")
+    loss_threshold, masking_threshold = (
+        check_scalar(v, name, lo=0, hi=1, lo_open=True, hi_open=True)
+        for v, name in ((loss_threshold, "loss_threshold"), (masking_threshold, "masking_threshold"))
+    )
     level = p.s * p.t
     loss_limited = level < loss_threshold
     masked = output_uncertainty(p).absolute > masking_threshold
@@ -121,12 +120,10 @@ def false_alarm_tradeoff(
     and the miss probability only rise.  Zero uncertainty degenerates to
     step functions.
     """
-    thresholds = [float(t) for t in threshold_grid]
+    thresholds = [check_scalar(t, "threshold", mode="float") for t in threshold_grid]
     if not thresholds:
         raise ValidationError("threshold grid must be non-empty")
-    shift = float(signature_shift)
-    if shift <= 0:
-        raise ValidationError(f"attack signature shift must be positive, got {signature_shift!r}")
+    shift = check_scalar(signature_shift, "attack signature shift", lo=0, mode="float", lo_open=True)
     mean = p.s * p.t
     sd = output_uncertainty(p).absolute
     out = []

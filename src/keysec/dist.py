@@ -37,6 +37,8 @@ from .numerics import (
     Number,
     ValidationError,
     VALIDATION_TOL,
+    check_key_bits,
+    check_scalar,
     format_number,
     infer_mode,
     parse_number,
@@ -180,8 +182,7 @@ class KeyDistribution:
     __slots__ = ("n", "mode", "_data", "_probs")
 
     def __init__(self, n: int, probs):
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"key length must be a positive integer, got {n!r}")
+        check_key_bits(n)
         mode = None
         if isinstance(probs, np.ndarray) and probs.dtype == np.float64 and probs.ndim == 1:
             mode = "float"
@@ -209,14 +210,14 @@ class KeyDistribution:
     @classmethod
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
         """The uniform distribution on ``n``-bit keys, in the given backend."""
-        size = 1 << n
+        size = 1 << check_key_bits(n)
         if mode == "rational":
             return cls(n, Lattice([1] * size, size))
         return cls(n, np.full(size, 1.0 / size))
 
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":
-        size = 1 << n
+        size = 1 << check_key_bits(n)
         if not 0 <= at < size:
             raise ValidationError(f"point-mass location {at} outside [0, {size})")
         nums = [0] * size
@@ -540,9 +541,7 @@ def entropy_stats(p: KeyDistribution) -> EntropyStats:
 
 def binary_entropy(q: Number) -> float:
     """Entropy ``h(q) = -q log2 q - (1-q) log2 (1-q)`` of a coin with bias q."""
-    if not 0 <= q <= 1:  # before float(q), which overflows on a huge Fraction
-        raise ValidationError(f"binary entropy argument {q!r} outside [0, 1]")
-    qf = float(q)
+    qf = float(check_scalar(q, "binary entropy argument", lo=0, hi=1))
     if qf == 0.0 or qf == 1.0:
         return 0.0
     return -qf * math.log2(qf) - (1.0 - qf) * math.log2(1.0 - qf)

@@ -30,8 +30,9 @@ from .numerics import (
     Number,
     ResourceLimitError,
     ValidationError,
+    check_scalar,
     infer_mode,
-    is_rational,
+    scalar_mode,
 )
 
 __all__ = [
@@ -193,7 +194,7 @@ class CodeEnsemble:
 
     @property
     def mode(self) -> str:
-        return "rational" if is_rational(self.weights[0]) else "float"
+        return scalar_mode(*self.weights)
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,8 @@ class EveChannel:
     crossover: Number
 
     def __post_init__(self):
-        q = self.crossover
-        if not 0 <= q <= Fraction(1, 2):  # NaN fails both comparisons
-            raise ValidationError(f"crossover must lie in [0, 1/2], got {q!r}")
+        crossover = check_scalar(self.crossover, "crossover", lo=0, hi=Fraction(1, 2))
+        object.__setattr__(self, "crossover", crossover)
 
 
 class LeakageComparison(NamedTuple):
@@ -220,8 +220,7 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
     ``f`` is the inefficiency factor, stipulated to lie in [1, 2]; ``n``
     the block length; ``q`` the error rate seen by the reconciliation.
     """
-    if f < 1 or f > 2:
-        raise ValidationError(f"inefficiency factor must lie in [1, 2], got {f!r}")
+    f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"block length must be a non-negative integer, got {n!r}")
     return float(f) * n * binary_entropy(q)
@@ -270,8 +269,9 @@ def mixture_posterior(
     n = ensemble.n_data
     _check_data_cap(n)
     y = _as_word(observation, n)
-    exact = ensemble.mode == "rational" and is_rational(channel.crossover)
-    q = Fraction(channel.crossover) if exact else float(channel.crossover)
+    mode = scalar_mode(*ensemble.weights, channel.crossover)
+    q = check_scalar(channel.crossover, "crossover", mode=mode)
+    exact = mode == "rational"
     size = 1 << n
     if syndromes_hidden:
         chosen = zip(ensemble.codes, ensemble.weights)

@@ -10,7 +10,6 @@ and mass-transport maximizers for conditional-event deviations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, Lattice, _shannon_bits, _transport, _wide, statistical_distance
-from .numerics import InfeasibleError, Number, ValidationError, is_rational
+from .numerics import InfeasibleError, Number, ValidationError, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "EventSpec",
@@ -129,43 +128,19 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
         If ``epsilon`` exceeds ``(N-1)/N``, the largest achievable
         distance from uniform.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
-    size = 1 << n
+    size = 1 << check_key_bits(n)
     if not 0 <= at < size:
         raise ValidationError(f"spike location {at} outside [0, {size})")
-    if isinstance(epsilon, str):
-        epsilon = Fraction(epsilon)
-    if is_rational(epsilon):
-        eps = Fraction(epsilon)
-        if eps < 0:
-            raise ValidationError(f"distance budget must be non-negative, got {eps}")
-        if eps > Fraction(size - 1, size):
-            raise InfeasibleError(
-                f"distance {eps} from uniform is impossible on {size} values "
-                f"(maximum is {Fraction(size - 1, size)})"
-            )
-        peak = Fraction(1, size) + eps
-        other = Fraction(1, size) - eps / (size - 1)
-        den = math.lcm(peak.denominator, other.denominator)
-        nums = [other.numerator * (den // other.denominator)] * size
-        nums[at] = peak.numerator * (den // peak.denominator)
-        law = Lattice(nums, den)
-    else:
-        eps = float(epsilon)
-        if eps < 0:
-            raise ValidationError(f"distance budget must be non-negative, got {eps}")
-        if eps > (size - 1) / size + 1e-12:
-            raise InfeasibleError(
-                f"distance {eps} from uniform is impossible on {size} values "
-                f"(maximum is {(size - 1) / size})"
-            )
-        eps = min(eps, (size - 1) / size)
-        peak = 1.0 / size + eps
-        other = 1.0 / size - eps / (size - 1)
-        law = np.full(size, other)
-        law[at] = peak
-    return SpikeResult(distribution=KeyDistribution(n, law), p1=peak, distance=eps)
+    eps = check_scalar(epsilon, "distance budget", lo=0)
+    mode = scalar_mode(eps)
+    top = check_scalar(Fraction(size - 1, size), "largest distance", mode=mode)
+    if eps > top + (1e-12 if mode == "float" else 0):
+        raise InfeasibleError(
+            f"distance {eps} from uniform is impossible on {size} values (maximum is {top})"
+        )
+    eps = min(eps, top)
+    law = _transport(size, np.delete(np.arange(size), at), [at], eps)
+    return SpikeResult(distribution=KeyDistribution(n, law), p1=Fraction(1, size) + eps, distance=eps)
 
 
 def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
@@ -177,11 +152,8 @@ def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
     guessing probability ``p1`` stays exponentially larger than the ideal
     ``2**-n`` whenever ``lam < 1``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError(f"decay rate must be in (0, 1], got {lam!r}")
+    check_key_bits(n)
+    lam = check_scalar(lam, "decay rate", lo=0, hi=1, mode="float", lo_open=True)
     if lam * n < 1.0:
         raise InfeasibleError(
             f"spike 2**(-{lam}*{n}) exceeds 1/2; need lam * n >= 1 for a valid distribution"
@@ -214,45 +186,32 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     distribution is converted to its exact binary value.
     """
     size = p.size
+    slack = 0 if p.mode == "rational" else 1e-12
+    lam = check_scalar(lam, "mixture weight", lo=-slack, hi=1 + slack, mode=p.mode)
+    lam = min(max(lam, 0.0), 1.0)  # a float within the slack onto [0, 1]; exact weights pass as they are
+    lo = (1 - lam) / size
+    hi = lam + lo
     if p.mode == "rational":
-        lam_x = Fraction(lam)
-        if not 0 <= lam_x <= 1:
-            raise ValidationError(f"mixture weight must be in [0, 1], got {lam_x}")
-        lo = (1 - lam_x) / size
-        hi = lam_x + lo
         nums, den = p.lattice
-        if Fraction(int(nums.min()), den) < lo or Fraction(int(nums.max()), den) > hi:
-            return None
-        if lam_x == 0:
-            residual = KeyDistribution.uniform(p.n, mode="rational")
-        else:
-            # (num/den - lo) / lam over the denominator den * lo.den * lam.num
-            scale = lo.denominator * lam_x.denominator
-            shifted = _wide(nums, den * scale) * scale - lo.numerator * lam_x.denominator * den
-            residual = KeyDistribution(p.n, Lattice(shifted, den * lo.denominator * lam_x.numerator))
-        return MixtureDecomposition(uniform_weight=1 - lam_x, residual=residual)
-    lam_f = float(lam)
-    if not -1e-12 <= lam_f <= 1 + 1e-12:
-        raise ValidationError(f"mixture weight must be in [0, 1], got {lam_f}")
-    lam_f = min(max(lam_f, 0.0), 1.0)
-    lo = (1.0 - lam_f) / size
-    hi = lam_f + lo
-    slack = 1e-12
-    law = p.as_array()
-    if law.min() < lo - slack or law.max() > hi + slack:
+        least, most = Fraction(int(nums.min()), den), Fraction(int(nums.max()), den)
+    else:
+        law = p.as_array()
+        least, most = law.min(), law.max()
+    if least < lo - slack or most > hi + slack:
         return None
-    if lam_f == 0.0:
-        residual = KeyDistribution.uniform(p.n)
+    if lam == 0:
+        residual = KeyDistribution.uniform(p.n, mode=p.mode)
+    elif p.mode == "rational":
+        # (num/den - lo) / lam over the denominator den * lo.den * lam.num
+        scale = lo.denominator * lam.denominator
+        shifted = _wide(nums, den * scale) * scale - lo.numerator * lam.denominator * den
+        residual = KeyDistribution(p.n, Lattice(shifted, den * lo.denominator * lam.numerator))
     else:
         shifted = law - lo
-        raw = np.where(shifted < 0.0, 0.0, shifted) / lam_f  # max(x, 0.0) keeps -0.0
+        raw = np.where(shifted < 0.0, 0.0, shifted) / lam  # max(x, 0.0) keeps -0.0
         total = sum(raw.tolist())  # left to right, as the scalar formula
         residual = KeyDistribution(p.n, raw / total)
-    return MixtureDecomposition(uniform_weight=1.0 - lam_f, residual=residual)
-
-
-def _uniform_mass(count: int, size: int, exact: bool) -> Number:
-    return Fraction(count, size) if exact else count / size
+    return MixtureDecomposition(uniform_weight=1 - lam, residual=residual)
 
 
 def max_conditional_deviation(
@@ -271,28 +230,23 @@ def max_conditional_deviation(
 
     Ties between the raising and lowering directions resolve to raising.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
+    size = 1 << check_key_bits(n)
     event.validate_for(n)
     sub_event.validate_for(n)
     if not sub_event.issubset(event):
         raise ValidationError("sub-event must be contained in the conditioning event")
-    if isinstance(epsilon, str):
-        epsilon = Fraction(epsilon)
-    exact = is_rational(epsilon)
-    eps = Fraction(epsilon) if exact else float(epsilon)
-    if eps < 0:
-        raise ValidationError(f"distance budget must be non-negative, got {eps}")
-    size = 1 << n
+    eps = check_scalar(epsilon, "distance budget", lo=0)
+    mode = scalar_mode(eps)
     inside = sub_event.sorted_members()
     complement = sorted(event.members - sub_event.members)
-    u_event = _uniform_mass(len(event), size, exact)
-    u_sub = _uniform_mass(len(inside), size, exact)
-    u_comp = _uniform_mass(len(complement), size, exact)
+    u_event, u_sub, u_comp = (
+        check_scalar(Fraction(len(part), size), "uniform mass", mode=mode)
+        for part in (event, inside, complement)
+    )
 
-    # moving m inside A changes P(B|A) by exactly m / U(A)
+    # moving m inside A changes P(B|A) by exactly m / U(A); with A \ B empty nothing moves
     move_up = min(eps, u_comp)
-    move_down = min(eps, u_sub) if complement else (Fraction(0) if exact else 0.0)
+    move_down = min(eps, u_sub) if complement else move_up
     if move_up >= move_down:
         donors, receivers, moved = complement, inside, move_up
     else:
@@ -313,8 +267,5 @@ def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) 
     event.validate_for(p.n)
     gap = abs(p.prob_of(event.members) - q.prob_of(event.members))
     distance = statistical_distance(p, q)
-    if isinstance(gap, Fraction) and isinstance(distance, Fraction):
-        holds = gap <= distance
-    else:
-        holds = float(gap) <= float(distance) + 1e-12
+    holds = gap <= distance + (0 if p.mode == q.mode == "rational" else 1e-12)
     return EventBoundReport(gap=gap, distance=distance, holds=holds)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .dist import KeyDistribution, _transport, _wide, statistical_distance
-from .numerics import Number, ResourceLimitError, ValidationError, is_rational
+from .numerics import Number, ResourceLimitError, ValidationError, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "KeySplit",
@@ -56,6 +56,7 @@ class KeySplit:
             raise ValidationError("split sizes must be integers")
         if self.n1 < 1 or self.n2 < 1:
             raise ValidationError(f"both split parts need at least one bit, got {self.n1}|{self.n2}")
+        check_key_bits(self.n1 + self.n2)  # before the default subset lists K2's bits
         bits = self.subset_bits
         if bits is None:
             bits = tuple(range(self.n2))
@@ -143,12 +144,9 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     np.add.at(joint, _subset_values(split, np.arange(1 << split.n2)), law.reshape(-1, width))
     best = joint.max(axis=0).sum()
     delta = statistical_distance(p)  # to the uniform law
-    if exact:
-        avg = Fraction(int(best), p.lattice.den)
-        bound = Fraction(1, 1 << s) + delta
-        return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound)
-    avg, bound = float(best), 1.0 / (1 << s) + delta
-    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + 1e-9)
+    avg = Fraction(int(best), p.lattice.den) if exact else float(best)
+    bound = Fraction(1, 1 << s) + delta
+    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + (0 if exact else 1e-9))
 
 
 def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> BreachWitness:
@@ -162,28 +160,18 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     when the budget covers the slice.  Budgets beyond that are clipped to
     the feasible maximum rather than rejected.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
+    size = 1 << check_key_bits(n)
     if split.n != n:
         raise ValidationError(f"split covers {split.n} bits but the key has {n}")
-    if isinstance(epsilon, str):
-        epsilon = Fraction(epsilon)
-    exact = is_rational(epsilon)
-    eps = Fraction(epsilon) if exact else float(epsilon)
-    if eps < 0:
-        raise ValidationError(f"distance budget must be non-negative, got {eps}")
-    _check_cap(n, "rational" if exact else "float")
-    size = 1 << n
-    u = Fraction(1, size) if exact else 1.0 / size
+    eps = check_scalar(epsilon, "distance budget", lo=0)
+    mode = scalar_mode(eps)
+    _check_cap(n, mode)
+    u = check_scalar(Fraction(1, size), "uniform mass", mode=mode)
     k2 = np.arange(1 << split.n2)
     hit = _subset_values(split, k2) == 0
     receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
     moved = min(eps, u * len(donors))
-    s = split.subset_size
-    if exact:
-        worst = Fraction(1, 1 << s) + moved * (1 << split.n1)
-    else:
-        worst = 1.0 / (1 << s) + moved * (1 << split.n1)
+    worst = Fraction(1, 1 << split.subset_size) + moved * (1 << split.n1)
     return BreachWitness(
         distribution=KeyDistribution(n, _transport(size, donors, receivers, moved)),
         worst_conditional_p=worst,

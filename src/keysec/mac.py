@@ -39,7 +39,8 @@ from .numerics import (
     Number,
     ResourceLimitError,
     ValidationError,
-    is_rational,
+    check_scalar,
+    scalar_mode,
 )
 
 __all__ = [
@@ -479,18 +480,14 @@ def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> Degra
     ``m`` tags under one hash key, degrade it to ``eps + m * eps_t``.
     Both are clipped at 1.
     """
-    for name, value in (("eps", eps), ("eps_h", eps_h), ("eps_t", eps_t)):
-        if value < 0 or value > 1:
-            raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+    eps, eps_h, eps_t = (
+        check_scalar(value, name, lo=0, hi=1)
+        for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
+    )
     if not isinstance(m, int) or m < 1:
         raise ValidationError(f"number of uses must be a positive integer, got {m!r}")
-
-    def _clip(x: Number) -> Number:
-        if x >= 1:
-            return Fraction(1) if is_rational(x) else 1.0
-        return x
-
-    return DegradedLevels(hash_key_level=_clip(eps + eps_h), tag_key_level=_clip(eps + m * eps_t))
+    levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
+    return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))
 
 
 def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:

@@ -9,11 +9,15 @@ probabilities sum to one.
 A value container (distribution, probe model, ...) infers its mode from
 the types of its entries: all entries `Fraction`/`int` means rational,
 anything else means float.  Mixing modes inside one container is rejected
-rather than silently coerced.
+rather than silently coerced.  A scalar argument is read by `check_scalar`
+and keeps its own mode, so each formula is written once and computes in
+whichever mode its scalars arrive in.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from fractions import Fraction
 from typing import Iterable, Union
@@ -26,6 +30,9 @@ VALIDATION_TOL = 1e-9
 #: largest intermediate array, in entries, that a blocked enumeration kernel
 #: (MAC forgery search, ECPA guessing) allocates at once
 BLOCK_ENTRIES = 1 << 14
+
+#: largest key, in bits, whose dense law (2^n entries) may be built
+MAX_KEY_BITS = 24
 
 #: environment variable consulted by the CLI when --mode is not given
 MODE_ENV_VAR = "KEYSEC_NUMERIC_MODE"
@@ -54,10 +61,6 @@ def resolve_mode(mode: str | None = None) -> str:
     return mode
 
 
-def is_rational(value: Number) -> bool:
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
-
-
 def _kind(t: type) -> str | None:
     if issubclass(t, float):
         return "float"
@@ -77,6 +80,76 @@ def infer_mode(values: Iterable[Number]) -> str:
     if len(kinds) > 1:
         raise ValidationError("entries mix exact rationals and floats; pick one backend")
     return kinds.pop() if kinds else "float"
+
+
+def check_scalar(
+    value,
+    what: str,
+    lo: Number | None = None,
+    hi: Number | None = None,
+    mode: str | None = None,
+    *,
+    lo_open: bool = False,
+    hi_open: bool = False,
+) -> Number:
+    """Read one scalar argument: the reader every library entry point shares.
+
+    Ints (numpy's too), Fractions and numeric strings (``"3/10"``,
+    ``"0.3"``) come back as Fractions and floats as floats, unless
+    ``mode`` names the mode to convert to.  NaN, infinities, bools and
+    other types are refused with a `ValidationError` naming ``what``, and
+    so is a value outside ``[lo, hi]`` (a bound is omitted when None, and
+    open when its ``*_open`` flag is set).  The range is checked on the
+    returned value.
+    """
+    if isinstance(value, str):
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot parse {what} {value!r}") from exc
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)  # numpy integers read as ints
+    kind = _kind(type(value))
+    if kind is None:
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    try:
+        value = Fraction(value) if (mode or kind) == "rational" else float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} is outside the float range") from exc
+    below = lo is not None and (value <= lo if lo_open else value < lo)
+    above = hi is not None and (value >= hi if hi_open else value > hi)
+    if below or above:
+        if hi is None:
+            bound = f"above {lo}" if lo_open else f"at least {lo}"
+        elif lo is None:
+            bound = f"below {hi}" if hi_open else f"at most {hi}"
+        else:
+            bound = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def scalar_mode(*values: Number) -> str:
+    """The mode arithmetic over checked scalars computes in: rational while
+    every value is exact, float as soon as one is a float."""
+    return "rational" if all(_kind(type(v)) == "rational" for v in values) else "float"
+
+
+def check_key_bits(n) -> int:
+    """Validate the bit length of a dense key law before anything is allocated.
+
+    A positive integer, else `ValidationError`; above MAX_KEY_BITS (``2^n``
+    entries would not fit a desk-scale calculation), `ResourceLimitError`.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f"key length must be a positive integer, got {n!r}")
+    if n > MAX_KEY_BITS:
+        raise ResourceLimitError(
+            f"a dense law over {n}-bit keys (2^{n} entries) exceeds the {MAX_KEY_BITS}-bit cap"
+        )
+    return n
 
 
 def parse_number(text: str, mode: str) -> Number:

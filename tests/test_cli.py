@@ -1,12 +1,18 @@
 """Command-line front end: envelopes, exit codes, determinism."""
 
 import argparse
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import keysec
+from keysec import cli
 from keysec.cli import COMMANDS, build_parser, main
 
 
@@ -121,10 +127,46 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("ecpa", "compare", "--code", "0111;1011", "--code", "1100;0011", "--crossover", "0.1",
          "--weights", "nan,0.5"),
         ("ecpa", "compare", "--code", "0111;1011", "--crossover", "nan"),
+        ("kpa", "breach", "--n", "3", "--eps", "inf", "--n1", "1", "--n2", "2"),
+        ("conditional", "max-deviation", "--n", "2", "--eps", "inf", "--event", "0,1", "--sub-event", "0"),
+        ("cvqkd", "uncertainty", "--s", "inf", "--t", "1", "--a", "0", "--b", "0"),
+        ("budget", "markov", "--mean", "nan", "--threshold", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
+def test_empty_values_and_dense_sizes_are_refused(capsys):
+    # an empty --modulus or --tag-key is refused like every other empty value, not read as absent
+    for argv in (
+        ("mac", "epsilon", "--b", "3", "--blocks", "2", "--modulus", ""),
+        ("mac", "attack", "--b", "2", "--blocks", "2", "--attack", "substitution",
+         "--hash-key", "uniform:2", "--tag-key", ""),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("validation error:") and err.count("\n") == 1, err
+    # dense laws above MAX_KEY_BITS are refused by the bit-length check, before any allocation
+    for argv in (
+        ("dist", "delta", "--p", "uniform:30", "--q", "uniform:30"),
+        ("spike", "construct", "--n", "40", "--eps", "1/8", "--mode", "rational"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("resource limit:") and err.count("\n") == 1, err
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("KEYSEC_NUMERIC_MODE", None)
+    proc = subprocess.run([sys.executable, "-m", "keysec.cli", "dist", "entropy", "--p", "uniform:2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    envelope = json.loads(proc.stdout)
+    jsonschema.Draft202012Validator(_SCHEMA).validate(envelope)
+    assert (envelope["command"], envelope["outputs"]["p1"]) == ("dist entropy", 0.25)
 
 
 def test_verify_all_reports_and_exits_zero(capsys):
@@ -248,3 +290,26 @@ def test_every_registry_command_emits_a_schema_valid_envelope(capsys, command, m
     jsonschema.Draft202012Validator(_SCHEMA).validate(env)
     assert (env["command"], env["numeric_mode"]) == (command, mode)
     assert env["provenance"] == COMMANDS[command].provenance
+
+
+#: values put in place of one flag value at a time; 25..40 would allocate 2^n entries at the parent commit
+HOSTILE_VALUES = ("nan", "inf", "-inf", "", "zz", "-1", "0", "1/0", "99999999")
+
+
+def test_hostile_flag_values_exit_cleanly(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # one parser for every call
+    validator = jsonschema.Draft202012Validator(_SCHEMA)
+    for command, sample in SAMPLE_ARGV.items():
+        values = [i + 1 for i, tok in enumerate(sample) if tok.startswith("--")
+                  and i + 1 < len(sample) and not sample[i + 1].startswith("--")]
+        for mode in ("float", "rational"):
+            for i in values:
+                for value in HOSTILE_VALUES:
+                    argv = [*command.split(), *sample[:i], value, *sample[i + 1:], "--mode", mode]
+                    code, out, err = run_cli(capsys, *argv)
+                    assert code in (0, 1, 2, 3), argv
+                    assert "Traceback" not in err, argv
+                    if out:
+                        validator.validate(json.loads(out))
+                    if value in ("nan", "inf", "-inf"):
+                        assert code != 0, argv

@@ -1,14 +1,22 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import keysec as ks
 from keysec import KeyDistribution
 from keysec.numerics import (
+    MAX_KEY_BITS,
+    ResourceLimitError,
     ValidationError,
+    check_key_bits,
+    check_scalar,
     format_number,
     infer_mode,
     parse_number,
     resolve_mode,
+    scalar_mode,
 )
 
 
@@ -89,3 +97,118 @@ def test_check_probability_vector():
         KeyDistribution(1, [0.7, 0.7])
     with pytest.raises(ValidationError):
         KeyDistribution(1, [Fraction(-1, 4), Fraction(5, 4)])
+
+
+def test_check_scalar_keeps_or_converts_the_mode():
+    for value, expected in ((3, Fraction(3)), (Fraction(1, 3), Fraction(1, 3)), (" 3/10 ", Fraction(3, 10)),
+                            ("0.1", Fraction(1, 10)), ("1e-3", Fraction(1, 1000))):
+        got = check_scalar(value, "x")
+        assert (type(got), got) == (Fraction, expected)
+    assert type(check_scalar(0.25, "x")) is float
+    assert type(check_scalar(np.float64(0.25), "x")) is float
+    assert check_scalar(np.int64(3), "x") == Fraction(3)
+    assert check_scalar(-0.0, "x", lo=0).hex() == "-0x0.0p+0"
+    # mode converts: exactly to rational, correctly rounded to float
+    assert check_scalar(0.1, "x", mode="rational") == Fraction(0.1)
+    assert check_scalar(Fraction(1, 3), "x", mode="float") == 1 / 3
+    assert check_scalar("0.1", "x", mode="float") == 0.1
+    assert scalar_mode(Fraction(1, 2), Fraction(1)) == "rational"
+    assert scalar_mode(Fraction(1, 2), 0.5) == "float"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), True, np.bool_(True), None, "zz",
+                                 "1/0", "nan", [1], 1j])
+def test_check_scalar_refuses_non_numbers_naming_the_argument(bad):
+    with pytest.raises(ValidationError, match="crossover"):
+        check_scalar(bad, "crossover")
+    with pytest.raises(ValidationError, match="crossover"):
+        check_scalar(bad, "crossover", mode="rational")
+
+
+def test_check_scalar_range_checks_closed_and_open_bounds():
+    assert check_scalar(0, "x", lo=0, hi=1) == 0
+    assert check_scalar(1.0, "x", lo=0, hi=1) == 1.0
+    for kwargs, bad in (
+        ({"lo": 0}, Fraction(-1, 10**13)),
+        ({"lo": 0, "lo_open": True}, 0.0),
+        ({"hi": 0, "hi_open": True}, Fraction(0)),
+        ({"lo": 0, "hi": Fraction(1, 2)}, 0.5000000000001),
+        ({"lo": 0, "hi": 1, "hi_open": True}, 1),
+    ):
+        with pytest.raises(ValidationError, match=r"^budget must be"):
+            check_scalar(bad, "budget", **kwargs)
+    with pytest.raises(ValidationError, match=r"must be in \(0, 1\], got 0"):
+        check_scalar(0, "weight", lo=0, hi=1, lo_open=True)
+    # the range is checked on the converted value; a huge Fraction does not fit a float
+    with pytest.raises(ValidationError, match="float range"):
+        check_scalar(Fraction(10**400), "level", mode="float")
+
+
+def test_check_key_bits_caps_dense_laws_before_allocating():
+    assert check_key_bits(1) == 1
+    assert check_key_bits(MAX_KEY_BITS) == MAX_KEY_BITS
+    for bad in (0, -1, 2.0, "3", None):
+        with pytest.raises(ValidationError, match="key length"):
+            check_key_bits(bad)
+    # each of these checks the bit length before it builds 2^n entries
+    for build in (
+        lambda n: check_key_bits(n),
+        lambda n: KeyDistribution(n, [0.5, 0.5]),
+        lambda n: KeyDistribution.uniform(n, mode="rational"),
+        lambda n: KeyDistribution.point_mass(n),
+        lambda n: ks.construct_spike(n, Fraction(1, 8)),
+        lambda n: ks.construct_low_info_high_guess(n, 0.5),
+        lambda n: ks.max_conditional_deviation(n, Fraction(1, 8), ks.EventSpec([0, 1]), ks.EventSpec([0])),
+        lambda n: ks.conditional_breach_witness(n, 0.1, ks.KeySplit(1, max(n - 1, 1))),
+    ):
+        with pytest.raises(ResourceLimitError, match=f"{MAX_KEY_BITS}-bit cap"):
+            build(MAX_KEY_BITS + 1)
+        with pytest.raises(ValidationError, match="key length"):
+            build(-1)
+
+
+_CV = ks.CvParams(1.5, 0.9, 0.05, 0.1)
+_CODES = [ks.ParityCheckMatrix(4, [0b0111, 0b1011])]
+
+#: every library argument read by check_scalar, as (site, call with the value x)
+SCALAR_SITES = {
+    "spike eps": lambda x: ks.construct_spike(3, x),
+    "low-info lam": lambda x: ks.construct_low_info_high_guess(4, x),
+    "mixture lam (float law)": lambda x: ks.check_mixture_decomposition(KeyDistribution.uniform(2), x),
+    "mixture lam (exact law)": lambda x: ks.check_mixture_decomposition(KeyDistribution.uniform(2, "rational"), x),
+    "deviation eps": lambda x: ks.max_conditional_deviation(3, x, ks.EventSpec([0, 1]), ks.EventSpec([0])),
+    "breach eps": lambda x: ks.conditional_breach_witness(3, x, ks.KeySplit(1, 2)),
+    "LogBudget level": lambda x: ks.LogBudget(x),
+    "exponent": lambda x: ks.as_markov_exponent(x),
+    "markov mean": lambda x: ks.markov_tail_bound(x, 1),
+    "markov threshold": lambda x: ks.markov_tail_bound(0.5, x),
+    "accumulate level": lambda x: ks.accumulated_failure(x, 10, 60),
+    "accumulate rate": lambda x: ks.accumulated_failure(-9, x, 60),
+    "accumulate seconds": lambda x: ks.accumulated_failure(-9, 10, x),
+    "near-uniform level": lambda x: ks.near_uniform_bits(x),
+    "gap current": lambda x: ks.guarantee_gap(x, -15, "1/3"),
+    "gap target": lambda x: ks.guarantee_gap(-9, x, "1/3"),
+    "degrade eps": lambda x: ks.degraded_epsilon(x, 0.01, 0.01, 3),
+    "degrade eps_h": lambda x: ks.degraded_epsilon(0.1, x, 0.01, 3),
+    "degrade eps_t": lambda x: ks.degraded_epsilon(0.1, 0.01, x, 3),
+    "channel crossover": lambda x: ks.EveChannel(x),
+    "ec_leak f": lambda x: ks.ec_leak(x, 100, 0.05),
+    "ec_leak q": lambda x: ks.ec_leak(1.2, 100, x),
+    "binary entropy q": lambda x: ks.binary_entropy(x),
+    "CvParams s": lambda x: ks.CvParams(x, 0.9, 0.05, 0.1),
+    "CvParams t": lambda x: ks.CvParams(1.5, x, 0.05, 0.1),
+    "CvParams a": lambda x: ks.CvParams(1.5, 0.9, x, 0.1),
+    "CvParams b": lambda x: ks.CvParams(1.5, 0.9, 0.05, x),
+    "verdict loss threshold": lambda x: ks.detectability_verdict(_CV, loss_threshold=x),
+    "verdict masking threshold": lambda x: ks.detectability_verdict(_CV, masking_threshold=x),
+    "tradeoff shift": lambda x: ks.false_alarm_tradeoff(_CV, [1.0], x),
+    "tradeoff grid threshold": lambda x: ks.false_alarm_tradeoff(_CV, [1.0, x], 0.4),
+    "posterior crossover": lambda x: ks.mixture_posterior(ks.CodeEnsemble(_CODES, [1.0]), "0110", ks.EveChannel(x)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_every_scalar_site_refuses_non_finite_values(site, value):
+    with pytest.raises(ValidationError, match="finite"):
+        SCALAR_SITES[site](value)
