@@ -9,7 +9,8 @@ envelope on stdout::
 ``inputs`` echoes the arguments verbatim, ``provenance`` states the
 formula or model the numbers came from, and outputs are rendered
 exactly ("num/den" strings) in rational mode.  Exit codes: 0 success,
-1 usage (or a failing verify-all), 2 validation error, 3 resource cap.
+1 usage, a failing verify-all or an internal error, 2 validation error,
+3 resource cap.
 
 A subcommand is one `COMMANDS` entry: its help line, its provenance
 (required, since every envelope states one), its flags and its handler.
@@ -98,10 +99,7 @@ def _distribution(text: str, mode: str) -> KeyDistribution:
         if len(parts) != 3:
             raise ValidationError(f"spike spec needs spike:n:eps, got {text!r}")
         return construct_spike(_int(parts[1], "spike length"), parse_number(parts[2], mode)).distribution
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return KeyDistribution.from_json(fh.read(), mode=mode)
-    return KeyDistribution.from_json(text, mode=mode)
+    return KeyDistribution.from_json(_maybe_file(text), mode=mode)
 
 
 def _maybe_file(text: str) -> str:
@@ -611,6 +609,9 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the failure boundary: a fault in keysec itself, reported on one line
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 1
     print(text)
     if args.command == "verify-all" and not outputs["all_passed"]:
         return 1

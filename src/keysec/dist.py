@@ -37,6 +37,7 @@ from .numerics import (
     Number,
     ValidationError,
     VALIDATION_TOL,
+    check_cap,
     check_key_bits,
     check_scalar,
     format_number,
@@ -57,9 +58,6 @@ __all__ = [
     "trace_distance",
     "d_criterion",
 ]
-
-#: largest Hilbert-space dimension accepted for density matrices
-MAX_STATE_DIM = 64
 
 #: exact entries may exceed 1 by the float-mode slack before they are refused
 _ABOVE_ONE = Fraction(1 + VALIDATION_TOL)
@@ -433,7 +431,7 @@ class ClassicalProbeModel:
 
 
 class HermitianState:
-    """Density matrix on a Hilbert space of dimension at most 64.
+    """Density matrix, its dimension capped by ``state_dim`` in `keysec.numerics.CAPS`.
 
     Accepts anything `numpy.asarray` can turn into a square complex
     matrix; validates hermiticity, unit trace, and positivity up to 1e-9.
@@ -445,9 +443,7 @@ class HermitianState:
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"state must be a square matrix, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim < 1 or dim > MAX_STATE_DIM:
-            raise ValidationError(f"state dimension {dim} outside [1, {MAX_STATE_DIM}]")
+        check_cap("state_dim", mat.shape[0], "state")
         if not np.allclose(mat, mat.conj().T, atol=VALIDATION_TOL):
             raise ValidationError("state is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > 1e-6:
@@ -463,10 +459,7 @@ class HermitianState:
     @classmethod
     def from_distribution(cls, dist: KeyDistribution) -> "HermitianState":
         """Diagonal (classical) state embedding a key distribution."""
-        if dist.size > MAX_STATE_DIM:
-            raise ValidationError(
-                f"distribution over {dist.size} values exceeds state cap {MAX_STATE_DIM}"
-            )
+        check_cap("state_dim", dist.size, "diagonal state of a key law")
         return cls(np.diag(dist.as_array()))
 
     @property

@@ -10,7 +10,10 @@ sampling -- so the information ordering
 
     p1_code_known_avg >= p1_mixture >= p1_no_code
 
-is checkable without Monte Carlo slack.
+is checkable without Monte Carlo slack.  Posteriors and comparisons
+enumerate all ``2^n_data`` words, so they are capped by the ``data_bits``
+entry of `keysec.numerics.CAPS`, and parity-check matrices by its
+``matrix_bits`` entry.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
     Number,
-    ResourceLimitError,
     ValidationError,
+    check_cap,
     check_scalar,
     infer_mode,
     scalar_mode,
@@ -45,12 +48,7 @@ __all__ = [
     "leakage_comparison",
     "load_parity_check",
     "random_parity_check",
-    "MAX_DATA_BITS",
 ]
-
-#: exact-expectation cap: posteriors and comparisons enumerate 2^n_data words
-MAX_DATA_BITS = 12
-_MAX_MATRIX_BITS = 16
 
 
 def _row_rank(rows: Sequence[int]) -> int:
@@ -75,8 +73,9 @@ class ParityCheckMatrix:
     __slots__ = ("n_data", "rows", "_codewords")
 
     def __init__(self, n_data: int, rows: Sequence[int]):
-        if not isinstance(n_data, int) or not 1 <= n_data <= _MAX_MATRIX_BITS:
-            raise ValidationError(f"data length must be in [1, {_MAX_MATRIX_BITS}], got {n_data!r}")
+        if not isinstance(n_data, int) or n_data < 1:
+            raise ValidationError(f"data length must be a positive integer, got {n_data!r}")
+        check_cap("matrix_bits", n_data, "parity-check matrix width")
         rows = tuple(int(r) for r in rows)
         if not rows:
             raise ValidationError("parity-check matrix needs at least one row")
@@ -226,13 +225,6 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
     return float(f) * n * binary_entropy(q)
 
 
-def _check_data_cap(n: int) -> None:
-    if n > MAX_DATA_BITS:
-        raise ResourceLimitError(
-            f"exact expectation over {n}-bit words exceeds the {MAX_DATA_BITS}-bit cap"
-        )
-
-
 def _as_word(observation, n: int) -> int:
     if isinstance(observation, str):
         bits = observation.strip()
@@ -267,7 +259,7 @@ def mixture_posterior(
     Exact when both the weights and the crossover are rationals.
     """
     n = ensemble.n_data
-    _check_data_cap(n)
+    check_cap("data_bits", n, f"exact expectation over 2^{n} data words")
     y = _as_word(observation, n)
     mode = scalar_mode(*ensemble.weights, channel.crossover)
     q = check_scalar(channel.crossover, "crossover", mode=mode)
@@ -335,7 +327,7 @@ def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageCo
     single-code case makes known and mixture coincide exactly.
     """
     n = ensemble.n_data
-    _check_data_cap(n)
+    check_cap("data_bits", n, f"exact expectation over 2^{n} data words")
     q = float(channel.crossover)
     size = 1 << n
     ws = np.arange(n + 1, dtype=float)

@@ -7,6 +7,9 @@ For a key within statistical distance ``eps`` of uniform the *averaged*
 conditional guessing probability obeys ``2^-|K2*| + eps``; this module
 computes that average exactly, and also builds the witness showing that
 conditioning on one specific ``K1`` value enjoys no such protection.
+Every enumeration is capped by key length, per mode: the
+``float_enum_bits`` and ``rational_enum_bits`` entries of
+`keysec.numerics.CAPS`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, _transport, _wide, statistical_distance
-from .numerics import Number, ResourceLimitError, ValidationError, check_key_bits, check_scalar, scalar_mode
+from .numerics import Number, ValidationError, check_cap, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "KeySplit",
@@ -27,14 +30,7 @@ __all__ = [
     "average_conditional_guess",
     "conditional_breach_witness",
     "eve_bit_agreement",
-    "FLOAT_ENUM_BITS",
-    "RATIONAL_ENUM_BITS",
 ]
-
-#: enumeration caps: 2^20 conditional tables stay desk-scale in floats,
-#: exact rational accumulation is kept to 2^12
-FLOAT_ENUM_BITS = 20
-RATIONAL_ENUM_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -113,14 +109,6 @@ def _subset_values(split: KeySplit, k2: np.ndarray) -> np.ndarray:
     return sub
 
 
-def _check_cap(n: int, mode: str) -> None:
-    cap = RATIONAL_ENUM_BITS if mode == "rational" else FLOAT_ENUM_BITS
-    if n > cap:
-        raise ResourceLimitError(
-            f"enumeration over {n}-bit keys exceeds the {cap}-bit cap in {mode} mode"
-        )
-
-
 def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGuessBound:
     """Averaged best guess of ``K2*`` given ``K1``, against its distance bound.
 
@@ -135,7 +123,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     """
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
-    _check_cap(p.n, p.mode)
+    check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     s, width = split.subset_size, 1 << split.n1
     exact = p.mode == "rational"
     law = p.lattice.nums if exact else p.as_array()
@@ -165,7 +153,7 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
         raise ValidationError(f"split covers {split.n} bits but the key has {n}")
     eps = check_scalar(epsilon, "distance budget", lo=0)
     mode = scalar_mode(eps)
-    _check_cap(n, mode)
+    check_cap(f"{mode}_enum_bits", n, f"{mode} enumeration over 2^{n} keys")
     u = check_scalar(Fraction(1, size), "uniform mass", mode=mode)
     k2 = np.arange(1 << split.n2)
     hit = _subset_values(split, k2) == 0
@@ -188,7 +176,7 @@ def eve_bit_agreement(p: KeyDistribution) -> Number:
     attacker far from identifying the whole key can align most bits --
     this is the quantity a bitwise-error-rate argument has to bound.
     """
-    _check_cap(p.n, p.mode)
+    check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     exact = p.mode == "rational"
     law = p.lattice.nums if exact else p.as_array()
     guess = int(np.argmax(law))  # the first, so the lowest index, on ties

@@ -37,8 +37,8 @@ from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
     Number,
-    ResourceLimitError,
     ValidationError,
+    check_cap,
     check_scalar,
     scalar_mode,
 )
@@ -68,11 +68,6 @@ DEFAULT_MODULI = {
     9: 0x211,
     10: 0x409,
 }
-
-MAX_FIELD_BITS = 10
-_MAX_MESSAGE_SPACE = 1 << 16
-_WORK_CAP = 1 << 22
-_MAX_TAG_TUPLES = 1 << 12
 
 
 def _gf_mul(a: int, b: int, modulus: int, width: int) -> int:
@@ -124,15 +119,14 @@ class HashFamilySpec:
     modulus: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.field_bits, int) or self.field_bits < 1:
+        if type(self.field_bits) is not int or self.field_bits < 1:
             raise ValidationError(f"field width must be a positive integer, got {self.field_bits!r}")
-        if self.field_bits > MAX_FIELD_BITS:
-            raise ResourceLimitError(
-                f"field width {self.field_bits} exceeds the exhaustive-enumeration cap {MAX_FIELD_BITS}"
-            )
-        if not isinstance(self.message_blocks, int) or self.message_blocks < 1:
+        check_cap("field_bits", self.field_bits, "field width")
+        if type(self.message_blocks) is not int or self.message_blocks < 1:
             raise ValidationError(f"need at least one message block, got {self.message_blocks!r}")
         mod = self.modulus
+        if type(mod) is not int or mod < 0:  # a negative pattern never reduces in _poly_mod
+            raise ValidationError(f"modulus must be a non-negative integer, got {mod!r}")
         if mod == 0:
             mod = DEFAULT_MODULI[self.field_bits]
             object.__setattr__(self, "modulus", mod)
@@ -336,11 +330,6 @@ def _numerators(dist: KeyDistribution, exact: bool) -> tuple:
     return dist.lattice if exact else (dist.as_array(), 1)
 
 
-def _check_work(work: int, what: str, cap: int = _WORK_CAP, cap_name: str = "work cap") -> None:
-    if work > cap:
-        raise ResourceLimitError(f"{what} needs {work} steps, over the {cap_name} of {cap}")
-
-
 def attack_success(
     spec: HashFamilySpec,
     keys: MacKeyModel,
@@ -378,9 +367,9 @@ def attack_success(
     one XOR-gather of the mask.  Exact laws become integer numerators
     over one common denominator, in int64 while the game's total
     numerator stays below 2^62 and as Python integers beyond; float laws
-    are summed in the order a loop over the keys would use.  Every cap is
-    checked before anything is allocated; a refusal states the work
-    requested and the cap.
+    are summed in the order a loop over the keys would use.  The
+    ``message_bits``, ``mac_work`` and ``tag_tuples`` caps of
+    `keysec.numerics.CAPS` are checked before anything is allocated.
     """
     if attack not in ("impersonation", "substitution"):
         raise ValidationError(f"unknown attack {attack!r}; expected impersonation or substitution")
@@ -389,11 +378,7 @@ def attack_success(
         _key_dist_for(spec, keys.tag_key_dist, "tag key distribution")
     size = spec.tag_space
     bits = spec.field_bits * spec.message_blocks
-    if bits > _MAX_MESSAGE_SPACE.bit_length() - 1:  # before 2^bits is ever built
-        raise ResourceLimitError(
-            f"message space of 2^{bits} messages exceeds the enumeration cap of "
-            f"{_MAX_MESSAGE_SPACE} = 2^{_MAX_MESSAGE_SPACE.bit_length() - 1}"
-        )
+    check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
     msgs = spec.message_space
     exact = keys.hash_key_dist.mode == "rational" and (
         keys.tag_key_dist is None or keys.tag_key_dist.mode == "rational"
@@ -407,16 +392,14 @@ def attack_success(
                 return Fraction(1, size)  # every exact law sums to 1
             return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
         masks = 0  # mask factors in the game's joint law: one per tag
-        _check_work(msgs * size, f"difference search of {msgs - 1} x {size}")
+        check_cap("mac_work", msgs * size, f"difference search of {msgs - 1} x {size}")
     elif attack == "impersonation":
         masks = 1
-        _check_work(msgs * size * size, f"impersonation enumeration of {msgs} x {size} x {size}")
+        check_cap("mac_work", msgs * size * size, f"impersonation enumeration of {msgs} x {size} x {size}")
     elif keys.uses == 1:
         masks = 1
-        _check_work(
-            (msgs * size) ** 2,
-            f"substitution transcript enumeration of ({msgs} x {size})^2",
-        )
+        what = f"substitution transcript enumeration of ({msgs} x {size})^2"
+        check_cap("mac_work", (msgs * size) ** 2, what)
     else:
         masks = uses = keys.uses
         if uses >= msgs:
@@ -425,8 +408,8 @@ def attack_success(
             )
         tuples = size**uses
         what = f"multi-use enumeration of {size}^{uses} tag tuples"
-        _check_work(tuples, what, _MAX_TAG_TUPLES, "tag-tuple cap")
-        _check_work(tuples * msgs * size, f"{what} x {msgs} x {size}")
+        check_cap("tag_tuples", tuples, what)
+        check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
 
     prior, den = _numerators(keys.hash_key_dist, exact)
     mask, mask_den = _numerators(keys.tag_key_dist, exact) if masked else ([], 1)

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -30,9 +30,6 @@ VALIDATION_TOL = 1e-9
 #: largest intermediate array, in entries, that a blocked enumeration kernel
 #: (MAC forgery search, ECPA guessing) allocates at once
 BLOCK_ENTRIES = 1 << 14
-
-#: largest key, in bits, whose dense law (2^n entries) may be built
-MAX_KEY_BITS = 24
 
 #: environment variable consulted by the CLI when --mode is not given
 MODE_ENV_VAR = "KEYSEC_NUMERIC_MODE"
@@ -50,6 +47,44 @@ class InfeasibleError(ValidationError):
 
 class ResourceLimitError(RuntimeError):
     """Exact/enumerative computation would exceed the supported size cap."""
+
+
+class Cap(NamedTuple):
+    """One size cap: its limit in ``unit`` and the error a request above it raises."""
+
+    limit: int
+    error: type
+    unit: str
+
+
+#: every size cap of the package, by name; `check_cap` is the one place they are enforced
+CAPS = {
+    "key_bits": Cap(24, ResourceLimitError, "bits"),  # a dense law has 2^n entries
+    "field_bits": Cap(10, ResourceLimitError, "bits"),  # MAC field GF(2^b)
+    "message_bits": Cap(16, ResourceLimitError, "bits"),  # MAC message space 2^(b * blocks)
+    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # MAC forgery enumeration
+    "tag_tuples": Cap(1 << 12, ResourceLimitError, "tuples"),  # multi-use MAC tags 2^(b * uses)
+    "data_bits": Cap(12, ResourceLimitError, "bits"),  # ECPA exact expectation over 2^n words
+    "matrix_bits": Cap(16, ValidationError, "bits"),  # ECPA parity-check matrix width
+    "float_enum_bits": Cap(20, ResourceLimitError, "bits"),  # KPA enumeration, float mode
+    "rational_enum_bits": Cap(12, ResourceLimitError, "bits"),  # KPA enumeration, rational mode
+    "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
+}
+
+
+def check_cap(name: str, requested: int, what: str) -> int:
+    """Refuse ``requested`` above the cap ``CAPS[name]``; return it otherwise.
+
+    Callers pass the size they are about to enumerate or allocate, before
+    allocating it.  The refusal raises the cap's error class with the
+    requested amount, the limit and the cap's name.
+    """
+    cap = CAPS[name]
+    if requested > cap.limit:
+        raise cap.error(
+            f"{what} needs {requested} {cap.unit}, over the {name} cap of {cap.limit} {cap.unit}"
+        )
+    return requested
 
 
 def resolve_mode(mode: str | None = None) -> str:
@@ -140,16 +175,12 @@ def scalar_mode(*values: Number) -> str:
 def check_key_bits(n) -> int:
     """Validate the bit length of a dense key law before anything is allocated.
 
-    A positive integer, else `ValidationError`; above MAX_KEY_BITS (``2^n``
-    entries would not fit a desk-scale calculation), `ResourceLimitError`.
+    A positive integer, else `ValidationError`; above the ``key_bits`` cap
+    (``2^n`` entries would not fit a desk-scale calculation), `ResourceLimitError`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"key length must be a positive integer, got {n!r}")
-    if n > MAX_KEY_BITS:
-        raise ResourceLimitError(
-            f"a dense law over {n}-bit keys (2^{n} entries) exceeds the {MAX_KEY_BITS}-bit cap"
-        )
-    return n
+    return check_cap("key_bits", n, f"a dense law over 2^{n} keys")
 
 
 def parse_number(text: str, mode: str) -> Number:

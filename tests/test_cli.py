@@ -4,6 +4,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import keysec
 from keysec import cli
 from keysec.cli import COMMANDS, build_parser, main
+from keysec.numerics import CAPS
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,9 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("conditional", "max-deviation", "--n", "2", "--eps", "inf", "--event", "0,1", "--sub-event", "0"),
         ("cvqkd", "uncertainty", "--s", "inf", "--t", "1", "--a", "0", "--b", "0"),
         ("budget", "markov", "--mean", "nan", "--threshold", "1"),
+        ("mac", "attack", "--b", "3", "--blocks", "2", "--modulus", "-11", "--attack", "substitution",
+         "--hash-key", "spike:3:1/8"),
+        ("mac", "forgery-witness", "--b", "3", "--blocks", "2", "--modulus", "-11"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -155,6 +160,30 @@ def test_empty_values_and_dense_sizes_are_refused(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("resource limit:") and err.count("\n") == 1, err
+
+
+def test_cap_refusals_of_both_exit_classes_share_one_format(capsys):
+    line = re.compile(r"(resource limit|validation error): .+ needs (\d+) (\w+), "
+                      r"over the (\w+) cap of (\d+) \3\n")
+    for argv, exit_code in (
+        (("mac", "epsilon", "--b", "12", "--blocks", "2"), 3),
+        (("dist", "trace", "--rho", "diag:uniform:7", "--sigma", "diag:uniform:7"), 2),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (exit_code, ""), argv
+        match = line.fullmatch(err)
+        assert match, err
+        cap = CAPS[match[4]]
+        assert int(match[5]) == cap.limit < int(match[2])
+
+
+def test_an_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
+    def broken(a):
+        raise IndexError("list index\nout of range")
+
+    monkeypatch.setitem(cli.COMMANDS, "dist entropy", COMMANDS["dist entropy"]._replace(handler=broken))
+    code, out, err = run_cli(capsys, "dist", "entropy", "--p", "uniform:2")
+    assert (code, out, err) == (1, "", "internal error: IndexError: list index out of range\n")
 
 
 def test_python_m_runs_the_cli():

@@ -43,6 +43,9 @@ def test_spec_validation():
         HashFamilySpec(field_bits=11, message_blocks=2)
     with pytest.raises(ValidationError):
         HashFamilySpec(field_bits=3, message_blocks=0)
+    for b, blocks, modulus in ((True, 2, 0), (3, True, 0), (3, 2, -11), (4, 2, -0x13), (3, 2, 11.0)):
+        with pytest.raises(ValidationError):  # a negative modulus has the right degree but never reduces
+            HashFamilySpec(field_bits=b, message_blocks=blocks, modulus=modulus)
     with pytest.raises(ValidationError):
         HashFamilySpec(field_bits=3, message_blocks=2, modulus=0b101)  # wrong degree
     with pytest.raises(ValidationError):
@@ -310,7 +313,7 @@ def test_large_denominators_take_the_object_path(monkeypatch):
 @pytest.mark.parametrize(
     "b,m,mask,uses,attack,work,cap",
     [
-        (6, 3, False, 1, "substitution", "2^18", 1 << 16),  # message space
+        (6, 3, False, 1, "substitution", 18, 16),  # message space, in bits
         (8, 2, False, 1, "substitution", 1 << 24, 1 << 22),  # difference search
         (6, 2, True, 1, "impersonation", 1 << 24, 1 << 22),
         (4, 2, True, 1, "substitution", 1 << 24, 1 << 22),  # single-use transcripts
@@ -332,7 +335,7 @@ def test_many_blocks_never_build_the_message_space(monkeypatch):
     monkeypatch.setattr(HashFamilySpec, "message_space", property(untouchable))
     spec = HashFamilySpec(field_bits=8, message_blocks=10**6)
     keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(8, mode="rational"))
-    with pytest.raises(ResourceLimitError, match=r"2\^8000000\b.*\b65536\b"):
+    with pytest.raises(ResourceLimitError, match=r"\b8000000 bits\b.*\b16 bits\b"):
         attack_success(spec, keys, "substitution")
     wit = forgeable_key_distribution(spec)
     assert (wit.message_delta, wit.tag_delta) == (257, 0)

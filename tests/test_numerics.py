@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +10,10 @@ import pytest
 import keysec as ks
 from keysec import KeyDistribution
 from keysec.numerics import (
-    MAX_KEY_BITS,
+    CAPS,
     ResourceLimitError,
     ValidationError,
+    check_cap,
     check_key_bits,
     check_scalar,
     format_number,
@@ -144,9 +148,54 @@ def test_check_scalar_range_checks_closed_and_open_bounds():
         check_scalar(Fraction(10**400), "level", mode="float")
 
 
+#: every cap's limit and error class (CLI exit 3 for ResourceLimitError, 2 for ValidationError)
+CAP_CONTRACT = {
+    "key_bits": (24, ResourceLimitError),
+    "field_bits": (10, ResourceLimitError),
+    "message_bits": (16, ResourceLimitError),
+    "mac_work": (1 << 22, ResourceLimitError),
+    "tag_tuples": (1 << 12, ResourceLimitError),
+    "data_bits": (12, ResourceLimitError),
+    "matrix_bits": (16, ValidationError),
+    "float_enum_bits": (20, ResourceLimitError),
+    "rational_enum_bits": (12, ResourceLimitError),
+    "state_dim": (64, ValidationError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_every_cap_accepts_its_limit_and_refuses_one_more(name):
+    cap = CAPS[name]
+    assert (cap.limit, cap.error) == CAP_CONTRACT[name]
+    assert check_cap(name, cap.limit, "request") == cap.limit
+    expected = rf"^request needs {cap.limit + 1} {cap.unit}, over the {name} cap of {cap.limit} {cap.unit}$"
+    with pytest.raises(cap.error, match=expected):
+        check_cap(name, cap.limit + 1, "request")
+    assert set(CAPS) == set(CAP_CONTRACT)
+
+
+_SOURCES = sorted((Path(ks.__file__).resolve().parent).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def test_only_numerics_knows_a_cap(path):
+    if path.name == "numerics.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raised = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceLimitError"]
+    assert not raised, f"{path.name} constructs ResourceLimitError at lines {raised}"
+    constants = [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and re.search(r"MAX|CAP|ENUM_BITS", target.id)]
+    assert not constants, f"{path.name} declares cap constants {constants}"
+
+
 def test_check_key_bits_caps_dense_laws_before_allocating():
+    limit = CAPS["key_bits"].limit
+    refusal = f"needs {limit + 1} bits, over the key_bits cap of {limit} bits"
     assert check_key_bits(1) == 1
-    assert check_key_bits(MAX_KEY_BITS) == MAX_KEY_BITS
+    assert check_key_bits(limit) == limit
     for bad in (0, -1, 2.0, "3", None):
         with pytest.raises(ValidationError, match="key length"):
             check_key_bits(bad)
@@ -161,8 +210,8 @@ def test_check_key_bits_caps_dense_laws_before_allocating():
         lambda n: ks.max_conditional_deviation(n, Fraction(1, 8), ks.EventSpec([0, 1]), ks.EventSpec([0])),
         lambda n: ks.conditional_breach_witness(n, 0.1, ks.KeySplit(1, max(n - 1, 1))),
     ):
-        with pytest.raises(ResourceLimitError, match=f"{MAX_KEY_BITS}-bit cap"):
-            build(MAX_KEY_BITS + 1)
+        with pytest.raises(ResourceLimitError, match=refusal):
+            build(limit + 1)
         with pytest.raises(ValidationError, match="key length"):
             build(-1)
 
