@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, check_scalar, parse_number, scalar_mode
+from .numerics import Number, ValidationError, check_int, check_scalar, parse_number, scalar_mode
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -134,9 +134,7 @@ def near_uniform_bits(log10_d: Number, exponent: Union[str, Number] = Fraction(1
 
 def required_d_for_near_uniform(n: int) -> float:
     """log10 of the distance demanded by an ``n``-bit near-uniform claim: ``-n log10 2``."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
-    return -n * math.log10(2.0)
+    return -check_int(n, "key length") * math.log10(2.0)
 
 
 def guarantee_gap(

@@ -16,11 +16,13 @@ entropy, mutual information, trace distance, and the joint-vs-product
 distance ``d`` that scores how much an eavesdropper's outcomes correlate
 with a non-uniform key.
 
-Laws are stored as arrays: float64 in float mode, and in rational mode a
-:class:`Lattice` of integer numerators over one common denominator.  The
-measures work on those arrays with elementwise IEEE operations and
-``math.fsum`` (float results carry the bits of the scalar formulas) or with
-exact integer arithmetic (rational results are the same Fractions).
+Every law is stored as a :class:`Lattice`, numerators over one
+denominator: integer numerators over their common denominator in rational
+mode, float64 numerators over 1 in float mode.  Each measure is written
+once over ``(nums, den)``; only the sum of the numerators depends on the
+mode -- exact integer arithmetic (rational results are the same
+Fractions) or ``math.fsum`` (float results carry the bits of the scalar
+formulas).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .numerics import (
     ValidationError,
     VALIDATION_TOL,
     check_cap,
+    check_int,
     check_key_bits,
     check_scalar,
     format_number,
@@ -66,19 +69,35 @@ _INT64_LIMIT = 1 << 63
 
 
 class Lattice(NamedTuple):
-    """An exact law: integer numerators over one common denominator.
-
-    ``nums`` is an int64 or ``object`` (Python int) array; any sequence of
-    ints is accepted when a Lattice is passed to `KeyDistribution`.
-    """
+    """A law as numerators over one denominator, the storage of both modes: integers
+    (int64, or ``object`` Python ints) over a positive integer when exact, float64
+    over 1 in float mode.  `KeyDistribution` accepts any sequence of ints as ``nums``."""
 
     nums: np.ndarray
     den: int
 
 
 def _wide(nums: np.ndarray, bound: int) -> np.ndarray:
-    """``nums`` as Python ints when values up to ``bound`` would overflow int64."""
-    return nums.astype(object) if bound >= _INT64_LIMIT and nums.dtype != object else nums
+    """Integer ``nums`` as Python ints when values up to ``bound`` would overflow int64."""
+    return nums.astype(object) if bound >= _INT64_LIMIT and nums.dtype == np.int64 else nums
+
+
+def _total(nums: np.ndarray):
+    """Sums of numerators along the last axis, exact or by `math.fsum` of floats:
+    one number for a 1-D array, a list of row sums for a 2-D one."""
+    rows = nums if nums.ndim == 2 else nums[None]
+    sums = [math.fsum(row) for row in rows.tolist()] if nums.dtype == np.float64 else rows.sum(axis=1).tolist()
+    return sums if nums.ndim == 2 else sums[0]
+
+
+def _over(total, den) -> Number:
+    """A total over its denominator: a Fraction, or a Python float for a float total."""
+    return float(total) / float(den) if isinstance(total, float) else Fraction(int(total), int(den))
+
+
+def _law(p: "KeyDistribution", mode: str | None = None) -> Lattice:
+    """``p`` in ``mode`` (default its own): its lattice, or an exact law's rounded floats over 1."""
+    return p._data if mode in (None, p.mode) else Lattice(p.as_array(), 1)
 
 
 def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
@@ -88,59 +107,55 @@ def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
     return np.array([a / den for a in nums.ravel().tolist()]).reshape(nums.shape)
 
 
-def _float_rows(entries, width: int, label) -> np.ndarray:
-    """Validated read-only float64 rows of ``width`` probabilities, from a
-    flat sequence of floats or a float64 array.
+def _integers(nums, what: str) -> np.ndarray:
+    """Integer numerators in int64, or as Python ints beyond; other entries are refused."""
+    if isinstance(nums, np.ndarray) and nums.dtype == np.int64:
+        return nums
+    values = nums.ravel().tolist() if isinstance(nums, np.ndarray) else list(nums)
+    if set(map(type, values)) - {int}:
+        values = [check_int(a, what, lo=None) for a in values]
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    Every entry within ``[0, 1]`` up to VALIDATION_TOL (NaN fails both
-    comparisons, so it is refused with the infinities), then every row's
-    `math.fsum` within VALIDATION_TOL of 1.  ``label(k)`` names row ``k``.
+
+def _check_rows(probs, mode: str, width: int, label) -> Lattice:
+    """Validated read-only rows of ``width`` probabilities, from a Lattice or a flat
+    sequence: float64 numerators over 1, or integer numerators (Fractions over the
+    lcm of their denominators) in lowest terms, int64 while ``max * count`` fits.
+    Every entry lies in ``[0, 1]``, within VALIDATION_TOL for floats, and every
+    row sums to the denominator: exactly, or by `math.fsum` within VALIDATION_TOL.
+    ``label(k)`` names row ``k`` in a refusal.
     """
-    arr = np.array(entries, dtype=np.float64).reshape(-1, width)
-    ok = (arr >= -VALIDATION_TOL) & (arr <= 1 + VALIDATION_TOL)
-    if not ok.all():
-        k, i = divmod(int(np.argmin(ok)), width)
-        raise ValidationError(f"{label(k)} entry {i} is {arr[k, i].item()!r}, outside [0, 1]")
-    for k in range(len(arr)):
-        row = entries[k * width : (k + 1) * width] if isinstance(entries, (list, tuple)) else arr[k].tolist()
-        total = math.fsum(row)
-        if abs(total - 1.0) > VALIDATION_TOL:
-            raise ValidationError(f"{label(k)} sums to {total!r}, not 1 (tolerance {VALIDATION_TOL})")
-    arr.flags.writeable = False
-    return arr
-
-
-def _lattice_rows(nums: list, den: int, width: int, label) -> Lattice:
-    """Validated rows of integer numerators over ``den``, reduced to lowest terms.
-
-    Every entry in ``[0, 1]`` and every row summing exactly to ``den``.
-    The result is int64 while ``max * count`` fits, Python ints beyond.
-    """
-    if not isinstance(den, int) or den < 1:
-        raise ValidationError(f"{label(0)} denominator must be a positive integer, got {den!r}")
-    top = den * _ABOVE_ONE.numerator // _ABOVE_ONE.denominator
-    if min(nums) < 0 or max(nums) > top:
-        j = next(j for j, a in enumerate(nums) if a < 0 or a > top)
-        k, i = divmod(j, width)
-        raise ValidationError(f"{label(k)} entry {i} is {Fraction(nums[j], den)!r}, outside [0, 1]")
-    for k in range(len(nums) // width):
-        total = sum(nums[k * width : (k + 1) * width])
-        if total != den:
-            raise ValidationError(f"{label(k)} sums to {Fraction(total, den)}, not 1")
-    common = math.gcd(den, *nums)
-    if common > 1:
-        nums, den = [a // common for a in nums], den // common
-    dtype = np.int64 if max(nums) * len(nums) < _INT64_LIMIT else object
-    arr = np.array(nums, dtype=dtype).reshape(-1, width)
-    arr.flags.writeable = False
-    return Lattice(arr, den)
-
-
-def _exact_rows(entries: Sequence[Number], width: int, label) -> Lattice:
-    """Fraction/int rows as a validated lattice over the lcm of their denominators."""
-    dens = [p.denominator for p in entries]
-    den = math.lcm(*dens)
-    return _lattice_rows([p.numerator * (den // d) for p, d in zip(entries, dens)], den, width, label)
+    exact = mode == "rational"
+    nums, den = probs if isinstance(probs, Lattice) else (probs, 1)
+    if exact:
+        if not isinstance(probs, Lattice):  # Fractions over the lcm of their denominators
+            dens = [p.denominator for p in nums]
+            den = math.lcm(*dens)
+            nums = [p.numerator * (den // d) for p, d in zip(nums, dens)]
+        den = check_int(den, f"{label(0)} denominator")
+        top = den * _ABOVE_ONE.numerator // _ABOVE_ONE.denominator
+        rows = _wide(_integers(nums, f"{label(0)} numerator"), top * width).reshape(-1, width)  # sums fit
+    else:
+        top, rows = 1 + VALIDATION_TOL, np.array(nums, dtype=np.float64).reshape(-1, width)
+    slack = 0 if exact else VALIDATION_TOL
+    most = rows.max()
+    if not (rows.min() >= -slack and most <= top):  # NaN fails both comparisons
+        k, i = divmod(int(np.argmin((rows >= -slack) & (rows <= top))), width)
+        raise ValidationError(f"{label(k)} entry {i} is {_over(rows[k, i], den)!r}, outside [0, 1]")
+    for k, total in enumerate(_total(rows)):
+        if abs(total - den) > slack:
+            tolerance = f" (tolerance {slack})" if slack else ""
+            raise ValidationError(f"{label(k)} sums to {_over(total, den)}, not 1{tolerance}")
+    if exact:
+        common = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
+        if common > 1:
+            rows, den, most = rows // common, den // common, most // common
+        rows = rows.astype(np.int64 if int(most) * rows.size < _INT64_LIMIT else object)
+    rows.flags.writeable = False
+    return Lattice(rows, den)
 
 
 class KeyDistribution:
@@ -157,19 +172,21 @@ class KeyDistribution:
 
     Notes
     -----
-    Storage is one array per mode.  Float mode keeps a read-only float64
-    array (`as_array`).  Rational mode keeps a `Lattice` (`lattice`):
-    integer numerators over the lcm of the entries' reduced denominators,
-    so equal laws have equal lattices.  The numerators are int64 while
-    ``max(numerator) * 2**n`` fits in int64, so no sum of entries can
-    overflow, and an ``object`` array of Python ints beyond (numerators
-    of ``2**53`` and up at ``n = 10``, ``2**62`` and up at any n).
+    Storage is one read-only `Lattice` in both modes.  Float mode keeps
+    float64 numerators over 1 (`as_array`).  Rational mode (`lattice`)
+    keeps integer numerators over the lcm of the entries' reduced
+    denominators, so equal laws have equal lattices.  The numerators are
+    int64 while ``max(numerator) * 2**n`` fits in int64, so no sum of
+    entries can overflow, and an ``object`` array of Python ints beyond
+    (numerators of ``2**53`` and up at ``n = 10``, ``2**62`` and up at
+    any n).
 
     Construction validates in one vectorised pass: every entry finite and
     in ``[0, 1]`` (NaN and infinities are refused), then the total: exact
     in rational mode, `math.fsum` within VALIDATION_TOL of 1 in float
-    mode.  ``probs``, the tuple of Python floats or Fractions that
-    indexing and iteration use, is built on first use and cached.
+    mode.  A Lattice passed in must hold integer numerators.  ``probs``,
+    the tuple of Python floats or Fractions that indexing and iteration
+    use, is built on first use and cached.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -182,24 +199,20 @@ class KeyDistribution:
     def __init__(self, n: int, probs):
         check_key_bits(n)
         mode = None
-        if isinstance(probs, np.ndarray) and probs.dtype == np.float64 and probs.ndim == 1:
+        if isinstance(probs, Lattice):
+            mode = "rational"
+        elif isinstance(probs, np.ndarray) and probs.dtype == np.float64 and probs.ndim == 1:
             mode = "float"
-        elif not isinstance(probs, (Lattice, list, tuple)):
+        elif not isinstance(probs, (list, tuple)):
             probs = list(probs)
         count = len(probs.nums) if isinstance(probs, Lattice) else len(probs)
         if count != 1 << n:
             raise ValidationError(f"need {1 << n} probabilities for a {n}-bit key, got {count}")
-        label = "distribution".format
-        if isinstance(probs, Lattice):
-            mode = "rational"
-            nums = probs.nums.tolist() if isinstance(probs.nums, np.ndarray) else list(probs.nums)
-            data = _lattice_rows(nums, probs.den, count, label)
-        else:
-            mode = mode or infer_mode(probs)
-            data = (_exact_rows if mode == "rational" else _float_rows)(probs, count, label)
+        mode = mode or infer_mode(probs)
+        data = _check_rows(probs, mode, count, "distribution".format)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_data", Lattice(data.nums[0], data.den) if mode == "rational" else data[0])
+        object.__setattr__(self, "_data", Lattice(data.nums[0], data.den))
         object.__setattr__(self, "_probs", None)
 
     def __setattr__(self, name, value):  # immutable
@@ -209,18 +222,14 @@ class KeyDistribution:
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
         """The uniform distribution on ``n``-bit keys, in the given backend."""
         size = 1 << check_key_bits(n)
-        if mode == "rational":
-            return cls(n, Lattice([1] * size, size))
-        return cls(n, np.full(size, 1.0 / size))
+        return cls(n, Lattice([1] * size, size) if mode == "rational" else np.full(size, 1.0 / size))
 
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":
         size = 1 << check_key_bits(n)
-        if not 0 <= at < size:
-            raise ValidationError(f"point-mass location {at} outside [0, {size})")
-        nums = [0] * size
-        nums[at] = 1
-        return cls(n, Lattice(nums, 1) if mode == "rational" else np.array(nums, dtype=np.float64))
+        nums = np.zeros(size, dtype=np.int64)
+        nums[check_int(at, "point-mass location", lo=0, hi=size)] = 1
+        return cls(n, Lattice(nums, 1) if mode == "rational" else nums.astype(np.float64))
 
     @property
     def size(self) -> int:
@@ -230,12 +239,9 @@ class KeyDistribution:
     def probs(self) -> tuple:
         """The law as a tuple of Python floats or Fractions (built once, on first use)."""
         if self._probs is None:
-            if self.mode == "float":
-                probs = tuple(self._data.tolist())
-            else:
-                nums, den = self._data
-                probs = tuple(Fraction(a, den) for a in nums.tolist())
-            object.__setattr__(self, "_probs", probs)
+            nums, den = self._data
+            probs = nums.tolist() if self.mode == "float" else (Fraction(a, den) for a in nums.tolist())
+            object.__setattr__(self, "_probs", tuple(probs))
         return self._probs
 
     @property
@@ -248,26 +254,19 @@ class KeyDistribution:
     def as_array(self) -> np.ndarray:
         """The law in float64: the stored read-only array in float mode, each
         exact entry correctly rounded in rational mode."""
-        if self.mode == "float":
-            return self._data
-        return _ratios(*self._data)
+        return self._data.nums if self.mode == "float" else _ratios(*self._data)
 
     def prob_of(self, members: Iterable[int]) -> Number:
         """Total mass of a set of key values (duplicates collapse)."""
-        idx = sorted(set(members))
-        for k in idx:
-            if not 0 <= k < self.size:
-                raise ValidationError(f"key value {k} outside [0, {self.size})")
-        if self.mode == "rational":
-            nums, den = self._data
-            return Fraction(int(nums[idx].sum()), den)
-        return math.fsum(self._data[idx].tolist())
+        idx = sorted({check_int(k, "key value", lo=0, hi=self.size) for k in members})
+        nums, den = self._data
+        return _over(_total(nums[idx]), den)
 
     def formatted(self) -> list:
         """Entries as `format_number` strings: reduced ``num/den``, or float ``repr``."""
-        if self.mode == "float":
-            return [repr(p) for p in self._data.tolist()]
         nums, den = self._data
+        if self.mode == "float":
+            return [repr(p) for p in nums.tolist()]
         common = np.gcd(nums, den)
         return [f"{a}/{b}" for a, b in zip((nums // common).tolist(), (den // common).tolist())]
 
@@ -291,7 +290,7 @@ class KeyDistribution:
         if not isinstance(raw, list) or not raw:
             raise ValidationError("distribution JSON must be a non-empty array")
         if mode != "rational" and set(map(type, raw)) == {float}:
-            probs = raw  # float(repr(x)) == x, NaN and infinities included
+            probs = np.array(raw)  # float(repr(x)) == x, NaN and infinities included
         else:
             entries = [str(item) for item in raw]
             if mode is None:
@@ -316,11 +315,10 @@ class KeyDistribution:
             return NotImplemented
         if self.n != other.n:
             return False
-        if self.mode != other.mode:
+        if self.mode != other.mode:  # exact comparison of each float with each Fraction
             return self.probs == other.probs
-        if self.mode == "float":
-            return bool(np.array_equal(self._data, other._data))
-        return self._data.den == other._data.den and bool(np.array_equal(self._data.nums, other._data.nums))
+        (a, da), (b, db) = self._data, other._data
+        return da == db and bool(np.array_equal(a, b))
 
     def __hash__(self):
         return hash((self.n, self.probs))
@@ -350,7 +348,7 @@ def _transport(size: int, donors, receivers, moved: Number):
     if moved > 0:
         low, high = u - moved / len(donors), u + moved / len(receivers)
     den = math.lcm(size, low.denominator, high.denominator)
-    nums = np.full(size, den // size, dtype=object)
+    nums = np.full(size, den // size, dtype=np.int64 if den < _INT64_LIMIT else object)
     nums[donors] = low.numerator * (den // low.denominator)
     nums[receivers] = high.numerator * (den // high.denominator)
     return Lattice(nums, den)
@@ -362,15 +360,18 @@ class ClassicalProbeModel:
     ``conditional[k][y]`` is ``p(y | K = k)``; each row must be a
     probability vector over the same outcome alphabet.  The backend must
     match the prior's.  The rows are stored as one 2-D array in the
-    prior's storage -- float64, or a `Lattice` with one denominator
-    common to every row -- and ``conditional`` is a tuple-of-tuples view
-    of it built on first use.
+    prior's storage -- a `Lattice` with one denominator common to every
+    row -- and ``conditional`` is a tuple-of-tuples view of it built on
+    first use.
     """
 
     __slots__ = ("prior", "outcomes", "_rows", "_conditional")
 
     def __init__(self, prior: KeyDistribution, conditional: Sequence[Sequence[Number]]):
-        rows = [row if isinstance(row, (list, tuple)) else tuple(row) for row in conditional]
+        try:
+            rows = [row if isinstance(row, (list, tuple)) else tuple(row) for row in conditional]
+        except TypeError as exc:
+            raise ValidationError(f"conditional rows must be sequences of probabilities: {exc}") from exc
         if len(rows) != prior.size:
             raise ValidationError(
                 f"conditional has {len(rows)} rows, prior has {prior.size} key values"
@@ -384,10 +385,9 @@ class ClassicalProbeModel:
         flat = list(itertools.chain.from_iterable(rows))
         if infer_mode(flat) != prior.mode:
             raise ValidationError("conditional rows do not match the prior's numeric mode")
-        validated = _exact_rows if prior.mode == "rational" else _float_rows
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "outcomes", width)
-        object.__setattr__(self, "_rows", validated(flat, width, "conditional row {}".format))
+        object.__setattr__(self, "_rows", _check_rows(flat, prior.mode, width, "conditional row {}".format))
         object.__setattr__(self, "_conditional", None)
 
     def __setattr__(self, name, value):
@@ -401,33 +401,27 @@ class ClassicalProbeModel:
     def conditional(self) -> tuple:
         """Rows of Python floats or Fractions (built once, on first use)."""
         if self._conditional is None:
-            if self.mode == "float":
-                view = tuple(map(tuple, self._rows.tolist()))
-            else:
-                nums, den = self._rows
-                view = tuple(tuple(Fraction(a, den) for a in row) for row in nums.tolist())
-            object.__setattr__(self, "_conditional", view)
+            nums, den = self._rows
+            rows = nums.tolist()
+            if self.mode == "rational":
+                rows = ([Fraction(a, den) for a in row] for row in rows)
+            object.__setattr__(self, "_conditional", tuple(map(tuple, rows)))
         return self._conditional
 
     def joint(self, k: int, y: int) -> Number:
         return self.prior[k] * self.conditional[k][y]
 
-    def joint_law(self):
-        """``p(k) p(y | k)`` as a (key, outcome) table: float64 products, or a
-        `Lattice` over the product of the two denominators."""
-        if self.mode == "float":
-            return self.prior.as_array()[:, None] * self._rows
-        (pn, pd), (cn, cd) = self.prior.lattice, self._rows
+    def joint_law(self) -> Lattice:
+        """``p(k) p(y | k)`` as a (key, outcome) table of numerators over the
+        product of the two denominators (float64 products over 1 in float mode)."""
+        (pn, pd), (cn, cd) = _law(self.prior), self._rows
         # covers d_criterion's sum of |N * joint - marginal| over the table
         bound = pd * cd * self.prior.size**2 * self.outcomes
         return Lattice(_wide(pn, bound)[:, None] * _wide(cn, bound), pd * cd)
 
     def outcome_marginal(self) -> list:
-        joint = self.joint_law()
-        if self.mode == "float":
-            return [math.fsum(col) for col in joint.T.tolist()]
-        nums, den = joint
-        return [Fraction(int(total), den) for total in nums.sum(axis=0)]
+        nums, den = self.joint_law()
+        return [_over(total, den) for total in _total(nums.T)]
 
 
 class HermitianState:
@@ -484,8 +478,9 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
         Must share the bit length.  If both are exact the result is an
         exact `Fraction`; otherwise a float.  Omitting ``q`` measures
         ``delta(P, U)`` against the uniform law in ``p``'s backend,
-        without building it: ``sum_k |N num_k - den| / (2 N den)``
-        exactly, ``fsum |p_k - 1/N| / 2`` in floats.
+        without building it: ``sum_k |N num_k - den| / (2 N den)`` over
+        its numerators.  A float result sums by `math.fsum`; as ``N`` is a
+        power of two, the scaling by ``N`` is exact.
 
     Returns
     -------
@@ -495,18 +490,16 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
     """
     if q is None:
         size = p.size
-        if p.mode == "rational":
-            nums, den = p.lattice
-            return Fraction(int(np.abs(size * _wide(nums, 2 * size * den) - den).sum()), 2 * size * den)
-        return 0.5 * math.fsum(np.abs(p.as_array() - 1.0 / size).tolist())
+        nums, den = _law(p)
+        return _over(_total(np.abs(size * _wide(nums, 2 * size * den) - den)), 2 * size * den)
     if p.n != q.n:
         raise ValidationError(f"bit lengths differ: {p.n} vs {q.n}")
-    if p.mode == "rational" and q.mode == "rational":
-        (a, da), (b, db) = p.lattice, q.lattice
-        den = math.lcm(da, db)
-        diff = _wide(a, den * p.size) * (den // da) - _wide(b, den * p.size) * (den // db)
-        return Fraction(int(np.abs(diff).sum()), 2 * den)
-    return 0.5 * math.fsum(np.abs(p.as_array() - q.as_array()).tolist())
+    mode = "rational" if p.mode == q.mode == "rational" else "float"
+    (a, da), (b, db) = _law(p, mode), _law(q, mode)
+    den = math.lcm(da, db)
+    if da != db:  # both over the common denominator, as Python ints where the sum could overflow
+        a, b = _wide(a, den * p.size) * (den // da), _wide(b, den * p.size) * (den // db)
+    return _over(_total(np.abs(a - b)), 2 * den)
 
 
 def _shannon_bits(values: np.ndarray) -> float:
@@ -520,11 +513,8 @@ def entropy_stats(p: KeyDistribution) -> EntropyStats:
     ``p1`` keeps the distribution's backend; the entropies are floats
     (``min_entropy_bits = -log2(p1)``).
     """
-    if p.mode == "rational":
-        nums, den = p.lattice
-        p1 = Fraction(int(nums.max()), den)
-    else:
-        p1 = float(p.as_array().max())
+    nums, den = _law(p)
+    p1 = _over(nums.max(), den)
     return EntropyStats(
         p1=p1,
         min_entropy_bits=-math.log2(float(p1)),
@@ -547,9 +537,7 @@ def mutual_information(model: ClassicalProbeModel) -> float:
     into ``[0, H(K)]`` to absorb float round-off near the endpoints.
     """
     h_prior = _shannon_bits(model.prior.as_array())
-    joint = model.joint_law()
-    if model.mode == "rational":
-        joint = _ratios(*joint)
+    joint = _ratios(*model.joint_law())
     h_cond = 0.0
     for y, py in enumerate(float(v) for v in model.outcome_marginal()):
         if py <= 0.0:
@@ -584,9 +572,6 @@ def d_criterion(model: ClassicalProbeModel) -> Number:
     eavesdropper's data shifts in probability by more than ``d``.
     """
     size = model.prior.size
-    joint = model.joint_law()
-    if model.mode == "rational":
-        nums, den = joint
-        return Fraction(int(np.abs(size * nums - nums.sum(axis=0)).sum()), 2 * size * den)
-    marginal = np.array(model.outcome_marginal())
-    return 0.5 * math.fsum(np.abs(joint - marginal / size).ravel().tolist())
+    nums, den = model.joint_law()
+    marginal = np.array(_total(nums.T), dtype=nums.dtype)
+    return _over(_total(np.abs(size * nums - marginal).ravel()), 2 * size * den)

@@ -26,13 +26,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _exact_rows, _float_rows, binary_entropy
+from .dist import KeyDistribution, Lattice, _check_rows, binary_entropy
 from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ValidationError,
     check_cap,
+    check_int,
     check_scalar,
     infer_mode,
     scalar_mode,
@@ -73,8 +74,7 @@ class ParityCheckMatrix:
     __slots__ = ("n_data", "rows", "_codewords")
 
     def __init__(self, n_data: int, rows: Sequence[int]):
-        if not isinstance(n_data, int) or n_data < 1:
-            raise ValidationError(f"data length must be a positive integer, got {n_data!r}")
+        n_data = check_int(n_data, "data length")
         check_cap("matrix_bits", n_data, "parity-check matrix width")
         rows = tuple(int(r) for r in rows)
         if not rows:
@@ -179,11 +179,10 @@ class CodeEnsemble:
         n = codes[0].n_data
         if any(c.n_data != n for c in codes):
             raise ValidationError("all codes in an ensemble must share the data length")
-        if infer_mode(weights) == "rational":
+        mode = infer_mode(weights)
+        if mode == "rational":
             weights = tuple(Fraction(w) for w in weights)
-            _exact_rows(weights, len(weights), "ensemble weights".format)
-        else:
-            _float_rows(weights, len(weights), "ensemble weights".format)
+        _check_rows(weights, mode, len(weights), "ensemble weights".format)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "weights", weights)
 
@@ -220,8 +219,7 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
     the block length; ``q`` the error rate seen by the reconciliation.
     """
     f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"block length must be a non-negative integer, got {n!r}")
+    n = check_int(n, "block length", lo=0)
     return float(f) * n * binary_entropy(q)
 
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _shannon_bits, _transport, _wide, statistical_distance
-from .numerics import InfeasibleError, Number, ValidationError, check_key_bits, check_scalar, scalar_mode
+from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
+from .numerics import InfeasibleError, Number, ValidationError, check_int, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "EventSpec",
@@ -41,11 +41,9 @@ class EventSpec:
     members: frozenset
 
     def __init__(self, members):
-        values = frozenset(int(m) for m in members)
+        values = frozenset(check_int(m, "event member", lo=0) for m in members)
         if not values:
             raise ValidationError("event must contain at least one key value")
-        if any(m < 0 for m in values):
-            raise ValidationError("event members must be non-negative key values")
         object.__setattr__(self, "members", values)
 
     @classmethod
@@ -129,8 +127,7 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
         distance from uniform.
     """
     size = 1 << check_key_bits(n)
-    if not 0 <= at < size:
-        raise ValidationError(f"spike location {at} outside [0, {size})")
+    at = check_int(at, "spike location", lo=0, hi=size)
     eps = check_scalar(epsilon, "distance budget", lo=0)
     mode = scalar_mode(eps)
     top = check_scalar(Fraction(size - 1, size), "largest distance", mode=mode)
@@ -191,13 +188,8 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     lam = min(max(lam, 0.0), 1.0)  # a float within the slack onto [0, 1]; exact weights pass as they are
     lo = (1 - lam) / size
     hi = lam + lo
-    if p.mode == "rational":
-        nums, den = p.lattice
-        least, most = Fraction(int(nums.min()), den), Fraction(int(nums.max()), den)
-    else:
-        law = p.as_array()
-        least, most = law.min(), law.max()
-    if least < lo - slack or most > hi + slack:
+    nums, den = _law(p)
+    if _over(nums.min(), den) < lo - slack or _over(nums.max(), den) > hi + slack:
         return None
     if lam == 0:
         residual = KeyDistribution.uniform(p.n, mode=p.mode)
@@ -207,7 +199,7 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
         shifted = _wide(nums, den * scale) * scale - lo.numerator * lam.denominator * den
         residual = KeyDistribution(p.n, Lattice(shifted, den * lo.denominator * lam.numerator))
     else:
-        shifted = law - lo
+        shifted = nums - lo
         raw = np.where(shifted < 0.0, 0.0, shifted) / lam  # max(x, 0.0) keeps -0.0
         total = sum(raw.tolist())  # left to right, as the scalar formula
         residual = KeyDistribution(p.n, raw / total)

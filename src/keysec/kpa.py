@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import KeyDistribution, _transport, _wide, statistical_distance
-from .numerics import Number, ValidationError, check_cap, check_key_bits, check_scalar, scalar_mode
+from .dist import KeyDistribution, _law, _over, _transport, _wide, statistical_distance
+from .numerics import Number, ValidationError, check_cap, check_int, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "KeySplit",
@@ -48,22 +48,18 @@ class KeySplit:
     subset_bits: tuple = field(default=None)
 
     def __post_init__(self):
-        if not (isinstance(self.n1, int) and isinstance(self.n2, int)):
-            raise ValidationError("split sizes must be integers")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValidationError(f"both split parts need at least one bit, got {self.n1}|{self.n2}")
+        object.__setattr__(self, "n1", check_int(self.n1, "split size n1"))
+        object.__setattr__(self, "n2", check_int(self.n2, "split size n2"))
         check_key_bits(self.n1 + self.n2)  # before the default subset lists K2's bits
         bits = self.subset_bits
         if bits is None:
             bits = tuple(range(self.n2))
         else:
-            bits = tuple(int(b) for b in bits)
+            bits = tuple(check_int(b, "subset position", lo=0, hi=self.n2) for b in bits)
             if not bits:
                 raise ValidationError("target subset of K2 must be nonempty")
             if len(set(bits)) != len(bits):
                 raise ValidationError(f"target subset has repeated positions: {bits}")
-            if any(b < 0 or b >= self.n2 for b in bits):
-                raise ValidationError(f"subset positions {bits} outside K2's {self.n2} bits")
             bits = tuple(sorted(bits))
         object.__setattr__(self, "subset_bits", bits)
 
@@ -125,16 +121,14 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
     check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     s, width = split.subset_size, 1 << split.n1
-    exact = p.mode == "rational"
-    law = p.lattice.nums if exact else p.as_array()
+    nums, den = _law(p)
     # joint[v, k1] = P(K2* = v, K1 = k1): rows of the (K2, K1) table added in K2 order
-    joint = np.zeros((1 << s, width), dtype=law.dtype)
-    np.add.at(joint, _subset_values(split, np.arange(1 << split.n2)), law.reshape(-1, width))
-    best = joint.max(axis=0).sum()
-    delta = statistical_distance(p)  # to the uniform law
-    avg = Fraction(int(best), p.lattice.den) if exact else float(best)
-    bound = Fraction(1, 1 << s) + delta
-    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + (0 if exact else 1e-9))
+    joint = np.zeros((1 << s, width), dtype=nums.dtype)
+    np.add.at(joint, _subset_values(split, np.arange(1 << split.n2)), nums.reshape(-1, width))
+    avg = _over(joint.max(axis=0).sum(), den)
+    bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
+    slack = 0 if p.mode == "rational" else 1e-9
+    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + slack)
 
 
 def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> BreachWitness:
@@ -177,11 +171,9 @@ def eve_bit_agreement(p: KeyDistribution) -> Number:
     this is the quantity a bitwise-error-rate argument has to bound.
     """
     check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
-    exact = p.mode == "rational"
-    law = p.lattice.nums if exact else p.as_array()
-    guess = int(np.argmax(law))  # the first, so the lowest index, on ties
+    nums, den = _law(p)
+    guess = int(np.argmax(nums))  # the first, so the lowest index, on ties
     agree = p.n - np.bitwise_count(np.arange(p.size) ^ guess).astype(np.int64)
-    if not exact:
-        return float(np.dot(law, agree / p.n))
-    den = p.lattice.den * p.n
-    return Fraction(int((_wide(law, den) * agree).sum()), den)
+    if p.mode == "float":
+        return float(np.dot(nums, agree / p.n))  # a BLAS dot, not a sum of numerators
+    return _over((_wide(nums, den * p.n) * agree).sum(), den * p.n)

@@ -32,13 +32,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dist import KeyDistribution, statistical_distance
+from .dist import KeyDistribution, _law, _over, statistical_distance
 from .numerics import (
     BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ValidationError,
     check_cap,
+    check_int,
     check_scalar,
     scalar_mode,
 )
@@ -119,17 +120,11 @@ class HashFamilySpec:
     modulus: int = 0
 
     def __post_init__(self):
-        if type(self.field_bits) is not int or self.field_bits < 1:
-            raise ValidationError(f"field width must be a positive integer, got {self.field_bits!r}")
-        check_cap("field_bits", self.field_bits, "field width")
-        if type(self.message_blocks) is not int or self.message_blocks < 1:
-            raise ValidationError(f"need at least one message block, got {self.message_blocks!r}")
-        mod = self.modulus
-        if type(mod) is not int or mod < 0:  # a negative pattern never reduces in _poly_mod
-            raise ValidationError(f"modulus must be a non-negative integer, got {mod!r}")
-        if mod == 0:
-            mod = DEFAULT_MODULI[self.field_bits]
-            object.__setattr__(self, "modulus", mod)
+        bits = check_cap("field_bits", check_int(self.field_bits, "field width"), "field width")
+        object.__setattr__(self, "field_bits", bits)
+        object.__setattr__(self, "message_blocks", check_int(self.message_blocks, "message block count"))
+        mod = check_int(self.modulus, "modulus", lo=0) or DEFAULT_MODULI[bits]  # a negative one never reduces
+        object.__setattr__(self, "modulus", mod)
         if mod.bit_length() - 1 != self.field_bits:
             raise ValidationError(
                 f"modulus {mod:#x} has degree {mod.bit_length() - 1}, field needs {self.field_bits}"
@@ -195,8 +190,7 @@ class MacKeyModel:
             raise ValidationError("hash key model requires a KeyDistribution")
         if self.tag_key_dist is not None and not isinstance(self.tag_key_dist, KeyDistribution):
             raise ValidationError("tag key model must be a KeyDistribution or None")
-        if not isinstance(self.uses, int) or self.uses < 1:
-            raise ValidationError(f"uses must be a positive integer, got {self.uses!r}")
+        object.__setattr__(self, "uses", check_int(self.uses, "uses"))
 
 
 class DegradedLevels(NamedTuple):
@@ -317,19 +311,6 @@ def _best_forgery(basis: np.ndarray, posts: np.ndarray) -> np.ndarray:
     return best
 
 
-def _ratio(num, den) -> Number:
-    """A mass over its normalizer: Fraction for exact numerators, float otherwise."""
-    if isinstance(num, np.floating):
-        return float(num) / float(den)
-    return Fraction(int(num), int(den))
-
-
-def _numerators(dist: KeyDistribution, exact: bool) -> tuple:
-    """The law as (numerators, denominator): its lattice when exact, floats
-    over 1 otherwise."""
-    return dist.lattice if exact else (dist.as_array(), 1)
-
-
 def attack_success(
     spec: HashFamilySpec,
     keys: MacKeyModel,
@@ -380,15 +361,14 @@ def attack_success(
     bits = spec.field_bits * spec.message_blocks
     check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
     msgs = spec.message_space
-    exact = keys.hash_key_dist.mode == "rational" and (
-        keys.tag_key_dist is None or keys.tag_key_dist.mode == "rational"
-    )
-
     masked = keys.tag_key_dist is not None
+    laws = (keys.hash_key_dist, keys.tag_key_dist) if masked else (keys.hash_key_dist,)
+    mode = "rational" if all(law.mode == "rational" for law in laws) else "float"
+
     if not masked:
         if attack == "impersonation":
             # ideal pad: posterior == prior for every transcript
-            if exact:
+            if mode == "rational":
                 return Fraction(1, size)  # every exact law sums to 1
             return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
         masks = 0  # mask factors in the game's joint law: one per tag
@@ -411,15 +391,14 @@ def attack_success(
         check_cap("tag_tuples", tuples, what)
         check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
 
-    prior, den = _numerators(keys.hash_key_dist, exact)
-    mask, mask_den = _numerators(keys.tag_key_dist, exact) if masked else ([], 1)
+    prior, den = _law(keys.hash_key_dist, mode)
+    mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (prior, 1)
     den *= mask_den**masks  # the total numerator of the game's joint law
-    dtype = np.float64 if not exact else np.int64 if den < 1 << 62 else object
-    prior = np.array(prior, dtype=dtype)
+    dtype = np.float64 if mode == "float" else np.int64 if den < 1 << 62 else object
+    prior, mask = prior.astype(dtype), mask.astype(dtype)
     basis = _basis_rows(spec, bits)
     if not masked:
-        return _ratio(_best_forgery(basis, prior[None, :])[0], den)
-    mask = np.array(mask, dtype=dtype)
+        return _over(_best_forgery(basis, prior[None, :])[0], den)
     tags = np.arange(size)
 
     if attack == "impersonation":
@@ -431,7 +410,7 @@ def attack_success(
             for hv in range(size):
                 hit += hashed[:, hv, None] * gathered[hv]
             tops.append(hit.max())
-        return _ratio(max(tops), den)
+        return _over(max(tops), den)
 
     if keys.uses == 1:
         # posts[m, t, alpha] = P(alpha, tag t on message m)
@@ -449,10 +428,10 @@ def attack_success(
     if tag_averaged:
         # per observed-message choice, its hits summed over the tags in order
         totals = np.add.accumulate(hits.reshape(groups, -1), axis=1)[:, -1]
-        return _ratio(totals.max(), den)
+        return _over(totals.max(), den)
     # worst case: each transcript's conditional success hit / P(transcript)
     weights = np.add.accumulate(posts, axis=1)[:, -1]
-    return max(_ratio(hit, weight) for hit, weight in zip(hits, weights) if weight > 0)
+    return max(_over(hit, weight) for hit, weight in zip(hits, weights) if weight > 0)
 
 
 def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> DegradedLevels:
@@ -467,8 +446,7 @@ def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> Degra
         check_scalar(value, name, lo=0, hi=1)
         for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
     )
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"number of uses must be a positive integer, got {m!r}")
+    m = check_int(m, "number of uses")
     levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
     return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))
 

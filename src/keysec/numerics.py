@@ -172,14 +172,26 @@ def scalar_mode(*values: Number) -> str:
     return "rational" if all(_kind(type(v)) == "rational" for v in values) else "float"
 
 
+def check_int(value, what: str, lo: int | None = 1, hi: int | None = None) -> int:
+    """Read a count, size or index as an int, numpy integers too; bools, other types
+    and values outside ``[lo, hi)`` (no bound where None) raise a `ValidationError`."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+        if (lo is None or value >= lo) and (hi is None or value < hi):
+            return value
+        if hi is not None:
+            raise ValidationError(f"{what} {value} outside [{lo}, {hi})")
+    kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[lo]
+    raise ValidationError(f"{what} must be {kind}, got {value!r}")
+
+
 def check_key_bits(n) -> int:
     """Validate the bit length of a dense key law before anything is allocated.
 
     A positive integer, else `ValidationError`; above the ``key_bits`` cap
     (``2^n`` entries would not fit a desk-scale calculation), `ResourceLimitError`.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"key length must be a positive integer, got {n!r}")
+    n = check_int(n, "key length")
     return check_cap("key_bits", n, f"a dense law over 2^{n} keys")
 
 

@@ -36,7 +36,7 @@ from .extremal import (
     max_conditional_deviation,
 )
 from .kpa import KeySplit, average_conditional_guess, conditional_breach_witness, eve_bit_agreement
-from .numerics import ValidationError
+from .numerics import check_int
 
 __all__ = ["InvariantResult", "run_invariant_suite"]
 
@@ -380,8 +380,7 @@ _CHECKS: list = [
 
 def run_invariant_suite(n_max: int = 10, seed: int = 42) -> list:
     """Run every invariant check; returns one result per check."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = check_int(n_max, "n_max")
     results = []
     for name, fn in _CHECKS:
         rng = random.Random(f"{seed}:{name}")

@@ -1,6 +1,7 @@
 """The array-backed KeyDistribution against a tuple-of-scalars reference.
 
-`KeyDistribution` stores a float64 array or an exact integer lattice.
+`KeyDistribution` stores numerators over a denominator: float64 over 1, or
+an exact integer lattice.
 The reference (`_oracles.ref_*`) evaluates every measure on the plain
 tuple of entries with scalar arithmetic.  Float results must carry
 identical bits and exact results identical Fractions, over random float
@@ -11,6 +12,7 @@ target subsets.
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,6 +37,7 @@ from keysec import (
     mutual_information,
     statistical_distance,
 )
+from keysec.dist import Lattice
 
 
 def same(a, b) -> bool:
@@ -226,20 +229,36 @@ def test_breach_witness_is_the_raising_conditional_deviation(n, data):
 
 @pytest.mark.parametrize(
     "probs",
-    [
-        [math.nan, 1.0],
-        [1.0, math.nan],
-        [math.inf, 0.0],
-        [-math.inf, 1.0],
-        [1.5, -0.5],
-        [0.7, 0.7],
-        [F(3, 2), F(-1, 2)],
-        [F(1, 2), F(1, 3)],
+    [  # (entries, what the refusal says)
+        ([math.nan, 1.0], "distribution entry 0 is nan, outside"),
+        ([1.0, math.nan], "distribution entry 1 is nan, outside"),
+        ([math.inf, 0.0], "distribution entry 0 is inf, outside"),
+        ([-math.inf, 1.0], "distribution entry 0 is -inf, outside"),
+        ([1.5, -0.5], "distribution entry 0 is 1.5, outside"),
+        ([0.7, 0.7], "distribution sums to 1.4, not 1"),
+        ([F(3, 2), F(-1, 2)], "distribution entry 0 is Fraction(3, 2), outside"),
+        ([F(1, 2), F(1, 3)], "distribution sums to 5/6, not 1"),
+        (Lattice([-1, 3], 2), "distribution entry 0 is Fraction(-1, 2), outside"),
+        (Lattice([0, 3], 2), "distribution entry 1 is Fraction(3, 2), outside"),
+        (Lattice(np.array([1, 2]), 2), "distribution sums to 3/2, not 1"),
+        (Lattice([0.5, 0.5], 1), "distribution numerator must be an integer, got 0.5"),
+        (Lattice(np.array([1.0, 0.0]), 1), "distribution numerator must be an integer, got 1.0"),
+        (Lattice([F(1), 0], 1), "distribution numerator must be an integer, got Fraction(1, 1)"),
+        (Lattice([True, False], 1), "distribution numerator must be an integer, got True"),
+        (Lattice([1, 0], 0), "distribution denominator must be a positive integer, got 0"),
+        (Lattice([1, 0], True), "distribution denominator must be a positive integer, got True"),
     ],
 )
 def test_refuses_non_finite_out_of_range_and_bad_totals(probs):
-    with pytest.raises(ValidationError):
+    probs, message = probs
+    with pytest.raises(ValidationError, match=re.escape(message)) as refusal:
         KeyDistribution(1, probs)
+    assert type(refusal.value) is ValidationError
+
+
+def test_probe_model_refuses_rows_that_are_not_sequences():
+    with pytest.raises(ValidationError, match="conditional rows must be sequences"):
+        ClassicalProbeModel(KeyDistribution.uniform(1), [1, 2])
 
 
 def test_refuses_non_finite_entries_in_every_entry_point():

@@ -310,6 +310,39 @@ def test_large_denominators_take_the_object_path(monkeypatch):
     assert dtypes[-1] == np.dtype(np.int64)
 
 
+#: every game, as (attack, tag mask, uses, tag_averaged): the first two use the ideal pad
+GAMES = [
+    ("impersonation", False, 1, False),
+    ("substitution", False, 1, False),
+    ("impersonation", True, 1, False),
+    ("substitution", True, 1, False),
+    ("substitution", True, 1, True),
+    ("substitution", True, 2, False),
+    ("substitution", True, 2, True),
+]
+
+
+@pytest.mark.parametrize("attack,masked,uses,averaged", GAMES)
+def test_float_and_mixed_mode_games(attack, masked, uses, averaged):
+    spec = HashFamilySpec(field_bits=2, message_blocks=2)
+    exact_hash, exact_mask = _law([5, 1, 3, 7]), _law([4, 1, 2, 1])
+
+    def game(hash_law, mask_law):
+        keys = MacKeyModel(KeyDistribution(2, hash_law), KeyDistribution(2, mask_law) if masked else None, uses)
+        return attack_success(spec, keys, attack, tag_averaged=averaged)
+
+    def floats(law):
+        return [float(p) for p in law]
+
+    exact = game(exact_hash, exact_mask)
+    got = game(floats(exact_hash), floats(exact_mask))
+    assert type(exact) is F and type(got) is float  # a Python float, not np.float64
+    assert abs(got - exact) <= 1e-12
+    if masked:  # one exact law and one float law play the all-float game, bit for bit
+        for mixed in (game(exact_hash, floats(exact_mask)), game(floats(exact_hash), exact_mask)):
+            assert type(mixed) is float and mixed.hex() == got.hex()
+
+
 @pytest.mark.parametrize(
     "b,m,mask,uses,attack,work,cap",
     [

@@ -9,11 +9,13 @@ import pytest
 
 import keysec as ks
 from keysec import KeyDistribution
+from keysec.dist import Lattice
 from keysec.numerics import (
     CAPS,
     ResourceLimitError,
     ValidationError,
     check_cap,
+    check_int,
     check_key_bits,
     check_scalar,
     format_number,
@@ -261,3 +263,50 @@ SCALAR_SITES = {
 def test_every_scalar_site_refuses_non_finite_values(site, value):
     with pytest.raises(ValidationError, match="finite"):
         SCALAR_SITES[site](value)
+
+
+#: every library count, size or index read by check_int, as (site, call with the value x)
+INTEGER_SITES = {
+    "key length": lambda x: KeyDistribution.uniform(x),
+    "near-uniform key length": lambda x: ks.required_d_for_near_uniform(x),
+    "MAC uses": lambda x: ks.MacKeyModel(KeyDistribution.uniform(2), None, x),
+    "degrade uses": lambda x: ks.degraded_epsilon(0.1, 0.01, 0.01, x),
+    "field width": lambda x: ks.HashFamilySpec(x, 1),
+    "message blocks": lambda x: ks.HashFamilySpec(2, x),
+    "data length": lambda x: ks.ParityCheckMatrix(x, [1]),
+    "ec_leak block length": lambda x: ks.ec_leak(1.2, x, 0.05),
+    "split size": lambda x: ks.KeySplit(x, 2),
+    "n_max": lambda x: ks.run_invariant_suite(n_max=x),
+    "key value": lambda x: KeyDistribution.uniform(2).prob_of([x]),
+    "point-mass location": lambda x: KeyDistribution.point_mass(2, at=x),
+    "spike location": lambda x: ks.construct_spike(2, 0.1, at=x),
+    "lattice denominator": lambda x: KeyDistribution(1, Lattice([x, 0], x)),
+    "event member": lambda x: ks.EventSpec([x]),
+    "subset position": lambda x: ks.KeySplit(1, 2, [x]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_every_integer_site_refuses_bools_and_non_integers(site):
+    for bad in (True, False, 1.0, "1", Fraction(1), None):
+        with pytest.raises(ValidationError) as refusal:
+            INTEGER_SITES[site](bad)
+        assert type(refusal.value) is ValidationError, (site, bad)
+    INTEGER_SITES[site](np.int64(1))  # numpy integers are read as ints
+
+
+def test_check_int_reads_counts_and_indices():
+    assert check_int(np.int64(3), "count") == 3 and type(check_int(np.uint8(3), "count")) is int
+    assert check_int(0, "index", lo=0, hi=4) == 0 and check_int(-7, "offset", lo=None) == -7
+    for value, lo, hi, message in (
+        (0, 1, None, "count must be a positive integer, got 0"),
+        (-1, 0, None, "count must be a non-negative integer, got -1"),
+        (4, 0, 4, "count 4 outside [0, 4)"),
+        (True, 0, 4, "count must be a non-negative integer, got True"),
+        (2.0, None, None, "count must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_int(value, "count", lo=lo, hi=hi)
+    assert type(ks.KeySplit(np.int64(1), 2).n1) is int
+    spec = ks.HashFamilySpec(np.int64(3), np.int64(2))
+    assert spec == ks.HashFamilySpec(3, 2) and type(spec.field_bits) is int
