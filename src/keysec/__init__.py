@@ -10,167 +10,26 @@ conditioning, authentication forgery odds, error-correction leakage,
 log-domain failure budgets, and CV-QKD monitoring arithmetic — with an
 exact rational backend next to the float one so every claimed identity
 can be checked without tolerance games.
+
+The package re-exports each module's ``__all__``; a module's ``__all__``
+is the one list of its public names.
 """
 
-from .budget import (
-    DEFAULT_ONE_SHOT_LOG10,
-    MARKOV_EXPONENTS,
-    AccumulatedFailure,
-    LogBudget,
-    accumulated_failure,
-    as_markov_exponent,
-    guarantee_gap,
-    individual_level,
-    markov_tail_bound,
-    near_uniform_bits,
-    parse_security_level,
-    required_d_for_near_uniform,
-)
-from .cvqkd import (
-    CvParams,
-    DetectabilityReport,
-    TradeoffPoint,
-    Uncertainty,
-    detectability_verdict,
-    false_alarm_tradeoff,
-    output_uncertainty,
-)
-from .dist import (
-    ClassicalProbeModel,
-    EntropyStats,
-    HermitianState,
-    KeyDistribution,
-    binary_entropy,
-    d_criterion,
-    entropy_stats,
-    mutual_information,
-    statistical_distance,
-    trace_distance,
-)
-from .ecpa import (
-    CodeEnsemble,
-    EveChannel,
-    LeakageComparison,
-    ParityCheckMatrix,
-    ec_leak,
-    leakage_comparison,
-    load_parity_check,
-    mixture_posterior,
-    random_parity_check,
-)
-from .extremal import (
-    ConditionalDeviation,
-    EventBoundReport,
-    EventSpec,
-    LowInfoFamily,
-    MixtureDecomposition,
-    SpikeResult,
-    check_event_bound,
-    check_mixture_decomposition,
-    construct_low_info_high_guess,
-    construct_spike,
-    max_conditional_deviation,
-)
-from .kpa import (
-    AverageGuessBound,
-    BreachWitness,
-    KeySplit,
-    average_conditional_guess,
-    conditional_breach_witness,
-    eve_bit_agreement,
-)
-from .mac import (
-    DegradedLevels,
-    ForgeryWitness,
-    HashFamilySpec,
-    MacKeyModel,
-    asu_epsilon,
-    attack_success,
-    degraded_epsilon,
-    forgeable_key_distribution,
-)
-from .numerics import (
-    InfeasibleError,
-    ResourceLimitError,
-    ValidationError,
-    infer_mode,
-    parse_number,
-    resolve_mode,
-)
-from .verify import InvariantResult, run_invariant_suite
+from . import budget, cvqkd, dist, ecpa, extremal, kpa, mac, numerics, verify
+from .budget import *
+from .cvqkd import *
+from .dist import *
+from .ecpa import *
+from .extremal import *
+from .kpa import *
+from .mac import *
+from .numerics import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulatedFailure",
-    "AverageGuessBound",
-    "BreachWitness",
-    "ClassicalProbeModel",
-    "CodeEnsemble",
-    "ConditionalDeviation",
-    "CvParams",
-    "DEFAULT_ONE_SHOT_LOG10",
-    "DegradedLevels",
-    "DetectabilityReport",
-    "EntropyStats",
-    "EveChannel",
-    "EventBoundReport",
-    "EventSpec",
-    "ForgeryWitness",
-    "HashFamilySpec",
-    "HermitianState",
-    "InfeasibleError",
-    "InvariantResult",
-    "KeyDistribution",
-    "KeySplit",
-    "LeakageComparison",
-    "LogBudget",
-    "LowInfoFamily",
-    "MARKOV_EXPONENTS",
-    "MacKeyModel",
-    "MixtureDecomposition",
-    "ParityCheckMatrix",
-    "ResourceLimitError",
-    "SpikeResult",
-    "TradeoffPoint",
-    "Uncertainty",
-    "ValidationError",
-    "accumulated_failure",
-    "as_markov_exponent",
-    "asu_epsilon",
-    "attack_success",
-    "average_conditional_guess",
-    "binary_entropy",
-    "check_event_bound",
-    "check_mixture_decomposition",
-    "conditional_breach_witness",
-    "construct_low_info_high_guess",
-    "construct_spike",
-    "d_criterion",
-    "degraded_epsilon",
-    "detectability_verdict",
-    "ec_leak",
-    "entropy_stats",
-    "eve_bit_agreement",
-    "false_alarm_tradeoff",
-    "forgeable_key_distribution",
-    "guarantee_gap",
-    "individual_level",
-    "infer_mode",
-    "leakage_comparison",
-    "load_parity_check",
-    "markov_tail_bound",
-    "max_conditional_deviation",
-    "mixture_posterior",
-    "mutual_information",
-    "near_uniform_bits",
-    "output_uncertainty",
-    "parse_number",
-    "parse_security_level",
-    "random_parity_check",
-    "required_d_for_near_uniform",
-    "resolve_mode",
-    "run_invariant_suite",
-    "statistical_distance",
-    "trace_distance",
+    name
+    for module in (budget, cvqkd, dist, ecpa, extremal, kpa, mac, numerics, verify)
+    for name in module.__all__
 ]

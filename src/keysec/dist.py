@@ -434,7 +434,10 @@ class HermitianState:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=complex)
+        try:
+            mat = np.asarray(matrix, dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, entries that are not numbers
+            raise ValidationError(f"state is not a matrix of numbers: {exc}") from exc
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"state must be a square matrix, got shape {mat.shape}")
         check_cap("state_dim", mat.shape[0], "state")

@@ -140,16 +140,18 @@ class HashFamilySpec:
     def message_space(self) -> int:
         return 1 << (self.field_bits * self.message_blocks)
 
-    def _check_message(self, message: int) -> None:
+    def _check_message(self, message: int) -> int:
         # by bit length: message_space itself is a huge integer for many blocks
+        message = check_int(message, "message", lo=0)
         bits = self.field_bits * self.message_blocks
-        if message < 0 or int(message).bit_length() > bits:
+        if message.bit_length() > bits:
             raise ValidationError(
                 f"message {message} outside [0, 2^{bits}) for {self.message_blocks} blocks"
             )
+        return message
 
     def blocks(self, message: int) -> tuple:
-        self._check_message(message)
+        message = self._check_message(message)
         mask = self.tag_space - 1
         return tuple((message >> (j * self.field_bits)) & mask for j in range(self.message_blocks))
 
@@ -160,13 +162,12 @@ class HashFamilySpec:
         key, keeping the map GF-linear in the message with no constant
         part: ``h(M) XOR h(M') = h(M XOR M')``.
         """
-        if not 0 <= alpha < self.tag_space:
-            raise ValidationError(f"key value {alpha} outside [0, {self.tag_space})")
-        self._check_message(message)
+        alpha = check_int(alpha, "key value", lo=0, hi=self.tag_space)
+        message = self._check_message(message)
         b = self.field_bits
         acc = 0
         # zero blocks above the message's top block would leave acc at 0
-        for j in reversed(range(-(-int(message).bit_length() // b))):
+        for j in reversed(range(-(-message.bit_length() // b))):
             acc = _gf_mul(acc, alpha, self.modulus, b) ^ ((message >> (j * b)) & (self.tag_space - 1))
         return _gf_mul(acc, alpha, self.modulus, b)
 

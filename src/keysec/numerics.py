@@ -22,6 +22,15 @@ import os
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
+__all__ = [
+    "ValidationError",
+    "InfeasibleError",
+    "ResourceLimitError",
+    "infer_mode",
+    "parse_number",
+    "resolve_mode",
+]
+
 Number = Union[int, float, Fraction]
 
 #: slack used when validating float-mode probability data

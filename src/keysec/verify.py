@@ -219,7 +219,7 @@ def _check_kpa_average(rng: random.Random, n_max: int) -> tuple:
             res = average_conditional_guess(u, split)
             if res.avg_p1 != Fraction(1, 1 << split.subset_size):
                 return False, f"uniform case inexact at {n1}|{n - n1}"
-    n = min(10, n_max)
+    n = max(2, min(10, n_max))  # a 2-bit key is the smallest that splits
     for _ in range(25):
         p = _random_float_dist(rng, n)
         n1 = rng.randrange(1, n)

@@ -1,6 +1,7 @@
 """Command-line front end: envelopes, exit codes, determinism."""
 
 import argparse
+import ast
 import functools
 import json
 import os
@@ -136,6 +137,10 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("mac", "attack", "--b", "3", "--blocks", "2", "--modulus", "-11", "--attack", "substitution",
          "--hash-key", "spike:3:1/8"),
         ("mac", "forgery-witness", "--b", "3", "--blocks", "2", "--modulus", "-11"),
+        ("dist", "trace", "--rho", "[[1,0],[0]]", "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", '[[[1,"x"]]]', "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", "[[[1,[2]]]]", "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", "[[[true,0]]]", "--sigma", "[[1]]"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -184,6 +189,18 @@ def test_an_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "dist entropy", COMMANDS["dist entropy"]._replace(handler=broken))
     code, out, err = run_cli(capsys, "dist", "entropy", "--p", "uniform:2")
     assert (code, out, err) == (1, "", "internal error: IndexError: list index out of range\n")
+
+
+def test_cli_reaches_the_library_through_the_package():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith((".", "keysec"))} == {"keysec", ".numerics"}
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 def test_python_m_runs_the_cli():

@@ -234,6 +234,9 @@ def test_state_validation():
         HermitianState(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValidationError):
         HermitianState(np.eye(128) / 128)  # beyond the supported dimension
+    for ragged_or_not_numbers in ([[1, 0], [0]], [[1, "x"]], [[1, [2]]]):
+        with pytest.raises(ValidationError, match="not a matrix of numbers"):
+            HermitianState(ragged_or_not_numbers)
     with pytest.raises(ValidationError):
         trace_distance(
             HermitianState(np.eye(2) / 2), HermitianState(np.eye(4) / 4)

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import math
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -283,6 +285,9 @@ INTEGER_SITES = {
     "lattice denominator": lambda x: KeyDistribution(1, Lattice([x, 0], x)),
     "event member": lambda x: ks.EventSpec([x]),
     "subset position": lambda x: ks.KeySplit(1, 2, [x]),
+    "hash_value key": lambda x: ks.HashFamilySpec(2, 1).hash_value(x, 1),
+    "hash_value message": lambda x: ks.HashFamilySpec(2, 1).hash_value(1, x),
+    "blocks message": lambda x: ks.HashFamilySpec(2, 1).blocks(x),
 }
 
 
@@ -310,3 +315,37 @@ def test_check_int_reads_counts_and_indices():
     assert type(ks.KeySplit(np.int64(1), 2).n1) is int
     spec = ks.HashFamilySpec(np.int64(3), np.int64(2))
     assert spec == ks.HashFamilySpec(3, 2) and type(spec.field_bits) is int
+
+
+#: the package's 71 public names before each module's __all__ became their one declaration
+PACKAGE_NAMES_BEFORE = """
+AccumulatedFailure AverageGuessBound BreachWitness ClassicalProbeModel CodeEnsemble
+ConditionalDeviation CvParams DEFAULT_ONE_SHOT_LOG10 DegradedLevels DetectabilityReport
+EntropyStats EveChannel EventBoundReport EventSpec ForgeryWitness HashFamilySpec HermitianState
+InfeasibleError InvariantResult KeyDistribution KeySplit LeakageComparison LogBudget
+LowInfoFamily MARKOV_EXPONENTS MacKeyModel MixtureDecomposition ParityCheckMatrix
+ResourceLimitError SpikeResult TradeoffPoint Uncertainty ValidationError accumulated_failure
+as_markov_exponent asu_epsilon attack_success average_conditional_guess binary_entropy
+check_event_bound check_mixture_decomposition conditional_breach_witness
+construct_low_info_high_guess construct_spike d_criterion degraded_epsilon
+detectability_verdict ec_leak entropy_stats eve_bit_agreement false_alarm_tradeoff
+forgeable_key_distribution guarantee_gap individual_level infer_mode leakage_comparison
+load_parity_check markov_tail_bound max_conditional_deviation mixture_posterior
+mutual_information near_uniform_bits output_uncertainty parse_number parse_security_level
+random_parity_check required_d_for_near_uniform resolve_mode run_invariant_suite
+statistical_distance trace_distance
+""".split()
+
+
+def test_package_reexports_every_library_module_all():
+    modules = [importlib.import_module(f"keysec.{info.name}")
+               for info in pkgutil.iter_modules(ks.__path__) if info.name != "cli"]
+    assert len(modules) == 9
+    assert ks.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(ks.__all__)) == len(ks.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ks, name) is getattr(module, name), name
+    assert len(PACKAGE_NAMES_BEFORE) == 71
+    added = {"Lattice", "DEFAULT_MODULI", "VERDICT_LOSS", "VERDICT_MASKED", "VERDICT_DETECTABLE"}
+    assert set(ks.__all__) == set(PACKAGE_NAMES_BEFORE) | added

@@ -1,8 +1,11 @@
+import pytest
+
 from keysec import run_invariant_suite
 
 
-def test_suite_passes_and_covers_every_module():
-    results = run_invariant_suite(n_max=8, seed=42)
+@pytest.mark.parametrize("n_max", [1, 2, 8])
+def test_suite_passes_and_covers_every_module(n_max):
+    results = run_invariant_suite(n_max=n_max, seed=42)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
     names = [r.name for r in results]
