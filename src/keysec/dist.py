@@ -46,6 +46,7 @@ from .numerics import (
     format_number,
     infer_mode,
     parse_number,
+    scalar_mode,
 )
 
 __all__ = [
@@ -118,6 +119,12 @@ def _integers(nums, what: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def _scalars(nums: np.ndarray, den: int, mode: str) -> tuple:
+    """Numerators as a tuple of Python floats, or of Fractions over ``den`` when exact."""
+    values = nums.tolist()
+    return tuple(values if mode == "float" else (Fraction(a, den) for a in values))
 
 
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
@@ -239,9 +246,7 @@ class KeyDistribution:
     def probs(self) -> tuple:
         """The law as a tuple of Python floats or Fractions (built once, on first use)."""
         if self._probs is None:
-            nums, den = self._data
-            probs = nums.tolist() if self.mode == "float" else (Fraction(a, den) for a in nums.tolist())
-            object.__setattr__(self, "_probs", tuple(probs))
+            object.__setattr__(self, "_probs", _scalars(*self._data, self.mode))
         return self._probs
 
     @property
@@ -331,27 +336,22 @@ class KeyDistribution:
 
 def _transport(size: int, donors, receivers, moved: Number):
     """The uniform law on ``size`` values with ``moved`` mass taken evenly
-    from ``donors`` and spread evenly over ``receivers``.
+    from ``donors`` and spread evenly over ``receivers``, in ``moved``'s mode.
 
-    Returns a `Lattice` when ``moved`` is a Fraction and a float64 array
-    otherwise, entry values as ``1/N - moved/|donors|`` and
-    ``1/N + moved/|receivers|`` compute them.
+    Entry values are as ``1/N - moved/|donors|`` and ``1/N + moved/|receivers|``
+    compute them: a `Lattice` of integer numerators over their lcm (int64 while
+    it fits) when exact, a float64 array otherwise.
     """
-    if not isinstance(moved, Fraction):
-        u = 1.0 / size
-        law = np.full(size, u)
-        if moved > 0:
-            law[donors] = u - moved / len(donors)
-            law[receivers] = u + moved / len(receivers)
-        return law
-    u = low = high = Fraction(1, size)
+    u = low = high = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(moved))
     if moved > 0:
         low, high = u - moved / len(donors), u + moved / len(receivers)
-    den = math.lcm(size, low.denominator, high.denominator)
-    nums = np.full(size, den // size, dtype=np.int64 if den < _INT64_LIMIT else object)
-    nums[donors] = low.numerator * (den // low.denominator)
-    nums[receivers] = high.numerator * (den // high.denominator)
-    return Lattice(nums, den)
+    exact, den, values = isinstance(u, Fraction), 1, (u, low, high)
+    if exact:
+        den = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    nums = np.full(size, values[0], dtype=object if den >= _INT64_LIMIT else None)
+    nums[donors], nums[receivers] = values[1:]
+    return Lattice(nums, den) if exact else nums
 
 
 class ClassicalProbeModel:
@@ -402,10 +402,7 @@ class ClassicalProbeModel:
         """Rows of Python floats or Fractions (built once, on first use)."""
         if self._conditional is None:
             nums, den = self._rows
-            rows = nums.tolist()
-            if self.mode == "rational":
-                rows = ([Fraction(a, den) for a in row] for row in rows)
-            object.__setattr__(self, "_conditional", tuple(map(tuple, rows)))
+            object.__setattr__(self, "_conditional", tuple(_scalars(row, den, self.mode) for row in nums))
         return self._conditional
 
     def joint(self, k: int, y: int) -> Number:
@@ -441,13 +438,16 @@ class HermitianState:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"state must be a square matrix, got shape {mat.shape}")
         check_cap("state_dim", mat.shape[0], "state")
+        if not np.isfinite(mat).all():
+            raise ValidationError("state has a non-finite entry")
         if not np.allclose(mat, mat.conj().T, atol=VALIDATION_TOL):
             raise ValidationError("state is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-6:
-            raise ValidationError(f"state trace is {np.trace(mat).real!r}, not 1")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -1e-8:
-            raise ValidationError(f"state has negative eigenvalue {eigs.min()!r}")
+        trace = float(np.trace(mat).real)
+        if abs(trace - 1.0) > 1e-6:
+            raise ValidationError(f"state trace is {trace!r}, not 1")
+        least = float(np.linalg.eigvalsh(mat).min())
+        if least < -1e-8:
+            raise ValidationError(f"state has negative eigenvalue {least!r}")
         object.__setattr__(self, "matrix", mat)
 
     def __setattr__(self, name, value):

@@ -71,24 +71,20 @@ def _row_rank(rows: Sequence[int]) -> int:
 class ParityCheckMatrix:
     """Binary linear code given by parity checks; data bit j is integer bit j."""
 
-    __slots__ = ("n_data", "rows", "_codewords")
+    __slots__ = ("n_data", "rows")
 
     def __init__(self, n_data: int, rows: Sequence[int]):
         n_data = check_int(n_data, "data length")
         check_cap("matrix_bits", n_data, "parity-check matrix width")
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(check_int(r, "parity-check row", lo=0, hi=1 << n_data) for r in rows)
         if not rows:
             raise ValidationError("parity-check matrix needs at least one row")
         if len(rows) > n_data:
             raise ValidationError(f"{len(rows)} checks cannot be independent over {n_data} bits")
-        for r in rows:
-            if not 0 <= r < (1 << n_data):
-                raise ValidationError(f"row {r:#x} does not fit {n_data} data bits")
         if _row_rank(rows) != len(rows):
             raise ValidationError("parity-check rows are linearly dependent (need full row rank)")
         object.__setattr__(self, "n_data", n_data)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_codewords", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParityCheckMatrix is immutable")
@@ -121,14 +117,10 @@ class ParityCheckMatrix:
 
     def codewords(self) -> tuple:
         """All words with every check satisfied, in increasing order."""
-        if self._codewords is None:
-            words = tuple(
-                x
-                for x in range(1 << self.n_data)
-                if all((row & x).bit_count() % 2 == 0 for row in self.rows)
-            )
-            object.__setattr__(self, "_codewords", words)
-        return self._codewords
+        words = np.arange(1 << self.n_data)
+        for row in self.rows:
+            words = words[np.bitwise_count(words & row) % 2 == 0]
+        return tuple(words.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, ParityCheckMatrix):
@@ -149,8 +141,8 @@ def load_parity_check(path) -> ParityCheckMatrix:
 
 def random_parity_check(n_data: int, n_checks: int, rng: random.Random) -> ParityCheckMatrix:
     """Random full-row-rank parity-check matrix (resamples until independent)."""
-    if not 1 <= n_checks <= n_data:
-        raise ValidationError(f"check count {n_checks} must be in [1, {n_data}]")
+    n_data = check_cap("matrix_bits", check_int(n_data, "random data length"), "parity-check matrix width")
+    n_checks = check_int(n_checks, "check count", hi=n_data + 1)
     for _ in range(1000):
         rows = [rng.randrange(1, 1 << n_data) for _ in range(n_checks)]
         if _row_rank(rows) == n_checks:
@@ -230,12 +222,23 @@ def _as_word(observation, n: int) -> int:
             raise ValidationError(f"observation must be 0/1 characters, got {observation!r}")
         bits = [1 if ch == "1" else 0 for ch in bits]
     else:
-        bits = [int(b) for b in observation]
-        if any(b not in (0, 1) for b in bits):
-            raise ValidationError("observation bits must be 0 or 1")
+        bits = [check_int(b, "observation bit", lo=0, hi=2) for b in observation]
     if len(bits) != n:
         raise ValidationError(f"observation has {len(bits)} bits, data words have {n}")
     return sum(1 << j for j, b in enumerate(bits) if b)
+
+
+def _code_prior(chosen, n: int, exact: bool) -> Lattice:
+    """Prior of a uniform codeword of a code drawn by weight from ``(code, weight)``
+    pairs: integer numerators over the lcm of the shares ``weight / |C|`` when
+    exact, float64 over 1 otherwise; a word's shares add in the pairs' order."""
+    # the rows have full rank, so |C| = 2^(n - checks) and a float share scales exactly
+    shares = [(list(code.codewords()), weight / (1 << (n - code.n_checks))) for code, weight in chosen]
+    den = math.lcm(*(share.denominator for _, share in shares)) if exact else 1
+    prior = np.zeros(1 << n, dtype=object if exact else np.float64)
+    for words, share in shares:
+        prior[words] += share.numerator * (den // share.denominator) if exact else float(share)
+    return Lattice(prior, den)
 
 
 def mixture_posterior(
@@ -262,31 +265,19 @@ def mixture_posterior(
     mode = scalar_mode(*ensemble.weights, channel.crossover)
     q = check_scalar(channel.crossover, "crossover", mode=mode)
     exact = mode == "rational"
-    size = 1 << n
-    if syndromes_hidden:
-        chosen = zip(ensemble.codes, ensemble.weights)
-    else:
+    chosen = zip(ensemble.codes, ensemble.weights)
+    if not syndromes_hidden:
+        code_index = check_int(code_index, "code index", lo=None)
         if not 0 <= code_index < len(ensemble.codes):
             raise ValidationError(f"code index {code_index} outside the {len(ensemble.codes)}-code ensemble")
         chosen = [(ensemble.codes[code_index], Fraction(1))]
-    shares = [(list(code.codewords()), weight / len(code.codewords())) for code, weight in chosen]
-    flips = np.bitwise_count(np.arange(size) ^ y)
-    if exact:
-        # integer numerators: prior over the lcm of the shares, likelihood a^c (b - a)^(n - c) over b^n
-        den = math.lcm(*(share.denominator for _, share in shares))
-        prior = np.zeros(size, dtype=object)
-        for words, share in shares:
-            prior[words] += share.numerator * (den // share.denominator)
-        a, b = q.numerator, q.denominator
-        post = prior * np.array([a**c * (b - a) ** (n - c) for c in range(n + 1)], dtype=object)[flips]
-        total = post.sum()
-    else:
-        prior = np.zeros(size)
-        for words, share in shares:
-            prior[words] += float(share)
-        post = prior * np.array([q**c for c in range(n + 1)])[flips]
-        post = post * np.array([(1 - q) ** (n - c) for c in range(n + 1)])[flips]
-        total = sum(post.tolist(), 0.0)  # left to right, as the scalar formula
+    prior, den = _code_prior(chosen, n, exact)
+    # likelihood up^c down^(n - c) of c flips: a^c (b - a)^(n - c) over b^n when exact
+    up, down = (q.numerator, q.denominator - q.numerator) if exact else (q, 1 - q)
+    flips = np.bitwise_count(np.arange(1 << n) ^ y)
+    post = prior * np.array([up**c for c in range(n + 1)], dtype=prior.dtype)[flips]
+    post = post * np.array([down ** (n - c) for c in range(n + 1)], dtype=prior.dtype)[flips]
+    total = sum(post.tolist())  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
     return KeyDistribution(n, Lattice(post, total) if exact else post / total)
@@ -327,19 +318,14 @@ def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageCo
     n = ensemble.n_data
     check_cap("data_bits", n, f"exact expectation over 2^{n} data words")
     q = float(channel.crossover)
-    size = 1 << n
     ws = np.arange(n + 1, dtype=float)
     like_by_weight = np.power(q, ws) * np.power(1.0 - q, n - ws)
-    priors = []
-    for code in ensemble.codes:
-        vec = np.zeros(size)
-        words = code.codewords()
-        vec[list(words)] = 1.0 / len(words)
-        priors.append(vec)
     weights = [float(w) for w in ensemble.weights]
-    known = sum(w * _map_success(vec, like_by_weight, n) for w, vec in zip(weights, priors))
-    mixture_prior = sum((w * vec for w, vec in zip(weights, priors)), np.zeros(size))
-    mixture = _map_success(mixture_prior, like_by_weight, n)
+    known = sum(
+        w * _map_success(_code_prior([(code, Fraction(1))], n, False).nums, like_by_weight, n)
+        for w, code in zip(weights, ensemble.codes)
+    )
+    mixture = _map_success(_code_prior(zip(ensemble.codes, weights), n, False).nums, like_by_weight, n)
     no_code = (1.0 - q) ** n
     return LeakageComparison(
         p1_no_code=no_code, p1_code_known_avg=float(known), p1_mixture=float(mixture)

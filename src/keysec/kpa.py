@@ -77,11 +77,9 @@ class KeySplit:
     def k2_of(self, k: int) -> int:
         return k >> self.n1
 
-    def subset_value(self, k2: int) -> int:
-        v = 0
-        for j, pos in enumerate(self.subset_bits):
-            v |= ((k2 >> pos) & 1) << j
-        return v
+    def subset_value(self, k2):
+        """The value of ``K2*`` read from ``k2``: an int, or each entry of an int array."""
+        return sum(((k2 >> pos) & 1) << j for j, pos in enumerate(self.subset_bits))
 
 
 class AverageGuessBound(NamedTuple):
@@ -95,14 +93,6 @@ class BreachWitness(NamedTuple):
     worst_conditional_p: Number
     k1_value: int
     subset_value: int
-
-
-def _subset_values(split: KeySplit, k2: np.ndarray) -> np.ndarray:
-    """`KeySplit.subset_value` of every entry of ``k2``."""
-    sub = np.zeros_like(k2)
-    for j, pos in enumerate(split.subset_bits):
-        sub |= ((k2 >> pos) & 1) << j
-    return sub
 
 
 def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGuessBound:
@@ -124,7 +114,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     nums, den = _law(p)
     # joint[v, k1] = P(K2* = v, K1 = k1): rows of the (K2, K1) table added in K2 order
     joint = np.zeros((1 << s, width), dtype=nums.dtype)
-    np.add.at(joint, _subset_values(split, np.arange(1 << split.n2)), nums.reshape(-1, width))
+    np.add.at(joint, split.subset_value(np.arange(1 << split.n2)), nums.reshape(-1, width))
     avg = _over(joint.max(axis=0).sum(), den)
     bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
     slack = 0 if p.mode == "rational" else 1e-9
@@ -150,7 +140,7 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     check_cap(f"{mode}_enum_bits", n, f"{mode} enumeration over 2^{n} keys")
     u = check_scalar(Fraction(1, size), "uniform mass", mode=mode)
     k2 = np.arange(1 << split.n2)
-    hit = _subset_values(split, k2) == 0
+    hit = split.subset_value(k2) == 0
     receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
     moved = min(eps, u * len(donors))
     worst = Fraction(1, 1 << split.subset_size) + moved * (1 << split.n1)

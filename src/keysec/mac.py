@@ -490,12 +490,11 @@ def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:
                 probs[seen[hv]] = Fraction(1, 2)
                 probs[alpha] = Fraction(1, 2)
                 dist = KeyDistribution(spec.field_bits, probs)
-                uniform = KeyDistribution.uniform(spec.field_bits, mode="rational")
                 return ForgeryWitness(
                     distribution=dist,
                     message_delta=d,
                     tag_delta=hv,
-                    distance=statistical_distance(dist, uniform),
+                    distance=statistical_distance(dist),
                 )
             seen[hv] = alpha
     raise InfeasibleError("no colliding key pair exists for this family")

@@ -141,10 +141,14 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("dist", "trace", "--rho", '[[[1,"x"]]]', "--sigma", "[[1]]"),
         ("dist", "trace", "--rho", "[[[1,[2]]]]", "--sigma", "[[1]]"),
         ("dist", "trace", "--rho", "[[[true,0]]]", "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", "[[NaN]]", "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", "[[Infinity]]", "--sigma", "[[1]]"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
+        if "[[NaN]]" in argv or "[[Infinity]]" in argv:
+            assert err == "validation error: state has a non-finite entry\n", err
 
 
 def test_empty_values_and_dense_sizes_are_refused(capsys):

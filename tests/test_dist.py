@@ -226,12 +226,15 @@ def test_trace_distance_matches_delta_on_diagonals():
 
 
 def test_state_validation():
-    with pytest.raises(ValidationError):
-        HermitianState(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
-    with pytest.raises(ValidationError):
-        HermitianState(np.eye(2))  # trace 2
-    with pytest.raises(ValidationError):
-        HermitianState(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValidationError, match="^state is not Hermitian$"):
+        HermitianState(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValidationError, match=r"^state trace is 2\.0, not 1$"):
+        HermitianState(np.eye(2))
+    with pytest.raises(ValidationError, match=r"^state has negative eigenvalue -0\.5$"):
+        HermitianState(np.diag([1.5, -0.5]))
+    for non_finite in ([[math.nan]], [[math.inf]], [[0.5, complex(0, math.nan)], [0, 0.5]]):
+        with pytest.raises(ValidationError, match="^state has a non-finite entry$"):
+            HermitianState(non_finite)
     with pytest.raises(ValidationError):
         HermitianState(np.eye(128) / 128)  # beyond the supported dimension
     for ragged_or_not_numbers in ([[1, 0], [0]], [[1, "x"]], [[1, [2]]]):

@@ -68,6 +68,37 @@ def test_random_parity_check_properties():
     assert a == b
 
 
+def test_codewords_match_the_oracle_in_increasing_order():
+    rng = random.Random(17)
+    for n in range(1, 13):
+        for checks in sorted({1, (n + 1) // 2, n}):
+            m = random_parity_check(n, checks, rng)
+            words = m.codewords()
+            assert list(words) == oracles.enumerate_codewords(m.rows, n)
+            assert len(words) == 1 << (n - checks) and all(type(w) is int for w in words)
+
+
+def test_library_integers_are_read_by_check_int():
+    ens = CodeEnsemble([ParityCheckMatrix.from_text(C1_TEXT)] * 2, (F(1, 2), F(1, 2)))
+    ch = EveChannel(F(1, 10))
+    for call in (
+        lambda: ParityCheckMatrix(4, [3.7, True]),
+        lambda: ParityCheckMatrix(4, [16]),
+        lambda: mixture_posterior(ens, [1.5, 0, True, 0], ch),
+        lambda: mixture_posterior(ens, [2, 0, 1, 0], ch),
+        lambda: mixture_posterior(ens, "0110", ch, syndromes_hidden=False, code_index=True),
+        lambda: mixture_posterior(ens, "0110", ch, syndromes_hidden=False, code_index=0.5),
+        lambda: random_parity_check(4, True, random.Random(0)),
+        lambda: random_parity_check(4.5, 2, random.Random(0)),
+        lambda: random_parity_check(4, 5, random.Random(0)),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    # the refusals a CLI caller can reach keep their wording
+    with pytest.raises(ValidationError, match="code index -1 outside the 2-code ensemble"):
+        mixture_posterior(ens, "0110", ch, syndromes_hidden=False, code_index=-1)
+
+
 def test_channel_and_ensemble_validation():
     with pytest.raises(ValidationError):
         EveChannel(-0.1)
@@ -178,6 +209,57 @@ def test_leakage_comparison_matches_exact_oracle():
     assert cmp.p1_mixture == pytest.approx(float(mixture), abs=1e-12)
 
 
+def _seeded_ensembles(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        codes = [random_parity_check(n, rng.randint(1, n), rng) for _ in range(rng.randint(1, 3))]
+        raw = [F(rng.randint(1, 9)) for _ in codes]
+        yield n, codes, [w / sum(raw) for w in raw], F(rng.randint(1, 49), 100)
+
+
+def test_mixture_posterior_matches_the_oracle(rng):
+    for n, codes, weights, q in _seeded_ensembles(rng, 24):
+        y = rng.randrange(1 << n)
+        obs = [(y >> j) & 1 for j in range(n)]
+        index = rng.randrange(len(codes))
+        for hidden, rows, ws in (
+            (True, [c.rows for c in codes], weights),
+            (False, [codes[index].rows], [F(1)]),
+        ):
+            expected = oracles.posterior_oracle(rows, ws, y, n, q)
+            exact = mixture_posterior(CodeEnsemble(codes, weights), obs, EveChannel(q), hidden, index)
+            assert list(exact.probs) == expected
+            floats = CodeEnsemble(codes, [float(w) for w in weights])
+            post = mixture_posterior(floats, obs, EveChannel(float(q)), hidden, index)
+            assert post.mode == "float"
+            assert max(abs(a - float(b)) for a, b in zip(post.probs, expected)) <= 1e-12
+
+
+def test_float_results_keep_their_bits():
+    # float.hex values frozen before the code prior was written once for both modes
+    pair = CodeEnsemble(
+        [ParityCheckMatrix.from_text(C1_TEXT), ParityCheckMatrix.from_text(C2_TEXT)], (0.4, 0.6)
+    )
+    assert [v.hex() for v in leakage_comparison(pair, EveChannel(0.1))] == [
+        "0x1.4fec56d5cfaadp-1", "0x1.abfdb4cc25072p-1", "0x1.96d71f36262cdp-1",
+    ]
+    post = mixture_posterior(pair, "0110", EveChannel(0.1))
+    assert {k: p.hex() for k, p in enumerate(post.probs) if p} == {
+        0: "0x1.2b3884fcace20p-3", 3: "0x1.67109f959c428p-4", 7: "0x1.0d4c77b03531ep-1",
+        11: "0x1.a98ef606a63bep-8", 12: "0x1.2b3884fcace20p-3", 15: "0x1.67109f959c428p-4",
+    }
+    codes = [ParityCheckMatrix(7, rows) for rows in ((60, 79), (48, 35, 18), (24, 111, 87, 1))]
+    triple = CodeEnsemble(codes, (0.25, 0.35, 0.4))
+    assert [v.hex() for v in leakage_comparison(triple, EveChannel(0.15))] == [
+        "0x1.48455c380f3afp-2", "0x1.311a2aa19439bp-1", "0x1.db55270df6627p-2",
+    ]
+    hidden = mixture_posterior(triple, "0110101", EveChannel(0.15))
+    known = mixture_posterior(triple, "0110101", EveChannel(0.15), syndromes_hidden=False, code_index=2)
+    assert (hidden[0].hex(), hidden[94].hex(), known[94].hex()) == (
+        "0x1.7373852910b0ep-9", "0x1.4b5349bd1f7b1p-2", "0x1.3a6e978d4fdf4p-1",
+    )
+
+
 def test_single_code_known_equals_mixture_exactly():
     ens = CodeEnsemble([ParityCheckMatrix.from_text(C1_TEXT)], (1.0,))
     cmp = leakage_comparison(ens, EveChannel(0.2))
@@ -209,6 +291,13 @@ def test_resource_caps():
         mixture_posterior(ens, "0" * 13, EveChannel(0.1))
     with pytest.raises(ValidationError):
         ParityCheckMatrix.from_text("0" * 17 + "1")  # beyond the matrix width limit
+
+    class NoDraws:
+        def randrange(self, *args):
+            raise AssertionError("rows drawn before the width was checked")
+
+    with pytest.raises(ValidationError, match="parity-check matrix width"):
+        random_parity_check(17, 1, NoDraws())
 
 
 def test_ec_leak_formula():

@@ -7,6 +7,7 @@ path.
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import _oracles as oracles
@@ -46,6 +47,8 @@ def test_split_helpers():
     assert s.k1_of(key) == 0b10
     assert s.k2_of(key) == 0b101
     assert s.subset_value(s.k2_of(key)) == 0b11  # bits 0 and 2 of k2 = 101
+    k2 = np.arange(8)
+    assert s.subset_value(k2).tolist() == [s.subset_value(k) for k in range(8)] == [0, 1, 0, 1, 2, 3, 2, 3]
 
 
 def test_average_guess_frozen():

@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -268,6 +269,8 @@ def test_every_scalar_site_refuses_non_finite_values(site, value):
 
 
 #: every library count, size or index read by check_int, as (site, call with the value x)
+_ONE_BIT_CODES = ks.CodeEnsemble([ks.ParityCheckMatrix(1, [1])] * 2, (Fraction(1, 2), Fraction(1, 2)))
+
 INTEGER_SITES = {
     "key length": lambda x: KeyDistribution.uniform(x),
     "near-uniform key length": lambda x: ks.required_d_for_near_uniform(x),
@@ -288,6 +291,13 @@ INTEGER_SITES = {
     "hash_value key": lambda x: ks.HashFamilySpec(2, 1).hash_value(x, 1),
     "hash_value message": lambda x: ks.HashFamilySpec(2, 1).hash_value(1, x),
     "blocks message": lambda x: ks.HashFamilySpec(2, 1).blocks(x),
+    "parity-check row": lambda x: ks.ParityCheckMatrix(2, [x]),
+    "observation bit": lambda x: ks.mixture_posterior(_ONE_BIT_CODES, [x], ks.EveChannel(Fraction(1, 10))),
+    "code index": lambda x: ks.mixture_posterior(
+        _ONE_BIT_CODES, "0", ks.EveChannel(Fraction(1, 10)), syndromes_hidden=False, code_index=x
+    ),
+    "check count": lambda x: ks.random_parity_check(2, x, random.Random(0)),
+    "random data length": lambda x: ks.random_parity_check(x, 1, random.Random(0)),
 }
 
 
