@@ -134,7 +134,7 @@ def near_uniform_bits(log10_d: Number, exponent: Union[str, Number] = Fraction(1
 
 def required_d_for_near_uniform(n: int) -> float:
     """log10 of the distance demanded by an ``n``-bit near-uniform claim: ``-n log10 2``."""
-    return -check_int(n, "key length") * math.log10(2.0)
+    return -check_scalar(check_int(n, "key length"), "key length", mode="float") * math.log10(2.0)
 
 
 def guarantee_gap(

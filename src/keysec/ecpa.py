@@ -10,10 +10,11 @@ sampling -- so the information ordering
 
     p1_code_known_avg >= p1_mixture >= p1_no_code
 
-is checkable without Monte Carlo slack.  Posteriors and comparisons
-enumerate all ``2^n_data`` words, so they are capped by the ``data_bits``
-entry of `keysec.numerics.CAPS`, and parity-check matrices by its
-``matrix_bits`` entry.
+is checkable without Monte Carlo slack.  MAP guessing success, with a
+known code or the mixture, grows Hamming balls around each observation.
+Posteriors and comparisons enumerate all ``2^n_data`` words, so they are
+capped by the ``data_bits`` entry of `keysec.numerics.CAPS`, and
+parity-check matrices by its ``matrix_bits`` entry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .dist import KeyDistribution, Lattice, _check_rows, binary_entropy
 from .numerics import (
-    BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ValidationError,
@@ -211,7 +211,7 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
     the block length; ``q`` the error rate seen by the reconciliation.
     """
     f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
-    n = check_int(n, "block length", lo=0)
+    n = check_scalar(check_int(n, "block length", lo=0), "block length", mode="float")
     return float(f) * n * binary_entropy(q)
 
 
@@ -286,19 +286,22 @@ def mixture_posterior(
 def _map_success(prior: np.ndarray, like_by_weight: np.ndarray, n: int) -> float:
     """Success of the best guess of x from y: sum_y max_x prior(x) L(x XOR y).
 
-    Off the prior's support the product is 0 and the max is never
-    negative, so each y maximizes over the support alone, in blocks of y
-    rows; the per-y maxima are then summed in y order.
+    L falls as the flip count grows (q <= 1/2), so the best x within w flips
+    of y is the heaviest word in the radius-w Hamming ball around y.  The
+    ball grows one flip per radius, scored at L(w), until it stops growing;
+    float products are monotone, so the bits are those of the max over all
+    x.  The per-y maxima are summed in y order.
     """
-    size = 1 << n
-    support = np.flatnonzero(prior)
-    mass = prior[support]
-    like = like_by_weight[np.bitwise_count(np.arange(size))]  # L by x XOR y
-    best = np.empty(size)
-    rows = max(1, BLOCK_ENTRIES // len(support))
-    for start in range(0, size, rows):
-        ys = np.arange(start, min(start + rows, size))
-        best[ys] = (mass * like[ys[:, None] ^ support]).max(axis=1)
+    ball, best = prior, prior * like_by_weight[0]
+    for w in range(1, n + 1):
+        grown = ball.copy()
+        for j in range(n):  # ball[y ^ 2^j] is the pair axis of this view reversed
+            pairs = grown.reshape(-1, 2, 1 << j)
+            np.maximum(pairs, ball.reshape(-1, 2, 1 << j)[:, ::-1], out=pairs)
+        if np.array_equal(grown, ball):
+            break  # every later radius scores this ball at a smaller L
+        ball = grown
+        best = np.maximum(best, ball * like_by_weight[w])
     return float(np.add.accumulate(best)[-1])
 
 

@@ -78,7 +78,12 @@ class KeySplit:
         return k >> self.n1
 
     def subset_value(self, k2):
-        """The value of ``K2*`` read from ``k2``: an int, or each entry of an int array."""
+        """The value of ``K2*`` read from ``k2`` in ``[0, 2^n2)``: an int, or each entry of an int array."""
+        top = 1 << self.n2
+        if not isinstance(k2, np.ndarray):
+            k2 = check_int(k2, "K2 value", lo=0, hi=top)
+        elif k2.dtype.kind not in "iu" or k2.size and not (0 <= k2.min() and k2.max() < top):
+            raise ValidationError(f"K2 values must be an integer array with entries in [0, {top})")
         return sum(((k2 >> pos) & 1) << j for j, pos in enumerate(self.subset_bits))
 
 

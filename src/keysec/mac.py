@@ -21,7 +21,8 @@ multiplies, and every other row is an XOR of two earlier ones.  Scoring
 a key posterior then buckets its mass by ``H[d, alpha]`` for every
 difference ``d`` -- ``2^(b * m_blk) * 2^b`` array additions -- and all
 transcript posteriors of a game are stacked and scored in one pass.
-``HashFamilySpec.hash_value`` stays as the scalar reference.
+``HashFamilySpec.hash_value`` stays as the scalar reference.  The
+forgeable key law is closed form, with no search.
 """
 
 from __future__ import annotations
@@ -273,12 +274,6 @@ def _hash_table(basis: np.ndarray, stop: int) -> np.ndarray:
     return next(_hash_blocks(basis, stop, 1 << (stop - 1).bit_length()))[1]
 
 
-def _block_rows(width: int) -> int:
-    """Rows of ``width`` entries per block: a power of two, at least 1,
-    keeping a block within ``BLOCK_ENTRIES``."""
-    return 1 << max(0, (BLOCK_ENTRIES // width).bit_length() - 1)
-
-
 def _bucket_mass(basis: np.ndarray, posts: np.ndarray, stop: int):
     """Yield ``(start, acc)`` block by block over messages ``d < stop``, with
     ``acc[p, r, dt]`` the mass of ``posts[p]`` on keys hashing
@@ -286,10 +281,12 @@ def _bucket_mass(basis: np.ndarray, posts: np.ndarray, stop: int):
 
     One unbuffered ``np.add.at`` per block adds every key into its bucket
     in flat (p, r, alpha) order, so each bucket sums its keys in index
-    order and float sums are those of a plain loop over the keys.
+    order and float sums are those of a plain loop over the keys.  A block
+    holds a power of two rows, at least 1, within ``BLOCK_ENTRIES`` entries.
     """
     count, size = posts.shape
-    for start, block in _hash_blocks(basis, stop, _block_rows(count * size)):
+    rows = 1 << max(0, (BLOCK_ENTRIES // (count * size)).bit_length() - 1)
+    for start, block in _hash_blocks(basis, stop, rows):
         acc = np.zeros((count, len(block), size), dtype=posts.dtype)
         cells = np.arange(count * len(block)).reshape(count, -1, 1) * size + block
         weights = np.broadcast_to(posts[:, None, :], acc.shape)
@@ -447,7 +444,7 @@ def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> Degra
         check_scalar(value, name, lo=0, hi=1)
         for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
     )
-    m = check_int(m, "number of uses")
+    m = check_scalar(check_int(m, "number of uses"), "number of uses", mode=scalar_mode(eps_t))
     levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
     return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))
 
@@ -455,13 +452,14 @@ def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> Degra
 def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:
     """Two-point hash-key law under which substitution always succeeds.
 
-    Searches message differences in increasing order for two key values
-    hashing a difference ``D`` to the same value ``dt``; splitting the
-    key mass over that pair makes the forgery ``(M XOR D, t XOR dt)``
-    valid with certainty, while the key stays at distance
-    ``(2^b - 2) / 2^b < 1`` from uniform.  This is the sharp end of the
-    uniformity assumption: the averaged guarantee survives imperfect
-    keys, the worst case does not.
+    The difference ``D = 2^b + 1`` (blocks 1, 1) hashes to ``alpha + alpha^2``,
+    which vanishes at keys 0 and 1; every smaller nonzero difference hashes
+    to ``c * alpha`` or ``alpha^2``, injective in the key, so ``D`` is the
+    lowest colliding difference.  Splitting the key mass over keys 0 and 1
+    makes the forgery ``(M XOR D, t)`` valid with certainty, while the key
+    stays at distance ``(2^b - 2) / 2^b < 1`` from uniform.  This is the
+    sharp end of the uniformity assumption: the averaged guarantee survives
+    imperfect keys, the worst case does not.
     """
     if spec.message_blocks < 2:
         raise InfeasibleError(
@@ -469,32 +467,8 @@ def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:
             "message difference; a colliding key pair needs at least 2 blocks"
         )
     size = spec.tag_space
-    # d = 2^b + 1 hashes to alpha + alpha^2, which vanishes at alpha = 0 and
-    # 1, so the first colliding difference lies below 2^(b + 1)
-    stop = 2 * size
-    basis = _basis_rows(spec, (stop - 1).bit_length())
-    for start, block in _hash_blocks(basis, stop, _block_rows(size)):
-        ordered = np.sort(block, axis=1)
-        colliding = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        colliding = colliding[colliding + start > 0]
-        if not colliding.size:
-            continue
-        d = start + int(colliding[0])
-        seen: dict = {}
-        for alpha, hv in enumerate(block[d - start].tolist()):
-            if hv in seen:
-                # the witness claims certainty: confirm it by scalar Horner
-                if spec.hash_value(seen[hv], d) != hv or spec.hash_value(alpha, d) != hv:
-                    raise RuntimeError("internal check failed: hash table and Horner disagree")
-                probs = [Fraction(0)] * size
-                probs[seen[hv]] = Fraction(1, 2)
-                probs[alpha] = Fraction(1, 2)
-                dist = KeyDistribution(spec.field_bits, probs)
-                return ForgeryWitness(
-                    distribution=dist,
-                    message_delta=d,
-                    tag_delta=hv,
-                    distance=statistical_distance(dist),
-                )
-            seen[hv] = alpha
-    raise InfeasibleError("no colliding key pair exists for this family")
+    # the witness claims certainty: confirm it by scalar Horner
+    if spec.hash_value(0, size + 1) != 0 or spec.hash_value(1, size + 1) != 0:
+        raise RuntimeError("internal check failed: alpha + alpha^2 does not vanish at 0 and 1")
+    dist = KeyDistribution(spec.field_bits, [Fraction(1, 2)] * 2 + [Fraction(0)] * (size - 2))
+    return ForgeryWitness(dist, message_delta=size + 1, tag_delta=0, distance=statistical_distance(dist))

@@ -36,8 +36,8 @@ Number = Union[int, float, Fraction]
 #: slack used when validating float-mode probability data
 VALIDATION_TOL = 1e-9
 
-#: largest intermediate array, in entries, that a blocked enumeration kernel
-#: (MAC forgery search, ECPA guessing) allocates at once
+#: largest intermediate array, in entries, that the blocked MAC forgery
+#: search allocates at once
 BLOCK_ENTRIES = 1 << 14
 
 #: environment variable consulted by the CLI when --mode is not given
@@ -209,18 +209,20 @@ def parse_number(text: str, mode: str) -> Number:
 
     Rational mode accepts ``"3/10"``, integers, and decimal literals
     (``"0.3"`` becomes exactly 3/10).  Float mode accepts anything
-    ``float()`` does, plus ``num/den`` forms (rounded to double).
+    ``float()`` does, plus ``num/den`` forms (rounded to double), and
+    refuses NaN, infinities and values outside the float range.
     """
     text = text.strip()
     try:
         if mode == "rational":
             return Fraction(text)
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            return float(Fraction(text))
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a {mode} number") from exc
+    return check_scalar(value, f"number {text!r}", mode="float")
 
 
 def format_number(value: Number) -> str:

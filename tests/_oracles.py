@@ -252,6 +252,22 @@ def map_success_oracle(code_rows_list, weights, n_data: int, q: Fraction, known:
     return success_for_prior(mixture)
 
 
+def map_success_float_oracle(prior, like_by_weight) -> float:
+    """sum_y max_x prior(x) L(popcount(x XOR y)) in float64, every x for every y.
+
+    Each term is one float multiply and the per-y maxima are added left
+    to right, so the result carries the bits of the formula evaluated
+    directly, with no use of the ordering of L.
+    """
+    prior = np.asarray(prior, dtype=float)
+    flips = np.array([bin(x).count("1") for x in range(len(prior))])
+    words = np.arange(len(prior))
+    total = 0.0
+    for y in range(len(prior)):
+        total += float((prior * like_by_weight[flips[words ^ y]]).max())
+    return total
+
+
 # ------------------------------------------------------------- KPA by hand
 
 

@@ -143,12 +143,17 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("dist", "trace", "--rho", "[[[true,0]]]", "--sigma", "[[1]]"),
         ("dist", "trace", "--rho", "[[NaN]]", "--sigma", "[[1]]"),
         ("dist", "trace", "--rho", "[[Infinity]]", "--sigma", "[[1]]"),
+        ("ecpa", "leak", "--f", "1.2", "--n", "9" * 400, "--q", "0.1"),
+        ("budget", "required-d", "--n", "9" * 400),
+        ("mac", "degrade", "--eps", "0.1", "--eps-h", "0.1", "--eps-t", "0.01", "--m", "9" * 400),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
         if "[[NaN]]" in argv or "[[Infinity]]" in argv:
             assert err == "validation error: state has a non-finite entry\n", err
+        if "9" * 400 in argv:
+            assert err.endswith(" is outside the float range\n"), err
 
 
 def test_empty_values_and_dense_sizes_are_refused(capsys):
@@ -225,6 +230,37 @@ def test_verify_all_reports_and_exits_zero(capsys):
     results = env["outputs"]["results"]
     assert len(results) >= 10
     assert all(set(r) == {"name", "passed", "detail"} for r in results)
+
+
+def test_verify_all_failing_check_exits_1_and_keeps_running(capsys, monkeypatch):
+    def fails(rng, n_max):
+        return False, "deliberately failed"
+
+    def raises(rng, n_max):
+        raise ZeroDivisionError("deliberately raised")
+
+    first = keysec.verify._CHECKS[0]
+    monkeypatch.setattr(keysec.verify, "_CHECKS", [("fails", fails), ("raises", raises), first])
+    code, out, err = run_cli(capsys, "verify-all", "--n-max", "2")
+    assert (code, err) == (1, "")
+    outputs = json.loads(out)["outputs"]
+    assert outputs["all_passed"] is False
+    assert [(r["name"], r["passed"]) for r in outputs["results"]] == [
+        ("fails", False), ("raises", False), (first[0], True)]
+    assert outputs["results"][1]["detail"] == "raised ZeroDivisionError: deliberately raised"
+
+
+def test_state_string_entries_and_malformed_specs(capsys):
+    env = run_json(capsys, "dist", "trace", "--rho", '[["0.5+0j", 0], [0, "0.5"]]',
+                   "--sigma", "[[0.5, 0], [0, 0.5]]")
+    assert env["outputs"]["trace_distance"] == 0.0
+    for argv, message in (
+        (("dist", "trace", "--rho", '[["zz", 0], [0, "0.5"]]', "--sigma", "[[1]]"),
+         "cannot read complex entry 'zz'"),
+        (("dist", "delta", "--p", "spike:2", "--q", "uniform:2"),
+         "spike spec needs spike:n:eps, got 'spike:2'"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"validation error: {message}\n")
 
 
 def test_conditional_and_mixture_witnesses_via_cli(capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from keysec import ecpa
 from keysec import (
     CodeEnsemble,
     EveChannel,
@@ -258,6 +259,25 @@ def test_float_results_keep_their_bits():
     assert (hidden[0].hex(), hidden[94].hex(), known[94].hex()) == (
         "0x1.7373852910b0ep-9", "0x1.4b5349bd1f7b1p-2", "0x1.3a6e978d4fdf4p-1",
     )
+
+
+def test_map_success_matches_the_brute_force_oracle():
+    # q = 1/2 and the doubles just below it make the float likelihoods of
+    # neighbouring flip counts nearly equal
+    rng = random.Random(1010)
+    near_half = [float(np.nextafter(0.5, 0))]
+    for _ in range(3):
+        near_half.append(float(np.nextafter(near_half[-1], 0)))
+    for n in range(1, 13):
+        flips = np.arange(n + 1, dtype=float)
+        for trial in range(2 if n > 10 else 4):
+            codes = [random_parity_check(n, rng.randint(1, n), rng) for _ in range(rng.randint(1, 12))]
+            weights = [rng.random() + 0.01 for _ in codes]
+            prior = ecpa._code_prior(zip(codes, [w / sum(weights) for w in weights]), n, False).nums
+            for q in (0.0, 0.5, near_half[trial], rng.random() / 2):
+                like = np.power(q, flips) * np.power(1.0 - q, n - flips)
+                got = ecpa._map_success(prior, like, n)
+                assert got.hex() == oracles.map_success_float_oracle(prior, like).hex(), (n, trial, q)
 
 
 def test_single_code_known_equals_mixture_exactly():

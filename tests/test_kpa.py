@@ -5,6 +5,7 @@ Frozen values come from a dictionary-grouping oracle
 path.
 """
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -49,6 +50,14 @@ def test_split_helpers():
     assert s.subset_value(s.k2_of(key)) == 0b11  # bits 0 and 2 of k2 = 101
     k2 = np.arange(8)
     assert s.subset_value(k2).tolist() == [s.subset_value(k) for k in range(8)] == [0, 1, 0, 1, 2, 3, 2, 3]
+    assert s.subset_value(np.uint8(5)) == 0b11 and s.subset_value(np.array([], dtype=np.int64)).size == 0
+    for bad in (-1, 8):
+        with pytest.raises(ValidationError, match=re.escape(f"K2 value {bad} outside [0, 8)")):
+            s.subset_value(bad)
+    message = re.escape("K2 values must be an integer array with entries in [0, 8)")
+    for bad in (np.array([0.0, 1.0]), np.array([True]), np.array([-1, 0]), np.array([0, 8])):
+        with pytest.raises(ValidationError, match=message):
+            s.subset_value(bad)
 
 
 def test_average_guess_frozen():

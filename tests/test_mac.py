@@ -229,6 +229,20 @@ IRREDUCIBLE = {
 }
 
 
+@pytest.mark.parametrize("b,modulus", [(b, mod) for b in IRREDUCIBLE for mod in IRREDUCIBLE[b]])
+def test_forgery_witness_is_the_first_collision_of_the_oracle(b, modulus):
+    size = 1 << b
+    for m in (2, 3, 4):
+        for d in range(1, size + 1):  # every smaller nonzero difference is injective in the key
+            hashes = [oracles.hash_oracle(alpha, d, b, m, modulus) for alpha in range(size)]
+            assert len(set(hashes)) == size, (m, d)
+        assert [oracles.hash_oracle(alpha, size + 1, b, m, modulus) for alpha in (0, 1)] == [0, 0]
+        wit = forgeable_key_distribution(HashFamilySpec(field_bits=b, message_blocks=m, modulus=modulus))
+        assert (wit.message_delta, wit.tag_delta) == (size + 1, 0)
+        assert wit.distribution.probs == (F(1, 2), F(1, 2)) + (F(0),) * (size - 2)
+        assert wit.distance == F(size - 2, size)
+
+
 @pytest.mark.parametrize(
     "b,m,modulus",
     [(b, m, mod) for b in (1, 2, 3, 4) for m in (1, 2, 3) for mod in IRREDUCIBLE[b]]

@@ -34,11 +34,13 @@ def test_parse_number_rational_forms():
     assert parse_number("0.3", "rational") == Fraction(3, 10)
     assert parse_number("2", "rational") == 2
     assert parse_number(" -1/4 ", "rational") == Fraction(-1, 4)
+    assert parse_number("-1e400", "rational") == -(10**400)  # no float range to leave
 
 
 def test_parse_number_float_accepts_fraction_notation():
     assert parse_number("1/4", "float") == 0.25
     assert parse_number("1e-3", "float") == 1e-3
+    assert parse_number("1e308", "float") == 1e308
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "1/0", "0x10"])
@@ -47,6 +49,34 @@ def test_parse_number_rejects_garbage(bad):
         parse_number(bad, "rational")
     with pytest.raises(ValidationError):
         parse_number(bad, "float")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1" + "0" * 400 + "/3"],
+                         ids=lambda text: text[:6])
+def test_parse_number_refuses_non_finite_floats(text):
+    refusal = rf"^number {re.escape(repr(text))} (must be finite|is outside the float range)"
+    with pytest.raises(ValidationError, match=refusal):
+        parse_number(text, "float")
+    if "e" not in text and "/" not in text:
+        with pytest.raises(ValidationError, match="cannot parse"):
+            parse_number(text, "rational")
+
+
+def test_huge_counts_are_refused_as_outside_the_float_range():
+    huge = int("9" * 400)
+    for what, call in (
+        ("block length", lambda: ks.ec_leak(1.2, huge, 0.1)),
+        ("key length", lambda: ks.required_d_for_near_uniform(huge)),
+        ("number of uses", lambda: ks.degraded_epsilon(0.1, 0.1, 0.01, huge)),
+        ("number of uses", lambda: ks.degraded_epsilon(Fraction(1, 10), Fraction(1, 10), 0.01, huge)),
+    ):
+        with pytest.raises(ValidationError, match=f"^{what} is outside the float range$"):
+            call()
+    exact = ks.degraded_epsilon(Fraction(1, 10), Fraction(1, 10), Fraction(1, 100), huge)
+    assert exact == (Fraction(1, 5), Fraction(1))
+    assert ks.degraded_epsilon(0.1, 0.1, 0.01, 3) == (0.1 + 0.1, 0.1 + 3 * 0.01)
+    assert ks.ec_leak(1.2, 1000, 0.1) == 1.2 * 1000 * ks.binary_entropy(0.1)
+    assert ks.required_d_for_near_uniform(128) == -128 * math.log10(2.0)
 
 
 def test_infer_mode():
@@ -288,6 +318,7 @@ INTEGER_SITES = {
     "lattice denominator": lambda x: KeyDistribution(1, Lattice([x, 0], x)),
     "event member": lambda x: ks.EventSpec([x]),
     "subset position": lambda x: ks.KeySplit(1, 2, [x]),
+    "K2 value": lambda x: ks.KeySplit(1, 2).subset_value(x),
     "hash_value key": lambda x: ks.HashFamilySpec(2, 1).hash_value(x, 1),
     "hash_value message": lambda x: ks.HashFamilySpec(2, 1).hash_value(1, x),
     "blocks message": lambda x: ks.HashFamilySpec(2, 1).blocks(x),
