@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,6 +68,10 @@ __all__ = [
 _ABOVE_ONE = Fraction(1 + VALIDATION_TOL)
 
 _INT64_LIMIT = 1 << 63
+
+#: the comma-joined entries of an array that `from_json` reads without a Fraction per
+#: entry, each with a comma appended: ``a/b`` with ``b > 0``, or ``a``, in ASCII digits
+_PLAIN_ENTRIES = re.compile(r"(?:[0-9]+(?:/0*[1-9][0-9]*)?,)+")
 
 
 class Lattice(NamedTuple):
@@ -125,6 +130,19 @@ def _scalars(nums: np.ndarray, den: int, mode: str) -> tuple:
     """Numerators as a tuple of Python floats, or of Fractions over ``den`` when exact."""
     values = nums.tolist()
     return tuple(values if mode == "float" else (Fraction(a, den) for a in values))
+
+
+def _plain_lattice(entries: list) -> Lattice | None:
+    """Entries all ``"a/b"`` (``b > 0``) or ``"a"`` in ASCII digits, as one Lattice of
+    numerators over the lcm of their denominators; None for any other array."""
+    if not _PLAIN_ENTRIES.fullmatch(",".join(entries) + ","):
+        return None
+    try:  # an entry holding a comma, or past int()'s digit limit, fails here
+        pairs = [(int(a), int(b) if b else 1) for a, _, b in (e.partition("/") for e in entries)]
+    except ValueError:
+        return None
+    den = math.lcm(*{d for _, d in pairs})
+    return Lattice([a * (den // d) for a, d in pairs], den)
 
 
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
@@ -284,9 +302,15 @@ class KeyDistribution:
         """Inverse of :meth:`to_json`.
 
         ``mode`` forces the backend; when omitted, entries containing a
-        ``/`` are read exactly and everything else as floats.  Every entry
-        is read as its string form by `parse_number`; an array of JSON
-        floats read as floats is taken as it is, which gives the same values.
+        ``/`` are read exactly and everything else as floats.  Entries are
+        read as their string forms.  Fast path: in rational mode, an array
+        whose entries are all ``"a/b"`` (``b > 0``) or ``"a"`` in ASCII
+        digits is read by `int` into one `Lattice` over the lcm of its
+        denominators, which `KeyDistribution` reduces to the lattice the
+        entries' Fractions give.  Fallback: any other array is read entry
+        by entry by `parse_number`, with its values and refusals.  An
+        array of JSON floats read as floats is taken as it is, which gives
+        the same values.
         """
         try:
             raw = json.loads(text)
@@ -300,10 +324,12 @@ class KeyDistribution:
             entries = [str(item) for item in raw]
             if mode is None:
                 mode = "rational" if any("/" in e for e in entries) else "float"
-            probs = [parse_number(e, mode) for e in entries]
-        n = len(probs).bit_length() - 1
-        if 1 << n != len(probs) or n < 1:
-            raise ValidationError(f"length {len(probs)} is not a power of two >= 2")
+            probs = _plain_lattice(entries) if mode == "rational" else None
+            if probs is None:
+                probs = [parse_number(e, mode) for e in entries]
+        n = len(raw).bit_length() - 1
+        if 1 << n != len(raw) or n < 1:
+            raise ValidationError(f"length {len(raw)} is not a power of two >= 2")
         return cls(n, probs)
 
     def __len__(self) -> int:

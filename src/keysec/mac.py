@@ -445,7 +445,10 @@ def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> Degra
         for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
     )
     m = check_scalar(check_int(m, "number of uses"), "number of uses", mode=scalar_mode(eps_t))
-    levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
+    try:  # a float eps plus an exact m * eps_t is rounded to a float
+        levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
+    except OverflowError as exc:
+        raise ValidationError("level is outside the float range") from exc
     return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))
 
 

@@ -113,6 +113,14 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_malformed_exact_entries_exit_2_with_the_parse_refusal(capsys):
+    code, out, err = run_cli(capsys, "dist", "delta", "--mode", "rational",
+                             "--p", '["1/0","1/1"]', "--q", '["1/2","1/2"]')
+    assert (code, out, err) == (2, "", "validation error: cannot parse '1/0' as a rational number\n")
+    env = run_json(capsys, "dist", "delta", "--mode", "rational", "--p", '["2/4","01/2"]', "--q", "uniform:1")
+    assert env["outputs"]["delta"] == "0/1"
+
+
 def test_non_finite_inputs_exit_2_with_one_line(capsys):
     for argv in (
         ("dist", "entropy", "--p", '["nan","1.0"]'),

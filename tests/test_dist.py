@@ -6,12 +6,13 @@ implementations (plain summation over the defining formulas, mpmath at
 distances) and are asserted here at 1e-12 or exactly.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keysec import (
@@ -23,6 +24,7 @@ from keysec import (
     d_criterion,
     entropy_stats,
     mutual_information,
+    parse_number,
     statistical_distance,
     trace_distance,
 )
@@ -80,8 +82,85 @@ def test_json_round_trip():
     assert forced.probs == (F(1, 4), F(3, 4))
     with pytest.raises(ValidationError):
         KeyDistribution.from_json("[0.5, 0.25, 0.25]")  # not a power of two
+    for text in ('["1/2", "1/4", "1/4"]', '["1/1"]'):
+        with pytest.raises(ValidationError, match=r"^length \d is not a power of two >= 2$"):
+            KeyDistribution.from_json(text)
     with pytest.raises(ValidationError):
         KeyDistribution.from_json("{}")
+
+
+def _outcome(read):
+    """A read law's lattice, dtype and JSON, or the refusal's type and message."""
+    try:
+        d = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return d.lattice.den, d.lattice.nums.tolist(), d.lattice.nums.dtype, d.to_json()
+
+
+@st.composite
+def _plain_laws(draw):
+    """An exact law and its entries as ``"a/b"`` strings: unreduced, over mixed
+    denominators, with some ``"0"``/``"1"`` entries, and numerators on both sides
+    of int64 (weights up to 10^30, scales up to 2^70)."""
+    n = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([1, 7, 97, 1 << 62, 1 << 64, 1 << 70, 10**30]))
+    weights = draw(st.lists(st.integers(0, top), min_size=1 << n, max_size=1 << n))
+    weights[draw(st.integers(0, (1 << n) - 1))] += 1
+    law = [F(w, sum(weights)) for w in weights]
+    entries = []
+    for p in law:
+        k = draw(st.sampled_from([1, 1, 2, 3, 1 << 70, 10**30]))
+        whole = p.denominator == 1 and draw(st.booleans())
+        entries.append(str(p.numerator) if whole else f"{p.numerator * k}/{p.denominator * k}")
+    return n, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_laws())
+def test_plain_entries_read_as_their_fractions(case):
+    n, entries = case
+    oracle = KeyDistribution(n, [F(*map(int, e.split("/"))) for e in entries])
+    text = json.dumps(entries)
+    read = KeyDistribution.from_json(text, mode="rational")
+    assert read.lattice.den == oracle.lattice.den
+    assert read.lattice.nums.tolist() == oracle.lattice.nums.tolist()
+    assert read.lattice.nums.dtype == oracle.lattice.nums.dtype
+    assert read.to_json() == oracle.to_json() and read == oracle
+    if any("/" in e for e in entries):
+        assert _outcome(lambda: KeyDistribution.from_json(text)) == _outcome(lambda: read)
+
+
+def test_plain_entries_cross_the_int64_boundary():
+    big = KeyDistribution.from_json(json.dumps([f"{(1 << 63) + 1}/{1 << 64}", f"{(1 << 63) - 1}/{1 << 64}"]))
+    assert big.lattice.nums.dtype == object and big.lattice.den == 1 << 64
+    scaled = KeyDistribution.from_json(json.dumps([f"{10**30}/{2 * 10**30}", "1/2"]))
+    assert scaled.lattice.den == 2 and scaled.lattice.nums.tolist() == [1, 1]
+    assert scaled.lattice.nums.dtype == np.int64
+    point = KeyDistribution.from_json('["0", "1", "0", "0"]', mode="rational")
+    assert point == KeyDistribution.point_mass(2, at=1, mode="rational")
+
+
+HUGE = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+MALFORMED = ["1/0", "0/0", "3/-10", "-1/2", "+1/2", " 1/2", "1/2 ", "1 /2", "1/ 2", "\t1/2\n",
+             "1_0/20", "0.5", "5e-1", "1E0", "\u00b9/2", "\u0661/\u0662", "\u0661", "", "/2", "1/",
+             "1/2/3", "1,2", "1/2,0", "00/02", "1/00", HUGE, "1/" + HUGE, HUGE + "/1"]
+
+
+@pytest.mark.parametrize("entry", MALFORMED, ids=lambda e: repr(e if len(e) < 12 else f"{e[:3]}...{e[-3:]}"))
+@pytest.mark.parametrize("mode", ["rational", None])
+def test_malformed_entries_read_as_parse_number_reads_them(entry, mode):
+    entries = [entry, "1/2"]
+    got = _outcome(lambda: KeyDistribution.from_json(json.dumps(entries), mode=mode))
+    try:
+        values = [parse_number(e, "rational") for e in entries]
+    except ValidationError as exc:
+        assert got == (ValidationError, str(exc))
+    else:
+        assert got == _outcome(lambda: KeyDistribution(1, values))
+    if HUGE in entry:
+        assert got[0] is ValidationError and got[1].startswith("cannot parse")
 
 
 # ---------------------------------------------------------------- distance

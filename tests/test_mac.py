@@ -197,6 +197,16 @@ def test_degraded_epsilon_frozen():
         degraded_epsilon(F(5, 4), F(1, 10), F(1, 20), 1)
 
 
+def test_degraded_epsilon_mixed_modes():
+    # a float eps with an exact eps_t adds the rounded m * eps_t, and m stays exact
+    mixed = degraded_epsilon(0.1, 0.1, F(1, 100), 7)
+    assert mixed.tag_key_level.hex() == "0x1.5c28f5c28f5c3p-3" == (0.1 + float(F(7, 100))).hex()
+    assert mixed.hash_key_level.hex() == (0.1 + 0.1).hex()
+    # an exact m * eps_t beyond the float range is refused, not raised as an OverflowError
+    with pytest.raises(ValidationError, match="^level is outside the float range$"):
+        degraded_epsilon(0.1, 0.1, F(1, 100), 10**400)
+
+
 @pytest.mark.parametrize("b", [3, 4, 5])
 def test_forgery_witness_breaks_the_scheme(b):
     spec = HashFamilySpec(field_bits=b, message_blocks=2)
