@@ -80,7 +80,7 @@ def _maybe_file(text: str) -> str:
 def _matrix(text: str, mode: str) -> list:
     try:
         raw = json.loads(_maybe_file(text))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of rows")
@@ -106,7 +106,7 @@ def _state(text: str, mode: str) -> keysec.HermitianState:
         return keysec.HermitianState.from_distribution(_distribution(text[5:], mode))
     try:
         raw = json.loads(_maybe_file(text))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"state is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("state must be a JSON matrix or diag:<distribution>")

@@ -314,7 +314,7 @@ class KeyDistribution:
         """
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
             raise ValidationError(f"distribution is not valid JSON: {exc}") from exc
         if not isinstance(raw, list) or not raw:
             raise ValidationError("distribution JSON must be a non-empty array")

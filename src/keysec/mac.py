@@ -5,24 +5,25 @@ of ``m_blk`` field-element blocks ``c_0..c_{m_blk-1}`` is hashed with key
 ``alpha`` to ``sum_j c_j * alpha^(j+1)``, and the tag is the hash XOR a
 (possibly imperfect) one-time mask.  With a uniform hash key the family
 is almost-strongly-universal with ``eps = m_blk / 2^b``; this module
-measures what survives when the keys are *not* uniform, by exhaustively
-enumerating the optimal forgery against the attacker's posterior.
+measures what survives when the keys are *not* uniform, exactly, against
+the attacker's posterior.
 
 Two attack games are scored.  Impersonation: forge a tag with no observed
 traffic.  Substitution: observe valid (message, tag) pairs, then forge on
 a different message.  Because the hash is GF-linear in the message, a
 substitution forgery ``(M XOR D, t XOR dt)`` succeeds exactly when
-``h_alpha(D) = dt`` -- the mask cancels -- so the search space is the
-(message difference, tag difference) grid.
+``h_alpha(D) = dt`` -- the mask cancels -- that is, on the roots of the
+nonzero polynomial ``sum_j D_j alpha^(j+1) + dt`` of degree at most
+``m_blk``.  Every set of at most ``m_blk`` keys is such a root set, so
+the best forgery wins with the mass of the posterior's
+``min(m_blk, 2^b)`` most likely keys: no message difference is searched.
 
-The search runs over the table ``H[d, alpha] = h_alpha(d)``.  Linearity
-gives it cheaply: ``b * m_blk`` basis rows cost ``b * m_blk * 2^b`` field
-multiplies, and every other row is an XOR of two earlier ones.  Scoring
-a key posterior then buckets its mass by ``H[d, alpha]`` for every
-difference ``d`` -- ``2^(b * m_blk) * 2^b`` array additions -- and all
-transcript posteriors of a game are stacked and scored in one pass.
-``HashFamilySpec.hash_value`` stays as the scalar reference.  The
-forgeable key law is closed form, with no search.
+Masked games still enumerate their transcripts over the table
+``H[d, alpha] = h_alpha(d)``.  Linearity gives it cheaply: ``b * m_blk``
+basis rows cost ``b * m_blk * 2^b`` field multiplies, and every other
+row is an XOR of two earlier ones.  ``HashFamilySpec.hash_value`` stays
+as the scalar reference.  The forgeable key law is closed form, with no
+search.
 """
 
 from __future__ import annotations
@@ -215,10 +216,7 @@ def asu_epsilon(spec: HashFamilySpec) -> Fraction:
     nonzero polynomial in the key with at most ``m_blk`` roots).  Never
     below the tag-space floor ``2^-b``; vacuous if it exceeds 1.
     """
-    eps = Fraction(spec.message_blocks, spec.tag_space)
-    if eps < Fraction(1, spec.tag_space):
-        raise RuntimeError("internal check failed: eps fell below the tag-space floor")
-    return eps
+    return Fraction(spec.message_blocks, spec.tag_space)
 
 
 def _key_dist_for(spec: HashFamilySpec, dist: KeyDistribution, what: str) -> None:
@@ -294,19 +292,19 @@ def _bucket_mass(basis: np.ndarray, posts: np.ndarray, stop: int):
         yield start, acc
 
 
-def _best_forgery(basis: np.ndarray, posts: np.ndarray) -> np.ndarray:
-    """Per posterior row: the best (message difference, tag difference) mass.
+def _top_mass(posts: np.ndarray, roots: int) -> np.ndarray:
+    """Per posterior row: the mass of its ``roots`` largest entries.
 
-    Exhausts all nonzero differences of the ``len(basis)``-bit message
-    space; the values are unnormalized (they scale with the row's total).
+    This is the best substitution forgery's mass when ``roots`` is
+    ``min(m_blk, 2^b)``: the keys on which a forgery wins are the roots of
+    a nonzero polynomial of degree at most ``m_blk``, and every such set
+    of keys ``S`` is the root set of ``prod_{s in S} (alpha + s)``.  A
+    stable sort breaks ties toward the lower key, and the chosen entries
+    are summed in key order; the values are unnormalized (they scale with
+    the row's total).
     """
-    best = None
-    for start, acc in _bucket_mass(basis, posts, 1 << len(basis)):
-        if start == 0:
-            acc[:, 0] = 0  # d = 0 is no forgery; every mass is >= 0
-        top = acc.reshape(len(posts), -1).max(axis=1)
-        best = top if best is None else np.maximum(best, top)
-    return best
+    order = np.sort(np.argsort(-posts, axis=1, kind="stable")[:, :roots], axis=1)
+    return np.add.accumulate(np.take_along_axis(posts, order, axis=1), axis=1)[:, -1]
 
 
 def attack_success(
@@ -327,26 +325,27 @@ def attack_success(
     With the ideal mask (``tag_key_dist=None``) observed tags carry no
     information about the hash key -- the posterior equals the prior --
     so impersonation hits any fixed tag with probability exactly ``2^-b``
-    and substitution reduces to the exhaustive difference search.  Passing
-    an explicit ``KeyDistribution`` (even a uniform one) forces the full
-    transcript enumeration, which is capped for size.
+    and substitution wins with the prior mass of the ``min(m_blk, 2^b)``
+    most likely keys, read straight from the prior with no message table.
+    Passing an explicit ``KeyDistribution`` (even a uniform one) forces
+    the full transcript enumeration, which is capped for size.
 
     Multi-use substitution (``uses >= 2``) scores a canonical transcript
     of distinct messages ``1..uses``; the single-use game maximizes over
     the observed message.
 
-    Every game runs over the hash table ``H[d, alpha]``, generated by
+    Masked games run over the hash table ``H[d, alpha]``, generated by
     GF-linearity from ``b * m_blk`` basis rows computed once per call.
-    Substitution stacks the key posteriors of all transcripts and buckets
-    each by
-    ``H[d, alpha]`` for every nonzero difference ``d``: about
-    ``posteriors * 2^(b * m_blk) * 2^b`` additions, done as array work in
-    blocks of at most ``BLOCK_ENTRIES`` entries.  Masked impersonation
-    buckets the prior per message, then takes every tag's hit mass with
-    one XOR-gather of the mask.  Exact laws become integer numerators
-    over one common denominator, in int64 while the game's total
-    numerator stays below 2^62 and as Python integers beyond; float laws
-    are summed in the order a loop over the keys would use.  The
+    Substitution stacks the key posteriors of all transcripts and scores
+    each by its top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Masked
+    impersonation buckets the prior per message, in blocks of at most
+    ``BLOCK_ENTRIES`` entries, then takes every tag's hit mass with one
+    XOR-gather of the mask.  Exact laws become integer numerators over one
+    common denominator, in int64 while the game's total numerator stays
+    below 2^62 and as Python integers beyond.  Float laws are summed in
+    the order a loop over the keys would use: a float forgery mass is the
+    key-order sum of the lowest-index top entries, which can sit 1 ulp
+    below another tied choice of keys.  For masked games the
     ``message_bits``, ``mac_work`` and ``tag_tuples`` caps of
     `keysec.numerics.CAPS` are checked before anything is allocated.
     """
@@ -356,47 +355,45 @@ def attack_success(
     if keys.tag_key_dist is not None:
         _key_dist_for(spec, keys.tag_key_dist, "tag key distribution")
     size = spec.tag_space
-    bits = spec.field_bits * spec.message_blocks
-    check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
-    msgs = spec.message_space
     masked = keys.tag_key_dist is not None
     laws = (keys.hash_key_dist, keys.tag_key_dist) if masked else (keys.hash_key_dist,)
     mode = "rational" if all(law.mode == "rational" for law in laws) else "float"
 
-    if not masked:
+    if not masked and attack == "impersonation":  # ideal pad: posterior == prior for every transcript
+        if mode == "rational":
+            return Fraction(1, size)  # every exact law sums to 1
+        return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
+    if masked:  # the ideal pad builds nothing of size 2^(b * m_blk)
+        bits = spec.field_bits * spec.message_blocks
+        check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
+        msgs, uses = spec.message_space, keys.uses
         if attack == "impersonation":
-            # ideal pad: posterior == prior for every transcript
-            if mode == "rational":
-                return Fraction(1, size)  # every exact law sums to 1
-            return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
-        masks = 0  # mask factors in the game's joint law: one per tag
-        check_cap("mac_work", msgs * size, f"difference search of {msgs - 1} x {size}")
-    elif attack == "impersonation":
-        masks = 1
-        check_cap("mac_work", msgs * size * size, f"impersonation enumeration of {msgs} x {size} x {size}")
-    elif keys.uses == 1:
-        masks = 1
-        what = f"substitution transcript enumeration of ({msgs} x {size})^2"
-        check_cap("mac_work", (msgs * size) ** 2, what)
-    else:
-        masks = uses = keys.uses
-        if uses >= msgs:
-            raise ValidationError(
-                f"{uses} distinct observed messages do not fit a {msgs}-message space"
-            )
-        tuples = size**uses
-        what = f"multi-use enumeration of {size}^{uses} tag tuples"
-        check_cap("tag_tuples", tuples, what)
-        check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
+            what = f"impersonation enumeration of {msgs} x {size} x {size}"
+            check_cap("mac_work", msgs * size * size, what)
+        elif uses == 1:
+            what = f"substitution transcript enumeration of ({msgs} x {size})^2"
+            check_cap("mac_work", (msgs * size) ** 2, what)
+        else:
+            if uses >= msgs:
+                raise ValidationError(
+                    f"{uses} distinct observed messages do not fit a {msgs}-message space"
+                )
+            tuples = size**uses
+            what = f"multi-use enumeration of {size}^{uses} tag tuples"
+            check_cap("tag_tuples", tuples, what)
+            check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
+    # mask factors in the game's joint law: one per observed tag
+    masks = 0 if not masked else 1 if attack == "impersonation" else keys.uses
 
     prior, den = _law(keys.hash_key_dist, mode)
     mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (prior, 1)
     den *= mask_den**masks  # the total numerator of the game's joint law
     dtype = np.float64 if mode == "float" else np.int64 if den < 1 << 62 else object
     prior, mask = prior.astype(dtype), mask.astype(dtype)
-    basis = _basis_rows(spec, bits)
+    roots = min(spec.message_blocks, size)
     if not masked:
-        return _over(_best_forgery(basis, prior[None, :])[0], den)
+        return _over(_top_mass(prior[None, :], roots)[0], den)
+    basis = _basis_rows(spec, bits)
     tags = np.arange(size)
 
     if attack == "impersonation":
@@ -422,7 +419,7 @@ def attack_success(
             posts = posts[..., None, :] * mask[tags[:, None] ^ row]
         groups = 1
     posts = posts.reshape(-1, size)
-    hits = _best_forgery(basis, posts)
+    hits = _top_mass(posts, roots)
     if tag_averaged:
         # per observed-message choice, its hits summed over the tags in order
         totals = np.add.accumulate(hits.reshape(groups, -1), axis=1)[:, -1]

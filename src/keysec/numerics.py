@@ -36,8 +36,8 @@ Number = Union[int, float, Fraction]
 #: slack used when validating float-mode probability data
 VALIDATION_TOL = 1e-9
 
-#: largest intermediate array, in entries, that the blocked MAC forgery
-#: search allocates at once
+#: largest intermediate array, in entries, that masked MAC impersonation
+#: allocates at once
 BLOCK_ENTRIES = 1 << 14
 
 #: environment variable consulted by the CLI when --mode is not given
@@ -70,8 +70,8 @@ class Cap(NamedTuple):
 CAPS = {
     "key_bits": Cap(24, ResourceLimitError, "bits"),  # a dense law has 2^n entries
     "field_bits": Cap(10, ResourceLimitError, "bits"),  # MAC field GF(2^b)
-    "message_bits": Cap(16, ResourceLimitError, "bits"),  # MAC message space 2^(b * blocks)
-    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # MAC forgery enumeration
+    "message_bits": Cap(16, ResourceLimitError, "bits"),  # masked MAC message space 2^(b * blocks)
+    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # masked MAC transcript enumeration
     "tag_tuples": Cap(1 << 12, ResourceLimitError, "tuples"),  # multi-use MAC tags 2^(b * uses)
     "data_bits": Cap(12, ResourceLimitError, "bits"),  # ECPA exact expectation over 2^n words
     "matrix_bits": Cap(16, ValidationError, "bits"),  # ECPA parity-check matrix width

@@ -178,6 +178,53 @@ def substitution_success_oracle(b: int, blocks: int, modulus: int, key_probs) ->
     return best
 
 
+def masked_substitution_oracle(
+    b: int, blocks: int, modulus: int, key_probs, mask_probs, uses: int = 1, averaged: bool = False
+) -> Fraction:
+    """Best substitution forgery with a masked tag, by brute force.
+
+    Every joint draw of the hash key and one mask per use is enumerated.
+    Eve sees the tags ``hash(key, M_i) XOR mask_i`` of the observed
+    messages (each message for one use, the messages 1..uses for more)
+    and forges ``(i, m', t')`` with ``m' != M_i``, which is valid when
+    ``hash(key, m') XOR mask_i == t'``.  Worst case: the best conditional
+    success over every transcript of positive probability.  Averaged: the
+    best forgery's joint mass summed over the transcripts.  Both are
+    maximised over the observed messages.  Masses are exact integers over
+    one common denominator, and the result is a Fraction.
+    """
+    key_probs, mask_probs = [Fraction(p) for p in key_probs], [Fraction(p) for p in mask_probs]
+    den = math.lcm(*(p.denominator for p in key_probs + mask_probs))
+    key_w, mask_w = [int(p * den) for p in key_probs], [int(p * den) for p in mask_probs]
+    size, msgs = 1 << b, 1 << (b * blocks)
+    table = [[hash_oracle(key, m, b, blocks, modulus) for m in range(msgs)] for key in range(size)]
+    observed = [(m,) for m in range(msgs)] if uses == 1 else [tuple(range(1, uses + 1))]
+    best = Fraction(0)
+    for sent in observed:
+        seen, wins = {}, {}  # transcript -> mass; (transcript, i, m', t') -> mass
+        for key in range(size):
+            for masks in itertools.product(range(size), repeat=len(sent)):
+                weight = key_w[key] * math.prod(mask_w[k] for k in masks)
+                if not weight:
+                    continue
+                tags = tuple(table[key][m] ^ k for m, k in zip(sent, masks))
+                seen[tags] = seen.get(tags, 0) + weight
+                for i, (m, k) in enumerate(zip(sent, masks)):
+                    for forged in range(msgs):
+                        if forged != m:
+                            cell = (tags, i, forged, table[key][forged] ^ k)
+                            wins[cell] = wins.get(cell, 0) + weight
+        top = {}
+        for (tags, *_), mass in wins.items():
+            top[tags] = max(top.get(tags, 0), mass)
+        if averaged:
+            value = Fraction(sum(top.values()), den ** (1 + len(sent)))
+        else:
+            value = max(Fraction(top[tags], seen[tags]) for tags in seen)
+        best = max(best, value)
+    return best
+
+
 # ---------------------------------------------------- ECC Bayes by hand
 
 

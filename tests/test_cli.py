@@ -154,6 +154,9 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("ecpa", "leak", "--f", "1.2", "--n", "9" * 400, "--q", "0.1"),
         ("budget", "required-d", "--n", "9" * 400),
         ("mac", "degrade", "--eps", "0.1", "--eps-h", "0.1", "--eps-t", "0.01", "--m", "9" * 400),
+        ("dist", "entropy", "--p", f"[{'1' * 5000}, 0]"),  # past int()'s 4,300-digit limit
+        ("dist", "mi", "--prior", "uniform:1", "--conditional", f"[[{'1' * 5000}]]"),
+        ("dist", "trace", "--rho", f"[[{'1' * 5000}]]", "--sigma", "[[1]]"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -162,6 +165,8 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
             assert err == "validation error: state has a non-finite entry\n", err
         if "9" * 400 in argv:
             assert err.endswith(" is outside the float range\n"), err
+        if any("1" * 5000 in arg for arg in argv):
+            assert " is not valid JSON: Exceeds the limit (4300 digits)" in err, err
 
 
 def test_empty_values_and_dense_sizes_are_refused(capsys):

@@ -5,6 +5,10 @@ polynomial oracle (`_oracles`: LSB-first coefficient lists, term-by-term
 hashing, exhaustive bucket counting).
 """
 
+import functools
+import itertools
+import math
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -165,12 +169,12 @@ def test_attack_validation_and_caps():
             spec, MacKeyModel(hash_key_dist=KeyDistribution.uniform(4, mode="rational")),
             "substitution",
         )
-    with pytest.raises(ResourceLimitError):
-        attack_success(
-            HashFamilySpec(field_bits=6, message_blocks=3),
-            MacKeyModel(hash_key_dist=KeyDistribution.uniform(6, mode="rational")),
-            "substitution",
-        )
+    # the ideal pad reads its forgery off the prior: 18 message bits are no refusal
+    assert attack_success(
+        HashFamilySpec(field_bits=6, message_blocks=3),
+        MacKeyModel(hash_key_dist=KeyDistribution.uniform(6, mode="rational")),
+        "substitution",
+    ) == F(3, 64)
     with pytest.raises(ResourceLimitError):
         attack_success(
             HashFamilySpec(field_bits=5, message_blocks=2),
@@ -313,13 +317,13 @@ def test_large_denominators_take_the_object_path(monkeypatch):
         uses=2,
     )
     dtypes = []
-    real = mac._best_forgery
+    real = mac._top_mass
 
-    def spy(basis, posts):
+    def spy(posts, roots):
         dtypes.append(posts.dtype)
-        return real(basis, posts)
+        return real(posts, roots)
 
-    monkeypatch.setattr(mac, "_best_forgery", spy)
+    monkeypatch.setattr(mac, "_top_mass", spy)
     worst = attack_success(spec, keys, "substitution")
     averaged = attack_success(spec, keys, "substitution", tag_averaged=True)
     assert dtypes == [np.dtype(object)] * 2
@@ -370,8 +374,7 @@ def test_float_and_mixed_mode_games(attack, masked, uses, averaged):
 @pytest.mark.parametrize(
     "b,m,mask,uses,attack,work,cap",
     [
-        (6, 3, False, 1, "substitution", 18, 16),  # message space, in bits
-        (8, 2, False, 1, "substitution", 1 << 24, 1 << 22),  # difference search
+        (6, 3, True, 1, "impersonation", 18, 16),  # message space, in bits
         (6, 2, True, 1, "impersonation", 1 << 24, 1 << 22),
         (4, 2, True, 1, "substitution", 1 << 24, 1 << 22),  # single-use transcripts
         (5, 2, True, 3, "substitution", 1 << 15, 1 << 12),  # tag tuples
@@ -385,16 +388,99 @@ def test_refusals_state_work_and_cap(b, m, mask, uses, attack, work, cap):
         attack_success(HashFamilySpec(field_bits=b, message_blocks=m), keys, attack)
 
 
+@pytest.mark.parametrize("b,m", [(6, 3), (8, 2)])
+def test_ideal_pad_games_past_the_caps_are_accepted(b, m):
+    # the ideal pad builds no message table, so the message_bits and mac_work caps do not apply
+    keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(b, mode="rational"))
+    spec = HashFamilySpec(field_bits=b, message_blocks=m)
+    assert attack_success(spec, keys, "substitution") == F(min(m, 1 << b), 1 << b)
+    assert attack_success(spec, keys, "impersonation") == F(1, 1 << b)
+
+
 def test_many_blocks_never_build_the_message_space(monkeypatch):
-    def untouchable(self):
+    def untouchable(*args):
         raise AssertionError("2^(b * m_blk) was built")
 
     monkeypatch.setattr(HashFamilySpec, "message_space", property(untouchable))
+    monkeypatch.setattr(mac, "_basis_rows", untouchable)
     spec = HashFamilySpec(field_bits=8, message_blocks=10**6)
-    keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(8, mode="rational"))
+    uniform = KeyDistribution.uniform(8, mode="rational")
+    # the ideal pad: 10^6 roots cover all 256 keys
+    assert attack_success(spec, MacKeyModel(hash_key_dist=uniform), "substitution") == 1
     with pytest.raises(ResourceLimitError, match=r"\b8000000 bits\b.*\b16 bits\b"):
-        attack_success(spec, keys, "substitution")
+        attack_success(spec, MacKeyModel(hash_key_dist=uniform, tag_key_dist=uniform), "substitution")
     wit = forgeable_key_distribution(spec)
     assert (wit.message_delta, wit.tag_delta) == (257, 0)
     # blocks above the message's top block are zero and hash to nothing
     assert spec.hash_value(3, 257) == oracles.hash_oracle(3, 257, 8, 2, spec.modulus)
+
+
+def _test_laws(rng, b):
+    """A uniform, a tied and a random exact law on b-bit keys."""
+    size = 1 << b
+    tied = [rng.choice((0, 1, 3)) for _ in range(size)]
+    yield [F(1, size)] * size
+    yield _law(tied if any(tied) else [1] * size)
+    yield _law([rng.randint(1, 50) for _ in range(size)])
+
+
+@pytest.mark.parametrize("b,m", [(b, m) for b in (1, 2, 3) for m in (1, 2)])
+def test_masked_substitution_matches_the_oracle(b, m):
+    rng = random.Random(10 * b + m)
+    spec = HashFamilySpec(field_bits=b, message_blocks=m)
+    laws = list(_test_laws(rng, b))
+    for hash_law, mask_law in ((laws[0], laws[1]), (laws[1], laws[0]), (laws[2], laws[1]), (laws[2], laws[2])):
+        for uses in (1, 2) if spec.message_space > 2 else (1,):
+            keys = MacKeyModel(KeyDistribution(b, hash_law), KeyDistribution(b, mask_law), uses)
+            for averaged in (False, True):
+                got = attack_success(spec, keys, "substitution", tag_averaged=averaged)
+                want = oracles.masked_substitution_oracle(
+                    b, m, spec.modulus, hash_law, mask_law, uses, averaged
+                )
+                assert got == want, (hash_law, mask_law, uses, averaged)
+
+
+def _fold(values):
+    """A float sum left to right, as a loop over the keys adds."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _top_fold(row, k):
+    """The key-order sum of the ``k`` largest entries, ties to the lower key."""
+    top = sorted(range(len(row)), key=lambda i: -row[i])[:k]  # a stable sort
+    return _fold(row[i] for i in sorted(top))
+
+
+def _best_fold(row, k):
+    """The largest key-order sum over every ``k``-subset of the keys."""
+    return max(_fold(row[i] for i in subset) for subset in itertools.combinations(range(len(row)), k))
+
+
+def _tied_float_law(rng, b):
+    """Floats of few distinct values, some nudged by an ulp into near-ties."""
+    weights = [rng.choice((1.0, 2.0, 3.0)) for _ in range(1 << b)]
+    probs = [w / sum(weights) for w in weights]
+    return [math.nextafter(p, rng.choice((0.0, 1.0))) if rng.random() < 0.3 else p for p in probs]
+
+
+@pytest.mark.parametrize("b,m", [(b, m) for b in (1, 2, 3) for m in (1, 2, 3)])
+def test_float_forgery_is_the_key_order_sum_of_the_lowest_index_top_entries(b, m):
+    rng = random.Random(100 * b + m)
+    spec = HashFamilySpec(field_bits=b, message_blocks=m)
+    k = min(m, 1 << b)
+    table = [[oracles.hash_oracle(a, msg, b, m, spec.modulus) for a in range(1 << b)] for msg in range(1 << b * m)]
+    for trial in range(60):
+        prior, mask = _tied_float_law(rng, b), _tied_float_law(rng, b)
+        ideal = attack_success(spec, MacKeyModel(KeyDistribution(b, prior)), "substitution")
+        assert ideal.hex() == _top_fold(prior, k).hex() and ideal <= _best_fold(prior, k)
+        if trial >= 4 or m == 3:
+            continue  # the masked games, a few and at most 2^6 messages
+        keys = MacKeyModel(KeyDistribution(b, prior), KeyDistribution(b, mask))
+        rows = [[[p * mask[t ^ h] for p, h in zip(prior, hashes)] for t in range(1 << b)] for hashes in table]
+        seen = [r for g in rows for r in g if _fold(r) > 0]  # transcripts of positive probability
+        worst = attack_success(spec, keys, "substitution")
+        assert worst.hex() == max(_top_fold(r, k) / _fold(r) for r in seen).hex()
+        assert worst <= max(_best_fold(r, k) / _fold(r) for r in seen)
+        averaged = attack_success(spec, keys, "substitution", tag_averaged=True)
+        assert averaged.hex() == max(_fold(_top_fold(r, k) for r in g) for g in rows).hex()
+        assert averaged <= max(_fold(_best_fold(r, k) for r in g) for g in rows)
