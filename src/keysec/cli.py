@@ -73,13 +73,17 @@ def _distribution(text: str, mode: str) -> keysec.KeyDistribution:
 def _maybe_file(text: str) -> str:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{text[1:]} is not UTF-8 text: {exc}") from exc
     return text
 
 
 def _matrix(text: str, mode: str) -> list:
+    text = _maybe_file(text)
     try:
-        raw = json.loads(_maybe_file(text))
+        raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
@@ -104,8 +108,9 @@ def _state(text: str, mode: str) -> keysec.HermitianState:
     text = text.strip()
     if text.startswith("diag:"):
         return keysec.HermitianState.from_distribution(_distribution(text[5:], mode))
+    text = _maybe_file(text)
     try:
-        raw = json.loads(_maybe_file(text))
+        raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"state is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):

@@ -9,8 +9,13 @@ measures what survives when the keys are *not* uniform, exactly, against
 the attacker's posterior.
 
 Two attack games are scored.  Impersonation: forge a tag with no observed
-traffic.  Substitution: observe valid (message, tag) pairs, then forge on
-a different message.  Because the hash is GF-linear in the message, a
+traffic.  The hash has no constant term, so the zero message's tag is the
+mask itself, and no (message, tag) pair carries more mass than the
+likeliest mask value: the best impersonation wins with the mask's ``p1``
+(``2^-b`` under the ideal pad), with nothing enumerated.
+
+Substitution: observe valid (message, tag) pairs, then forge on a
+different message.  Because the hash is GF-linear in the message, a
 substitution forgery ``(M XOR D, t XOR dt)`` succeeds exactly when
 ``h_alpha(D) = dt`` -- the mask cancels -- that is, on the roots of the
 nonzero polynomial ``sum_j D_j alpha^(j+1) + dt`` of degree at most
@@ -18,7 +23,7 @@ nonzero polynomial ``sum_j D_j alpha^(j+1) + dt`` of degree at most
 the best forgery wins with the mass of the posterior's
 ``min(m_blk, 2^b)`` most likely keys: no message difference is searched.
 
-Masked games still enumerate their transcripts over the table
+Masked substitution still enumerates its transcripts over the table
 ``H[d, alpha] = h_alpha(d)``.  Linearity gives it cheaply: ``b * m_blk``
 basis rows cost ``b * m_blk * 2^b`` field multiplies, and every other
 row is an XOR of two earlier ones.  ``HashFamilySpec.hash_value`` stays
@@ -36,7 +41,6 @@ import numpy as np
 
 from .dist import KeyDistribution, _law, _over, statistical_distance
 from .numerics import (
-    BLOCK_ENTRIES,
     InfeasibleError,
     Number,
     ValidationError,
@@ -241,55 +245,19 @@ def _basis_rows(spec: HashFamilySpec, bits: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(bits, spec.tag_space)
 
 
-def _hash_blocks(basis: np.ndarray, stop: int, rows: int):
-    """Yield ``(start, H[start:start + rows])`` over messages ``[0, stop)``,
-    where ``H[d, alpha] = h_alpha(d)`` and ``rows`` is a power of two;
-    ``basis`` holds at least the first ``(stop - 1).bit_length()`` basis
-    rows.
+def _hash_table(basis: np.ndarray, stop: int) -> np.ndarray:
+    """``H[d, alpha] = h_alpha(d)`` for every message ``d < stop``; ``basis``
+    holds at least the first ``(stop - 1).bit_length()`` basis rows.
 
     The hash is GF-linear in the message, so ``H[r | 2^k] = H[r] XOR
-    H[2^k]`` for ``r < 2^k``: a table of the first ``rows`` messages is
-    filled by doubling from the basis rows, and every later block is that
-    table XOR ``H[start]`` (``start`` is a multiple of ``rows``, so its
-    bits are disjoint from the table's).
+    H[2^k]`` for ``r < 2^k``: the table is filled by doubling from the
+    basis rows.
     """
     bits = (stop - 1).bit_length()
-    size = basis.shape[1]
-    low = min(rows.bit_length() - 1, bits)
-    table = np.zeros((1 << low, size), dtype=np.intp)
-    for k in range(low):
+    table = np.zeros((1 << bits, basis.shape[1]), dtype=np.intp)
+    for k in range(bits):
         np.bitwise_xor(table[: 1 << k], basis[k], out=table[1 << k : 2 << k])
-    for start in range(0, stop, len(table)):
-        high = np.zeros(size, dtype=np.intp)
-        for k in range(low, bits):
-            if start >> k & 1:
-                high ^= basis[k]
-        yield start, table[: stop - start] ^ high
-
-
-def _hash_table(basis: np.ndarray, stop: int) -> np.ndarray:
-    """``H[d, alpha]`` for every message ``d < stop``, in one array."""
-    return next(_hash_blocks(basis, stop, 1 << (stop - 1).bit_length()))[1]
-
-
-def _bucket_mass(basis: np.ndarray, posts: np.ndarray, stop: int):
-    """Yield ``(start, acc)`` block by block over messages ``d < stop``, with
-    ``acc[p, r, dt]`` the mass of ``posts[p]`` on keys hashing
-    ``start + r`` to ``dt``.
-
-    One unbuffered ``np.add.at`` per block adds every key into its bucket
-    in flat (p, r, alpha) order, so each bucket sums its keys in index
-    order and float sums are those of a plain loop over the keys.  A block
-    holds a power of two rows, at least 1, within ``BLOCK_ENTRIES`` entries.
-    """
-    count, size = posts.shape
-    rows = 1 << max(0, (BLOCK_ENTRIES // (count * size)).bit_length() - 1)
-    for start, block in _hash_blocks(basis, stop, rows):
-        acc = np.zeros((count, len(block), size), dtype=posts.dtype)
-        cells = np.arange(count * len(block)).reshape(count, -1, 1) * size + block
-        weights = np.broadcast_to(posts[:, None, :], acc.shape)
-        np.add.at(acc.reshape(-1), cells.reshape(-1), weights.reshape(-1))
-        yield start, acc
+    return table[:stop]
 
 
 def _top_mass(posts: np.ndarray, roots: int) -> np.ndarray:
@@ -322,32 +290,32 @@ def attack_success(
     randomness, which is the quantity the degradation law
     ``eps + eps_h`` speaks about.
 
-    With the ideal mask (``tag_key_dist=None``) observed tags carry no
-    information about the hash key -- the posterior equals the prior --
-    so impersonation hits any fixed tag with probability exactly ``2^-b``
-    and substitution wins with the prior mass of the ``min(m_blk, 2^b)``
-    most likely keys, read straight from the prior with no message table.
-    Passing an explicit ``KeyDistribution`` (even a uniform one) forces
-    the full transcript enumeration, which is capped for size.
+    Impersonation is the prior's total times the top mask entry over the
+    game's denominator, the mass of the zero message's likeliest tag: the
+    mask's ``p1`` for exact laws, ``2^-b`` under the ideal pad
+    (``tag_key_dist=None``, a mask of numerator 1 over ``2^b``).  With the
+    ideal pad observed tags carry no information about the hash key, so
+    substitution wins with the prior mass of the ``min(m_blk, 2^b)`` most
+    likely keys, with no message table.  Passing an explicit
+    ``KeyDistribution`` (even a uniform one) forces the full substitution
+    transcript enumeration, which is capped for size.
 
     Multi-use substitution (``uses >= 2``) scores a canonical transcript
     of distinct messages ``1..uses``; the single-use game maximizes over
     the observed message.
 
-    Masked games run over the hash table ``H[d, alpha]``, generated by
-    GF-linearity from ``b * m_blk`` basis rows computed once per call.
-    Substitution stacks the key posteriors of all transcripts and scores
-    each by its top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Masked
-    impersonation buckets the prior per message, in blocks of at most
-    ``BLOCK_ENTRIES`` entries, then takes every tag's hit mass with one
-    XOR-gather of the mask.  Exact laws become integer numerators over one
-    common denominator, in int64 while the game's total numerator stays
-    below 2^62 and as Python integers beyond.  Float laws are summed in
-    the order a loop over the keys would use: a float forgery mass is the
-    key-order sum of the lowest-index top entries, which can sit 1 ulp
-    below another tied choice of keys.  For masked games the
-    ``message_bits``, ``mac_work`` and ``tag_tuples`` caps of
-    `keysec.numerics.CAPS` are checked before anything is allocated.
+    Masked substitution runs over the hash table ``H[d, alpha]``, built by
+    GF-linearity from ``b * m_blk`` basis rows computed once per call.  It
+    stacks the key posteriors of all transcripts and scores each by its
+    top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Exact laws become
+    integer numerators over one common denominator, in int64 while the
+    game's total numerator stays below 2^62 and as Python integers beyond.
+    Float laws are summed in the order a loop over the keys would use: a
+    float forgery mass is the key-order sum of the lowest-index top
+    entries, which can sit 1 ulp below another tied choice of keys.  Only
+    masked substitution is capped: its ``message_bits``, ``mac_work`` and
+    ``tag_tuples`` caps of `keysec.numerics.CAPS` are checked before
+    anything is allocated.
     """
     if attack not in ("impersonation", "substitution"):
         raise ValidationError(f"unknown attack {attack!r}; expected impersonation or substitution")
@@ -359,18 +327,16 @@ def attack_success(
     laws = (keys.hash_key_dist, keys.tag_key_dist) if masked else (keys.hash_key_dist,)
     mode = "rational" if all(law.mode == "rational" for law in laws) else "float"
 
-    if not masked and attack == "impersonation":  # ideal pad: posterior == prior for every transcript
-        if mode == "rational":
-            return Fraction(1, size)  # every exact law sums to 1
-        return sum(keys.hash_key_dist.as_array().tolist(), 0.0) * (1.0 / size)
+    prior, den = _law(keys.hash_key_dist, mode)
+    # the ideal pad is a uniform mask: numerator 1 over 2^b
+    mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (np.ones(1, np.int64), size)
+    if attack == "impersonation":  # the zero message hashes to 0 under every key: its tag is the mask
+        return _over(sum(prior.tolist()) * max(mask.tolist()), den * mask_den)
     if masked:  # the ideal pad builds nothing of size 2^(b * m_blk)
         bits = spec.field_bits * spec.message_blocks
         check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
         msgs, uses = spec.message_space, keys.uses
-        if attack == "impersonation":
-            what = f"impersonation enumeration of {msgs} x {size} x {size}"
-            check_cap("mac_work", msgs * size * size, what)
-        elif uses == 1:
+        if uses == 1:
             what = f"substitution transcript enumeration of ({msgs} x {size})^2"
             check_cap("mac_work", (msgs * size) ** 2, what)
         else:
@@ -382,12 +348,7 @@ def attack_success(
             what = f"multi-use enumeration of {size}^{uses} tag tuples"
             check_cap("tag_tuples", tuples, what)
             check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
-    # mask factors in the game's joint law: one per observed tag
-    masks = 0 if not masked else 1 if attack == "impersonation" else keys.uses
-
-    prior, den = _law(keys.hash_key_dist, mode)
-    mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (prior, 1)
-    den *= mask_den**masks  # the total numerator of the game's joint law
+    den *= mask_den ** (keys.uses if masked else 0)  # the total numerator of the game's joint law
     dtype = np.float64 if mode == "float" else np.int64 if den < 1 << 62 else object
     prior, mask = prior.astype(dtype), mask.astype(dtype)
     roots = min(spec.message_blocks, size)
@@ -395,17 +356,6 @@ def attack_success(
         return _over(_top_mass(prior[None, :], roots)[0], den)
     basis = _basis_rows(spec, bits)
     tags = np.arange(size)
-
-    if attack == "impersonation":
-        gathered = mask[np.bitwise_xor.outer(tags, tags)]  # [hv, t] = mask[t ^ hv]
-        tops = []
-        for _, acc in _bucket_mass(basis, prior[None, :], msgs):
-            hashed = acc[0]  # [m, hv]: key mass hashing m to hv
-            hit = np.zeros_like(hashed)
-            for hv in range(size):
-                hit += hashed[:, hv, None] * gathered[hv]
-            tops.append(hit.max())
-        return _over(max(tops), den)
 
     if keys.uses == 1:
         # posts[m, t, alpha] = P(alpha, tag t on message m)

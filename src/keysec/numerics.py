@@ -36,10 +36,6 @@ Number = Union[int, float, Fraction]
 #: slack used when validating float-mode probability data
 VALIDATION_TOL = 1e-9
 
-#: largest intermediate array, in entries, that masked MAC impersonation
-#: allocates at once
-BLOCK_ENTRIES = 1 << 14
-
 #: environment variable consulted by the CLI when --mode is not given
 MODE_ENV_VAR = "KEYSEC_NUMERIC_MODE"
 
@@ -70,8 +66,8 @@ class Cap(NamedTuple):
 CAPS = {
     "key_bits": Cap(24, ResourceLimitError, "bits"),  # a dense law has 2^n entries
     "field_bits": Cap(10, ResourceLimitError, "bits"),  # MAC field GF(2^b)
-    "message_bits": Cap(16, ResourceLimitError, "bits"),  # masked MAC message space 2^(b * blocks)
-    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # masked MAC transcript enumeration
+    "message_bits": Cap(16, ResourceLimitError, "bits"),  # masked MAC substitution message space 2^(b * blocks)
+    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # masked MAC substitution transcripts
     "tag_tuples": Cap(1 << 12, ResourceLimitError, "tuples"),  # multi-use MAC tags 2^(b * uses)
     "data_bits": Cap(12, ResourceLimitError, "bits"),  # ECPA exact expectation over 2^n words
     "matrix_bits": Cap(16, ValidationError, "bits"),  # ECPA parity-check matrix width

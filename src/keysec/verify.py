@@ -261,16 +261,21 @@ def _check_mac_uniform(rng: random.Random, n_max: int) -> tuple:
         for attack in ("impersonation", "substitution"):
             if _mac.attack_success(spec, keys, attack) > eps:
                 return False, f"uniform-key {attack} exceeded eps at m_blk={m_blk}"
-        explicit = _mac.MacKeyModel(
-            KeyDistribution.uniform(3, mode="rational"),
-            KeyDistribution.uniform(3, mode="rational"),
-        )
         if m_blk == 1:
-            for attack in ("impersonation", "substitution"):
-                a = _mac.attack_success(spec, keys, attack)
-                b = _mac.attack_success(spec, explicit, attack)
-                if a != b:
-                    return False, f"ideal-pad shortcut disagreed with full enumeration ({attack})"
+            explicit = _mac.MacKeyModel(keys.hash_key_dist, KeyDistribution.uniform(3, mode="rational"))
+            ideal = _mac.attack_success(spec, keys, "substitution")
+            if ideal != _mac.attack_success(spec, explicit, "substitution"):
+                return False, "ideal-pad shortcut disagreed with full enumeration (substitution)"
+            # impersonation is closed form: a biased mask against every (message, tag) pair by scalar Horner
+            weights = [rng.randint(1, 9) for _ in range(16)]
+            prior, mask = ([Fraction(w, sum(part)) for w in part] for part in (weights[:8], weights[8:]))
+            best = 0
+            for message in range(spec.message_space):
+                hashes = [spec.hash_value(alpha, message) for alpha in range(8)]
+                best = max(best, *(sum(p * mask[t ^ h] for p, h in zip(prior, hashes)) for t in range(8)))
+            biased = _mac.MacKeyModel(KeyDistribution(3, prior), KeyDistribution(3, mask))
+            if _mac.attack_success(spec, biased, "impersonation") != best:
+                return False, "masked impersonation disagreed with a scalar enumeration"
     spec2 = _mac.HashFamilySpec(field_bits=3, message_blocks=2)
     witness = _mac.forgeable_key_distribution(spec2)
     forged = _mac.attack_success(spec2, _mac.MacKeyModel(witness.distribution), "substitution")

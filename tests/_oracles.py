@@ -178,6 +178,23 @@ def substitution_success_oracle(b: int, blocks: int, modulus: int, key_probs) ->
     return best
 
 
+def masked_impersonation_oracle(b: int, blocks: int, modulus: int, key_probs, mask_probs) -> Fraction:
+    """Best impersonation with a masked tag, by brute force.
+
+    With no traffic seen, the forgery ``(m, t)`` is valid on every joint
+    draw of the hash key and the mask with ``hash(key, m) XOR mask == t``.
+    Every message and every tag is tried, in Fractions.
+    """
+    size = 1 << b
+    best = Fraction(0)
+    for message in range(1 << (b * blocks)):
+        hashes = [hash_oracle(key, message, b, blocks, modulus) for key in range(size)]
+        for tag in range(size):
+            mass = sum(Fraction(key_probs[key]) * Fraction(mask_probs[tag ^ h]) for key, h in enumerate(hashes))
+            best = max(best, mass)
+    return best
+
+
 def masked_substitution_oracle(
     b: int, blocks: int, modulus: int, key_probs, mask_probs, uses: int = 1, averaged: bool = False
 ) -> Fraction:

@@ -113,6 +113,20 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_non_utf8_files_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff["1/2","1/2"]')
+    for argv in (
+        ("dist", "entropy", "--p", f"@{path}"),
+        ("ecpa", "compare", "--code", f"@{path}", "--crossover", "0.1"),
+        ("dist", "trace", "--rho", f"@{path}", "--sigma", "diag:uniform:1"),
+        ("dist", "mi", "--prior", "uniform:1", "--conditional", f"@{path}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"validation error: {path} is not UTF-8 text: ") and err.count("\n") == 1, argv
+
+
 def test_malformed_exact_entries_exit_2_with_the_parse_refusal(capsys):
     code, out, err = run_cli(capsys, "dist", "delta", "--mode", "rational",
                              "--p", '["1/0","1/1"]', "--q", '["1/2","1/2"]')

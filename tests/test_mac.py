@@ -267,13 +267,11 @@ def test_hash_table_matches_polynomial_oracle(b, m, modulus):
     msgs = spec.message_space
     basis = mac._basis_rows(spec, b * m)
     table = mac._hash_table(basis, msgs)
-    blocked = np.concatenate([block for _, block in mac._hash_blocks(basis, msgs, 4)])
     expected = [
         [oracles.hash_oracle(alpha, d, b, m, modulus) for alpha in range(1 << b)]
         for d in range(msgs)
     ]
     assert table.tolist() == expected
-    assert blocked.tolist() == expected
 
 
 def _law(weights):
@@ -374,8 +372,7 @@ def test_float_and_mixed_mode_games(attack, masked, uses, averaged):
 @pytest.mark.parametrize(
     "b,m,mask,uses,attack,work,cap",
     [
-        (6, 3, True, 1, "impersonation", 18, 16),  # message space, in bits
-        (6, 2, True, 1, "impersonation", 1 << 24, 1 << 22),
+        (6, 3, True, 1, "substitution", 18, 16),  # message space, in bits
         (4, 2, True, 1, "substitution", 1 << 24, 1 << 22),  # single-use transcripts
         (5, 2, True, 3, "substitution", 1 << 15, 1 << 12),  # tag tuples
         (4, 3, True, 2, "substitution", 1 << 24, 1 << 22),  # multi-use transcripts
@@ -390,11 +387,14 @@ def test_refusals_state_work_and_cap(b, m, mask, uses, attack, work, cap):
 
 @pytest.mark.parametrize("b,m", [(6, 3), (8, 2)])
 def test_ideal_pad_games_past_the_caps_are_accepted(b, m):
-    # the ideal pad builds no message table, so the message_bits and mac_work caps do not apply
+    # the ideal pad and impersonation build no message table, so the message_bits and mac_work caps do not apply
     keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(b, mode="rational"))
     spec = HashFamilySpec(field_bits=b, message_blocks=m)
     assert attack_success(spec, keys, "substitution") == F(min(m, 1 << b), 1 << b)
     assert attack_success(spec, keys, "impersonation") == F(1, 1 << b)
+    spike = construct_spike(b, F(1, 4)).distribution
+    masked = MacKeyModel(hash_key_dist=keys.hash_key_dist, tag_key_dist=spike)
+    assert attack_success(spec, masked, "impersonation") == max(spike.probs) == F(1, 1 << b) + F(1, 4)
 
 
 def test_many_blocks_never_build_the_message_space(monkeypatch):
@@ -409,6 +409,9 @@ def test_many_blocks_never_build_the_message_space(monkeypatch):
     assert attack_success(spec, MacKeyModel(hash_key_dist=uniform), "substitution") == 1
     with pytest.raises(ResourceLimitError, match=r"\b8000000 bits\b.*\b16 bits\b"):
         attack_success(spec, MacKeyModel(hash_key_dist=uniform, tag_key_dist=uniform), "substitution")
+    # masked impersonation: the zero message's tag is the mask, so it wins with the mask's top entry
+    spike = construct_spike(8, F(1, 8)).distribution
+    assert attack_success(spec, MacKeyModel(uniform, spike), "impersonation") == max(spike.probs)
     wit = forgeable_key_distribution(spec)
     assert (wit.message_delta, wit.tag_delta) == (257, 0)
     # blocks above the message's top block are zero and hash to nothing
@@ -438,6 +441,28 @@ def test_masked_substitution_matches_the_oracle(b, m):
                     b, m, spec.modulus, hash_law, mask_law, uses, averaged
                 )
                 assert got == want, (hash_law, mask_law, uses, averaged)
+
+
+@pytest.mark.parametrize("b,m", [(b, m) for b in (1, 2, 3) for m in (1, 2, 3)])
+def test_masked_impersonation_matches_the_oracle(b, m):
+    rng = random.Random(10 * b + m)
+    spec = HashFamilySpec(field_bits=b, message_blocks=m)
+    laws = list(_test_laws(rng, b))
+    for hash_law, mask_law in ((laws[0], laws[1]), (laws[1], laws[0]), (laws[2], laws[1]), (laws[2], laws[2])):
+        keys = MacKeyModel(KeyDistribution(b, hash_law), KeyDistribution(b, mask_law))
+        got = attack_success(spec, keys, "impersonation")
+        assert got == oracles.masked_impersonation_oracle(b, m, spec.modulus, hash_law, mask_law) == max(mask_law)
+        ideal = attack_success(spec, MacKeyModel(KeyDistribution(b, hash_law)), "impersonation")
+        assert ideal == oracles.masked_impersonation_oracle(b, m, spec.modulus, hash_law, laws[0]) == laws[0][0]
+
+
+def test_masked_impersonation_on_numerators_past_int64():
+    spec = HashFamilySpec(field_bits=2, message_blocks=2)
+    hash_law = _law([10**30, 1, 3, 10**30 + 7])
+    mask = KeyDistribution(2, _law([10**30 + 1, 10**30, 5, 3 * 10**29]))
+    assert mask._data.nums.dtype == object  # Python-int numerators: the top one is no numpy scalar
+    got = attack_success(spec, MacKeyModel(KeyDistribution(2, hash_law), mask), "impersonation")
+    assert got == max(mask.probs) == oracles.masked_impersonation_oracle(2, 2, spec.modulus, hash_law, mask.probs)
 
 
 def _fold(values):
@@ -484,3 +509,10 @@ def test_float_forgery_is_the_key_order_sum_of_the_lowest_index_top_entries(b, m
         averaged = attack_success(spec, keys, "substitution", tag_averaged=True)
         assert averaged.hex() == max(_fold(_top_fold(r, k) for r in g) for g in rows).hex()
         assert averaged <= max(_fold(_best_fold(r, k) for r in g) for g in rows)
+        # impersonation: the zero message's mass, the key-order prior total times the top mask entry;
+        # no transcript's mass, summed per hash value and then weighted by the mask, is larger
+        imp = attack_success(spec, keys, "impersonation")
+        assert imp.hex() == (_fold(prior) * max(mask)).hex()
+        buckets = [[_fold(p for p, h in zip(prior, hashes) if h == v) for v in range(1 << b)] for hashes in table]
+        tags = range(1 << b)
+        assert imp <= max(_fold(mass[v] * mask[t ^ v] for v in tags) for mass in buckets for t in tags)
