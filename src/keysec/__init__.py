@@ -13,23 +13,39 @@ can be checked without tolerance games.
 
 The package re-exports each module's ``__all__``; a module's ``__all__``
 is the one list of its public names.
+
+``import keysec`` loads nothing else (PEP 562).  A submodule name such as
+``keysec.budget`` imports that module alone, and with it only what the
+module imports itself: ``budget``, ``cvqkd`` and ``numerics`` need no
+numpy.  The first other public name, ``__all__`` included, imports all
+nine library modules and binds their names here.
 """
 
-from . import budget, cvqkd, dist, ecpa, extremal, kpa, mac, numerics, verify
-from .budget import *
-from .cvqkd import *
-from .dist import *
-from .ecpa import *
-from .extremal import *
-from .kpa import *
-from .mac import *
-from .numerics import *
-from .verify import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (budget, cvqkd, dist, ecpa, extremal, kpa, mac, numerics, verify)
-    for name in module.__all__
-]
+#: the library modules, whose ``__all__`` lists make up the package's in this order
+_MODULES = ("budget", "cvqkd", "dist", "ecpa", "extremal", "kpa", "mac", "numerics", "verify")
+
+
+def _load() -> None:
+    """Import every library module and bind its public names, and ``__all__``, in the package."""
+    modules = [importlib.import_module(f"{__name__}.{name}") for name in _MODULES]
+    public = [(name, getattr(module, name)) for module in modules for name in module.__all__]
+    globals().update(public, __all__=[name for name, _ in public])
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if not name.startswith("__") or name == "__all__":  # a probe such as __wrapped__ loads nothing
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    _load()
+    return sorted(globals())

@@ -19,6 +19,13 @@ Each flag declares a reader, a default or `REQUIRED`, and a help line.
 the handler, which makes the library call; `build_parser` is a loop
 over the table.
 
+A call loads only what its command uses.  `main` builds the flags of
+the one group the argv names, and readers and handlers reach the library
+as ``keysec.<module>.<name>``, so the lazy package imports that module
+alone: a ``budget`` or ``cvqkd`` call loads ``numerics`` and its own
+module and no numpy, a ``dist`` call adds ``dist``, a ``mac`` call
+``dist`` and ``mac``.
+
 Distribution arguments accept ``uniform:N``, ``spike:N:EPS``, an inline
 JSON array, or ``@path`` to a JSON file.  The numeric mode comes from
 ``--mode``, else the KEYSEC_NUMERIC_MODE environment variable, else
@@ -57,17 +64,19 @@ def _float(text, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {text!r}") from exc
 
 
-def _distribution(text: str, mode: str) -> keysec.KeyDistribution:
+def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
     text = text.strip()
     if text.startswith("uniform:"):
-        return keysec.KeyDistribution.uniform(_int(text[8:], "uniform length"), mode=mode)
+        return keysec.dist.KeyDistribution.uniform(_int(text[8:], "uniform length"), mode=mode)
     if text.startswith("spike:"):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"spike spec needs spike:n:eps, got {text!r}")
-        spike = keysec.construct_spike(_int(parts[1], "spike length"), keysec.parse_number(parts[2], mode))
+        spike = keysec.extremal.construct_spike(
+            _int(parts[1], "spike length"), keysec.numerics.parse_number(parts[2], mode)
+        )
         return spike.distribution
-    return keysec.KeyDistribution.from_json(_maybe_file(text), mode=mode)
+    return keysec.dist.KeyDistribution.from_json(_maybe_file(text), mode=mode)
 
 
 def _maybe_file(text: str) -> str:
@@ -88,7 +97,7 @@ def _matrix(text: str, mode: str) -> list:
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of rows")
-    return [[keysec.parse_number(str(v), mode) for v in row] for row in raw]
+    return [[keysec.numerics.parse_number(str(v), mode) for v in row] for row in raw]
 
 
 def _complex_entry(v) -> complex:
@@ -104,10 +113,10 @@ def _complex_entry(v) -> complex:
     raise ValidationError(f"cannot read complex entry {v!r}")
 
 
-def _state(text: str, mode: str) -> keysec.HermitianState:
+def _state(text: str, mode: str) -> keysec.dist.HermitianState:
     text = text.strip()
     if text.startswith("diag:"):
-        return keysec.HermitianState.from_distribution(_distribution(text[5:], mode))
+        return keysec.dist.HermitianState.from_distribution(_distribution(text[5:], mode))
     text = _maybe_file(text)
     try:
         raw = json.loads(text)
@@ -115,7 +124,7 @@ def _state(text: str, mode: str) -> keysec.HermitianState:
         raise ValidationError(f"state is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValidationError("state must be a JSON matrix or diag:<distribution>")
-    return keysec.HermitianState([[_complex_entry(v) for v in row] for row in raw])
+    return keysec.dist.HermitianState([[_complex_entry(v) for v in row] for row in raw])
 
 
 def _codes(values: list) -> list:
@@ -123,7 +132,7 @@ def _codes(values: list) -> list:
     for value in values:
         body = _maybe_file(value)
         body = body.replace(";", "\n").replace(",", "\n")
-        out.append(keysec.ParityCheckMatrix.from_text(body))
+        out.append(keysec.ecpa.ParityCheckMatrix.from_text(body))
     return out
 
 
@@ -133,18 +142,18 @@ def _codes(values: list) -> list:
 # where ``flag`` is the flag's name without dashes, for error messages.
 
 _DIST = lambda text, mode, flag: _distribution(text, mode)
-_NUMBER = lambda text, mode, flag: keysec.parse_number(text, mode)
+_NUMBER = lambda text, mode, flag: keysec.numerics.parse_number(text, mode)
 _INT = lambda text, mode, flag: _int(text, flag)
 _FLOAT = lambda text, mode, flag: _float(text, flag)
 _STATE = lambda text, mode, flag: _state(text, mode)
 _MATRIX = lambda text, mode, flag: _matrix(text, mode)
-_EVENT = lambda text, mode, flag: keysec.EventSpec.from_text(text)
+_EVENT = lambda text, mode, flag: keysec.extremal.EventSpec.from_text(text)
 _SUBSET = lambda text, mode, flag: tuple(_int(part, "subset position") for part in text.split(","))
 _CODES = lambda values, mode, flag: _codes(values)  # the one repeatable flag: a list of every --code
-_WEIGHTS = lambda text, mode, flag: tuple(keysec.parse_number(part, mode) for part in text.split(","))
-_LEVEL = lambda text, mode, flag: keysec.parse_security_level(text, mode)
-_FLOAT_LEVEL = lambda text, mode, flag: keysec.parse_security_level(text)  # float whatever the mode
-_EXPONENT = lambda text, mode, flag: keysec.as_markov_exponent(text)
+_WEIGHTS = lambda text, mode, flag: tuple(keysec.numerics.parse_number(part, mode) for part in text.split(","))
+_LEVEL = lambda text, mode, flag: keysec.budget.parse_security_level(text, mode)
+_FLOAT_LEVEL = lambda text, mode, flag: keysec.budget.parse_security_level(text)  # float whatever the mode
+_EXPONENT = lambda text, mode, flag: keysec.budget.as_markov_exponent(text)
 _THRESHOLDS = lambda text, mode, flag: [_float(part, "threshold") for part in text.split(",")]
 
 #: default of a flag that must be given
@@ -192,44 +201,44 @@ def _helped(args: dict, **helps: str) -> dict:
 # ---------------------------------------------------------------- handlers
 
 
-def _family(a) -> keysec.HashFamilySpec:
-    return keysec.HashFamilySpec(field_bits=a.b, message_blocks=a.blocks, modulus=a.modulus or 0)
+def _family(a) -> keysec.mac.HashFamilySpec:
+    return keysec.mac.HashFamilySpec(field_bits=a.b, message_blocks=a.blocks, modulus=a.modulus or 0)
 
 
-def _ensemble(a) -> keysec.CodeEnsemble:
+def _ensemble(a) -> keysec.ecpa.CodeEnsemble:
     count = len(a.code)
     weights = a.weights or [Fraction(1, count) if a.mode == "rational" else 1.0 / count] * count
     if len(weights) != count:
         raise ValidationError(f"{len(weights)} weights for {count} codes")
-    return keysec.CodeEnsemble(a.code, weights)
+    return keysec.ecpa.CodeEnsemble(a.code, weights)
 
 
-def _cv_params(a) -> keysec.CvParams:
-    return keysec.CvParams(s=a.s, t=a.t, a=a.a, b=a.b)
+def _cv_params(a) -> keysec.cvqkd.CvParams:
+    return keysec.cvqkd.CvParams(s=a.s, t=a.t, a=a.a, b=a.b)
 
 
 def _mixture_check(a):
-    result = keysec.check_mixture_decomposition(a.p, a.lam)
+    result = keysec.extremal.check_mixture_decomposition(a.p, a.lam)
     if result is None:
         return {"decomposable": False, "uniform_weight": None, "residual": None}
     return {"decomposable": True, **result._asdict()}
 
 
 def _mac_attack(a):
-    keys = keysec.MacKeyModel(hash_key_dist=a.hash_key, tag_key_dist=a.tag_key, uses=a.uses)
-    return {"success": keysec.attack_success(_family(a), keys, a.attack, tag_averaged=a.tag_averaged)}
+    keys = keysec.mac.MacKeyModel(hash_key_dist=a.hash_key, tag_key_dist=a.tag_key, uses=a.uses)
+    return {"success": keysec.mac.attack_success(_family(a), keys, a.attack, tag_averaged=a.tag_averaged)}
 
 
 def _budget_gap(a):
     target = a.target
     if target is None:
-        target = keysec.parse_security_level(f"log10:{keysec.DEFAULT_ONE_SHOT_LOG10:g}", a.mode)
-    gap = keysec.guarantee_gap(a.current, target, a.exponent)
+        target = keysec.budget.parse_security_level(f"log10:{keysec.budget.DEFAULT_ONE_SHOT_LOG10:g}", a.mode)
+    gap = keysec.budget.guarantee_gap(a.current, target, a.exponent)
     return {"gap_orders": gap, "log10_required_average": target / a.exponent}
 
 
 def _verify_all(a):
-    results = keysec.run_invariant_suite(n_max=a.n_max, seed=a.seed)
+    results = keysec.verify.run_invariant_suite(n_max=a.n_max, seed=a.seed)
     return {"all_passed": all(r.passed for r in results), "results": results}
 
 
@@ -262,20 +271,20 @@ COMMANDS = {
         "statistical distance between two distributions",
         "delta(P,Q) = (1/2) sum_i |P_i - Q_i| (total-variation distance)",
         {"--p": Arg(_DIST, REQUIRED), "--q": Arg(_DIST, REQUIRED)},
-        lambda a: {"delta": keysec.statistical_distance(a.p, a.q)},
+        lambda a: {"delta": keysec.dist.statistical_distance(a.p, a.q)},
     ),
     "dist entropy": Command(
         "guessing probability and entropies",
         "p1 = max_i P_i; min-entropy = -log2 p1; Shannon entropy with 0 log 0 = 0",
         {"--p": Arg(_DIST, REQUIRED)},
-        lambda a: dict(zip(("p1", "min_entropy_bits", "shannon_entropy_bits"), keysec.entropy_stats(a.p))),
+        lambda a: dict(zip(("p1", "min_entropy_bits", "shannon_entropy_bits"), keysec.dist.entropy_stats(a.p))),
     ),
     "dist mi": Command(
         "mutual information of a probe model",
         "I(K;Y) = H(K) - H(K|Y) over the probe model's joint law",
         _helped(_PROBE, conditional="JSON matrix p(y|k) or @file"),
-        lambda a: {"mutual_information_bits": keysec.mutual_information(
-            keysec.ClassicalProbeModel(a.prior, a.conditional)
+        lambda a: {"mutual_information_bits": keysec.dist.mutual_information(
+            keysec.dist.ClassicalProbeModel(a.prior, a.conditional)
         )},
     ),
     "dist trace": Command(
@@ -283,38 +292,38 @@ COMMANDS = {
         "T(rho,sigma) = (1/2) sum |eigenvalues(rho - sigma)|",
         {"--rho": Arg(_STATE, REQUIRED, "JSON matrix, @file, or diag:<distribution>"),
          "--sigma": Arg(_STATE, REQUIRED)},
-        lambda a: {"trace_distance": keysec.trace_distance(a.rho, a.sigma)},
+        lambda a: {"trace_distance": keysec.dist.trace_distance(a.rho, a.sigma)},
     ),
     "dist d-criterion": Command(
         "joint-vs-uniform-product distance",
         "d = (1/2) sum_{k,y} |p(k) p(y|k) - pbar(y)/N| (joint vs uniform-key product)",
         _PROBE,
-        lambda a: {"d": keysec.d_criterion(keysec.ClassicalProbeModel(a.prior, a.conditional))},
+        lambda a: {"d": keysec.dist.d_criterion(keysec.dist.ClassicalProbeModel(a.prior, a.conditional))},
     ),
     "dist binary-entropy": Command(
         "binary entropy h(q)",
         "h(q) = -q log2 q - (1-q) log2(1-q)",
         {"--q": Arg(_NUMBER, REQUIRED)},
-        lambda a: {"h": keysec.binary_entropy(a.q)},
+        lambda a: {"h": keysec.dist.binary_entropy(a.q)},
     ),
     "dist event-bound": Command(
         "event probability gap vs distance",
         "|P(A) - Q(A)| <= delta(P,Q) for every event A",
         {"--p": Arg(_DIST, REQUIRED), "--q": Arg(_DIST, REQUIRED),
          "--event": Arg(_EVENT, REQUIRED, "comma-separated key values")},
-        lambda a: dict(zip(("lhs", "bound", "holds"), keysec.check_event_bound(a.p, a.q, a.event))),
+        lambda a: dict(zip(("lhs", "bound", "holds"), keysec.extremal.check_event_bound(a.p, a.q, a.event))),
     ),
     "spike construct": Command(
         "maximal-guess distribution at fixed distance",
         "peak 1/N + eps, others 1/N - eps/(N-1); distance from uniform is exactly eps",
         {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED), "--at": Arg(_INT, "0")},
-        lambda a: keysec.construct_spike(a.n, a.eps, at=a.at),
+        lambda a: keysec.extremal.construct_spike(a.n, a.eps, at=a.at),
     ),
     "spike low-info": Command(
         "vanishing-information, high-guess family",
         "p1 = 2^(-lam n), remainder uniform; n - H(P) <= n 2^(-lam n)",
         {"--n": Arg(_INT, REQUIRED), "--lam": Arg(_FLOAT, REQUIRED)},
-        lambda a: keysec.construct_low_info_high_guess(a.n, a.lam),
+        lambda a: keysec.extremal.construct_low_info_high_guess(a.n, a.lam),
     ),
     "mixture check": Command(
         "decompose P as (1-lam) uniform + lam residual",
@@ -327,31 +336,31 @@ COMMANDS = {
         "max |P(B|A) - U(B|A)| under delta(P,U) <= eps; optimum min(eps, movable)/U(A)",
         {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED),
          "--event": Arg(_EVENT, REQUIRED), "--sub-event": Arg(_EVENT, REQUIRED)},
-        lambda a: keysec.max_conditional_deviation(a.n, a.eps, a.event, a.sub_event),
+        lambda a: keysec.extremal.max_conditional_deviation(a.n, a.eps, a.event, a.sub_event),
     ),
     "kpa avg-guess": Command(
         "averaged conditional guess vs its bound",
         "sum_k1 max_v P(K2*=v, K1=k1) <= 2^(-|K2*|) + delta(P,U)",
         {"--p": Arg(_DIST, REQUIRED), **_helped(_SPLIT, subset="K2 bit positions, default all")},
-        lambda a: keysec.average_conditional_guess(a.p, keysec.KeySplit(a.n1, a.n2, a.subset)),
+        lambda a: keysec.kpa.average_conditional_guess(a.p, keysec.kpa.KeySplit(a.n1, a.n2, a.subset)),
     ),
     "kpa breach": Command(
         "single-slice conditioning breach witness",
         "mass moved inside one K1 slice: conditional guess 2^(-|K2*|) + moved 2^(n1)",
         {"--n": Arg(_INT, REQUIRED), "--eps": Arg(_NUMBER, REQUIRED), **_SPLIT},
-        lambda a: keysec.conditional_breach_witness(a.n, a.eps, keysec.KeySplit(a.n1, a.n2, a.subset)),
+        lambda a: keysec.kpa.conditional_breach_witness(a.n, a.eps, keysec.kpa.KeySplit(a.n1, a.n2, a.subset)),
     ),
     "kpa bit-agreement": Command(
         "expected bit agreement of the best guess",
         "expected fraction of key bits matching the most probable key value",
         {"--p": Arg(_DIST, REQUIRED)},
-        lambda a: {"agreement": keysec.eve_bit_agreement(a.p)},
+        lambda a: {"agreement": keysec.kpa.eve_bit_agreement(a.p)},
     ),
     "mac epsilon": Command(
         "family universality level",
         "polynomial evaluation over GF(2^b): eps = message_blocks / 2^b",
         _helped(_FAMILY, modulus="field polynomial bit pattern (hex ok)"),
-        lambda a: {"epsilon": keysec.asu_epsilon(_family(a))},
+        lambda a: {"epsilon": keysec.mac.asu_epsilon(_family(a))},
     ),
     "mac attack": Command(
         "exact optimal forgery probability",
@@ -369,19 +378,19 @@ COMMANDS = {
         "imperfect keys: eps + eps_h (hash key) and eps + m eps_t (m masked tags), clipped at 1",
         {"--eps": Arg(_NUMBER, REQUIRED), "--eps-h": Arg(_NUMBER, REQUIRED),
          "--eps-t": Arg(_NUMBER, REQUIRED), "--m": Arg(_INT, REQUIRED)},
-        lambda a: keysec.degraded_epsilon(a.eps, a.eps_h, a.eps_t, a.m),
+        lambda a: keysec.mac.degraded_epsilon(a.eps, a.eps_h, a.eps_t, a.m),
     ),
     "mac forgery-witness": Command(
         "key law defeating the worst case",
         "two-point hash-key law making one substitution forgery succeed with certainty",
         _FAMILY,
-        lambda a: keysec.forgeable_key_distribution(_family(a)),
+        lambda a: keysec.mac.forgeable_key_distribution(_family(a)),
     ),
     "ecpa leak": Command(
         "reconciliation disclosure f n h(Q)",
         "reconciliation disclosure leak = f n h(Q)",
         {"--f": Arg(_FLOAT, REQUIRED), "--n": Arg(_INT, REQUIRED), "--q": Arg(_NUMBER, REQUIRED)},
-        lambda a: {"leak_bits": keysec.ec_leak(a.f, a.n, a.q)},
+        lambda a: {"leak_bits": keysec.ecpa.ec_leak(a.f, a.n, a.q)},
     ),
     "ecpa posterior": Command(
         "posterior over data words",
@@ -392,8 +401,8 @@ COMMANDS = {
          "--crossover": Arg(_NUMBER, REQUIRED),
          "--code-known": Arg(None, False, "reveal the code index"),
          "--code-index": Arg(lambda text, mode, flag: _int(text, "code index"), "0")},
-        lambda a: {"posterior": keysec.mixture_posterior(
-            _ensemble(a), a.observation, keysec.EveChannel(a.crossover),
+        lambda a: {"posterior": keysec.ecpa.mixture_posterior(
+            _ensemble(a), a.observation, keysec.ecpa.EveChannel(a.crossover),
             syndromes_hidden=not a.code_known, code_index=a.code_index,
         )},
     ),
@@ -401,39 +410,39 @@ COMMANDS = {
         "guessing success with/without code structure",
         "exact MAP success: code known (averaged), hidden-code mixture, no code structure",
         {**_ENSEMBLE, "--crossover": Arg(_NUMBER, REQUIRED)},
-        lambda a: keysec.leakage_comparison(_ensemble(a), keysec.EveChannel(a.crossover)),
+        lambda a: keysec.ecpa.leakage_comparison(_ensemble(a), keysec.ecpa.EveChannel(a.crossover)),
     ),
     "budget markov": Command(
         "average-to-tail bound",
         "Pr[Z >= threshold] <= min(1, mean/threshold) for non-negative Z",
         {"--mean": Arg(_NUMBER, REQUIRED), "--threshold": Arg(_NUMBER, REQUIRED)},
-        lambda a: {"bound": keysec.markov_tail_bound(a.mean, a.threshold)},
+        lambda a: {"bound": keysec.budget.markov_tail_bound(a.mean, a.threshold)},
     ),
     "budget individual": Command(
         "individual-guarantee level",
         "average-to-individual conversion: log10 d' = exponent * log10 d",
         {"--d": Arg(_LEVEL, REQUIRED, "level as 1e-20 or log10:-20"),
          "--exponent": Arg(_EXPONENT, REQUIRED, "1, 1/2, or 1/3")},
-        lambda a: {"log10_individual": keysec.individual_level(keysec.LogBudget(a.d, a.exponent))},
+        lambda a: {"log10_individual": keysec.budget.individual_level(keysec.budget.LogBudget(a.d, a.exponent))},
     ),
     "budget accumulate": Command(
         "union bound over rounds",
         "union bound over rounds: log10 total = log10 d_round + log10(rate seconds), capped at 0",
         {"--d-round": Arg(_FLOAT_LEVEL, REQUIRED), "--rate": Arg(_FLOAT, REQUIRED, "rounds per second"),
          "--seconds": Arg(_FLOAT, REQUIRED)},
-        lambda a: keysec.accumulated_failure(a.d_round, a.rate, a.seconds),
+        lambda a: keysec.budget.accumulated_failure(a.d_round, a.rate, a.seconds),
     ),
     "budget near-uniform-bits": Command(
         "honest near-uniform key length",
         "largest n with 2^-n >= d^exponent: floor(-log10_d exponent log2 10)",
         {"--d": Arg(_LEVEL, REQUIRED), "--exponent": Arg(None, "1")},
-        lambda a: {"bits": keysec.near_uniform_bits(a.d, a.exponent)},
+        lambda a: {"bits": keysec.budget.near_uniform_bits(a.d, a.exponent)},
     ),
     "budget required-d": Command(
         "level demanded by an n-bit claim",
         "near-uniform n-bit key needs d ~ 2^-n: log10 d = -n log10 2",
         {"--n": Arg(_INT, REQUIRED)},
-        lambda a: {"log10_d": keysec.required_d_for_near_uniform(a.n)},
+        lambda a: {"log10_d": keysec.budget.required_d_for_near_uniform(a.n)},
     ),
     "budget gap": Command(
         "orders of magnitude to a target",
@@ -447,14 +456,14 @@ COMMANDS = {
         "combined output uncertainty",
         "relative = a + b - ab = 1 - (1-a)(1-b); absolute = relative S T",
         _CV,
-        lambda a: keysec.output_uncertainty(_cv_params(a)),
+        lambda a: keysec.cvqkd.output_uncertainty(_cv_params(a)),
     ),
     "cvqkd verdict": Command(
         "intercept-resend detectability verdict",
         "loss limit if S T < threshold; masked if (a+b-ab) S T > threshold",
         {**_CV, "--loss-threshold": Arg(lambda text, mode, flag: _float(text, "loss threshold"), "0.5"),
          "--masking-threshold": Arg(lambda text, mode, flag: _float(text, "masking threshold"), "0.25")},
-        lambda a: keysec.detectability_verdict(
+        lambda a: keysec.cvqkd.detectability_verdict(
             _cv_params(a), loss_threshold=a.loss_threshold, masking_threshold=a.masking_threshold
         ),
     ),
@@ -463,7 +472,7 @@ COMMANDS = {
         "declared model: Gaussian level around S T, attack shifts mean up; alarm above threshold",
         {**_CV, "--shift": Arg(_FLOAT, REQUIRED, "attack signature shift of the mean level"),
          "--thresholds": Arg(_THRESHOLDS, REQUIRED, "comma-separated grid")},
-        lambda a: {"points": keysec.false_alarm_tradeoff(_cv_params(a), a.thresholds, a.shift)},
+        lambda a: {"points": keysec.cvqkd.false_alarm_tradeoff(_cv_params(a), a.thresholds, a.shift)},
     ),
     "verify-all": Command(
         "run the cross-module invariant suite",
@@ -482,7 +491,8 @@ def _jsonable(value):
         return value
     if isinstance(value, Fraction):
         return format_number(value)
-    if isinstance(value, keysec.KeyDistribution):
+    dist = sys.modules.get("keysec.dist")  # a law exists only once dist is loaded; no need to load it here
+    if dist is not None and isinstance(value, dist.KeyDistribution):
         return value.as_array().tolist() if value.mode == "float" else value.formatted()
     if hasattr(value, "_asdict"):
         return {k: _jsonable(v) for k, v in value._asdict().items()}
@@ -520,7 +530,13 @@ def _render(args: argparse.Namespace, mode: str, outputs) -> str:
 # ---------------------------------------------------------------- entry points
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(branch: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree: every group and top-level command, with its help line.
+
+    Only the ``branch`` group or top-level command gets its actions and
+    flags; ``None`` builds them all.  Every help screen of the branch is
+    the same as in the whole tree.
+    """
     parser = argparse.ArgumentParser(
         prog="keysec",
         description="Quantitative security analysis of imperfect (non-uniform) cryptographic keys.",
@@ -532,6 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group and group not in actions:
             group_parser = top.add_parser(group, help=GROUPS[group])
             actions[group] = group_parser.add_subparsers(dest="action", metavar="action")
+        if branch not in (None, group or name):
+            if not group:  # a top-level command is a choice of the top parser
+                top.add_parser(name, help=entry.help)
+            continue
         p = (actions[group] if group else top).add_parser(name, help=entry.help)
         p.set_defaults(command=command)
         p.add_argument("--mode", choices=MODES, default=None,
@@ -563,7 +583,9 @@ def _read(args: argparse.Namespace, mode: str) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse enters the group named by the first positional argument; every argument before it is an option
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -572,7 +594,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        mode = keysec.resolve_mode(args.mode)
+        mode = keysec.numerics.resolve_mode(args.mode)
         outputs = COMMANDS[args.command].handler(_read(args, mode))
         text = _render(args, mode, outputs)
     except ResourceLimitError as exc:

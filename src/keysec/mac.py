@@ -374,9 +374,18 @@ def attack_success(
         # per observed-message choice, its hits summed over the tags in order
         totals = np.add.accumulate(hits.reshape(groups, -1), axis=1)[:, -1]
         return _over(totals.max(), den)
-    # worst case: each transcript's conditional success hit / P(transcript)
+    # worst case: the transcript of highest conditional success hit / P(transcript), then one division
     weights = np.add.accumulate(posts, axis=1)[:, -1]
-    return max(_over(hit, weight) for hit, weight in zip(hits, weights) if weight > 0)
+    seen = weights > 0
+    hits, weights = hits[seen], weights[seen]
+    if mode == "float":
+        best = int(np.argmax(hits / weights))
+        return _over(hits[best], weights[best])
+    top = (0, 1)
+    for hit, weight in zip(hits.tolist(), weights.tolist()):  # hit / weight > top, by integer cross-products
+        if hit * top[1] > top[0] * weight:
+            top = (hit, weight)
+    return _over(*top)
 
 
 def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> DegradedLevels:

@@ -15,7 +15,7 @@ import pytest
 
 import keysec
 from keysec import cli
-from keysec.cli import COMMANDS, build_parser, main
+from keysec.cli import COMMANDS, GROUPS, build_parser, main
 from keysec.numerics import CAPS
 
 
@@ -249,6 +249,40 @@ def test_python_m_runs_the_cli():
     envelope = json.loads(proc.stdout)
     jsonschema.Draft202012Validator(_SCHEMA).validate(envelope)
     assert (envelope["command"], envelope["outputs"]["p1"]) == ("dist entropy", 0.25)
+
+
+#: run `main` on the argv in a fresh interpreter, then print its exit code and the modules loaded
+_LOADED = """import contextlib, io, json, sys
+from keysec.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ("budget required-d --n 128", {"numpy", "keysec.dist"}),
+    ("cvqkd uncertainty --s 1 --t 1 --a 0.01 --b 0.01", {"numpy", "keysec.dist"}),
+    ("dist entropy --p uniform:4", {f"keysec.{name}" for name in ("mac", "ecpa", "extremal", "kpa", "verify")}),
+])
+def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert not unloaded & set(loaded)
+
+
+def test_the_branch_parser_prints_what_the_whole_tree_prints(capsys, monkeypatch):
+    helps = [[*argv, "--help"] for argv in [[], *([group] for group in GROUPS), *(c.split() for c in COMMANDS)]]
+    errors = [[], ["bogus"], ["budget"], ["budget", "bogus"], ["budget", "required-d"],
+              ["-x", "budget", "required-d", "--n", "1"], ["budget", "required-d", "--n", "1", "--q"]]
+    branch = [run_cli(capsys, *argv) for argv in helps + errors]
+    whole = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda branch=None: whole)
+    assert [run_cli(capsys, *argv) for argv in helps + errors] == branch
+    assert all(code == 0 and out for code, out, _ in branch[:len(helps)])
 
 
 def test_verify_all_reports_and_exits_zero(capsys):

@@ -1,9 +1,13 @@
 import ast
 import importlib
+import json
 import math
+import os
 import pkgutil
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,3 +394,34 @@ def test_package_reexports_every_library_module_all():
     assert len(PACKAGE_NAMES_BEFORE) == 71
     added = {"Lattice", "DEFAULT_MODULI", "VERDICT_LOSS", "VERDICT_MASKED", "VERDICT_DETECTABLE"}
     assert set(ks.__all__) == set(PACKAGE_NAMES_BEFORE) | added
+
+
+#: in a fresh interpreter: the keysec submodules and numpy loaded after each step
+_LAZY = """import json, sys
+import keysec
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("keysec."))
+steps = [loaded(), hasattr(keysec, "__wrapped__"), loaded()]
+from keysec import budget
+steps.append(loaded())
+print(json.dumps(steps))"""
+
+
+def test_import_keysec_loads_nothing_until_a_name_is_used():
+    src = str(Path(ks.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True, env=env, timeout=60)
+    assert json.loads(proc.stdout) == [[], False, [], ["keysec.budget", "keysec.numerics"]], proc.stderr
+
+
+def test_the_lazy_package_answers_every_form_of_access():
+    namespace = {}
+    exec("from keysec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ks.__all__)
+    assert set(ks.__all__) | {"dist", "mac", "__version__"} <= set(dir(ks))
+    from keysec import dist
+
+    assert dist is importlib.import_module("keysec.dist") and ks.KeyDistribution is dist.KeyDistribution
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ks.no_such_name
+    assert not hasattr(ks, "__wrapped__")
