@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,9 +68,15 @@ _ABOVE_ONE = Fraction(1 + VALIDATION_TOL)
 
 _INT64_LIMIT = 1 << 63
 
-#: the comma-joined entries of an array that `from_json` reads without a Fraction per
-#: entry, each with a comma appended: ``a/b`` with ``b > 0``, or ``a``, in ASCII digits
-_PLAIN_ENTRIES = re.compile(r"(?:[0-9]+(?:/0*[1-9][0-9]*)?,)+")
+#: the separators of a plain array's text: its ASCII digits deleted
+_SEPARATORS = str.maketrans("", "", "0123456789")
+
+#: a plain array's text with every ASCII digit as "0"
+_SHAPE = str.maketrans("123456789", "000000000")
+
+#: 19 digits in a row: a part that `np.fromstring` may not read as int64, since past
+#: ``2**63 - 1`` it saturates silently (``"99999999999999999999"`` reads as ``2**63 - 1``)
+_LONG_PART = "0" * 19
 
 
 class Lattice(NamedTuple):
@@ -132,17 +137,45 @@ def _scalars(nums: np.ndarray, den: int, mode: str) -> tuple:
     return tuple(values if mode == "float" else (Fraction(a, den) for a in values))
 
 
-def _plain_lattice(entries: list) -> Lattice | None:
-    """Entries all ``"a/b"`` (``b > 0``) or ``"a"`` in ASCII digits, as one Lattice of
-    numerators over the lcm of their denominators; None for any other array."""
-    if not _PLAIN_ENTRIES.fullmatch(",".join(entries) + ","):
+def _plain_lattice(text: str, count: int) -> Lattice | None:
+    """The ``count`` comma-joined entries of ``text``, all ``"a/b"`` (``b > 0``) or
+    ``"a"`` in ASCII digits, as one Lattice of numerators over the lcm of their
+    denominators; None for any other text.
+
+    The text is read in whole-text passes.  With its digits deleted it must leave
+    one comma between entries and at most one slash in each, and no part between
+    separators may be empty.  The parts are read as int64 while none has more
+    than 18 digits, as Python ints otherwise; a part after a slash is a denominator.
+    """
+    seps = text.translate(_SEPARATORS)
+    slashes = seps.count("/")
+    if len(seps) - slashes != count - 1 or "//" in seps:  # another character, or two slashes in an entry
         return None
-    try:  # an entry holding a comma, or past int()'s digit limit, fails here
-        pairs = [(int(a), int(b) if b else 1) for a, _, b in (e.partition("/") for e in entries)]
-    except ValueError:
+    parts = text.replace("/", ",")
+    if ",," in f",{parts},":  # an empty part
         return None
-    den = math.lcm(*{d for _, d in pairs})
-    return Lattice([a * (den // d) for a, d in pairs], den)
+    if _LONG_PART in parts.translate(_SHAPE):
+        try:
+            values = np.array([int(part) for part in parts.split(",")], dtype=object)
+        except ValueError:  # past int()'s digit limit
+            return None
+    else:
+        values = np.fromstring(parts, dtype=np.int64, sep=",")
+    if slashes == count:  # every entry "a/b"
+        nums, dens = values[0::2], values[1::2]
+    else:  # over[k]: part k follows a slash, so it is a denominator
+        over = np.frombuffer(f",{seps},".encode(), np.uint8) == ord("/")
+        numerators = ~over[:-1]
+        nums, dens = values[numerators], np.ones(count, dtype=values.dtype)
+        dens[over[1:][numerators]] = values[over[:-1]]
+    distinct = set(dens.tolist())
+    lo = min(distinct)
+    if lo < 1:  # a zero denominator, which parse_number refuses
+        return None
+    if len(distinct) == 1:
+        return Lattice(nums, lo)
+    den = math.lcm(*distinct)
+    return Lattice(_wide(nums, int(nums.max()) * (den // lo)) * (den // _wide(dens, den)), den)
 
 
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
@@ -301,16 +334,22 @@ class KeyDistribution:
     def from_json(cls, text: str, mode: str | None = None) -> "KeyDistribution":
         """Inverse of :meth:`to_json`.
 
-        ``mode`` forces the backend; when omitted, entries containing a
-        ``/`` are read exactly and everything else as floats.  Entries are
-        read as their string forms.  Fast path: in rational mode, an array
-        whose entries are all ``"a/b"`` (``b > 0``) or ``"a"`` in ASCII
-        digits is read by `int` into one `Lattice` over the lcm of its
-        denominators, which `KeyDistribution` reduces to the lattice the
-        entries' Fractions give.  Fallback: any other array is read entry
-        by entry by `parse_number`, with its values and refusals.  An
-        array of JSON floats read as floats is taken as it is, which gives
-        the same values.
+        The length is checked before any entry is read: one that is not a
+        power of two >= 2 is refused, and so is one past the ``key_bits``
+        cap (`ResourceLimitError`).  ``mode`` forces the backend; when
+        omitted, an array with a ``/`` in any entry is read exactly and any
+        other as floats.  Entries are read as their string forms.  In
+        rational mode, an array whose entries are all ``"a/b"`` (``b > 0``)
+        or ``"a"`` in ASCII digits is read from its comma-joined text in a
+        few whole-text passes: the separators are checked with the digits
+        deleted, one `np.fromstring` reads the parts into int64 (`int`
+        reads them when a part has 19 digits or more, past which int64
+        could saturate), and the numerators are scaled to the lcm of the
+        denominators in one array operation.  `KeyDistribution` reduces
+        that `Lattice` to the one the entries' Fractions give.  Any other
+        array is read entry by entry by `parse_number`, with its values
+        and refusals.  An array of JSON floats read as floats is taken as
+        it is, which gives the same values.
         """
         try:
             raw = json.loads(text)
@@ -318,18 +357,23 @@ class KeyDistribution:
             raise ValidationError(f"distribution is not valid JSON: {exc}") from exc
         if not isinstance(raw, list) or not raw:
             raise ValidationError("distribution JSON must be a non-empty array")
-        if mode != "rational" and set(map(type, raw)) == {float}:
-            probs = np.array(raw)  # float(repr(x)) == x, NaN and infinities included
-        else:
-            entries = [str(item) for item in raw]
-            if mode is None:
-                mode = "rational" if any("/" in e for e in entries) else "float"
-            probs = _plain_lattice(entries) if mode == "rational" else None
-            if probs is None:
-                probs = [parse_number(e, mode) for e in entries]
         n = len(raw).bit_length() - 1
         if 1 << n != len(raw) or n < 1:
             raise ValidationError(f"length {len(raw)} is not a power of two >= 2")
+        check_key_bits(n)
+        if mode != "rational" and set(map(type, raw)) == {float}:
+            probs = np.array(raw)  # float(repr(x)) == x, NaN and infinities included
+        else:
+            try:
+                text = ",".join(raw)
+            except TypeError:  # entries are read as their string forms
+                raw = [str(item) for item in raw]
+                text = ",".join(raw)
+            if mode is None:
+                mode = "rational" if "/" in text else "float"
+            probs = _plain_lattice(text, len(raw)) if mode == "rational" else None
+            if probs is None:
+                probs = [parse_number(e, mode) for e in raw]
         return cls(n, probs)
 
     def __len__(self) -> int:

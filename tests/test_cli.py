@@ -135,6 +135,15 @@ def test_malformed_exact_entries_exit_2_with_the_parse_refusal(capsys):
     assert env["outputs"]["delta"] == "0/1"
 
 
+def test_a_wrong_length_is_refused_before_the_entries(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "dist", "entropy", "--mode", "rational", "--p", '["x","1/2","1/2"]')
+    assert (code, out, err) == (2, "", "validation error: length 3 is not a power of two >= 2\n")
+    monkeypatch.setitem(CAPS, "key_bits", CAPS["key_bits"]._replace(limit=2))
+    code, out, err = run_cli(capsys, "dist", "entropy", "--mode", "rational", "--p", json.dumps(["x"] * 8))
+    assert (code, out) == (3, "")
+    assert err == "resource limit: a dense law over 2^3 keys needs 3 bits, over the key_bits cap of 2 bits\n"
+
+
 def test_non_finite_inputs_exit_2_with_one_line(capsys):
     for argv in (
         ("dist", "entropy", "--p", '["nan","1.0"]'),

@@ -19,6 +19,7 @@ from keysec import (
     ClassicalProbeModel,
     HermitianState,
     KeyDistribution,
+    ResourceLimitError,
     ValidationError,
     binary_entropy,
     d_criterion,
@@ -28,6 +29,7 @@ from keysec import (
     statistical_distance,
     trace_distance,
 )
+from keysec.numerics import CAPS
 
 P_RAT = [F(1, 2), F(1, 8), F(1, 8), F(1, 4)]
 ROWS = [[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)], [F(0), F(1)]]
@@ -161,6 +163,115 @@ def test_malformed_entries_read_as_parse_number_reads_them(entry, mode):
         assert got == _outcome(lambda: KeyDistribution(1, values))
     if HUGE in entry:
         assert got[0] is ValidationError and got[1].startswith("cannot parse")
+
+
+def _parsed(entries):
+    """The outcome of reading ``entries`` one `parse_number` at a time, the reader of
+    every array that is not plain: its Fractions' law, or the first refusal."""
+    try:
+        values = [parse_number(e, "rational") for e in entries]
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+    return _outcome(lambda: KeyDistribution(len(entries).bit_length() - 1, values))
+
+
+_E63 = 1 << 63
+
+READ_LIKE_PARSE_NUMBER = {
+    # separator-balanced, but not plain: a part is empty or an entry holds two slashes or a comma
+    "two slashes": ["1/2/3", "4"],
+    "double slash": ["1//2", "3"],
+    "empty parts": ["/2", "1/"],
+    "comma inside": ["1,2/3", "0"],
+    "comma and slash": ["1/2,3", "4/5"],
+    "leading comma": [",1/2", "1/2"],
+    "trailing comma": ["1/2", "1/2,"],
+    "trailing slash": ["1/2/", "1/2"],
+    "zero denominator": ["1/0", "0/1"],
+    "zero-padded zero denominator": ["1/2", "1/" + "0" * 20],
+    # non-ASCII digits beside plain entries
+    "arabic-indic": ["١/٢", "1/2"],
+    "fullwidth": ["1/2", "１/2"],
+    "superscript": ["¹/2", "1/2"],
+    "devanagari denominator": ["1/2", "1/२"],
+    "no-break space": ["1/2", "1/2 "],
+    "vulgar fraction": ["½", "1/2"],
+    # 18, 19 and 20 digits, 2^63 - 1, 2^63 and 2^63 + 1, and zero-padded long parts
+    "18 digits": [f"{10**17}/{2 * 10**17}", f"{3 * 10**17}/{6 * 10**17}"],
+    "19 digits": [f"{10**18}/{2 * 10**18}", f"{4 * 10**18}/{8 * 10**18}"],
+    "20 digits": [f"{10**19}/{2 * 10**19}", f"{3 * 10**19}/{6 * 10**19}"],
+    "nines": ["9" * 18 + "/" + "9" * 19, "9" * 20 + "/" + "9" * 19 + "0"],
+    "2^63 - 1 over 2^64 - 2": [f"{_E63 - 1}/{2 * _E63 - 2}", "1/2"],
+    "2^63 + 1 over 2^64": [f"{_E63 + 1}/{2 * _E63}", f"{_E63 - 1}/{2 * _E63}"],
+    "2^63 over 2^63 + 1": [f"{_E63}/{_E63 + 1}", f"1/{_E63 + 1}"],
+    "20 digits outside [0, 1]": ["9" * 20, "0"],
+    "2^63 outside [0, 1]": [f"{_E63}/1", "0"],
+    "2^63 + 1 over 2": [f"{_E63 + 1}/2", "1/2"],
+    "zero-padded 25 digits": ["0" * 24 + "1/" + "0" * 24 + "2", "1/2"],
+    "zero-padded sums to 2": ["0" * 21 + "1", "1"],
+    # one, two and many distinct denominators, whole-number entries among them
+    "one denominator": ["1/4", "1/4", "1/4", "1/4"],
+    "whole numbers": ["0", "1", "0", "0"],
+    "two denominators": ["1/3", "1/3", "1/6", "1/6"],
+    "zero beside a/b": ["0", "1/2", "1/4", "1/4"],
+    "many denominators": ["1/2", "1/4", "1/8", "1/16", "1/32", "1/64", "1/128", "1/128"],
+    "lcm past 2^63": [f"1/{(1 << 61) - 1}", f"1/{(1 << 31) - 1}", "1/3",
+                      f"{1 - F(1, (1 << 61) - 1) - F(1, (1 << 31) - 1) - F(1, 3)}"],
+    "many denominators, not summing to 1": [f"1/{k}" for k in range(2, 18)],
+}
+
+
+@pytest.mark.parametrize("entries", READ_LIKE_PARSE_NUMBER.values(), ids=READ_LIKE_PARSE_NUMBER.keys())
+def test_arrays_read_as_their_parse_number_law(entries):
+    text = json.dumps(entries)
+    assert _outcome(lambda: KeyDistribution.from_json(text, mode="rational")) == _parsed(entries)
+    if any("/" in e for e in entries):  # read exactly when the mode is inferred too
+        assert _outcome(lambda: KeyDistribution.from_json(text)) == _parsed(entries)
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3])
+def test_laws_with_zero_entries_round_trip_through_json(zeros):
+    law = [F(0)] * zeros + [F(1, 3), F(2, 9), F(4, 9)] + [F(0)] * (5 - zeros)
+    d = KeyDistribution(3, law)
+    text = d.to_json()
+    for mode in ("rational", None):
+        read = KeyDistribution.from_json(text, mode=mode)
+        assert _outcome(lambda: read) == _outcome(lambda: d) == _parsed(json.loads(text))
+        assert read.to_json() == text
+
+
+@st.composite
+def _digit_arrays(draw):
+    """2 to 64 entries ``"a"`` or ``"a/b"`` whose parts are drawn with 1 to 25 digits,
+    leading zeros included: entries drawn at random, or a law whose weights have such
+    digits, each entry scaled by 1 or by such a number, its zeros sometimes ``"0"``."""
+    n = draw(st.integers(1, 6))
+    digits = st.integers(1, 25).flatmap(lambda k: st.integers(0, 10**k - 1).map(lambda v: str(v).zfill(k)))
+    if draw(st.booleans()):
+        return [draw(digits) + draw(st.sampled_from(["", "/" + draw(digits)])) for _ in range(1 << n)]
+    weights = [int(draw(digits)) for _ in range(1 << n)]
+    weights[0] += 1
+    total, entries = sum(weights), []
+    for w in weights:
+        scale = draw(st.sampled_from([1, int(draw(digits)) or 1]))
+        entries.append(f"{w * scale}/{total * scale}" if w or draw(st.booleans()) else "0")
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digit_arrays())
+def test_plain_arrays_of_long_parts_read_as_their_fractions(entries):
+    text = json.dumps(entries)
+    assert _outcome(lambda: KeyDistribution.from_json(text, mode="rational")) == _parsed(entries)
+
+
+def test_a_wrong_length_is_refused_before_any_entry_is_read(monkeypatch):
+    for mode in ("rational", "float", None):
+        with pytest.raises(ValidationError, match=r"^length 3 is not a power of two >= 2$"):
+            KeyDistribution.from_json('["x", "1/2", "1/2"]', mode=mode)
+    monkeypatch.setitem(CAPS, "key_bits", CAPS["key_bits"]._replace(limit=2))
+    with pytest.raises(ResourceLimitError, match=r"^a dense law over 2\^3 keys needs 3 bits, over the key_bits cap"):
+        KeyDistribution.from_json(json.dumps(["x"] * 8), mode="rational")
 
 
 # ---------------------------------------------------------------- distance
