@@ -21,8 +21,8 @@ denominator: integer numerators over their common denominator in rational
 mode, float64 numerators over 1 in float mode.  Each measure is written
 once over ``(nums, den)``; only the sum of the numerators depends on the
 mode -- exact integer arithmetic (rational results are the same
-Fractions) or ``math.fsum`` (float results carry the bits of the scalar
-formulas).
+Fractions) or the correctly rounded sum, the value ``math.fsum`` returns
+(float results carry the bits of the scalar formulas).
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ _SHAPE = str.maketrans("123456789", "000000000")
 #: ``2**63 - 1`` it saturates silently (``"99999999999999999999"`` reads as ``2**63 - 1``)
 _LONG_PART = "0" * 19
 
+#: float rows of this many entries and more are summed by `_exact_sum`, shorter ones by `math.fsum`
+_LONG_ROW = 1024
+
 
 class Lattice(NamedTuple):
     """A law as numerators over one denominator, the storage of both modes: integers
@@ -93,11 +96,50 @@ def _wide(nums: np.ndarray, bound: int) -> np.ndarray:
     return nums.astype(object) if bound >= _INT64_LIMIT and nums.dtype == np.int64 else nums
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D float64 array of finite values: the value
+    `math.fsum` returns, with no Python float per entry.
+
+    Each value is ``m * 2**(e - 53)`` with `np.frexp`'s exponent ``e`` and an integer
+    ``|m| < 2**53``, split into a high half ``|h| < 2**26`` and a low half ``|l| < 2**27``
+    (``m = h * 2**27 + l``).  One `np.bincount` per half adds them up by exponent.  A bin
+    stays an exact integer while its partial sums stay within ``2**53``, and runs of
+    ``2**26`` entries guarantee that (``2**26 * (2**27 - 1) < 2**53``), so a longer array
+    is binned run by run.  The nonzero bins are combined into one Python int, and one
+    correctly rounded ``int / 2**k`` division gives the result; a zero sum is ``0.0``, as
+    from `math.fsum`.  Unlike `math.fsum`, which raises `OverflowError` when a partial
+    sum overflows, the kernel returns the exact sum whenever that sum is finite; no sum
+    over a law comes near the float range.
+    """
+    low, exponents = np.frexp(values)  # |low| in [0.5, 1) until it is scaled
+    high = np.trunc(low * 2.0**26)
+    low *= 2.0**53
+    low -= high * 2.0**27
+    base = int(exponents.min())
+    bins = np.subtract(exponents, base, dtype=np.intp)
+    total = 0
+    for at in range(0, values.size, 1 << 26):
+        run = slice(at, at + (1 << 26))
+        highs = np.bincount(bins[run], weights=high[run]).tolist()
+        lows = np.bincount(bins[run], weights=low[run]).tolist()
+        for b, (h, l) in enumerate(zip(highs, lows)):
+            if h or l:
+                total += ((int(h) << 27) + int(l)) << b
+    scale = base - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 def _total(nums: np.ndarray):
-    """Sums of numerators along the last axis, exact or by `math.fsum` of floats:
-    one number for a 1-D array, a list of row sums for a 2-D one."""
+    """Sums of numerators along the last axis, exact or correctly rounded for floats
+    (`math.fsum` for short rows, `_exact_sum` from ``_LONG_ROW`` entries): one number
+    for a 1-D array, a list of row sums for a 2-D one."""
     rows = nums if nums.ndim == 2 else nums[None]
-    sums = [math.fsum(row) for row in rows.tolist()] if nums.dtype == np.float64 else rows.sum(axis=1).tolist()
+    if nums.dtype != np.float64:
+        sums = rows.sum(axis=1).tolist()
+    elif rows.shape[1] < _LONG_ROW:
+        sums = [math.fsum(row) for row in rows.tolist()]
+    else:
+        sums = [_exact_sum(row) for row in rows]
     return sums if nums.ndim == 2 else sums[0]
 
 
@@ -183,7 +225,8 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     sequence: float64 numerators over 1, or integer numerators (Fractions over the
     lcm of their denominators) in lowest terms, int64 while ``max * count`` fits.
     Every entry lies in ``[0, 1]``, within VALIDATION_TOL for floats, and every
-    row sums to the denominator: exactly, or by `math.fsum` within VALIDATION_TOL.
+    row sums to the denominator: exactly, or within VALIDATION_TOL by the correctly
+    rounded sum (the value `math.fsum` returns).
     ``label(k)`` names row ``k`` in a refusal.
     """
     exact = mode == "rational"
@@ -241,8 +284,12 @@ class KeyDistribution:
 
     Construction validates in one vectorised pass: every entry finite and
     in ``[0, 1]`` (NaN and infinities are refused), then the total: exact
-    in rational mode, `math.fsum` within VALIDATION_TOL of 1 in float
-    mode.  A Lattice passed in must hold integer numerators.  ``probs``,
+    in rational mode, and in float mode the correctly rounded sum (the
+    value `math.fsum` returns) within VALIDATION_TOL of 1.  That sum is
+    `math.fsum` of the entries below ``_LONG_ROW`` (1024) entries and the
+    binned kernel `_exact_sum` from there, with the same bits and no
+    Python float per entry.  A Lattice passed in must hold integer
+    numerators.  ``probs``,
     the tuple of Python floats or Fractions that indexing and iteration
     use, is built on first use and cached.
 
@@ -552,8 +599,9 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
         exact `Fraction`; otherwise a float.  Omitting ``q`` measures
         ``delta(P, U)`` against the uniform law in ``p``'s backend,
         without building it: ``sum_k |N num_k - den| / (2 N den)`` over
-        its numerators.  A float result sums by `math.fsum`; as ``N`` is a
-        power of two, the scaling by ``N`` is exact.
+        its numerators.  A float result is the correctly rounded sum (the
+        value `math.fsum` returns); as ``N`` is a power of two, the scaling
+        by ``N`` is exact.
 
     Returns
     -------
@@ -577,7 +625,11 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
 
 def _shannon_bits(values: np.ndarray) -> float:
     # 0 log 0 = 0 by continuity; math.log2 per entry, as np.log2 rounds some inputs differently
-    return -math.fsum([p * math.log2(p) for p in values[values > 0].tolist()])
+    support = values[values > 0]
+    if support.size < _LONG_ROW:
+        return -math.fsum([p * math.log2(p) for p in support.tolist()])
+    logs = np.fromiter(map(math.log2, support.tolist()), np.float64, support.size)
+    return -_exact_sum(support * logs)  # the IEEE products p * log2(p), as in the list
 
 
 def entropy_stats(p: KeyDistribution) -> EntropyStats:

@@ -74,6 +74,7 @@ CAPS = {
     "float_enum_bits": Cap(20, ResourceLimitError, "bits"),  # KPA enumeration, float mode
     "rational_enum_bits": Cap(12, ResourceLimitError, "bits"),  # KPA enumeration, rational mode
     "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
+    "decimal_digits": Cap(4000, ResourceLimitError, "digits"),  # an exact decimal with an exponent
 }
 
 
@@ -122,6 +123,26 @@ def infer_mode(values: Iterable[Number]) -> str:
     return kinds.pop() if kinds else "float"
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    """``Fraction(text)``, its decimal exponent read first.
+
+    A decimal with an exponent, ``<mantissa>e<exponent>``, needs at most as many
+    digits in its numerator and in its denominator as the mantissa has characters
+    plus the exponent's magnitude; past the ``decimal_digits`` cap it is refused
+    before ``10**exponent`` is built.  Under the cap no exponent makes an entry too
+    long to print: Python converts ints of up to 4,300 digits to text.
+    """
+    at = max(text.rfind("e"), text.rfind("E"))
+    if at >= 0:
+        try:
+            float(text)  # every text Fraction reads with an exponent, float() reads too
+            digits = at + abs(int(text[at + 1:]))
+        except ValueError:  # not a decimal, or an exponent past int()'s digit limit: Fraction refuses it
+            digits = 0
+        check_cap("decimal_digits", digits, what)
+    return Fraction(text)
+
+
 def check_scalar(
     value,
     what: str,
@@ -144,7 +165,7 @@ def check_scalar(
     """
     if isinstance(value, str):
         try:
-            value = Fraction(value.strip())
+            value = _fraction(value.strip(), f"{what} {value!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse {what} {value!r}") from exc
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -204,18 +225,19 @@ def parse_number(text: str, mode: str) -> Number:
     """Parse one scalar in the requested mode.
 
     Rational mode accepts ``"3/10"``, integers, and decimal literals
-    (``"0.3"`` becomes exactly 3/10).  Float mode accepts anything
-    ``float()`` does, plus ``num/den`` forms (rounded to double), and
-    refuses NaN, infinities and values outside the float range.
+    (``"0.3"`` becomes exactly 3/10; one with an exponent past the
+    ``decimal_digits`` cap raises `ResourceLimitError`).  Float mode
+    accepts anything ``float()`` does, plus ``num/den`` forms (rounded to
+    double), and refuses NaN, infinities and values outside the float range.
     """
     text = text.strip()
     try:
         if mode == "rational":
-            return Fraction(text)
+            return _fraction(text, f"number {text!r}")
         try:
             value = float(text)
         except ValueError:
-            value = Fraction(text)
+            value = _fraction(text, f"number {text!r}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a {mode} number") from exc
     return check_scalar(value, f"number {text!r}", mode="float")

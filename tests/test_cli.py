@@ -469,3 +469,50 @@ def test_hostile_flag_values_exit_cleanly(capsys, monkeypatch):
                         validator.validate(json.loads(out))
                     if value in ("nan", "inf", "-inf"):
                         assert code != 0, argv
+
+
+#: decimals whose exponent would make ``Fraction`` build ``10**exponent``: refused at the
+#: ``decimal_digits`` cap in rational mode, read by float() in float mode
+HUGE_EXPONENTS = ("1e5000", "-1e5000", "1e-5000", "1e10000000", "9999999999999999999e009223372036854775808")
+
+#: run `main` on each argv of a JSON list from stdin, then print each exit code, stdout and stderr
+_SWEEP = """import contextlib, io, json, sys
+from keysec.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))"""
+
+
+def test_huge_decimal_exponents_exit_cleanly_in_bounded_time():
+    entries, flags = [], []  # the value as one entry of a law, a spike and a conditional row; as each flag value
+    for mode in ("float", "rational"):
+        for value in HUGE_EXPONENTS:
+            entries += [[*argv, "--mode", mode] for argv in (
+                ["dist", "entropy", "--p", json.dumps([value, "0"])],
+                ["dist", "delta", "--p", f"spike:1:{value}", "--q", "uniform:1"],
+                ["dist", "mi", "--prior", "uniform:1", "--conditional", json.dumps([[value, "0"], ["1", "0"]])],
+            )]
+            for command, sample in SAMPLE_ARGV.items():
+                values = [i + 1 for i, tok in enumerate(sample) if tok.startswith("--")
+                          and i + 1 < len(sample) and not sample[i + 1].startswith("--")]
+                flags += [[*command.split(), *sample[:i], value, *sample[i + 1:], "--mode", mode] for i in values]
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(entries + flags), capture_output=True,
+                          text=True, env=env, timeout=120)  # a built 10**exponent takes minutes or never returns
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    validator = jsonschema.Draft202012Validator(_SCHEMA)
+    for argv, (code, out, err) in zip(entries + flags, results, strict=True):
+        assert code in (0, 1, 2, 3) and "Traceback" not in err and "internal error" not in err, (argv, err)
+        if out:
+            validator.validate(json.loads(out))
+        if code == 3:  # rational mode, or a flag read exactly in both modes (budget's --exponent)
+            assert "over the decimal_digits cap of 4000 digits" in err, (argv, err)
+    for argv, (code, _, err) in zip(entries, results):
+        if argv[-1] == "rational":
+            assert code == 3, (argv, err)

@@ -7,7 +7,9 @@ tuple of entries with scalar arithmetic.  Float results must carry
 identical bits and exact results identical Fractions, over random float
 and rational laws at n = 1..10 with zeros, large denominators (numerators
 up to 2^80, so the lattice's Python-int path runs) and splits with
-target subsets.
+target subsets, and over seeded float laws at n = 11 and 12, whose sums
+are long enough to take the binned kernel (`dist._exact_sum`) in place
+of `math.fsum`.
 """
 
 import math
@@ -146,9 +148,39 @@ def test_average_guess_matches_reference(data):
 
 @pytest.mark.parametrize("x", [0.8987919599055768, 0.9873506349586143, 0.8741944479676026, 0.8306978238042115])
 def test_entropy_keeps_the_bits_of_math_log2(x):
-    # inputs where np.log2 rounds differently and the difference reaches the sum
-    law = (x, 1 - x)
-    assert same(entropy_stats(KeyDistribution(1, law)).shannon_bits, oracles.ref_shannon(law))
+    # inputs where np.log2 rounds differently and the difference reaches the sum: in (x, 1 - x),
+    # and beside 2047 equal entries, a support summed by the binned kernel
+    for n in (1, 11):
+        law = (x, *((1 - x) / ((1 << n) - 1),) * ((1 << n) - 1))
+        assert same(entropy_stats(KeyDistribution(n, law)).shannon_bits, oracles.ref_shannon(law))
+
+
+@pytest.mark.parametrize("n, seed, zeros", [(11, 1, 0.0), (11, 2, 0.3), (12, 3, 0.0), (12, 4, 0.3)])
+def test_long_float_laws_match_reference(n, seed, zeros):
+    rng = random.Random(seed)
+    p, q = draw_law(rng, n, False, 62, zeros), draw_law(rng, n, False, 62, 0.0)
+    dp = KeyDistribution(n, p)
+    assert same(statistical_distance(dp, KeyDistribution(n, q)), oracles.ref_distance(p, q))
+    assert same(statistical_distance(dp), oracles.ref_distance(p, oracles.ref_uniform(n, False)))
+    assert same(tuple(entropy_stats(dp)), oracles.ref_entropy_stats(p))
+    for split in (KeySplit(1, n - 1), KeySplit(n // 2, n - n // 2, [0, 2])):
+        res = average_conditional_guess(dp, split)
+        assert same(tuple(res), oracles.ref_avg_guess(p, split.n1, split.n2, split.subset_bits))
+    size = 1 << n
+    lam = min(1.0, max(0.0, 1 - size * min(p), (size * max(p) - 1) / (size - 1)) + 1e-9)
+    res, ref = check_mixture_decomposition(dp, lam), oracles.ref_mixture(p, n, lam)
+    assert same(res.uniform_weight, ref[0]) and same(res.residual.probs, ref[1])
+
+
+@pytest.mark.parametrize("seed, width", [(5, 2), (6, 5)])
+def test_long_probe_model_matches_reference(seed, width):
+    rng = random.Random(seed)
+    prior = draw_law(rng, 11, False, 62, 0.1)
+    rows = [_row(rng, width, False) for _ in prior]
+    model = ClassicalProbeModel(KeyDistribution(11, prior), rows)
+    info, d = oracles.ref_probe(prior, rows)
+    assert same(mutual_information(model), info)
+    assert same(d_criterion(model), d)
 
 
 @given(laws())

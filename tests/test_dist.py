@@ -29,7 +29,8 @@ from keysec import (
     statistical_distance,
     trace_distance,
 )
-from keysec.numerics import CAPS
+from keysec.dist import _LONG_ROW, _exact_sum, _total
+from keysec.numerics import CAPS, VALIDATION_TOL
 
 P_RAT = [F(1, 2), F(1, 8), F(1, 8), F(1, 4)]
 ROWS = [[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)], [F(0), F(1)]]
@@ -440,3 +441,89 @@ def test_shannon_entropy_ignores_zero_entries():
     d = KeyDistribution(2, [F(1, 2), F(1, 2), F(0), F(0)])
     assert entropy_stats(d).shannon_bits == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(entropy_stats(d).min_entropy_bits)
+
+
+# ---------------------------------------------------------------- correctly rounded sums
+
+#: sizes around the row length at which float sums switch from math.fsum to `_exact_sum`
+_SUM_SIZES = [1, 2, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, 3 * _LONG_ROW]
+
+
+def _fsum_hex(values: np.ndarray) -> str:
+    return math.fsum(values.tolist()).hex()
+
+
+@st.composite
+def _float_arrays(draw):
+    """Finite float64 arrays: values of either sign over a drawn range of binades (subnormals
+    included), with runs of zeros and negative zeros."""
+    size = draw(st.sampled_from(_SUM_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    lo, hi = draw(st.sampled_from([(-1074, -1000), (-1074, 1), (-60, 1), (-1074, 100), (-30, -29)]))
+    values = np.ldexp(rng.random(size), rng.integers(lo, hi, size))
+    values[rng.random(size) < draw(st.sampled_from([0.0, 0.5]))] *= -1.0
+    values[rng.random(size) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = draw(st.sampled_from([0.0, -0.0]))
+    return values
+
+
+@given(_float_arrays())
+def test_exact_sum_is_the_fsum_of_the_entries(values):
+    assert _exact_sum(values).hex() == _fsum_hex(values)
+
+
+@given(st.sampled_from(_SUM_SIZES), st.integers(0, 2**32))
+def test_exact_sum_of_a_law_with_slightly_negative_entries(size, seed):
+    # float laws may hold entries down to -VALIDATION_TOL; their sums are the validation totals
+    rng = np.random.default_rng(seed)
+    law = rng.random(size) ** 2
+    law /= law.sum()
+    law[rng.random(size) < 0.2] = -VALIDATION_TOL * rng.random()
+    assert _exact_sum(law).hex() == _fsum_hex(law)
+
+
+@pytest.mark.parametrize(
+    "head, fill",
+    [
+        ([], 5e-324),  # the least subnormal, repeated
+        ([1.0, 2**-53], 0.0),  # a tie, rounded to even: 1.0
+        ([1 + 2**-52, 2**-53], 0.0),  # a tie, rounded to even: 1 + 2**-51
+        ([-1.0, -(2**-53)], 0.0),
+        ([2.0**1000, 5e-324, -(2.0**1000)], 0.0),  # 2,074 binades apart; the sum is the subnormal
+        ([2.0**-1000, 2.0**20, -(2.0**20)], 0.0),
+        ([-(2**-53)], 1 - 2**-53),  # the largest mantissa: both halves at their bound
+        ([], -0.0),
+        ([], 0.0),
+    ],
+)
+@pytest.mark.parametrize("size", [4, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, 3 * _LONG_ROW])
+def test_exact_sum_of_ties_subnormals_and_zeros(head, fill, size):
+    values = np.array(head + [fill] * (size - len(head)))
+    assert _exact_sum(values).hex() == _fsum_hex(values)
+    if not values.any():
+        assert _exact_sum(values).hex() == (0.0).hex()  # as math.fsum: +0.0, also from -0.0 entries
+
+
+@pytest.mark.parametrize("width", [_LONG_ROW - 1, _LONG_ROW])
+def test_total_of_tables_of_both_widths(width):
+    rng = np.random.default_rng(width)
+    table = np.ldexp(rng.random((5, width)), rng.integers(-80, 1, (5, width)))
+    table[1] = 0.0
+    table[2, ::2] = -table[2, ::2]
+    expected = [math.fsum(row) for row in table.tolist()]
+    assert [x.hex() for x in _total(table)] == [x.hex() for x in expected]
+    assert [x.hex() for x in _total(table.T.copy().T)] == [x.hex() for x in expected]  # strided rows
+    assert _total(table[3]).hex() == expected[3].hex()
+
+
+def test_no_bin_of_an_exact_sum_reaches_2_to_the_53():
+    # _exact_sum bins a high half |h| < 2**26 and a low half |l| < 2**27 of each mantissa,
+    # in runs of 2**26 entries: float64 adds integers exactly while partial sums stay within 2**53
+    run = 1 << 26
+    assert run * ((1 << 26) - 1) < 2**53 and run * ((1 << 27) - 1) < 2**53
+    # a law has at most 2**24 entries, so every sum over one law is binned in a single run
+    assert 1 << CAPS["key_bits"].limit <= run
+    # d_criterion sums its flattened (2**n x outcomes) table, and no cap bounds the outcomes:
+    # past 2**26 entries the run length, not a cap, keeps each bin exact
+    assert (1 << CAPS["key_bits"].limit) * 5 > run
+    # frexp's exponents of finite doubles span -1073..1024: a bounded number of bins
+    assert np.frexp(5e-324)[1] == -1073 and np.frexp(np.finfo(float).max)[1] == 1024

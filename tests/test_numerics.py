@@ -66,6 +66,29 @@ def test_parse_number_refuses_non_finite_floats(text):
             parse_number(text, "rational")
 
 
+def test_decimal_exponents_are_read_before_the_fraction_is_built():
+    limit = CAPS["decimal_digits"].limit
+    assert parse_number("1e400", "rational") == 10**400
+    assert parse_number(f"1e{limit - 1}", "rational") == 10 ** (limit - 1)  # 1 + 3999 digits: at the cap
+    assert parse_number(f"-2.5E-{limit - 4}", "rational") == Fraction(-25, 10 ** (limit - 3))  # 4 + 3996
+    assert check_scalar(f"1e-{limit - 1}", "budget") == Fraction(1, 10 ** (limit - 1))
+    refusal = r"^number '{}' needs {} digits, over the decimal_digits cap of 4000 digits$"
+    for text, digits in ((f"1e{limit}", limit + 1), ("-1e5000", 5002), ("1.5e-4000", 4003), ("1E+1_0000", 10001),
+                         ("9999999999999999999e009223372036854775808", 19 + 9223372036854775808)):
+        with pytest.raises(ResourceLimitError, match=refusal.format(re.escape(text), digits)):
+            parse_number(text, "rational")
+    with pytest.raises(ResourceLimitError, match=r"^budget '1e-5000' needs 5001 digits"):
+        check_scalar("1e-5000", "budget", mode="float")  # a string is read exactly, whatever the mode
+    # float mode reads a decimal with float(); it never builds the Fraction
+    assert parse_number("1e-5000", "float") == 0.0
+    with pytest.raises(ValidationError, match="must be finite"):
+        parse_number("1e5000", "float")
+    # a text that is no decimal is refused by the parser, whatever its "exponent"
+    for text in ("1e 5000", "xe5000", "1/2e5000", "1e" + "9" * 5000):
+        with pytest.raises(ValidationError, match="cannot parse"):
+            parse_number(text, "rational")
+
+
 def test_huge_counts_are_refused_as_outside_the_float_range():
     huge = int("9" * 400)
     for what, call in (
@@ -199,6 +222,7 @@ CAP_CONTRACT = {
     "float_enum_bits": (20, ResourceLimitError),
     "rational_enum_bits": (12, ResourceLimitError),
     "state_dim": (64, ValidationError),
+    "decimal_digits": (4000, ResourceLimitError),
 }
 
 
