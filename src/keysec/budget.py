@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, check_int, check_scalar, parse_number, scalar_mode
+from .numerics import Number, ValidationError, _shown, check_int, check_scalar, parse_number, scalar_mode
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -57,7 +57,7 @@ def as_markov_exponent(value: Union[str, Number]) -> Fraction:
         if abs(value - frac) <= slack:
             return frac
     raise ValidationError(
-        f"exponent {value} is not admissible: the average-to-individual "
+        f"exponent {_shown(value)} is not admissible: the average-to-individual "
         "conversion supports only 1, 1/2, 1/3 (in particular not 1/4)"
     )
 

@@ -39,6 +39,7 @@ from .numerics import (
     Number,
     ValidationError,
     VALIDATION_TOL,
+    _shown,
     check_cap,
     check_int,
     check_key_bits,
@@ -245,11 +246,11 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     most = rows.max()
     if not (rows.min() >= -slack and most <= top):  # NaN fails both comparisons
         k, i = divmod(int(np.argmin((rows >= -slack) & (rows <= top))), width)
-        raise ValidationError(f"{label(k)} entry {i} is {_over(rows[k, i], den)!r}, outside [0, 1]")
+        raise ValidationError(f"{label(k)} entry {i} is {_shown(_over(rows[k, i], den), repr)}, outside [0, 1]")
     for k, total in enumerate(_total(rows)):
         if abs(total - den) > slack:
             tolerance = f" (tolerance {slack})" if slack else ""
-            raise ValidationError(f"{label(k)} sums to {_over(total, den)}, not 1{tolerance}")
+            raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
     if exact:
         common = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
         if common > 1:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
-from .numerics import InfeasibleError, Number, ValidationError, check_int, check_key_bits, check_scalar, scalar_mode
+from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
+                       scalar_mode)
 
 __all__ = [
     "EventSpec",
@@ -133,7 +134,7 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
     top = check_scalar(Fraction(size - 1, size), "largest distance", mode=mode)
     if eps > top + (1e-12 if mode == "float" else 0):
         raise InfeasibleError(
-            f"distance {eps} from uniform is impossible on {size} values (maximum is {top})"
+            f"distance {_shown(eps)} from uniform is impossible on {size} values (maximum is {top})"
         )
     eps = min(eps, top)
     law = _transport(size, np.delete(np.arange(size), at), [at], eps)

@@ -23,12 +23,12 @@ nonzero polynomial ``sum_j D_j alpha^(j+1) + dt`` of degree at most
 the best forgery wins with the mass of the posterior's
 ``min(m_blk, 2^b)`` most likely keys: no message difference is searched.
 
-Masked substitution still enumerates its transcripts over the table
-``H[d, alpha] = h_alpha(d)``.  Linearity gives it cheaply: ``b * m_blk``
-basis rows cost ``b * m_blk * 2^b`` field multiplies, and every other
-row is an XOR of two earlier ones.  ``HashFamilySpec.hash_value`` stays
-as the scalar reference.  The forgeable key law is closed form, with no
-search.
+Masked substitution still enumerates its transcripts, over the rows
+``H[d, alpha] = h_alpha(d)`` of the messages it hashes.  By linearity each
+is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
+``uses.bit_length()`` for more) at ``2^b`` field multiplies each.
+``HashFamilySpec.hash_value`` stays as the scalar reference.  The
+forgeable key law is closed form, with no search.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .numerics import (
     InfeasibleError,
     Number,
     ValidationError,
+    _shown,
     check_cap,
     check_int,
     check_scalar,
@@ -287,8 +288,8 @@ def attack_success(
     ``attack`` is ``"impersonation"`` or ``"substitution"``.  The default
     scores the worst case over the observable transcript (message choice
     and tag values); ``tag_averaged=True`` instead averages over the tag
-    randomness, which is the quantity the degradation law
-    ``eps + eps_h`` speaks about.
+    randomness, which is the quantity the degradation laws of
+    `degraded_epsilon` speak about.
 
     Impersonation is the prior's total times the top mask entry over the
     game's denominator, the mass of the zero message's likeliest tag: the
@@ -296,26 +297,23 @@ def attack_success(
     (``tag_key_dist=None``, a mask of numerator 1 over ``2^b``).  With the
     ideal pad observed tags carry no information about the hash key, so
     substitution wins with the prior mass of the ``min(m_blk, 2^b)`` most
-    likely keys, with no message table.  Passing an explicit
-    ``KeyDistribution`` (even a uniform one) forces the full substitution
-    transcript enumeration, which is capped for size.
+    likely keys, with no message table.  An explicit ``KeyDistribution``
+    (even a uniform one) plays the masked game.
 
-    Multi-use substitution (``uses >= 2``) scores a canonical transcript
-    of distinct messages ``1..uses``; the single-use game maximizes over
-    the observed message.
-
-    Masked substitution runs over the hash table ``H[d, alpha]``, built by
-    GF-linearity from ``b * m_blk`` basis rows computed once per call.  It
+    Masked substitution observes the tags of one message, maximized over
+    the message, or of the distinct messages ``1..uses`` (``uses >= 2``).
+    It hashes them by GF-linearity from one basis row per message bit
+    (``b * m_blk`` for a single use, ``uses.bit_length()`` for more),
     stacks the key posteriors of all transcripts and scores each by its
     top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Exact laws become
     integer numerators over one common denominator, in int64 while the
     game's total numerator stays below 2^62 and as Python integers beyond.
     Float laws are summed in the order a loop over the keys would use: a
     float forgery mass is the key-order sum of the lowest-index top
-    entries, which can sit 1 ulp below another tied choice of keys.  Only
-    masked substitution is capped: its ``message_bits``, ``mac_work`` and
-    ``tag_tuples`` caps of `keysec.numerics.CAPS` are checked before
-    anything is allocated.
+    entries, which can sit 1 ulp below another tied choice of keys.  More
+    uses than messages is a `ValidationError`; then the (transcript, key)
+    table's bit count, ``b * m_blk + 2b`` for one use and ``b * (uses + 1)``
+    for more, meets the ``mac_entry_bits`` cap before anything is built.
     """
     if attack not in ("impersonation", "substitution"):
         raise ValidationError(f"unknown attack {attack!r}; expected impersonation or substitution")
@@ -332,42 +330,26 @@ def attack_success(
     mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (np.ones(1, np.int64), size)
     if attack == "impersonation":  # the zero message hashes to 0 under every key: its tag is the mask
         return _over(sum(prior.tolist()) * max(mask.tolist()), den * mask_den)
+    b, uses = spec.field_bits, keys.uses
     if masked:  # the ideal pad builds nothing of size 2^(b * m_blk)
-        bits = spec.field_bits * spec.message_blocks
-        check_cap("message_bits", bits, f"message space of 2^{bits} messages")  # before 2^bits is built
-        msgs, uses = spec.message_space, keys.uses
-        if uses == 1:
-            what = f"substitution transcript enumeration of ({msgs} x {size})^2"
-            check_cap("mac_work", (msgs * size) ** 2, what)
-        else:
-            if uses >= msgs:
-                raise ValidationError(
-                    f"{uses} distinct observed messages do not fit a {msgs}-message space"
-                )
-            tuples = size**uses
-            what = f"multi-use enumeration of {size}^{uses} tag tuples"
-            check_cap("tag_tuples", tuples, what)
-            check_cap("mac_work", tuples * msgs * size, f"{what} x {msgs} x {size}")
-    den *= mask_den ** (keys.uses if masked else 0)  # the total numerator of the game's joint law
+        bits = b * spec.message_blocks
+        if uses.bit_length() > bits:  # uses >= 2^bits, by bit length: 2^bits is huge for many blocks
+            raise ValidationError(f"{_shown(uses)} distinct observed messages do not fit a 2^{bits}-message space")
+        # the (transcript, key) table: 2^bits messages or 2^(b * uses) tag tuples, by 2^b tags and 2^b keys
+        check_cap("mac_entry_bits", bits + 2 * b if uses == 1 else b * (uses + 1), "masked substitution table")
+    den *= mask_den ** (uses if masked else 0)  # the total numerator of the game's joint law
     dtype = np.float64 if mode == "float" else np.int64 if den < 1 << 62 else object
     prior, mask = prior.astype(dtype), mask.astype(dtype)
     roots = min(spec.message_blocks, size)
     if not masked:
         return _over(_top_mass(prior[None, :], roots)[0], den)
-    basis = _basis_rows(spec, bits)
-    tags = np.arange(size)
-
-    if keys.uses == 1:
-        # posts[m, t, alpha] = P(alpha, tag t on message m)
-        table = _hash_table(basis, msgs)
-        posts = prior * mask[tags[:, None] ^ table[:, None, :]]
-        groups = msgs
-    else:
-        # posts[t_1, ..., t_uses, alpha] for observed messages 1..uses
-        posts = prior
-        for row in _hash_table(basis, uses + 1)[1:]:
-            posts = posts[..., None, :] * mask[tags[:, None] ^ row]
-        groups = 1
+    # sent[g, i]: the hash row of message i of transcript group g, one group per message for a single use
+    stop = spec.message_space if uses == 1 else uses + 1
+    table = _hash_table(_basis_rows(spec, (stop - 1).bit_length()), stop)
+    sent = table[:, None] if uses == 1 else table[None, 1:]
+    groups, tags, posts = len(sent), np.arange(size), prior[None, None]
+    for i in range(sent.shape[1]):  # posts[g, (t_1, ..., t_i), alpha] = P(alpha, tags t_1..t_i on group g)
+        posts = (posts[:, :, None] * mask[tags[:, None] ^ sent[:, i, None]][:, None]).reshape(groups, -1, size)
     posts = posts.reshape(-1, size)
     hits = _top_mass(posts, roots)
     if tag_averaged:

@@ -66,9 +66,7 @@ class Cap(NamedTuple):
 CAPS = {
     "key_bits": Cap(24, ResourceLimitError, "bits"),  # a dense law has 2^n entries
     "field_bits": Cap(10, ResourceLimitError, "bits"),  # MAC field GF(2^b)
-    "message_bits": Cap(16, ResourceLimitError, "bits"),  # masked MAC substitution message space 2^(b * blocks)
-    "mac_work": Cap(1 << 22, ResourceLimitError, "steps"),  # masked MAC substitution transcripts
-    "tag_tuples": Cap(1 << 12, ResourceLimitError, "tuples"),  # multi-use MAC tags 2^(b * uses)
+    "mac_entry_bits": Cap(20, ResourceLimitError, "bits"),  # masked MAC substitution (transcript, key) table
     "data_bits": Cap(12, ResourceLimitError, "bits"),  # ECPA exact expectation over 2^n words
     "matrix_bits": Cap(16, ValidationError, "bits"),  # ECPA parity-check matrix width
     "float_enum_bits": Cap(20, ResourceLimitError, "bits"),  # KPA enumeration, float mode
@@ -76,6 +74,22 @@ CAPS = {
     "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
     "decimal_digits": Cap(4000, ResourceLimitError, "digits"),  # an exact decimal with an exponent
 }
+
+
+def _shown(value, spell=str) -> str:
+    """``spell(value)`` (`str` or `repr`), every integer in it past 50 digits cut to its leading 50
+    and its digit count, read from the bit length: no int too long for ``str()`` is converted."""
+    if isinstance(value, Fraction):
+        num, den = _shown(value.numerator), _shown(value.denominator)
+        return f"Fraction({num}, {den})" if spell is repr else f"{num}/{den}" if value.denominator > 1 else num
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        return spell(value)
+    size = abs(int(value))
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # 2^(bits - 1) <= size < 2^bits
+    digits += size >= 10**digits
+    if digits <= 50:
+        return str(int(value))
+    return f"{'-' * (value < 0)}{size // 10 ** (digits - 50)}...({digits} digits)"
 
 
 def check_cap(name: str, requested: int, what: str) -> int:
@@ -88,7 +102,7 @@ def check_cap(name: str, requested: int, what: str) -> int:
     cap = CAPS[name]
     if requested > cap.limit:
         raise cap.error(
-            f"{what} needs {requested} {cap.unit}, over the {name} cap of {cap.limit} {cap.unit}"
+            f"{what} needs {_shown(requested)} {cap.unit}, over the {name} cap of {cap.limit} {cap.unit}"
         )
     return requested
 
@@ -183,12 +197,12 @@ def check_scalar(
     above = hi is not None and (value >= hi if hi_open else value > hi)
     if below or above:
         if hi is None:
-            bound = f"above {lo}" if lo_open else f"at least {lo}"
+            bound = f"above {_shown(lo)}" if lo_open else f"at least {_shown(lo)}"
         elif lo is None:
-            bound = f"below {hi}" if hi_open else f"at most {hi}"
+            bound = f"below {_shown(hi)}" if hi_open else f"at most {_shown(hi)}"
         else:
-            bound = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
-        raise ValidationError(f"{what} must be {bound}, got {value}")
+            bound = f"in {'(' if lo_open else '['}{_shown(lo)}, {_shown(hi)}{')' if hi_open else ']'}"
+        raise ValidationError(f"{what} must be {bound}, got {_shown(value)}")
     return value
 
 
@@ -206,9 +220,9 @@ def check_int(value, what: str, lo: int | None = 1, hi: int | None = None) -> in
         if (lo is None or value >= lo) and (hi is None or value < hi):
             return value
         if hi is not None:
-            raise ValidationError(f"{what} {value} outside [{lo}, {hi})")
+            raise ValidationError(f"{what} {_shown(value)} outside [{lo}, {hi})")
     kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[lo]
-    raise ValidationError(f"{what} must be {kind}, got {value!r}")
+    raise ValidationError(f"{what} must be {kind}, got {_shown(value, repr)}")
 
 
 def check_key_bits(n) -> int:
@@ -218,7 +232,7 @@ def check_key_bits(n) -> int:
     (``2^n`` entries would not fit a desk-scale calculation), `ResourceLimitError`.
     """
     n = check_int(n, "key length")
-    return check_cap("key_bits", n, f"a dense law over 2^{n} keys")
+    return check_cap("key_bits", n, f"a dense law over 2^{_shown(n)} keys")
 
 
 def parse_number(text: str, mode: str) -> Number:

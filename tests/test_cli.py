@@ -16,7 +16,7 @@ import pytest
 import keysec
 from keysec import cli
 from keysec.cli import COMMANDS, GROUPS, build_parser, main
-from keysec.numerics import CAPS
+from keysec.numerics import CAPS, ResourceLimitError, ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -212,18 +212,33 @@ def test_empty_values_and_dense_sizes_are_refused(capsys):
         assert err.startswith("resource limit:") and err.count("\n") == 1, err
 
 
+#: one argv that each row of CAPS refuses
+CAP_ARGV = {
+    "key_bits": ("dist", "delta", "--p", "uniform:30", "--q", "uniform:30"),
+    "field_bits": ("mac", "epsilon", "--b", "12", "--blocks", "2"),
+    "mac_entry_bits": ("mac", "attack", "--b", "4", "--blocks", "4", "--attack", "substitution",
+                       "--hash-key", "uniform:4", "--tag-key", "uniform:4"),
+    "data_bits": ("ecpa", "compare", "--code", "0" * 12 + "1", "--crossover", "1/10"),
+    "matrix_bits": ("ecpa", "compare", "--code", "0" * 16 + "1", "--crossover", "1/10"),
+    "float_enum_bits": ("kpa", "breach", "--n", "21", "--eps", "1/16", "--n1", "1", "--n2", "20", "--mode", "float"),
+    "rational_enum_bits": ("kpa", "breach", "--n", "13", "--eps", "1/16", "--n1", "1", "--n2", "12",
+                           "--mode", "rational"),
+    "state_dim": ("dist", "trace", "--rho", "diag:uniform:7", "--sigma", "diag:uniform:7"),
+    "decimal_digits": ("dist", "entropy", "--mode", "rational", "--p", '["1e5000","0"]'),
+}
+
+
 def test_cap_refusals_of_both_exit_classes_share_one_format(capsys):
+    # every cap is reachable from the CLI, and each refusal is one line of the one format
     line = re.compile(r"(resource limit|validation error): .+ needs (\d+) (\w+), "
                       r"over the (\w+) cap of (\d+) \3\n")
-    for argv, exit_code in (
-        (("mac", "epsilon", "--b", "12", "--blocks", "2"), 3),
-        (("dist", "trace", "--rho", "diag:uniform:7", "--sigma", "diag:uniform:7"), 2),
-    ):
+    assert set(CAP_ARGV) == set(CAPS)
+    for name, argv in CAP_ARGV.items():
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (exit_code, ""), argv
+        cap = CAPS[name]
+        assert (code, out) == ({ResourceLimitError: 3, ValidationError: 2}[cap.error], ""), argv
         match = line.fullmatch(err)
-        assert match, err
-        cap = CAPS[match[4]]
+        assert match and match[4] == name, err
         assert int(match[5]) == cap.limit < int(match[2])
 
 
@@ -475,6 +490,20 @@ def test_hostile_flag_values_exit_cleanly(capsys, monkeypatch):
 #: ``decimal_digits`` cap in rational mode, read by float() in float mode
 HUGE_EXPONENTS = ("1e5000", "-1e5000", "1e-5000", "1e10000000", "9999999999999999999e009223372036854775808")
 
+#: an exact decimal with no exponent whose numerator (8,000 digits) is too long for str()
+LONG_DECIMAL = f"{'1' * 4000}.{'1' * 4000}"
+
+#: refusals that print a number past Python's 4,300-digit conversion limit, with their exit codes
+LONG_REFUSALS = [
+    (["dist", "entropy", "--mode", "rational", "--p", json.dumps([LONG_DECIMAL, "0"])], 2),
+    (["mixture", "check", "--mode", "rational", "--p", "uniform:2", "--lam", LONG_DECIMAL], 2),
+    (["spike", "construct", "--n", "3", "--mode", "rational", "--eps", LONG_DECIMAL], 2),
+    (["mac", "attack", "--b", "10", "--blocks", "9" * 4300, "--attack", "substitution",
+      "--hash-key", "uniform:10", "--tag-key", "uniform:10"], 3),  # needs 10 * blocks + 20 bits
+    (["budget", "individual", "--mode", "rational", "--d", "1e-9", "--exponent", LONG_DECIMAL], 2),
+    (["kpa", "breach", "--n", "3", "--eps", "1/16", "--n1", "9" * 4300, "--n2", "2"], 3),  # a 2^(n1 + n2) law
+]
+
 #: run `main` on each argv of a JSON list from stdin, then print each exit code, stdout and stderr
 _SWEEP = """import contextlib, io, json, sys
 from keysec.cli import main
@@ -502,10 +531,15 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time():
                 flags += [[*command.split(), *sample[:i], value, *sample[i + 1:], "--mode", mode] for i in values]
     src = str(Path(keysec.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(entries + flags), capture_output=True,
-                          text=True, env=env, timeout=120)  # a built 10**exponent takes minutes or never returns
+    refusals = [argv for argv, _ in LONG_REFUSALS]
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(entries + flags + refusals),
+                          capture_output=True, text=True, env=env, timeout=120)  # a built 10**exponent takes minutes
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
+    for (argv, exit_code), (code, out, err) in zip(LONG_REFUSALS, results[-len(refusals):], strict=True):
+        assert (code, out, err.count("\n")) == (exit_code, "", 1), (argv[:2], err[:200])
+        assert "digits)" in err and len(err) < 400, err  # the long number is cut to its leading digits
+    results = results[:-len(refusals)]
     validator = jsonschema.Draft202012Validator(_SCHEMA)
     for argv, (code, out, err) in zip(entries + flags, results, strict=True):
         assert code in (0, 1, 2, 3) and "Traceback" not in err and "internal error" not in err, (argv, err)

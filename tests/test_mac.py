@@ -10,7 +10,6 @@ import itertools
 import math
 import operator
 import random
-import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -175,16 +174,16 @@ def test_attack_validation_and_caps():
         MacKeyModel(hash_key_dist=KeyDistribution.uniform(6, mode="rational")),
         "substitution",
     ) == F(3, 64)
-    with pytest.raises(ResourceLimitError):
-        attack_success(
-            HashFamilySpec(field_bits=5, message_blocks=2),
-            MacKeyModel(
-                hash_key_dist=KeyDistribution.uniform(5, mode="rational"),
-                tag_key_dist=KeyDistribution.uniform(5, mode="rational"),
-                uses=3,
-            ),
-            "substitution",
-        )
+    uniform5 = KeyDistribution.uniform(5, mode="rational")
+    with pytest.raises(ResourceLimitError):  # 2^(5 * 4) tag tuples x 2^5 keys
+        attack_success(HashFamilySpec(field_bits=5, message_blocks=2), MacKeyModel(uniform5, uniform5, 4),
+                       "substitution")
+    # too many uses for the message space is refused first, whatever the table would need
+    uniform9 = KeyDistribution.uniform(9, mode="rational")
+    refusal = r"^262144 distinct observed messages do not fit a 2\^18-message space$"
+    with pytest.raises(ValidationError, match=refusal):
+        attack_success(HashFamilySpec(field_bits=9, message_blocks=2), MacKeyModel(uniform9, uniform9, 1 << 18),
+                       "substitution")
 
 
 def test_degraded_epsilon_frozen():
@@ -370,24 +369,51 @@ def test_float_and_mixed_mode_games(attack, masked, uses, averaged):
 
 
 @pytest.mark.parametrize(
-    "b,m,mask,uses,attack,work,cap",
+    "b,m,uses,bits",
     [
-        (6, 3, True, 1, "substitution", 18, 16),  # message space, in bits
-        (4, 2, True, 1, "substitution", 1 << 24, 1 << 22),  # single-use transcripts
-        (5, 2, True, 3, "substitution", 1 << 15, 1 << 12),  # tag tuples
-        (4, 3, True, 2, "substitution", 1 << 24, 1 << 22),  # multi-use transcripts
+        (6, 3, 1, 30),  # 2^18 messages x 2^6 tags x 2^6 keys
+        (7, 1, 1, 21),  # a single use, one bit past the cap
+        (5, 2, 4, 25),  # 2^(5 * 4) tag tuples x 2^5 keys
+        (3, 1, 6, 21),  # many uses, one bit past the cap
     ],
 )
-def test_refusals_state_work_and_cap(b, m, mask, uses, attack, work, cap):
+def test_refusals_state_work_and_cap(b, m, uses, bits):
     uniform = KeyDistribution.uniform(b, mode="rational")
-    keys = MacKeyModel(hash_key_dist=uniform, tag_key_dist=uniform if mask else None, uses=uses)
-    with pytest.raises(ResourceLimitError, match=rf"\b{re.escape(str(work))}\b.*\b{cap}\b"):
-        attack_success(HashFamilySpec(field_bits=b, message_blocks=m), keys, attack)
+    refusal = rf"^masked substitution table needs {bits} bits, over the mac_entry_bits cap of 20 bits$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        attack_success(HashFamilySpec(field_bits=b, message_blocks=m), MacKeyModel(uniform, uniform, uses),
+                       "substitution")
+
+
+def _seeded_law(seed, b, exact):
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 50) for _ in range(1 << b)]
+    return _law(weights) if exact else [w / sum(weights) for w in weights]
+
+
+#: games up to the 20-bit table, as (b, blocks, uses, exact, tag_averaged, value): the first is the
+#: largest the three caps before mac_entry_bits accepted, the rest they refused.  The values were
+#: computed by the earlier code with its caps lifted.
+UP_TO_THE_CAP = [
+    (4, 1, 3, True, False, F(1768704, 3180839)),
+    (5, 2, 1, False, False, "0x1.51a7d8c143702p-2"),
+    (4, 1, 4, True, True, F(5696275934051, 16793172021439)),
+    (4, 2, 1, True, False, F(4608, 8291)),
+    (3, 2, 5, False, True, "0x1.5c431490431e7p-1"),
+]
+
+
+@pytest.mark.parametrize("b,m,uses,exact,averaged,value", UP_TO_THE_CAP, ids=lambda v: str(v).replace("/", ":"))
+def test_tables_up_to_the_cap_are_accepted(b, m, uses, exact, averaged, value):
+    hash_law, mask_law = _seeded_law(b, b, exact), _seeded_law(10 + b, b, exact)
+    keys = MacKeyModel(KeyDistribution(b, hash_law), KeyDistribution(b, mask_law), uses)
+    got = attack_success(HashFamilySpec(field_bits=b, message_blocks=m), keys, "substitution", tag_averaged=averaged)
+    assert got == value if exact else got.hex() == value
 
 
 @pytest.mark.parametrize("b,m", [(6, 3), (8, 2)])
 def test_ideal_pad_games_past_the_caps_are_accepted(b, m):
-    # the ideal pad and impersonation build no message table, so the message_bits and mac_work caps do not apply
+    # the ideal pad and impersonation build no message table, so the mac_entry_bits cap does not apply
     keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(b, mode="rational"))
     spec = HashFamilySpec(field_bits=b, message_blocks=m)
     assert attack_success(spec, keys, "substitution") == F(min(m, 1 << b), 1 << b)
@@ -407,7 +433,7 @@ def test_many_blocks_never_build_the_message_space(monkeypatch):
     uniform = KeyDistribution.uniform(8, mode="rational")
     # the ideal pad: 10^6 roots cover all 256 keys
     assert attack_success(spec, MacKeyModel(hash_key_dist=uniform), "substitution") == 1
-    with pytest.raises(ResourceLimitError, match=r"\b8000000 bits\b.*\b16 bits\b"):
+    with pytest.raises(ResourceLimitError, match=r"\b8000016 bits, over the mac_entry_bits cap of 20 bits$"):
         attack_success(spec, MacKeyModel(hash_key_dist=uniform, tag_key_dist=uniform), "substitution")
     # masked impersonation: the zero message's tag is the mask, so it wins with the mask's top entry
     spike = construct_spike(8, F(1, 8)).distribution
@@ -416,6 +442,27 @@ def test_many_blocks_never_build_the_message_space(monkeypatch):
     assert (wit.message_delta, wit.tag_delta) == (257, 0)
     # blocks above the message's top block are zero and hash to nothing
     assert spec.hash_value(3, 257) == oracles.hash_oracle(3, 257, 8, 2, spec.modulus)
+
+
+def test_many_use_games_hash_only_the_messages_sent(monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("2^(b * m_blk) was built")
+
+    rows = []
+    real = mac._basis_rows
+
+    def spy(spec, bits):
+        rows.append(bits)
+        return real(spec, bits)
+
+    monkeypatch.setattr(HashFamilySpec, "message_space", property(untouchable))
+    monkeypatch.setattr(mac, "_basis_rows", spy)
+    spec = HashFamilySpec(field_bits=4, message_blocks=10**6)
+    keys = MacKeyModel(KeyDistribution(4, _seeded_law(7, 4, True)), KeyDistribution(4, _seeded_law(8, 4, True)), 3)
+    # 10^6 roots cover all 16 keys: the forgery always wins
+    for averaged in (False, True):
+        assert attack_success(spec, keys, "substitution", tag_averaged=averaged) == 1
+    assert rows == [2, 2]  # messages 1..3 have 3.bit_length() bits
 
 
 def _test_laws(rng, b):
@@ -441,6 +488,34 @@ def test_masked_substitution_matches_the_oracle(b, m):
                     b, m, spec.modulus, hash_law, mask_law, uses, averaged
                 )
                 assert got == want, (hash_law, mask_law, uses, averaged)
+
+
+@pytest.mark.parametrize("b,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tag_averaged_success_stays_within_the_tag_law(b, m):
+    # masks within eps_t of uniform, spent over `uses` tags under one uniform hash key: the
+    # tag-averaged forgery is at most eps + uses * eps_t (Wegman & Carter 1981; Stinson 1994)
+    rng = random.Random(1000 + 10 * b + m)
+    spec = HashFamilySpec(field_bits=b, message_blocks=m)
+    uniform, *masks = _test_laws(rng, b)
+    for uses in range(1, min(3, spec.message_space - 1) + 1):
+        for mask_law in [uniform, *masks]:
+            level = asu_epsilon(spec) + uses * oracles.tv_distance(mask_law, uniform)
+            averaged = oracles.masked_substitution_oracle(b, m, spec.modulus, uniform, mask_law, uses, True)
+            assert averaged <= level, (uses, mask_law)
+            keys = MacKeyModel(KeyDistribution(b, uniform), KeyDistribution(b, mask_law), uses)
+            assert attack_success(spec, keys, "substitution", tag_averaged=True) == averaged
+
+
+def test_the_worst_case_transcript_can_beat_the_tag_level():
+    # the level bounds the average over tags, not each transcript: here it is 1/4 + 2 * 3/20
+    spec, uses = HashFamilySpec(field_bits=2, message_blocks=1), 2
+    uniform, mask_law = [F(1, 4)] * 4, [F(2, 5), F(1, 5), F(1, 5), F(1, 5)]
+    level = asu_epsilon(spec) + uses * oracles.tv_distance(mask_law, uniform)
+    keys = MacKeyModel(KeyDistribution(2, uniform), KeyDistribution(2, mask_law), uses)
+    worst = attack_success(spec, keys, "substitution")
+    assert level == F(11, 20) < worst == F(4, 7)
+    assert worst == oracles.masked_substitution_oracle(2, 1, spec.modulus, uniform, mask_law, uses, False)
+    assert attack_success(spec, keys, "substitution", tag_averaged=True) <= level
 
 
 @pytest.mark.parametrize("b,m", [(b, m) for b in (1, 2, 3) for m in (1, 2, 3)])

@@ -21,6 +21,7 @@ from keysec.numerics import (
     CAPS,
     ResourceLimitError,
     ValidationError,
+    _shown,
     check_cap,
     check_int,
     check_key_bits,
@@ -214,9 +215,7 @@ def test_check_scalar_range_checks_closed_and_open_bounds():
 CAP_CONTRACT = {
     "key_bits": (24, ResourceLimitError),
     "field_bits": (10, ResourceLimitError),
-    "message_bits": (16, ResourceLimitError),
-    "mac_work": (1 << 22, ResourceLimitError),
-    "tag_tuples": (1 << 12, ResourceLimitError),
+    "mac_entry_bits": (20, ResourceLimitError),
     "data_bits": (12, ResourceLimitError),
     "matrix_bits": (16, ValidationError),
     "float_enum_bits": (20, ResourceLimitError),
@@ -235,6 +234,17 @@ def test_every_cap_accepts_its_limit_and_refuses_one_more(name):
     with pytest.raises(cap.error, match=expected):
         check_cap(name, cap.limit + 1, "request")
     assert set(CAPS) == set(CAP_CONTRACT)
+
+
+def test_refusals_cut_integers_past_fifty_digits():
+    assert _shown(10**50 - 1) == "9" * 50 and _shown(-(10**49)) == str(-(10**49))
+    assert _shown(10**50 + 7) == f"1{'0' * 49}...(51 digits)"
+    assert _shown(-(3 * 10**5000)) == f"-3{'0' * 49}...(5001 digits)"  # str() refuses past 4,300 digits
+    assert _shown(Fraction(2**200, 3)) == f"{str(2**200)[:50]}...(61 digits)/3"
+    assert _shown(Fraction(3, 2), repr) == "Fraction(3, 2)" and _shown(Fraction(4)) == "4"
+    assert _shown(1.5, repr) == "1.5" and _shown(0) == "0"
+    with pytest.raises(ValidationError, match=r"^weight must be at most 1, got 1{50}\.\.\.\(8000 digits\)/1"):
+        check_scalar("1" * 4000 + "." + "1" * 4000, "weight", hi=1)
 
 
 _SOURCES = sorted((Path(ks.__file__).resolve().parent).glob("*.py"))
