@@ -2,14 +2,16 @@
 
 The hash family over GF(2^b) is eps-almost-strongly-universal with
 eps = m/2^b for m message blocks, so with uniform keys no forger beats
-eps.  Three experiments show how that guarantee erodes:
+eps.  Four experiments show how that guarantee erodes:
 
 * uniform keys hit the eps ceiling exactly (substitution) and 2^-b
   (impersonation),
 * a biased hash key multiplies the forgery probability,
 * for any family there is a two-point key law under which one
   substitution forgery succeeds with certainty, saturating the
-  "eps + key distance" degradation at its extreme.
+  "eps + key distance" degradation at its extreme,
+* a mask used twice meets its degraded level eps + 2 eps_t on average
+  over tags, while the worst-case transcript beats that level.
 """
 
 from fractions import Fraction
@@ -68,6 +70,19 @@ def main() -> None:
     print("(distances 1/100 and 1/200 per key):")
     print(f"  hash-key level : {lv.hash_key_level}")
     print(f"  pad-key level  : {lv.tag_key_level}")
+    print()
+
+    # The degraded level bounds the average over tags, not each transcript.
+    small = HashFamilySpec(field_bits=2, message_blocks=1)
+    uniform = KeyDistribution.uniform(2, mode="rational")
+    mask = KeyDistribution(2, [Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)])
+    eps_t = statistical_distance(mask, uniform)
+    level = degraded_epsilon(asu_epsilon(small), 0, eps_t, m=2).tag_key_level
+    keys = MacKeyModel(uniform, mask, uses=2)
+    print("two uses of the mask (2/5, 1/5, 1/5, 1/5), b = 2, one block, uniform hash key:")
+    print(f"  level eps + 2 eps_t      : {level}  (eps_t = {eps_t})")
+    print(f"  tag-averaged substitution: {attack_success(small, keys, 'substitution', tag_averaged=True)}")
+    print(f"  worst-case transcript    : {attack_success(small, keys, 'substitution')}  <- above the level")
 
 
 if __name__ == "__main__":

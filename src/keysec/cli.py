@@ -208,8 +208,6 @@ def _family(a) -> keysec.mac.HashFamilySpec:
 def _ensemble(a) -> keysec.ecpa.CodeEnsemble:
     count = len(a.code)
     weights = a.weights or [Fraction(1, count) if a.mode == "rational" else 1.0 / count] * count
-    if len(weights) != count:
-        raise ValidationError(f"{len(weights)} weights for {count} codes")
     return keysec.ecpa.CodeEnsemble(a.code, weights)
 
 
@@ -514,17 +512,27 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
 
 
 def _render(args: argparse.Namespace, mode: str, outputs) -> str:
-    envelope = {
-        "command": args.command,
-        "inputs": _inputs_echo(args),
-        "outputs": _jsonable(outputs),
-        "provenance": COMMANDS[args.command].provenance,
-        "numeric_mode": mode,
-    }
+    """The envelope as JSON text.  Exact results print at any length: Python's limit
+    on the digits of an int turned into text (3.11, and 3.10 from 3.10.7) is lifted
+    while the envelope is built and restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # strict JSON has no NaN or infinity
-        raise ValidationError(f"an output is not a finite number: {exc}") from exc
+        envelope = {
+            "command": args.command,
+            "inputs": _inputs_echo(args),
+            "outputs": _jsonable(outputs),
+            "provenance": COMMANDS[args.command].provenance,
+            "numeric_mode": mode,
+        }
+        try:
+            return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # strict JSON has no NaN or infinity
+            raise ValidationError(f"an output is not a finite number: {exc}") from exc
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- entry points

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,9 +64,6 @@ __all__ = [
     "trace_distance",
     "d_criterion",
 ]
-
-#: exact entries may exceed 1 by the float-mode slack before they are refused
-_ABOVE_ONE = Fraction(1 + VALIDATION_TOL)
 
 _INT64_LIMIT = 1 << 63
 
@@ -180,44 +178,41 @@ def _scalars(nums: np.ndarray, den: int, mode: str) -> tuple:
     return tuple(values if mode == "float" else (Fraction(a, den) for a in values))
 
 
-def _plain_lattice(text: str, count: int) -> Lattice | None:
-    """The ``count`` comma-joined entries of ``text``, all ``"a/b"`` (``b > 0``) or
-    ``"a"`` in ASCII digits, as one Lattice of numerators over the lcm of their
-    denominators; None for any other text.
+def _common_denominator(dens) -> int:
+    """The lcm of the positive integers ``dens``, grown one value at a time and charged
+    to the ``denominator_bits`` cap at each step: no step starts from an lcm past the
+    cap, and no numerator is scaled to one."""
+    den = 1
+    for d in dens:
+        den = den // math.gcd(den, d) * d
+        check_cap("denominator_bits", den.bit_length(), "the entries' common denominator")
+    return den
 
-    The text is read in whole-text passes.  With its digits deleted it must leave
-    one comma between entries and at most one slash in each, and no part between
-    separators may be empty.  The parts are read as int64 while none has more
-    than 18 digits, as Python ints otherwise; a part after a slash is a denominator.
+
+def _plain_lattice(text: str, count: int) -> Lattice | None:
+    """The ``count`` comma-joined entries of ``text``, all ``"a/b"`` (``b > 0``) with
+    parts of at most 18 ASCII digits, as one Lattice of numerators over the lcm of
+    their denominators; None for any other text.
+
+    The text is read in whole-text passes.  With its digits deleted it must read
+    ``"/,/,...,/"``, and no part between separators may be empty or run to 19 digits
+    (past ``2**63 - 1`` `np.fromstring` saturates silently); one `np.fromstring`
+    reads the parts as int64.
     """
-    seps = text.translate(_SEPARATORS)
-    slashes = seps.count("/")
-    if len(seps) - slashes != count - 1 or "//" in seps:  # another character, or two slashes in an entry
+    if text.translate(_SEPARATORS) != "/," * (count - 1) + "/":
         return None
     parts = text.replace("/", ",")
-    if ",," in f",{parts},":  # an empty part
+    if ",," in f",{parts}," or _LONG_PART in parts.translate(_SHAPE):
         return None
-    if _LONG_PART in parts.translate(_SHAPE):
-        try:
-            values = np.array([int(part) for part in parts.split(",")], dtype=object)
-        except ValueError:  # past int()'s digit limit
-            return None
-    else:
-        values = np.fromstring(parts, dtype=np.int64, sep=",")
-    if slashes == count:  # every entry "a/b"
-        nums, dens = values[0::2], values[1::2]
-    else:  # over[k]: part k follows a slash, so it is a denominator
-        over = np.frombuffer(f",{seps},".encode(), np.uint8) == ord("/")
-        numerators = ~over[:-1]
-        nums, dens = values[numerators], np.ones(count, dtype=values.dtype)
-        dens[over[1:][numerators]] = values[over[:-1]]
+    values = np.fromstring(parts, dtype=np.int64, sep=",")
+    nums, dens = values[0::2], values[1::2]
     distinct = set(dens.tolist())
     lo = min(distinct)
     if lo < 1:  # a zero denominator, which parse_number refuses
         return None
     if len(distinct) == 1:
         return Lattice(nums, lo)
-    den = math.lcm(*distinct)
+    den = _common_denominator(distinct)
     return Lattice(_wide(nums, int(nums.max()) * (den // lo)) * (den // _wide(dens, den)), den)
 
 
@@ -235,15 +230,14 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     if exact:
         if not isinstance(probs, Lattice):  # Fractions over the lcm of their denominators
             dens = [p.denominator for p in nums]
-            den = math.lcm(*dens)
+            den = _common_denominator(set(dens))
             nums = [p.numerator * (den // d) for p, d in zip(nums, dens)]
         den = check_int(den, f"{label(0)} denominator")
-        top = den * _ABOVE_ONE.numerator // _ABOVE_ONE.denominator
-        rows = _wide(_integers(nums, f"{label(0)} numerator"), top * width).reshape(-1, width)  # sums fit
+        rows = _wide(_integers(nums, f"{label(0)} numerator"), den * width).reshape(-1, width)  # sums fit
     else:
-        top, rows = 1 + VALIDATION_TOL, np.array(nums, dtype=np.float64).reshape(-1, width)
+        rows = np.array(nums, dtype=np.float64).reshape(-1, width)
     slack = 0 if exact else VALIDATION_TOL
-    most = rows.max()
+    top, most = den + slack, rows.max()
     if not (rows.min() >= -slack and most <= top):  # NaN fails both comparisons
         k, i = divmod(int(np.argmin((rows >= -slack) & (rows <= top))), width)
         raise ValidationError(f"{label(k)} entry {i} is {_shown(_over(rows[k, i], den), repr)}, outside [0, 1]")
@@ -388,16 +382,17 @@ class KeyDistribution:
         omitted, an array with a ``/`` in any entry is read exactly and any
         other as floats.  Entries are read as their string forms.  In
         rational mode, an array whose entries are all ``"a/b"`` (``b > 0``)
-        or ``"a"`` in ASCII digits is read from its comma-joined text in a
-        few whole-text passes: the separators are checked with the digits
-        deleted, one `np.fromstring` reads the parts into int64 (`int`
-        reads them when a part has 19 digits or more, past which int64
-        could saturate), and the numerators are scaled to the lcm of the
-        denominators in one array operation.  `KeyDistribution` reduces
-        that `Lattice` to the one the entries' Fractions give.  Any other
-        array is read entry by entry by `parse_number`, with its values
-        and refusals.  An array of JSON floats read as floats is taken as
-        it is, which gives the same values.
+        with parts of at most 18 ASCII digits is read from its comma-joined
+        text in a few whole-text passes: the separators are checked with
+        the digits deleted, one `np.fromstring` reads the parts into int64,
+        and the numerators are scaled to the lcm of the denominators in one
+        array operation.  `KeyDistribution` reduces that `Lattice` to the
+        one the entries' Fractions give.  Any other array (bare integers,
+        decimals, longer parts) is read entry by entry by `parse_number`,
+        with its values and refusals.  On both paths an lcm past the
+        ``denominator_bits`` cap is refused (`ResourceLimitError`) before
+        any numerator is scaled.  An array of JSON floats read as floats is
+        taken as it is, which gives the same values.
         """
         try:
             raw = json.loads(text)
@@ -539,18 +534,20 @@ class ClassicalProbeModel:
         return [_over(total, den) for total in _total(nums.T)]
 
 
+@dataclass(frozen=True, eq=False)
 class HermitianState:
     """Density matrix, its dimension capped by ``state_dim`` in `keysec.numerics.CAPS`.
 
     Accepts anything `numpy.asarray` can turn into a square complex
     matrix; validates hermiticity, unit trace, and positivity up to 1e-9.
+    States compare by identity.
     """
 
-    __slots__ = ("matrix",)
+    matrix: np.ndarray
 
-    def __init__(self, matrix):
+    def __post_init__(self):
         try:
-            mat = np.asarray(matrix, dtype=complex)
+            mat = np.asarray(self.matrix, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, entries that are not numbers
             raise ValidationError(f"state is not a matrix of numbers: {exc}") from exc
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -567,9 +564,6 @@ class HermitianState:
         if least < -1e-8:
             raise ValidationError(f"state has negative eigenvalue {least!r}")
         object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianState is immutable")
 
     @classmethod
     def from_distribution(cls, dist: KeyDistribution) -> "HermitianState":

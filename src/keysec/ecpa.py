@@ -68,15 +68,17 @@ def _row_rank(rows: Sequence[int]) -> int:
     return rank
 
 
+@dataclass(frozen=True)
 class ParityCheckMatrix:
     """Binary linear code given by parity checks; data bit j is integer bit j."""
 
-    __slots__ = ("n_data", "rows")
+    n_data: int
+    rows: tuple
 
-    def __init__(self, n_data: int, rows: Sequence[int]):
-        n_data = check_int(n_data, "data length")
+    def __post_init__(self):
+        n_data = check_int(self.n_data, "data length")
         check_cap("matrix_bits", n_data, "parity-check matrix width")
-        rows = tuple(check_int(r, "parity-check row", lo=0, hi=1 << n_data) for r in rows)
+        rows = tuple(check_int(r, "parity-check row", lo=0, hi=1 << n_data) for r in self.rows)
         if not rows:
             raise ValidationError("parity-check matrix needs at least one row")
         if len(rows) > n_data:
@@ -85,9 +87,6 @@ class ParityCheckMatrix:
             raise ValidationError("parity-check rows are linearly dependent (need full row rank)")
         object.__setattr__(self, "n_data", n_data)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParityCheckMatrix is immutable")
 
     @property
     def n_checks(self) -> int:
@@ -121,17 +120,6 @@ class ParityCheckMatrix:
         for row in self.rows:
             words = words[np.bitwise_count(words & row) % 2 == 0]
         return tuple(words.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, ParityCheckMatrix):
-            return NotImplemented
-        return self.n_data == other.n_data and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n_data, self.rows))
-
-    def __repr__(self):
-        return f"ParityCheckMatrix(n_data={self.n_data}, rows={len(self.rows)})"
 
 
 def load_parity_check(path) -> ParityCheckMatrix:

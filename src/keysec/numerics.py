@@ -73,6 +73,7 @@ CAPS = {
     "rational_enum_bits": Cap(12, ResourceLimitError, "bits"),  # KPA enumeration, rational mode
     "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
     "decimal_digits": Cap(4000, ResourceLimitError, "digits"),  # an exact decimal with an exponent
+    "denominator_bits": Cap(1 << 14, ResourceLimitError, "bits"),  # the common denominator of exact entries
 }
 
 

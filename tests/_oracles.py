@@ -2,9 +2,9 @@
 
 Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: scipy linear programming for the
-conditional-deviation optimum, mpmath for high-precision entropies,
-list-of-coefficients polynomial arithmetic for the finite field, and
-plain Fraction sums everywhere else.
+conditional-deviation optimum, mpmath for high-precision entropies and
+budget logarithms, list-of-coefficients polynomial arithmetic for the
+finite field, and plain Fraction sums everywhere else.
 """
 
 from __future__ import annotations
@@ -462,6 +462,37 @@ def ref_probe(prior, rows) -> tuple:
             for y in range(width)
         )
     return info, d
+
+
+# ---------------------------------------------------------------- budgets
+
+
+def exact_mp(x) -> mpmath.mpf:
+    """An int, Fraction or float as an mpf, from its exact value."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def near_uniform_bits_oracle(log10_d, exponent) -> int:
+    """Largest n with n <= -log10_d * exponent * log2(10) + 1e-9 (the stated slack), at 60 digits."""
+    return int(mpmath.floor(-exact_mp(log10_d) * exact_mp(exponent) * mpmath.log(10, 2) + mpmath.mpf("1e-9")))
+
+
+def required_log10_d_oracle(n: int) -> mpmath.mpf:
+    """log10 of 2^-n at 60 digits."""
+    return -n * mpmath.log10(2)
+
+
+def accumulated_failure_oracle(log10_d_round, rate, seconds) -> tuple:
+    """The exact rounds ``rate * seconds`` as a Fraction, and the union bound
+    ``min(log10_d_round + log10(rounds), 0)`` at 60 digits."""
+    rounds = Fraction(rate) * Fraction(seconds)
+    return rounds, min(exact_mp(log10_d_round) + mpmath.log10(exact_mp(rounds)), mpmath.mpf(0))
+
+
+def guarantee_gap_oracle(current, target, exponent) -> Fraction:
+    """``current - target / exponent`` in Fractions, from the exact values of its inputs."""
+    return Fraction(current) - Fraction(target) / Fraction(exponent)
 
 
 def gauss_cdf_mp(x, mean, sigma):

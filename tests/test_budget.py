@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
+import _oracles as oracles
 from keysec import (
     DEFAULT_ONE_SHOT_LOG10,
     LogBudget,
@@ -159,3 +161,57 @@ def test_headline_numbers_stay_in_log_domain():
     assert 10.0**deep == 0.0
     assert near_uniform_bits(deep, "1") == 1200
     assert DEFAULT_ONE_SHOT_LOG10 == -15.0
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def _around(value: float) -> tuple:
+    """``value`` and the floats one ulp below and above it."""
+    return math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)
+
+
+@pytest.mark.parametrize("exponent", ["1", "1/2", "1/3"])
+def test_near_uniform_bits_matches_the_oracle_at_and_next_to_integer_boundaries(exponent):
+    e = F(exponent)
+    for n in (1, 2, 10, 49, 64, 128, 333, 1000):
+        # log10 d at which n bits are bought exactly, one ulp either side, and 2e-9 bits
+        # either side of the 1e-9 slack
+        boundary = float(-n / oracles.exact_mp(e) * mpmath.log10(2))
+        for log10_d in _around(boundary):
+            assert near_uniform_bits(log10_d, exponent) == oracles.near_uniform_bits_oracle(log10_d, e) == n
+        for shift, bits in ((-2e-9, n - 1), (2e-9, n)):
+            log10_d = float(-(n + shift) / oracles.exact_mp(e) * mpmath.log10(2))
+            assert near_uniform_bits(log10_d, exponent) == oracles.near_uniform_bits_oracle(log10_d, e) == bits
+        exact = F(boundary)
+        assert near_uniform_bits(exact, exponent) == oracles.near_uniform_bits_oracle(exact, e) == n
+
+
+def test_required_d_is_within_one_ulp_of_the_oracle():
+    for n in (1, 2, 3, 10, 49, 64, 100, 128, 333, 1000, 1200, 4096):
+        got, ref = required_d_for_near_uniform(n), oracles.required_log10_d_oracle(n)
+        assert abs(oracles.exact_mp(got) - ref) <= math.ulp(got)
+        assert oracles.near_uniform_bits_oracle(got, 1) == near_uniform_bits(got, "1") == n
+
+
+def test_accumulated_failure_matches_the_oracle_at_and_next_to_the_cap():
+    cases = [(level, 1e3, 1e3) for level in _around(-6.0)]  # a total of 0: exactly at the cap, and either side
+    cases += [(level, 100.0, 86400.0) for level in _around(-20.0)] + [(-3.0, 1e6, 1e6), (-1e-300, 0.5, 3.0)]
+    for level, rate, seconds in cases:
+        got = accumulated_failure(level, rate, seconds)
+        rounds, total = oracles.accumulated_failure_oracle(level, rate, seconds)
+        assert got.rounds == float(rounds)  # one IEEE product, correctly rounded
+        assert abs(oracles.exact_mp(got.log10_total) - total) <= 2 * math.ulp(max(abs(level), 1.0))
+        assert (got.log10_total < 0) == (total < 0)  # capped at 0 exactly when the oracle is
+
+
+@pytest.mark.parametrize("exponent", ["1", "1/2", "1/3"])
+def test_guarantee_gap_matches_the_oracle_at_and_next_to_zero(exponent):
+    e = as_markov_exponent(exponent)
+    for target in (-1, -15, -20, -301):
+        required = F(target) / e  # the gap is 0 here
+        for current in (required - F(1, 10**30), required, required + F(1, 10**30)):
+            assert guarantee_gap(current, F(target), e) == oracles.guarantee_gap_oracle(current, target, e)
+        for current in _around(float(required)):
+            got, ref = guarantee_gap(current, float(target), e), oracles.guarantee_gap_oracle(current, target, e)
+            assert abs(F(got) - ref) <= F(math.ulp(float(required)))

@@ -5,6 +5,7 @@ import ast
 import functools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -225,6 +226,8 @@ CAP_ARGV = {
                            "--mode", "rational"),
     "state_dim": ("dist", "trace", "--rho", "diag:uniform:7", "--sigma", "diag:uniform:7"),
     "decimal_digits": ("dist", "entropy", "--mode", "rational", "--p", '["1e5000","0"]'),
+    "denominator_bits": ("dist", "entropy", "--mode", "rational",
+                         "--p", json.dumps([f"1/{10**3000}", f"1/{3**6300}"])),  # coprime: 19,951 bits
 }
 
 
@@ -504,6 +507,16 @@ LONG_REFUSALS = [
     (["kpa", "breach", "--n", "3", "--eps", "1/16", "--n1", "9" * 4300, "--n2", "2"], 3),  # a 2^(n1 + n2) law
 ]
 
+#: a decimal whose exact value has a 4,300-digit denominator
+TINY = "0." + "0" * 4299 + "1"
+
+#: accepted exact inputs whose results hold an integer past Python's 4,300-digit conversion limit
+LONG_RESULTS = [
+    ["spike", "construct", "--n", "2", "--mode", "rational", "--eps", TINY],
+    ["budget", "markov", "--mean", "1/2", "--threshold", "9" * 4300, "--mode", "rational"],
+    ["mac", "degrade", "--mode", "rational", "--eps", TINY, "--eps-h", "0", "--eps-t", "0", "--m", "1"],
+]
+
 #: run `main` on each argv of a JSON list from stdin, then print each exit code, stdout and stderr
 _SWEEP = """import contextlib, io, json, sys
 from keysec.cli import main
@@ -516,7 +529,7 @@ for argv in json.load(sys.stdin):
 print(json.dumps(results))"""
 
 
-def test_huge_decimal_exponents_exit_cleanly_in_bounded_time():
+def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
     entries, flags = [], []  # the value as one entry of a law, a spike and a conditional row; as each flag value
     for mode in ("float", "rational"):
         for value in HUGE_EXPONENTS:
@@ -532,15 +545,27 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time():
     src = str(Path(keysec.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     refusals = [argv for argv, _ in LONG_REFUSALS]
-    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(entries + flags + refusals),
+    rng = random.Random(0)  # 1,024 distinct 1,000-digit denominators: an lcm of up to 10^6 digits
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps([f"1/{rng.randrange(10**999, 10**1000)}" for _ in range(1024)]), encoding="utf-8")
+    lcm = ["dist", "entropy", "--mode", "rational", "--p", f"@{law}"]
+    argvs = entries + flags + refusals + LONG_RESULTS + [lcm]
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=120)  # a built 10**exponent takes minutes
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
+    code, out, err = results.pop()
+    assert (code, out, err.count("\n")) == (3, "", 1) and "over the denominator_bits cap" in err, err[:200]
+    validator = jsonschema.Draft202012Validator(_SCHEMA)
+    for argv, (code, out, err) in zip(LONG_RESULTS, results[-len(LONG_RESULTS):], strict=True):
+        assert (code, err) == (0, ""), (argv[:2], err[:200])
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        validator.validate(json.loads(out))
+    results = results[:-len(LONG_RESULTS)]
     for (argv, exit_code), (code, out, err) in zip(LONG_REFUSALS, results[-len(refusals):], strict=True):
         assert (code, out, err.count("\n")) == (exit_code, "", 1), (argv[:2], err[:200])
         assert "digits)" in err and len(err) < 400, err  # the long number is cut to its leading digits
     results = results[:-len(refusals)]
-    validator = jsonschema.Draft202012Validator(_SCHEMA)
     for argv, (code, out, err) in zip(entries + flags, results, strict=True):
         assert code in (0, 1, 2, 3) and "Traceback" not in err and "internal error" not in err, (argv, err)
         if out:

@@ -270,6 +270,7 @@ def test_breach_witness_is_the_raising_conditional_deviation(n, data):
         ([0.7, 0.7], "distribution sums to 1.4, not 1"),
         ([F(3, 2), F(-1, 2)], "distribution entry 0 is Fraction(3, 2), outside"),
         ([F(1, 2), F(1, 3)], "distribution sums to 5/6, not 1"),
+        ([1 + F(1, 10**10), F(0)], "distribution entry 0 is Fraction(10000000001, 10000000000), outside"),
         (Lattice([-1, 3], 2), "distribution entry 0 is Fraction(-1, 2), outside"),
         (Lattice([0, 3], 2), "distribution entry 1 is Fraction(3, 2), outside"),
         (Lattice(np.array([1, 2]), 2), "distribution sums to 3/2, not 1"),

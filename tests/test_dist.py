@@ -8,6 +8,7 @@ distances) and are asserted here at 1e-12 or exactly.
 
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -266,6 +267,23 @@ def test_plain_arrays_of_long_parts_read_as_their_fractions(entries):
     assert _outcome(lambda: KeyDistribution.from_json(text, mode="rational")) == _parsed(entries)
 
 
+def test_the_common_denominator_is_charged_before_any_numerator_is_scaled():
+    rng = random.Random(18)
+    short = [f"1/{rng.randrange(10**17, 10**18)}" for _ in range(1024)]  # the whole-text reader
+    long = [f"1/{rng.randrange(10**999, 10**1000)}" for _ in range(1024)]  # the parse_number loop
+    refusal = r"^the entries' common denominator needs \d+ bits, over the denominator_bits cap of 16384 bits$"
+    for entries in (short, long):
+        with pytest.raises(ResourceLimitError, match=refusal):
+            KeyDistribution.from_json(json.dumps(entries))
+    rows = [[F(e) for e in long[:512]], [F(e) for e in long[512:]]]
+    with pytest.raises(ResourceLimitError, match=refusal):
+        ClassicalProbeModel(KeyDistribution.uniform(1, mode="rational"), rows)
+    # a denominator of 2^16383 has 16,384 bits: the most the cap accepts
+    assert KeyDistribution(1, [F(1, 1 << 16383), 1 - F(1, 1 << 16383)]).lattice.den == 1 << 16383
+    with pytest.raises(ResourceLimitError, match="needs 16385 bits"):
+        KeyDistribution(1, [F(1, 1 << 16384), 1 - F(1, 1 << 16384)])
+
+
 def test_a_wrong_length_is_refused_before_any_entry_is_read(monkeypatch):
     for mode in ("rational", "float", None):
         with pytest.raises(ValidationError, match=r"^length 3 is not a power of two >= 2$"):
@@ -406,6 +424,7 @@ def test_trace_distance_frozen():
     sigma = HermitianState(np.eye(2) / 2)
     assert trace_distance(rho, sigma) == pytest.approx(0.24494897427831783, abs=1e-14)
     assert trace_distance(rho, rho) == 0.0
+    assert rho != HermitianState(rho.matrix) and len({rho, rho}) == 1  # states compare by identity
 
 
 def test_trace_distance_matches_delta_on_diagonals():

@@ -5,6 +5,7 @@ Exact expectations come from `_oracles.posterior_oracle` and
 Fraction arithmetic and no numpy.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -35,6 +36,14 @@ C2_TEXT = "1100\n0011"
 
 def _rows(text):
     return [sum(int(ch) << j for j, ch in enumerate(line)) for line in text.split()]
+
+
+def test_parity_matrices_are_frozen_values():
+    c1, again = ParityCheckMatrix.from_text(C1_TEXT), ParityCheckMatrix(4, _rows(C1_TEXT))
+    assert c1 == again and hash(c1) == hash(again) == hash((4, tuple(_rows(C1_TEXT))))
+    assert c1 != ParityCheckMatrix.from_text(C2_TEXT) and c1 != (4, c1.rows)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c1.rows = (1,)
 
 
 def test_parity_matrix_basics():

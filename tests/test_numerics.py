@@ -222,6 +222,7 @@ CAP_CONTRACT = {
     "rational_enum_bits": (12, ResourceLimitError),
     "state_dim": (64, ValidationError),
     "decimal_digits": (4000, ResourceLimitError),
+    "denominator_bits": (1 << 14, ResourceLimitError),
 }
 
 
