@@ -176,11 +176,11 @@ def parse_security_level(text: str, mode: str = "float") -> Number:
     try:
         dec = Decimal(text)
     except InvalidOperation as exc:
-        raise ValidationError(f"cannot parse security level {text!r}") from exc
+        raise ValidationError(f"cannot parse security level {_shown(text, repr)}") from exc
     if not dec.is_finite():
-        raise ValidationError(f"distance level must be finite, got {text!r}")
+        raise ValidationError(f"distance level must be finite, got {_shown(text, repr)}")
     if dec <= 0:
-        raise ValidationError(f"distance level must be positive, got {text!r}")
+        raise ValidationError(f"distance level must be positive, got {_shown(text, repr)}")
     if dec > 1:
-        raise ValidationError(f"distance level cannot exceed 1, got {text!r}")
+        raise ValidationError(f"distance level cannot exceed 1, got {_shown(text, repr)}")
     return Fraction(dec.log10()) if mode == "rational" else float(dec.log10())

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import keysec
 
-from .numerics import MODES, InfeasibleError, ResourceLimitError, ValidationError, format_number
+from .numerics import MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, format_number, parse_number
 
 __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 
@@ -50,18 +50,11 @@ __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 # ---------------------------------------------------------------- parsing
 
 
-def _int(text, what: str) -> int:
+def _int(text, what: str = "value") -> int:
     try:
         return int(str(text), 0)
     except ValueError as exc:
-        raise ValidationError(f"{what} must be an integer, got {text!r}") from exc
-
-
-def _float(text, what: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be a number, got {text!r}") from exc
+        raise ValidationError(f"{what} must be an integer, got {_shown(text, repr)}") from exc
 
 
 def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
@@ -71,10 +64,8 @@ def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
     if text.startswith("spike:"):
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValidationError(f"spike spec needs spike:n:eps, got {text!r}")
-        spike = keysec.extremal.construct_spike(
-            _int(parts[1], "spike length"), keysec.numerics.parse_number(parts[2], mode)
-        )
+            raise ValidationError(f"spike spec needs spike:n:eps, got {_shown(text, repr)}")
+        spike = keysec.extremal.construct_spike(_int(parts[1], "spike length"), parse_number(parts[2], mode))
         return spike.distribution
     return keysec.dist.KeyDistribution.from_json(_maybe_file(text), mode=mode)
 
@@ -89,15 +80,16 @@ def _maybe_file(text: str) -> str:
     return text
 
 
-def _matrix(text: str, mode: str) -> list:
+def _rows(text: str, what: str) -> list:
+    """The non-empty JSON array of rows in ``text``, or in the file ``@path`` names."""
     text = _maybe_file(text)
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise ValidationError("matrix must be a JSON array of rows")
-    return [[keysec.numerics.parse_number(str(v), mode) for v in row] for row in raw]
+        raise ValidationError(f"{what} must be a JSON array of rows")
+    return raw
 
 
 def _complex_entry(v) -> complex:
@@ -109,52 +101,37 @@ def _complex_entry(v) -> complex:
         if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
             return complex(*parts)
     except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"cannot read complex entry {v!r}") from exc
-    raise ValidationError(f"cannot read complex entry {v!r}")
+        raise ValidationError(f"cannot read complex entry {_shown(v, repr)}") from exc
+    raise ValidationError(f"cannot read complex entry {_shown(v, repr)}")
 
 
 def _state(text: str, mode: str) -> keysec.dist.HermitianState:
     text = text.strip()
     if text.startswith("diag:"):
         return keysec.dist.HermitianState.from_distribution(_distribution(text[5:], mode))
-    text = _maybe_file(text)
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ValidationError(f"state is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-        raise ValidationError("state must be a JSON matrix or diag:<distribution>")
-    return keysec.dist.HermitianState([[_complex_entry(v) for v in row] for row in raw])
-
-
-def _codes(values: list) -> list:
-    out = []
-    for value in values:
-        body = _maybe_file(value)
-        body = body.replace(";", "\n").replace(",", "\n")
-        out.append(keysec.ecpa.ParityCheckMatrix.from_text(body))
-    return out
+    return keysec.dist.HermitianState([[_complex_entry(v) for v in row] for row in _rows(text, "state")])
 
 
 # ---------------------------------------------------------------- readers
 #
-# A reader turns the text of one flag into its value: reader(text, mode, flag),
-# where ``flag`` is the flag's name without dashes, for error messages.
+# A reader turns the text of one flag into its value: reader(text, mode).
+# `_read` names the flag in any refusal a reader raises.
 
-_DIST = lambda text, mode, flag: _distribution(text, mode)
-_NUMBER = lambda text, mode, flag: keysec.numerics.parse_number(text, mode)
-_INT = lambda text, mode, flag: _int(text, flag)
-_FLOAT = lambda text, mode, flag: _float(text, flag)
-_STATE = lambda text, mode, flag: _state(text, mode)
-_MATRIX = lambda text, mode, flag: _matrix(text, mode)
-_EVENT = lambda text, mode, flag: keysec.extremal.EventSpec.from_text(text)
-_SUBSET = lambda text, mode, flag: tuple(_int(part, "subset position") for part in text.split(","))
-_CODES = lambda values, mode, flag: _codes(values)  # the one repeatable flag: a list of every --code
-_WEIGHTS = lambda text, mode, flag: tuple(keysec.numerics.parse_number(part, mode) for part in text.split(","))
-_LEVEL = lambda text, mode, flag: keysec.budget.parse_security_level(text, mode)
-_FLOAT_LEVEL = lambda text, mode, flag: keysec.budget.parse_security_level(text)  # float whatever the mode
-_EXPONENT = lambda text, mode, flag: keysec.budget.as_markov_exponent(text)
-_THRESHOLDS = lambda text, mode, flag: [_float(part, "threshold") for part in text.split(",")]
+_DIST = _distribution
+_NUMBER = parse_number
+_INT = lambda text, mode: _int(text)
+_FLOAT = lambda text, mode: parse_number(text, "float")  # a float whatever the mode
+_STATE = _state
+_MATRIX = lambda text, mode: [[parse_number(str(v), mode) for v in row] for row in _rows(text, "matrix")]
+_EVENT = lambda text, mode: keysec.extremal.EventSpec.from_text(text)
+_SUBSET = lambda text, mode: tuple(_int(part) for part in text.split(","))
+# the one repeatable flag: a list of every --code
+_CODES = lambda values, mode: [keysec.ecpa.ParityCheckMatrix.from_text(_maybe_file(v)) for v in values]
+_WEIGHTS = lambda text, mode: tuple(parse_number(part, mode) for part in text.split(","))
+_LEVEL = lambda text, mode: keysec.budget.parse_security_level(text, mode)
+_FLOAT_LEVEL = lambda text, mode: keysec.budget.parse_security_level(text)  # float whatever the mode
+_EXPONENT = lambda text, mode: keysec.budget.as_markov_exponent(text)
+_THRESHOLDS = lambda text, mode: [parse_number(part, "float") for part in text.split(",")]
 
 #: default of a flag that must be given
 REQUIRED = object()
@@ -163,7 +140,7 @@ REQUIRED = object()
 class Arg(NamedTuple):
     """One flag: its reader, its default (or REQUIRED) and its help line.
 
-    The reader is a function (text, mode, flag) -> value.  None passes the
+    The reader is a function (text, mode) -> value.  None passes the
     text through as given, or the bool of a flag whose default is False
     (a switch); a tuple of choices passes the chosen text through.  A flag
     that is absent and defaults to None skips its reader and stays None,
@@ -245,8 +222,8 @@ def _verify_all(a):
 _PROBE = {"--prior": Arg(_DIST, REQUIRED), "--conditional": Arg(_MATRIX, REQUIRED)}
 _SPLIT = {"--n1": Arg(_INT, REQUIRED), "--n2": Arg(_INT, REQUIRED), "--subset": Arg(_SUBSET, None)}
 _FAMILY = {
-    "--b": Arg(lambda text, mode, flag: _int(text, "field bits"), REQUIRED),
-    "--blocks": Arg(lambda text, mode, flag: _int(text, "message blocks"), REQUIRED),
+    "--b": Arg(_INT, REQUIRED),
+    "--blocks": Arg(_INT, REQUIRED),
     "--modulus": Arg(_INT, None),
 }
 _ENSEMBLE = {"--code": Arg(_CODES, REQUIRED), "--weights": Arg(_WEIGHTS, None)}
@@ -398,7 +375,7 @@ COMMANDS = {
          "--observation": Arg(None, REQUIRED, "observed bits, e.g. 0110"),
          "--crossover": Arg(_NUMBER, REQUIRED),
          "--code-known": Arg(None, False, "reveal the code index"),
-         "--code-index": Arg(lambda text, mode, flag: _int(text, "code index"), "0")},
+         "--code-index": Arg(_INT, "0")},
         lambda a: {"posterior": keysec.ecpa.mixture_posterior(
             _ensemble(a), a.observation, keysec.ecpa.EveChannel(a.crossover),
             syndromes_hidden=not a.code_known, code_index=a.code_index,
@@ -459,8 +436,7 @@ COMMANDS = {
     "cvqkd verdict": Command(
         "intercept-resend detectability verdict",
         "loss limit if S T < threshold; masked if (a+b-ab) S T > threshold",
-        {**_CV, "--loss-threshold": Arg(lambda text, mode, flag: _float(text, "loss threshold"), "0.5"),
-         "--masking-threshold": Arg(lambda text, mode, flag: _float(text, "masking threshold"), "0.25")},
+        {**_CV, "--loss-threshold": Arg(_FLOAT, "0.5"), "--masking-threshold": Arg(_FLOAT, "0.25")},
         lambda a: keysec.cvqkd.detectability_verdict(
             _cv_params(a), loss_threshold=a.loss_threshold, masking_threshold=a.masking_threshold
         ),
@@ -580,12 +556,16 @@ def build_parser(branch: str | None = None) -> argparse.ArgumentParser:
 
 
 def _read(args: argparse.Namespace, mode: str) -> argparse.Namespace:
-    """Every flag of the command through its reader, in declaration order."""
+    """Every flag of the command through its reader, in declaration order; a refusal
+    names its flag."""
     values = argparse.Namespace(mode=mode)
     for flag, arg in COMMANDS[args.command].args.items():
         text = getattr(args, _dest(flag))
         if text is not None and callable(arg.reader):
-            text = arg.reader(text, mode, flag[2:])
+            try:
+                text = arg.reader(text, mode)
+            except (ValidationError, ResourceLimitError) as exc:  # the same class, so the same exit code
+                raise type(exc)(f"{flag}: {exc}") from exc
         setattr(values, _dest(flag), text)
     return values
 

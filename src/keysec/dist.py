@@ -27,6 +27,7 @@ Fractions) or the correctly rounded sum, the value ``math.fsum`` returns
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -254,6 +255,7 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     return Lattice(rows, den)
 
 
+@dataclass(frozen=True, eq=False)
 class KeyDistribution:
     """Probability distribution over the values of an ``n``-bit key.
 
@@ -294,7 +296,9 @@ class KeyDistribution:
     when every entry is the same number, and then their hashes agree.
     """
 
-    __slots__ = ("n", "mode", "_data", "_probs")
+    n: int
+    mode: str
+    _data: Lattice
 
     def __init__(self, n: int, probs):
         check_key_bits(n)
@@ -313,10 +317,6 @@ class KeyDistribution:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_data", Lattice(data.nums[0], data.den))
-        object.__setattr__(self, "_probs", None)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("KeyDistribution is immutable")
 
     @classmethod
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
@@ -335,12 +335,10 @@ class KeyDistribution:
     def size(self) -> int:
         return 1 << self.n
 
-    @property
+    @functools.cached_property
     def probs(self) -> tuple:
         """The law as a tuple of Python floats or Fractions (built once, on first use)."""
-        if self._probs is None:
-            object.__setattr__(self, "_probs", _scalars(*self._data, self.mode))
-        return self._probs
+        return _scalars(*self._data, self.mode)
 
     @property
     def lattice(self) -> Lattice:
@@ -467,6 +465,7 @@ def _transport(size: int, donors, receivers, moved: Number):
     return Lattice(nums, den) if exact else nums
 
 
+@dataclass(frozen=True, eq=False)
 class ClassicalProbeModel:
     """A key prior plus the conditional law of an eavesdropper's outcome.
 
@@ -478,7 +477,9 @@ class ClassicalProbeModel:
     first use.
     """
 
-    __slots__ = ("prior", "outcomes", "_rows", "_conditional")
+    prior: KeyDistribution
+    outcomes: int
+    _rows: Lattice
 
     def __init__(self, prior: KeyDistribution, conditional: Sequence[Sequence[Number]]):
         try:
@@ -501,22 +502,16 @@ class ClassicalProbeModel:
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "outcomes", width)
         object.__setattr__(self, "_rows", _check_rows(flat, prior.mode, width, "conditional row {}".format))
-        object.__setattr__(self, "_conditional", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassicalProbeModel is immutable")
 
     @property
     def mode(self) -> str:
         return self.prior.mode
 
-    @property
+    @functools.cached_property
     def conditional(self) -> tuple:
         """Rows of Python floats or Fractions (built once, on first use)."""
-        if self._conditional is None:
-            nums, den = self._rows
-            object.__setattr__(self, "_conditional", tuple(_scalars(row, den, self.mode) for row in nums))
-        return self._conditional
+        nums, den = self._rows
+        return tuple(_scalars(row, den, self.mode) for row in nums)
 
     def joint(self, k: int, y: int) -> Number:
         return self.prior[k] * self.conditional[k][y]
@@ -621,10 +616,8 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
 def _shannon_bits(values: np.ndarray) -> float:
     # 0 log 0 = 0 by continuity; math.log2 per entry, as np.log2 rounds some inputs differently
     support = values[values > 0]
-    if support.size < _LONG_ROW:
-        return -math.fsum([p * math.log2(p) for p in support.tolist()])
     logs = np.fromiter(map(math.log2, support.tolist()), np.float64, support.size)
-    return -_exact_sum(support * logs)  # the IEEE products p * log2(p), as in the list
+    return -_total(support * logs)  # the correctly rounded sum of the IEEE products p * log2(p)
 
 
 def entropy_stats(p: KeyDistribution) -> EntropyStats:

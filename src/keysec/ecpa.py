@@ -32,6 +32,7 @@ from .numerics import (
     InfeasibleError,
     Number,
     ValidationError,
+    _shown,
     check_cap,
     check_int,
     check_scalar,
@@ -94,8 +95,8 @@ class ParityCheckMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "ParityCheckMatrix":
-        """Parse one row per line of '0'/'1' characters (column j = data bit j)."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        """Parse one row per line, ``;`` or ``,`` of '0'/'1' characters (column j = data bit j)."""
+        lines = [ln.strip() for ln in text.replace(";", "\n").replace(",", "\n").splitlines() if ln.strip()]
         if not lines:
             raise ValidationError("empty parity-check text")
         width = len(lines[0])
@@ -104,7 +105,7 @@ class ParityCheckMatrix:
             if len(ln) != width:
                 raise ValidationError(f"ragged parity-check rows: {len(ln)} vs {width} columns")
             if set(ln) - {"0", "1"}:
-                raise ValidationError(f"parity-check rows must be 0/1 characters, got {ln!r}")
+                raise ValidationError(f"parity-check rows must be 0/1 characters, got {_shown(ln, repr)}")
             rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
         return cls(width, rows)
 
@@ -207,7 +208,7 @@ def _as_word(observation, n: int) -> int:
     if isinstance(observation, str):
         bits = observation.strip()
         if set(bits) - {"0", "1"}:
-            raise ValidationError(f"observation must be 0/1 characters, got {observation!r}")
+            raise ValidationError(f"observation must be 0/1 characters, got {_shown(observation, repr)}")
         bits = [1 if ch == "1" else 0 for ch in bits]
     else:
         bits = [check_int(b, "observation bit", lo=0, hi=2) for b in observation]

@@ -53,7 +53,7 @@ class EventSpec:
         try:
             return cls(int(part) for part in text.split(","))
         except ValueError as exc:
-            raise ValidationError(f"cannot parse event {text!r}: {exc}") from exc
+            raise ValidationError(f"cannot parse event {_shown(text, repr)}: {exc}") from exc
 
     def validate_for(self, n: int) -> None:
         top = max(self.members)
@@ -255,10 +255,8 @@ def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) 
     The gap can never exceed the distance; ``holds`` is the verdict
     (with a 1e-12 slack on the float path).
     """
-    if p.n != q.n:
-        raise ValidationError(f"bit lengths differ: {p.n} vs {q.n}")
+    distance = statistical_distance(p, q)  # refuses laws of different bit lengths
     event.validate_for(p.n)
     gap = abs(p.prob_of(event.members) - q.prob_of(event.members))
-    distance = statistical_distance(p, q)
     holds = gap <= distance + (0 if p.mode == q.mode == "rational" else 1e-12)
     return EventBoundReport(gap=gap, distance=distance, holds=holds)

@@ -77,14 +77,25 @@ CAPS = {
 }
 
 
+#: echoed text past this many characters is cut in a refusal
+_SHOWN_CHARS = 500
+
+
+def _cut(text: str) -> str:
+    """``text``, or past ``_SHOWN_CHARS`` characters its leading ``_SHOWN_CHARS`` and its length."""
+    return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}...({len(text)} characters)"
+
+
 def _shown(value, spell=str) -> str:
-    """``spell(value)`` (`str` or `repr`), every integer in it past 50 digits cut to its leading 50
-    and its digit count, read from the bit length: no int too long for ``str()`` is converted."""
+    """``spell(value)`` (`str` or `repr`) for a refusal, of bounded length: every integer in it past
+    50 digits cut to its leading 50 and its digit count, read from the bit length (no int too long
+    for ``str()`` is converted), and any other spelling past ``_SHOWN_CHARS`` characters cut to its
+    leading ``_SHOWN_CHARS`` and its length."""
     if isinstance(value, Fraction):
         num, den = _shown(value.numerator), _shown(value.denominator)
         return f"Fraction({num}, {den})" if spell is repr else f"{num}/{den}" if value.denominator > 1 else num
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        return spell(value)
+        return _cut(spell(value))
     size = abs(int(value))
     digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # 2^(bits - 1) <= size < 2^bits
     digits += size >= 10**digits
@@ -113,7 +124,7 @@ def resolve_mode(mode: str | None = None) -> str:
     if mode is None:
         mode = os.environ.get(MODE_ENV_VAR) or "float"
     if mode not in MODES:
-        raise ValidationError(f"unknown numeric mode {mode!r}; expected one of {MODES}")
+        raise ValidationError(f"unknown numeric mode {_shown(mode, repr)}; expected one of {MODES}")
     return mode
 
 
@@ -132,7 +143,7 @@ def infer_mode(values: Iterable[Number]) -> str:
     kinds = {_kind(t) for t in set(map(type, values))}
     if None in kinds:
         bad = next(v for v in values if _kind(type(v)) is None)
-        raise ValidationError(f"unsupported numeric entry {bad!r}")
+        raise ValidationError(f"unsupported numeric entry {_shown(bad, repr)}")
     if len(kinds) > 1:
         raise ValidationError("entries mix exact rationals and floats; pick one backend")
     return kinds.pop() if kinds else "float"
@@ -179,17 +190,18 @@ def check_scalar(
     returned value.
     """
     if isinstance(value, str):
+        shown = f"{what} {_cut(repr(value))}"
         try:
-            value = _fraction(value.strip(), f"{what} {value!r}")
+            value = _fraction(value.strip(), shown)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse {what} {value!r}") from exc
+            raise ValidationError(f"cannot parse {shown}") from exc
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         value = int(value)  # numpy integers read as ints
     kind = _kind(type(value))
     if kind is None:
-        raise ValidationError(f"{what} must be a number, got {value!r}")
+        raise ValidationError(f"{what} must be a number, got {_shown(value, repr)}")
     if kind == "float" and not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be finite, got {_shown(value, repr)}")
     try:
         value = Fraction(value) if (mode or kind) == "rational" else float(value)
     except OverflowError as exc:
@@ -233,7 +245,9 @@ def check_key_bits(n) -> int:
     (``2^n`` entries would not fit a desk-scale calculation), `ResourceLimitError`.
     """
     n = check_int(n, "key length")
-    return check_cap("key_bits", n, f"a dense law over 2^{_shown(n)} keys")
+    if n > CAPS["key_bits"].limit:  # the refusal's text is built only for a refusal
+        check_cap("key_bits", n, f"a dense law over 2^{_shown(n)} keys")
+    return n
 
 
 def parse_number(text: str, mode: str) -> Number:
@@ -246,16 +260,17 @@ def parse_number(text: str, mode: str) -> Number:
     double), and refuses NaN, infinities and values outside the float range.
     """
     text = text.strip()
+    shown = _cut(repr(text))  # built on every call, so without `_shown`'s type tests
     try:
         if mode == "rational":
-            return _fraction(text, f"number {text!r}")
+            return _fraction(text, f"number {shown}")
         try:
             value = float(text)
         except ValueError:
-            value = _fraction(text, f"number {text!r}")
+            value = _fraction(text, f"number {shown}")
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse {text!r} as a {mode} number") from exc
-    return check_scalar(value, f"number {text!r}", mode="float")
+        raise ValidationError(f"cannot parse {shown} as a {mode} number") from exc
+    return check_scalar(value, f"number {shown}", mode="float")
 
 
 def format_number(value: Number) -> str:

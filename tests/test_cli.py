@@ -124,25 +124,26 @@ def test_non_utf8_files_exit_2_with_one_line(tmp_path, capsys):
         ("dist", "mi", "--prior", "uniform:1", "--conditional", f"@{path}"),
     ):
         code, out, err = run_cli(capsys, *argv)
+        flag = argv[argv.index(f"@{path}") - 1]
         assert (code, out) == (2, ""), argv
-        assert err.startswith(f"validation error: {path} is not UTF-8 text: ") and err.count("\n") == 1, argv
+        assert err.startswith(f"validation error: {flag}: {path} is not UTF-8 text: ") and err.count("\n") == 1, argv
 
 
 def test_malformed_exact_entries_exit_2_with_the_parse_refusal(capsys):
     code, out, err = run_cli(capsys, "dist", "delta", "--mode", "rational",
                              "--p", '["1/0","1/1"]', "--q", '["1/2","1/2"]')
-    assert (code, out, err) == (2, "", "validation error: cannot parse '1/0' as a rational number\n")
+    assert (code, out, err) == (2, "", "validation error: --p: cannot parse '1/0' as a rational number\n")
     env = run_json(capsys, "dist", "delta", "--mode", "rational", "--p", '["2/4","01/2"]', "--q", "uniform:1")
     assert env["outputs"]["delta"] == "0/1"
 
 
 def test_a_wrong_length_is_refused_before_the_entries(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dist", "entropy", "--mode", "rational", "--p", '["x","1/2","1/2"]')
-    assert (code, out, err) == (2, "", "validation error: length 3 is not a power of two >= 2\n")
+    assert (code, out, err) == (2, "", "validation error: --p: length 3 is not a power of two >= 2\n")
     monkeypatch.setitem(CAPS, "key_bits", CAPS["key_bits"]._replace(limit=2))
     code, out, err = run_cli(capsys, "dist", "entropy", "--mode", "rational", "--p", json.dumps(["x"] * 8))
     assert (code, out) == (3, "")
-    assert err == "resource limit: a dense law over 2^3 keys needs 3 bits, over the key_bits cap of 2 bits\n"
+    assert err == "resource limit: --p: a dense law over 2^3 keys needs 3 bits, over the key_bits cap of 2 bits\n"
 
 
 def test_non_finite_inputs_exit_2_with_one_line(capsys):
@@ -186,7 +187,7 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
         if "[[NaN]]" in argv or "[[Infinity]]" in argv:
-            assert err == "validation error: state has a non-finite entry\n", err
+            assert err == "validation error: --rho: state has a non-finite entry\n", err
         if "9" * 400 in argv:
             assert err.endswith(" is outside the float range\n"), err
         if any("1" * 5000 in arg for arg in argv):
@@ -344,9 +345,9 @@ def test_state_string_entries_and_malformed_specs(capsys):
     assert env["outputs"]["trace_distance"] == 0.0
     for argv, message in (
         (("dist", "trace", "--rho", '[["zz", 0], [0, "0.5"]]', "--sigma", "[[1]]"),
-         "cannot read complex entry 'zz'"),
+         "--rho: cannot read complex entry 'zz'"),
         (("dist", "delta", "--p", "spike:2", "--q", "uniform:2"),
-         "spike spec needs spike:n:eps, got 'spike:2'"),
+         "--p: spike spec needs spike:n:eps, got 'spike:2'"),
     ):
         assert run_cli(capsys, *argv) == (2, "", f"validation error: {message}\n")
 
@@ -529,6 +530,40 @@ for argv in json.load(sys.stdin):
 print(json.dumps(results))"""
 
 
+def test_a_refusal_by_a_reader_names_its_flag(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # one parser for every call
+    for command, sample in SAMPLE_ARGV.items():
+        for flag, arg in COMMANDS[command].args.items():
+            if not callable(arg.reader):
+                continue
+            argv = [*command.split(), *sample, flag, "zz"]  # the last value is read (every one, for --code)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err.count("\n")) == (2, "", 1), (argv, err)
+            assert err.startswith(f"validation error: {flag}: "), (argv, err)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_float_flags_read_fractions_as_their_values(capsys, mode):
+    for command, flag, fraction, decimal in (
+        (["spike", "low-info", "--n", "4"], "--lam", "1/2", "0.5"),
+        (["cvqkd", "uncertainty", "--t", "1", "--a", "0.01", "--b", "0.01"], "--s", "3/2", "1.5"),
+    ):
+        exact, plain = (run_json(capsys, *command, flag, value, "--mode", mode) for value in (fraction, decimal))
+        assert exact["outputs"] == plain["outputs"], command
+
+
+#: refusals that echo a 100,000-character flag value (120,000 digits for --threshold)
+LONG_ECHOES = [
+    ["budget", "markov", "--mean", "1/3", "--threshold", "9" * 120_000, "--mode", "rational"],
+    ["kpa", "breach", "--n", "3", "--eps", "1/16", "--n1", "x" * 100_000, "--n2", "2"],
+    ["dist", "entropy", "--p", "spike:3:" + "z" * 100_000],
+    ["budget", "individual", "--d", "z" * 100_000, "--exponent", "1"],
+    ["ecpa", "compare", "--code", "2" * 100_000, "--crossover", "1/10"],
+    ["dist", "trace", "--rho", json.dumps([["z" * 100_000]]), "--sigma", "[[1]]"],
+    ["dist", "event-bound", "--p", "uniform:2", "--q", "uniform:2", "--event", "z" * 100_000],
+]
+
+
 def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
     entries, flags = [], []  # the value as one entry of a law, a spike and a conditional row; as each flag value
     for mode in ("float", "rational"):
@@ -549,7 +584,7 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
     law = tmp_path / "law.json"
     law.write_text(json.dumps([f"1/{rng.randrange(10**999, 10**1000)}" for _ in range(1024)]), encoding="utf-8")
     lcm = ["dist", "entropy", "--mode", "rational", "--p", f"@{law}"]
-    argvs = entries + flags + refusals + LONG_RESULTS + [lcm]
+    argvs = entries + flags + refusals + LONG_ECHOES + LONG_RESULTS + [lcm]
     proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=120)  # a built 10**exponent takes minutes
     assert proc.returncode == 0, proc.stderr
@@ -562,6 +597,9 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
         assert max(map(len, re.findall(r"\d+", out))) > 4300
         validator.validate(json.loads(out))
     results = results[:-len(LONG_RESULTS)]
+    for argv, (code, out, err) in zip(LONG_ECHOES, results[-len(LONG_ECHOES):], strict=True):
+        assert (code, out, err.count("\n")) == (2, "", 1) and len(err) <= 2000, (argv[:2], len(err), err[:200])
+    results = results[:-len(LONG_ECHOES)]
     for (argv, exit_code), (code, out, err) in zip(LONG_REFUSALS, results[-len(refusals):], strict=True):
         assert (code, out, err.count("\n")) == (exit_code, "", 1), (argv[:2], err[:200])
         assert "digits)" in err and len(err) < 400, err  # the long number is cut to its leading digits

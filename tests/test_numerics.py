@@ -248,6 +248,13 @@ def test_refusals_cut_integers_past_fifty_digits():
         check_scalar("1" * 4000 + "." + "1" * 4000, "weight", hi=1)
 
 
+def test_refusals_cut_text_past_500_characters():
+    assert _shown("z" * 498, repr) == repr("z" * 498)  # 500 characters with its quotes: kept whole
+    assert _shown("z" * 499, repr) == f"'{'z' * 499}...(501 characters)"
+    with pytest.raises(ValidationError, match=r"^cannot parse 'z{499}\.\.\.\(100002 characters\) as a rational number$"):
+        parse_number("z" * 100_000, "rational")
+
+
 _SOURCES = sorted((Path(ks.__file__).resolve().parent).glob("*.py"))
 
 
