@@ -207,13 +207,12 @@ def _plain_lattice(text: str, count: int) -> Lattice | None:
         return None
     values = np.fromstring(parts, dtype=np.int64, sep=",")
     nums, dens = values[0::2], values[1::2]
-    distinct = set(dens.tolist())
-    lo = min(distinct)
+    lo = int(dens.min())
     if lo < 1:  # a zero denominator, which parse_number refuses
         return None
-    if len(distinct) == 1:
+    if lo == dens.max():  # one denominator: no set of the distinct ones to build
         return Lattice(nums, lo)
-    den = _common_denominator(distinct)
+    den = _common_denominator(set(dens.tolist()))
     return Lattice(_wide(nums, int(nums.max()) * (den // lo)) * (den // _wide(dens, den)), den)
 
 
@@ -288,7 +287,8 @@ class KeyDistribution:
     Python float per entry.  A Lattice passed in must hold integer
     numerators.  ``probs``,
     the tuple of Python floats or Fractions that indexing and iteration
-    use, is built on first use and cached.
+    use, and the distance to the uniform law are computed on first use
+    and cached.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -339,6 +339,13 @@ class KeyDistribution:
     def probs(self) -> tuple:
         """The law as a tuple of Python floats or Fractions (built once, on first use)."""
         return _scalars(*self._data, self.mode)
+
+    @functools.cached_property
+    def _uniform_distance(self) -> Number:
+        """``delta(P, U)``, `statistical_distance` against the uniform law (computed once,
+        on first use): ``sum_k |N num_k - den| / (2 N den)`` over the numerators."""
+        size, (nums, den) = self.size, self._data
+        return _over(_total(np.abs(size * _wide(nums, 2 * size * den) - den)), 2 * size * den)
 
     @property
     def lattice(self) -> Lattice:
@@ -524,9 +531,14 @@ class ClassicalProbeModel:
         bound = pd * cd * self.prior.size**2 * self.outcomes
         return Lattice(_wide(pn, bound)[:, None] * _wide(cn, bound), pd * cd)
 
+    @functools.cached_property
+    def _outcome_totals(self) -> list:
+        """The column sums of `joint_law`, one numerator per outcome (computed once, on first use)."""
+        return _total(self.joint_law().nums.T)
+
     def outcome_marginal(self) -> list:
-        nums, den = self.joint_law()
-        return [_over(total, den) for total in _total(nums.T)]
+        den = _law(self.prior).den * self._rows.den
+        return [_over(total, den) for total in self._outcome_totals]
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,9 +601,9 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
         exact `Fraction`; otherwise a float.  Omitting ``q`` measures
         ``delta(P, U)`` against the uniform law in ``p``'s backend,
         without building it: ``sum_k |N num_k - den| / (2 N den)`` over
-        its numerators.  A float result is the correctly rounded sum (the
-        value `math.fsum` returns); as ``N`` is a power of two, the scaling
-        by ``N`` is exact.
+        its numerators, computed once per law and cached.  A float result
+        is the correctly rounded sum (the value `math.fsum` returns); as
+        ``N`` is a power of two, the scaling by ``N`` is exact.
 
     Returns
     -------
@@ -600,9 +612,7 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
         ``1`` iff their supports are disjoint.
     """
     if q is None:
-        size = p.size
-        nums, den = _law(p)
-        return _over(_total(np.abs(size * _wide(nums, 2 * size * den) - den)), 2 * size * den)
+        return p._uniform_distance
     if p.n != q.n:
         raise ValidationError(f"bit lengths differ: {p.n} vs {q.n}")
     mode = "rational" if p.mode == q.mode == "rational" else "float"
@@ -686,5 +696,5 @@ def d_criterion(model: ClassicalProbeModel) -> Number:
     """
     size = model.prior.size
     nums, den = model.joint_law()
-    marginal = np.array(_total(nums.T), dtype=nums.dtype)
+    marginal = np.array(model._outcome_totals, dtype=nums.dtype)
     return _over(_total(np.abs(size * nums - marginal).ravel()), 2 * size * den)

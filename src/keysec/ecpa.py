@@ -19,6 +19,7 @@ parity-check matrices by its ``matrix_bits`` entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -115,12 +116,18 @@ class ParityCheckMatrix:
             for row in self.rows
         )
 
-    def codewords(self) -> tuple:
-        """All words with every check satisfied, in increasing order."""
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        """The codewords in increasing order, a read-only int array (built once, on first use)."""
         words = np.arange(1 << self.n_data)
         for row in self.rows:
             words = words[np.bitwise_count(words & row) % 2 == 0]
-        return tuple(words.tolist())
+        words.flags.writeable = False
+        return words
+
+    def codewords(self) -> tuple:
+        """All words with every check satisfied, in increasing order."""
+        return tuple(self._words.tolist())
 
 
 def load_parity_check(path) -> ParityCheckMatrix:
@@ -222,7 +229,7 @@ def _code_prior(chosen, n: int, exact: bool) -> Lattice:
     pairs: integer numerators over the lcm of the shares ``weight / |C|`` when
     exact, float64 over 1 otherwise; a word's shares add in the pairs' order."""
     # the rows have full rank, so |C| = 2^(n - checks) and a float share scales exactly
-    shares = [(list(code.codewords()), weight / (1 << (n - code.n_checks))) for code, weight in chosen]
+    shares = [(code._words, weight / (1 << (n - code.n_checks))) for code, weight in chosen]
     den = math.lcm(*(share.denominator for _, share in shares)) if exact else 1
     prior = np.zeros(1 << n, dtype=object if exact else np.float64)
     for words, share in shares:
@@ -266,7 +273,7 @@ def mixture_posterior(
     flips = np.bitwise_count(np.arange(1 << n) ^ y)
     post = prior * np.array([up**c for c in range(n + 1)], dtype=prior.dtype)[flips]
     post = post * np.array([down ** (n - c) for c in range(n + 1)], dtype=prior.dtype)[flips]
-    total = sum(post.tolist())  # left to right, as the scalar formula
+    total = np.add.accumulate(post)[-1]  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
     return KeyDistribution(n, Lattice(post, total) if exact else post / total)

@@ -52,8 +52,9 @@ class EventSpec:
         """Parse a comma-separated member list like ``"0,1,5"``."""
         try:
             return cls(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse event {_shown(text, repr)}: {exc}") from exc
+        except ValueError as exc:  # int()'s own message would echo the text a second time
+            why = exc if isinstance(exc, ValidationError) else "members must be integers"
+            raise ValidationError(f"cannot parse event {_shown(text, repr)}: {why}") from exc
 
     def validate_for(self, n: int) -> None:
         top = max(self.members)
@@ -202,7 +203,7 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     else:
         shifted = nums - lo
         raw = np.where(shifted < 0.0, 0.0, shifted) / lam  # max(x, 0.0) keeps -0.0
-        total = sum(raw.tolist())  # left to right, as the scalar formula
+        total = np.add.accumulate(raw)[-1]  # left to right, as the scalar formula
         residual = KeyDistribution(p.n, raw / total)
     return MixtureDecomposition(uniform_weight=1 - lam, residual=residual)
 

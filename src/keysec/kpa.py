@@ -117,9 +117,14 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     s, width = split.subset_size, 1 << split.n1
     nums, den = _law(p)
+    v = split.subset_value(np.arange(1 << split.n2))
     # joint[v, k1] = P(K2* = v, K1 = k1): rows of the (K2, K1) table added in K2 order
-    joint = np.zeros((1 << s, width), dtype=nums.dtype)
-    np.add.at(joint, split.subset_value(np.arange(1 << split.n2)), nums.reshape(-1, width))
+    if nums.dtype == np.float64:  # bincount adds in input order, as np.add.at does, on a faster path
+        cells = (v[:, None] * width + np.arange(width)).ravel()
+        joint = np.bincount(cells, weights=nums, minlength=width << s).reshape(-1, width)
+    else:
+        joint = np.zeros((1 << s, width), dtype=nums.dtype)
+        np.add.at(joint, v, nums.reshape(-1, width))
     avg = _over(joint.max(axis=0).sum(), den)
     bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
     slack = 0 if p.mode == "rational" else 1e-9

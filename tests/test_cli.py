@@ -613,3 +613,15 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
     for argv, (code, _, err) in zip(entries, results):
         if argv[-1] == "rational":
             assert code == 3, (argv, err)
+
+
+def test_a_long_flag_value_is_echoed_once():
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(LONG_ECHOES),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, out, err) in zip(LONG_ECHOES, json.loads(proc.stdout), strict=True):
+        assert (code, out, err.count("\n")) == (2, "", 1), (argv[:2], err[:200])
+        # one echo cut to 500 characters, and no second one inside another message
+        assert err.count("characters)") == 1 and len(err) < 650, (argv[:2], len(err), err[-300:])

@@ -12,6 +12,8 @@ are long enough to take the binned kernel (`dist._exact_sum`) in place
 of `math.fsum`.
 """
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -303,3 +305,80 @@ def test_refuses_non_finite_entries_in_every_entry_point():
         KeyDistribution(1, np.array([math.nan, 1.0]))
     with pytest.raises(ValidationError):
         ClassicalProbeModel(KeyDistribution.uniform(1), [[math.nan, 1.0], [0.5, 0.5]])
+
+
+# ---------------------------------------------------------------- golden bits
+
+
+def _hex(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _scoring_mix_outputs(n: int) -> list:
+    """`float.hex` of every output of the float scoring mix on seeded laws at ``n`` bits:
+    the parsed law, both distances to uniform, the entropy stats, three splits, the bit
+    agreement, the mixture decomposition, and a probe model's information and ``d``."""
+    rng = random.Random(1000 + n)
+    law = draw_law(rng, n, False, 62, (0.0, 0.3)[n % 2])
+    p = KeyDistribution.from_json(json.dumps(law))
+    out = [*p.probs, statistical_distance(p, KeyDistribution.uniform(n)), statistical_distance(p)]
+    out += entropy_stats(p)
+    for _ in range(3):
+        n1 = rng.randrange(1, n)
+        subset = rng.sample(range(n - n1), rng.randrange(1, n - n1 + 1)) if rng.random() < 0.5 else None
+        out += average_conditional_guess(p, KeySplit(n1, n - n1, subset))
+    size = 1 << n
+    lam = min(1.0, max(0.0, 1 - size * min(law), (size * max(law) - 1) / (size - 1)) + 1e-9)
+    mixture = check_mixture_decomposition(p, lam)
+    out += [eve_bit_agreement(p), mixture.uniform_weight, *mixture.residual.probs]
+    model = ClassicalProbeModel(p, [_row(rng, 3 + n % 5, False) for _ in range(size)])
+    out += [mutual_information(model), d_criterion(model), *model.outcome_marginal()]
+    return [_hex(v) for v in out]
+
+
+def test_scoring_mix_keeps_its_float_bits():
+    # frozen on the code before the cached views, the bincount joint and the array sums
+    digest = hashlib.sha256()
+    for n in range(6, 13):
+        digest.update("\n".join(_scoring_mix_outputs(n)).encode() + b"\n")
+    assert digest.hexdigest() == "d6ee1a3cf6ce4f053e566a16d6424e903311d1c88ba9f2f3b6c0c7b437a24b3b"
+
+
+# ---------------------------------------------------------------- values computed once
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_distance_to_uniform_is_the_two_law_distance_computed_once(mode):
+    rng = random.Random(37)
+    for n in range(1, 13):
+        p = KeyDistribution(n, draw_law(rng, n, mode == "rational", (6, 62)[n % 2], 0.3))
+        distance = statistical_distance(p)
+        assert same(distance, statistical_distance(p, KeyDistribution.uniform(n, mode)))
+        assert statistical_distance(p) is distance
+
+
+def test_mixture_residual_is_summed_left_to_right():
+    rng = random.Random(41)
+    for n in range(1, 13):
+        probs = draw_law(rng, n, False, 62, 0.3)
+        size = 1 << n
+        lam = min(1.0, max(0.0, 1 - size * min(probs), (size * max(probs) - 1) / (size - 1)) + 1e-9)
+        lo = (1.0 - lam) / size
+        raw = [max(x - lo, 0.0) / lam for x in probs]
+        total = raw[0]
+        for x in raw[1:]:
+            total += x
+        res = check_mixture_decomposition(KeyDistribution(n, probs), lam)
+        assert same(res.residual.probs, tuple(x / total for x in raw))
+
+
+def test_probe_model_totals_keep_their_bits():
+    # float.hex values frozen before the outcome totals were cached
+    rng = random.Random(7)
+    model = ClassicalProbeModel(KeyDistribution(5, draw_law(rng, 5, False, 62, 0.2)),
+                                [_row(rng, 4, False) for _ in range(32)])
+    expected = ["0x1.328665e7b3144p-2", "0x1.d5cd7b73b129dp-3", "0x1.0c5707697dc19p-2", "0x1.ac77a9e9ed2abp-3",
+                "0x1.3a9483bca43d7p-1"]
+    for _ in range(2):  # the second pass reads the cached totals
+        assert [v.hex() for v in (*model.outcome_marginal(), d_criterion(model))] == expected
+    assert model._outcome_totals is model._outcome_totals

@@ -365,3 +365,34 @@ def test_as_array_round_trip():
         "\n".join("".join(str(v) for v in row) for row in arr)
     )
     assert rebuilt == c
+
+
+def test_codewords_are_built_once_into_a_read_only_array():
+    rng = random.Random(19)
+    for n in range(1, 11):
+        m = random_parity_check(n, rng.randint(1, n), rng)
+        assert m._words is m._words and not m._words.flags.writeable
+        with pytest.raises(ValueError):
+            m._words[0] = 1
+        assert m.codewords() == tuple(oracles.enumerate_codewords(m.rows, n))
+
+
+def test_float_posterior_is_summed_left_to_right():
+    rng = random.Random(43)
+    for n, codes, weights, q in _seeded_ensembles(rng, 16):
+        ensemble, q = CodeEnsemble(codes, [float(w) for w in weights]), float(q)
+        y = rng.randrange(1 << n)
+        for hidden in (True, False):
+            chosen = zip(codes, ensemble.weights) if hidden else [(codes[0], 1.0)]
+            prior = [0.0] * (1 << n)
+            for code, w in chosen:
+                words = oracles.enumerate_codewords(code.rows, n)
+                for x in words:
+                    prior[x] += w / len(words)
+            flips = [bin(x ^ y).count("1") for x in range(1 << n)]
+            post = [prior[x] * q ** c * (1 - q) ** (n - c) for x, c in enumerate(flips)]
+            total = post[0]
+            for x in post[1:]:
+                total += x
+            res = mixture_posterior(ensemble, format(y, f"0{n}b")[::-1], EveChannel(q), hidden, 0)
+            assert [v.hex() for v in res.probs] == [(x / total).hex() for x in post]

@@ -270,3 +270,14 @@ def test_event_bound_holds_always(raw, mask):
     members = tuple(i for i in range(8) if (mask >> i) & 1)
     rep = check_event_bound(p, q, EventSpec(members))
     assert rep.holds and rep.gap <= rep.distance
+
+
+def test_an_unreadable_event_is_echoed_once():
+    text = "z" * 1000
+    with pytest.raises(ValidationError) as refusal:
+        EventSpec.from_text(text)
+    assert str(refusal.value) == f"cannot parse event '{'z' * 499}...(1002 characters): members must be integers"
+    with pytest.raises(ValidationError, match=r"^cannot parse event '1,x': members must be integers$"):
+        EventSpec.from_text("1,x")
+    with pytest.raises(ValidationError, match=r"^cannot parse event '2,-1': event member must be a non-negative"):
+        EventSpec.from_text("2,-1")

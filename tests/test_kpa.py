@@ -5,6 +5,8 @@ Frozen values come from a dictionary-grouping oracle
 path.
 """
 
+import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -159,3 +161,26 @@ def test_average_guess_float_random_bound(rng):
         probs = random_float_probs(rng, 1 << n)
         res = average_conditional_guess(KeyDistribution(n, probs), KeySplit(1, n - 1))
         assert res.holds
+
+
+def _add_at_average(probs: np.ndarray, split: KeySplit) -> float:
+    """sum_k1 max_v P(K2* = v, K1 = k1), the joint table built by np.add.at in K2 order."""
+    width = 1 << split.n1
+    targets = [sum(((k2 >> pos) & 1) << j for j, pos in enumerate(split.subset_bits)) for k2 in range(1 << split.n2)]
+    joint = np.zeros((1 << split.subset_size, width))
+    np.add.at(joint, targets, probs.reshape(-1, width))
+    return float(joint.max(axis=0).sum())
+
+
+def test_float_average_guess_keeps_the_bits_of_add_at():
+    rng = random.Random(31)
+    for n in range(2, 13):
+        probs = np.array([0.0 if rng.random() < 0.3 else rng.random() for _ in range(1 << n)])
+        probs[rng.randrange(1 << n)] += 0.5
+        p = KeyDistribution(n, probs / math.fsum(probs))
+        for n1 in range(1, n):
+            n2 = n - n1
+            for subset in (None, rng.sample(range(n2), rng.randint(1, n2))):
+                split = KeySplit(n1, n2, subset)
+                avg = average_conditional_guess(p, split).avg_p1
+                assert avg.hex() == _add_at_average(p.as_array(), split).hex(), (n, n1, subset)
