@@ -524,17 +524,22 @@ class ClassicalProbeModel:
         return self.prior[k] * self.conditional[k][y]
 
     def joint_law(self) -> Lattice:
-        """``p(k) p(y | k)`` as a (key, outcome) table of numerators over the
-        product of the two denominators (float64 products over 1 in float mode)."""
+        """``p(k) p(y | k)`` as a read-only (key, outcome) table of numerators over
+        the product of the two denominators (float64 products over 1 in float mode)."""
         (pn, pd), (cn, cd) = _law(self.prior), self._rows
         # covers d_criterion's sum of |N * joint - marginal| over the table
         bound = pd * cd * self.prior.size**2 * self.outcomes
-        return Lattice(_wide(pn, bound)[:, None] * _wide(cn, bound), pd * cd)
+        nums = _wide(pn, bound)[:, None] * _wide(cn, bound)
+        nums.flags.writeable = False
+        return Lattice(nums, pd * cd)
+
+    #: `joint_law`, built once on first use; the measures read this one
+    _joint = functools.cached_property(joint_law)
 
     @functools.cached_property
     def _outcome_totals(self) -> list:
         """The column sums of `joint_law`, one numerator per outcome (computed once, on first use)."""
-        return _total(self.joint_law().nums.T)
+        return _total(self._joint.nums.T)
 
     def outcome_marginal(self) -> list:
         den = _law(self.prior).den * self._rows.den
@@ -660,7 +665,7 @@ def mutual_information(model: ClassicalProbeModel) -> float:
     into ``[0, H(K)]`` to absorb float round-off near the endpoints.
     """
     h_prior = _shannon_bits(model.prior.as_array())
-    joint = _ratios(*model.joint_law())
+    joint = _ratios(*model._joint)
     h_cond = 0.0
     for y, py in enumerate(float(v) for v in model.outcome_marginal()):
         if py <= 0.0:
@@ -695,6 +700,6 @@ def d_criterion(model: ClassicalProbeModel) -> Number:
     eavesdropper's data shifts in probability by more than ``d``.
     """
     size = model.prior.size
-    nums, den = model.joint_law()
+    nums, den = model._joint
     marginal = np.array(model._outcome_totals, dtype=nums.dtype)
     return _over(_total(np.abs(size * nums - marginal).ravel()), 2 * size * den)

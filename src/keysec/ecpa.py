@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _check_rows, binary_entropy
+from .dist import KeyDistribution, Lattice, _check_rows, _wide, binary_entropy
 from .numerics import (
     InfeasibleError,
     Number,
@@ -231,7 +231,7 @@ def _code_prior(chosen, n: int, exact: bool) -> Lattice:
     # the rows have full rank, so |C| = 2^(n - checks) and a float share scales exactly
     shares = [(code._words, weight / (1 << (n - code.n_checks))) for code, weight in chosen]
     den = math.lcm(*(share.denominator for _, share in shares)) if exact else 1
-    prior = np.zeros(1 << n, dtype=object if exact else np.float64)
+    prior = _wide(np.zeros(1 << n, np.int64), den) if exact else np.zeros(1 << n)  # no entry passes den
     for words, share in shares:
         prior[words] += share.numerator * (den // share.denominator) if exact else float(share)
     return Lattice(prior, den)
@@ -265,11 +265,12 @@ def mixture_posterior(
     if not syndromes_hidden:
         code_index = check_int(code_index, "code index", lo=None)
         if not 0 <= code_index < len(ensemble.codes):
-            raise ValidationError(f"code index {code_index} outside the {len(ensemble.codes)}-code ensemble")
+            raise ValidationError(f"code index {_shown(code_index)} outside the {len(ensemble.codes)}-code ensemble")
         chosen = [(ensemble.codes[code_index], Fraction(1))]
     prior, den = _code_prior(chosen, n, exact)
     # likelihood up^c down^(n - c) of c flips: a^c (b - a)^(n - c) over b^n when exact
     up, down = (q.numerator, q.denominator - q.numerator) if exact else (q, 1 - q)
+    prior = _wide(prior, den * (up + down) ** n)  # the posterior's numerators and total fit
     flips = np.bitwise_count(np.arange(1 << n) ^ y)
     post = prior * np.array([up**c for c in range(n + 1)], dtype=prior.dtype)[flips]
     post = post * np.array([down ** (n - c) for c in range(n + 1)], dtype=prior.dtype)[flips]

@@ -59,7 +59,7 @@ class EventSpec:
     def validate_for(self, n: int) -> None:
         top = max(self.members)
         if top >= 1 << n:
-            raise ValidationError(f"event member {top} outside the {n}-bit key space")
+            raise ValidationError(f"event member {_shown(top)} outside the {n}-bit key space")
 
     def sorted_members(self) -> list:
         return sorted(self.members)

@@ -77,13 +77,9 @@ class KeySplit:
     def k2_of(self, k: int) -> int:
         return k >> self.n1
 
-    def subset_value(self, k2):
-        """The value of ``K2*`` read from ``k2`` in ``[0, 2^n2)``: an int, or each entry of an int array."""
-        top = 1 << self.n2
-        if not isinstance(k2, np.ndarray):
-            k2 = check_int(k2, "K2 value", lo=0, hi=top)
-        elif k2.dtype.kind not in "iu" or k2.size and not (0 <= k2.min() and k2.max() < top):
-            raise ValidationError(f"K2 values must be an integer array with entries in [0, {top})")
+    def subset_value(self, k2: int) -> int:
+        """The value of ``K2*`` read from ``k2`` in ``[0, 2^n2)``."""
+        k2 = check_int(k2, "K2 value", lo=0, hi=1 << self.n2)
         return sum(((k2 >> pos) & 1) << j for j, pos in enumerate(self.subset_bits))
 
 
@@ -115,16 +111,15 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
     check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
-    s, width = split.subset_size, 1 << split.n1
+    s, n2 = split.subset_size, split.n2
     nums, den = _law(p)
-    v = split.subset_value(np.arange(1 << split.n2))
-    # joint[v, k1] = P(K2* = v, K1 = k1): rows of the (K2, K1) table added in K2 order
-    if nums.dtype == np.float64:  # bincount adds in input order, as np.add.at does, on a faster path
-        cells = (v[:, None] * width + np.arange(width)).ravel()
-        joint = np.bincount(cells, weights=nums, minlength=width << s).reshape(-1, width)
-    else:
-        joint = np.zeros((1 << s, width), dtype=nums.dtype)
-        np.add.at(joint, v, nums.reshape(-1, width))
+    # one axis per K2 bit, highest first, then K1; the target bits' axes move to the front
+    target = [n2 - 1 - pos for pos in reversed(split.subset_bits)]
+    order = target + [a for a in range(n2) if a not in target] + [n2]
+    cube = nums.reshape((2,) * n2 + (-1,)).transpose(order).reshape(1 << s, 1 << (n2 - s), -1)
+    # joint[v, k1] = P(K2* = v, K1 = k1): a sum over a slow axis adds one row at a
+    # time, so each cell adds its rows in increasing K2 order, in every dtype
+    joint = cube.sum(axis=1)
     avg = _over(joint.max(axis=0).sum(), den)
     bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
     slack = 0 if p.mode == "rational" else 1e-9
@@ -150,7 +145,7 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     check_cap(f"{mode}_enum_bits", n, f"{mode} enumeration over 2^{n} keys")
     u = check_scalar(Fraction(1, size), "uniform mass", mode=mode)
     k2 = np.arange(1 << split.n2)
-    hit = split.subset_value(k2) == 0
+    hit = k2 & sum(1 << pos for pos in split.subset_bits) == 0  # K2* = 0
     receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
     moved = min(eps, u * len(donors))
     worst = Fraction(1, 1 << split.subset_size) + moved * (1 << split.n1)

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dist import KeyDistribution, _law, _over, statistical_distance
+from .dist import KeyDistribution, _law, _over, _wide, statistical_distance
 from .numerics import (
     InfeasibleError,
     Number,
@@ -153,7 +153,7 @@ class HashFamilySpec:
         bits = self.field_bits * self.message_blocks
         if message.bit_length() > bits:
             raise ValidationError(
-                f"message {message} outside [0, 2^{bits}) for {self.message_blocks} blocks"
+                f"message {_shown(message)} outside [0, 2^{bits}) for {self.message_blocks} blocks"
             )
         return message
 
@@ -306,8 +306,8 @@ def attack_success(
     (``b * m_blk`` for a single use, ``uses.bit_length()`` for more),
     stacks the key posteriors of all transcripts and scores each by its
     top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Exact laws become
-    integer numerators over one common denominator, in int64 while the
-    game's total numerator stays below 2^62 and as Python integers beyond.
+    integer numerators over one common denominator, widened by `_wide` to
+    Python integers once twice the game's total numerator reaches 2^63.
     Float laws are summed in the order a loop over the keys would use: a
     float forgery mass is the key-order sum of the lowest-index top
     entries, which can sit 1 ulp below another tied choice of keys.  More
@@ -316,7 +316,7 @@ def attack_success(
     for more, meets the ``mac_entry_bits`` cap before anything is built.
     """
     if attack not in ("impersonation", "substitution"):
-        raise ValidationError(f"unknown attack {attack!r}; expected impersonation or substitution")
+        raise ValidationError(f"unknown attack {_shown(attack, repr)}; expected impersonation or substitution")
     _key_dist_for(spec, keys.hash_key_dist, "hash key distribution")
     if keys.tag_key_dist is not None:
         _key_dist_for(spec, keys.tag_key_dist, "tag key distribution")
@@ -338,8 +338,7 @@ def attack_success(
         # the (transcript, key) table: 2^bits messages or 2^(b * uses) tag tuples, by 2^b tags and 2^b keys
         check_cap("mac_entry_bits", bits + 2 * b if uses == 1 else b * (uses + 1), "masked substitution table")
     den *= mask_den ** (uses if masked else 0)  # the total numerator of the game's joint law
-    dtype = np.float64 if mode == "float" else np.int64 if den < 1 << 62 else object
-    prior, mask = prior.astype(dtype), mask.astype(dtype)
+    prior, mask = _wide(prior, 2 * den), _wide(mask, 2 * den)
     roots = min(spec.message_blocks, size)
     if not masked:
         return _over(_top_mass(prior[None, :], roots)[0], den)

@@ -506,6 +506,11 @@ LONG_REFUSALS = [
       "--hash-key", "uniform:10", "--tag-key", "uniform:10"], 3),  # needs 10 * blocks + 20 bits
     (["budget", "individual", "--mode", "rational", "--d", "1e-9", "--exponent", LONG_DECIMAL], 2),
     (["kpa", "breach", "--n", "3", "--eps", "1/16", "--n1", "9" * 4300, "--n2", "2"], 3),  # a 2^(n1 + n2) law
+    (["dist", "event-bound", "--p", "uniform:2", "--q", "uniform:2", "--event", "0," + "9" * 4000], 2),
+    (["conditional", "max-deviation", "--n", "2", "--eps", "1/10", "--event", "0," + "9" * 4000,
+      "--sub-event", "0"], 2),
+    (["ecpa", "posterior", "--code", "011", "--observation", "011", "--crossover", "0.1", "--code-known",
+      "--code-index", "9" * 4000], 2),
 ]
 
 #: a decimal whose exact value has a 4,300-digit denominator

@@ -382,3 +382,22 @@ def test_probe_model_totals_keep_their_bits():
     for _ in range(2):  # the second pass reads the cached totals
         assert [v.hex() for v in (*model.outcome_marginal(), d_criterion(model))] == expected
     assert model._outcome_totals is model._outcome_totals
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_probe_joint_is_built_once_per_model(monkeypatch, exact):
+    builds, build = [], ClassicalProbeModel._joint.func
+
+    def counted(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(ClassicalProbeModel._joint, "func", counted)
+    rng = random.Random(11)
+    models = [ClassicalProbeModel(KeyDistribution(4, draw_law(rng, 4, exact, 20, 0.2)),
+                                  [_row(rng, 3, exact) for _ in range(16)]) for _ in range(2)]
+    for model in models:
+        for measure in (mutual_information, d_criterion, ClassicalProbeModel.outcome_marginal, d_criterion):
+            measure(model)
+        assert not model._joint.nums.flags.writeable
+    assert builds == models

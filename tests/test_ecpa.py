@@ -396,3 +396,23 @@ def test_float_posterior_is_summed_left_to_right():
                 total += x
             res = mixture_posterior(ensemble, format(y, f"0{n}b")[::-1], EveChannel(q), hidden, 0)
             assert [v.hex() for v in res.probs] == [(x / total).hex() for x in post]
+
+
+@pytest.mark.parametrize("up,down,dtype", [
+    (1, (1 << 15) - 2, np.int64),  # 8 * b^4 < 2^63: int64 numerators
+    (1, (1 << 15) - 1, object),  # b = 2^15: 8 * b^4 = 2^63, Python ints
+    (1 << 20, (1 << 20) + 1, object),  # numerators near 2^83, past int64
+])
+def test_exact_posterior_on_each_side_of_the_int64_bound(monkeypatch, up, down, dtype):
+    # one code of 8 words: prior numerators 1 over 8, likelihoods up^c down^(4 - c) over b^4
+    q, seen, wide = F(up, up + down), [], ecpa._wide
+
+    def spy(nums, bound):
+        seen.append(wide(nums, bound))
+        return seen[-1]
+
+    monkeypatch.setattr(ecpa, "_wide", spy)
+    code = ParityCheckMatrix(4, [0b0011])
+    post = mixture_posterior(CodeEnsemble([code], (F(1),)), "0110", EveChannel(q))
+    assert seen[-1].dtype == dtype  # the prior the likelihood products start from
+    assert list(post.probs) == oracles.posterior_oracle([code.rows], [F(1)], 0b0110, 4, q)

@@ -186,6 +186,16 @@ def test_attack_validation_and_caps():
                        "substitution")
 
 
+
+def test_long_messages_and_attack_names_are_cut_in_refusals():
+    # a message past Python's 4,300-digit conversion limit, and a 100,000-character attack name
+    with pytest.raises(ValidationError, match=r"^message 10{49}\.\.\.\(5001 digits\) outside \[0, 2\^6\)"):
+        HashFamilySpec(3, 2).hash_value(0, 10**5000)
+    keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(3, mode="rational"))
+    with pytest.raises(ValidationError, match=r"^unknown attack 'x+\.\.\.\(100002 characters\); expected") as err:
+        attack_success(HashFamilySpec(3, 1), keys, "x" * 100_000)
+    assert len(str(err.value)) < 650
+
 def test_degraded_epsilon_frozen():
     res = degraded_epsilon(F(1, 4), F(1, 10), F(1, 20), 3)
     assert res.hash_key_level == F(7, 20)
