@@ -72,11 +72,13 @@ def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
 
 def _maybe_file(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"{text[1:]} is not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{_shown(text[1:])} is not UTF-8 text: {exc}") from exc
+        except OSError as exc:  # the path is echoed cut, not as the OSError spells it
+            raise ValidationError(f"cannot read {_shown(text[1:])}: {exc.strerror}") from exc
     return text
 
 
@@ -410,7 +412,7 @@ COMMANDS = {
     "budget near-uniform-bits": Command(
         "honest near-uniform key length",
         "largest n with 2^-n >= d^exponent: floor(-log10_d exponent log2 10)",
-        {"--d": Arg(_LEVEL, REQUIRED), "--exponent": Arg(None, "1")},
+        {"--d": Arg(_LEVEL, REQUIRED), "--exponent": Arg(_EXPONENT, "1")},
         lambda a: {"bits": keysec.budget.near_uniform_bits(a.d, a.exponent)},
     ),
     "budget required-d": Command(
@@ -591,7 +593,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, OSError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # the failure boundary: a fault in keysec itself, reported on one line

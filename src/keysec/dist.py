@@ -322,7 +322,7 @@ class KeyDistribution:
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
         """The uniform distribution on ``n``-bit keys, in the given backend."""
         size = 1 << check_key_bits(n)
-        return cls(n, Lattice([1] * size, size) if mode == "rational" else np.full(size, 1.0 / size))
+        return cls(n, Lattice(np.ones(size, np.int64), size) if mode == "rational" else np.full(size, 1.0 / size))
 
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":

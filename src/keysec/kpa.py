@@ -7,9 +7,6 @@ For a key within statistical distance ``eps`` of uniform the *averaged*
 conditional guessing probability obeys ``2^-|K2*| + eps``; this module
 computes that average exactly, and also builds the witness showing that
 conditioning on one specific ``K1`` value enjoys no such protection.
-Every enumeration is capped by key length, per mode: the
-``float_enum_bits`` and ``rational_enum_bits`` entries of
-`keysec.numerics.CAPS`.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, _law, _over, _transport, _wide, statistical_distance
-from .numerics import Number, ValidationError, check_cap, check_int, check_key_bits, check_scalar, scalar_mode
+from .numerics import Number, ValidationError, _shown, check_int, check_key_bits, check_scalar, scalar_mode
 
 __all__ = [
     "KeySplit",
@@ -59,7 +56,7 @@ class KeySplit:
             if not bits:
                 raise ValidationError("target subset of K2 must be nonempty")
             if len(set(bits)) != len(bits):
-                raise ValidationError(f"target subset has repeated positions: {bits}")
+                raise ValidationError(f"target subset has repeated positions: {_shown(bits)}")
             bits = tuple(sorted(bits))
         object.__setattr__(self, "subset_bits", bits)
 
@@ -110,7 +107,6 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     """
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
-    check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     s, n2 = split.subset_size, split.n2
     nums, den = _law(p)
     # one axis per K2 bit, highest first, then K1; the target bits' axes move to the front
@@ -141,9 +137,7 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     if split.n != n:
         raise ValidationError(f"split covers {split.n} bits but the key has {n}")
     eps = check_scalar(epsilon, "distance budget", lo=0)
-    mode = scalar_mode(eps)
-    check_cap(f"{mode}_enum_bits", n, f"{mode} enumeration over 2^{n} keys")
-    u = check_scalar(Fraction(1, size), "uniform mass", mode=mode)
+    u = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(eps))
     k2 = np.arange(1 << split.n2)
     hit = k2 & sum(1 << pos for pos in split.subset_bits) == 0  # K2* = 0
     receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
@@ -165,7 +159,6 @@ def eve_bit_agreement(p: KeyDistribution) -> Number:
     attacker far from identifying the whole key can align most bits --
     this is the quantity a bitwise-error-rate argument has to bound.
     """
-    check_cap(f"{p.mode}_enum_bits", p.n, f"{p.mode} enumeration over 2^{p.n} keys")
     nums, den = _law(p)
     guess = int(np.argmax(nums))  # the first, so the lowest index, on ties
     agree = p.n - np.bitwise_count(np.arange(p.size) ^ guess).astype(np.int64)

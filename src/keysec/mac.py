@@ -44,6 +44,7 @@ from .numerics import (
     InfeasibleError,
     Number,
     ValidationError,
+    _cut,
     _shown,
     check_cap,
     check_int,
@@ -134,7 +135,7 @@ class HashFamilySpec:
         object.__setattr__(self, "modulus", mod)
         if mod.bit_length() - 1 != self.field_bits:
             raise ValidationError(
-                f"modulus {mod:#x} has degree {mod.bit_length() - 1}, field needs {self.field_bits}"
+                f"modulus {_cut(f'{mod:#x}')} has degree {mod.bit_length() - 1}, field needs {self.field_bits}"
             )
         if not _is_irreducible(mod):
             raise ValidationError(f"modulus {mod:#x} is reducible; the quotient is not a field")
@@ -156,11 +157,6 @@ class HashFamilySpec:
                 f"message {_shown(message)} outside [0, 2^{bits}) for {self.message_blocks} blocks"
             )
         return message
-
-    def blocks(self, message: int) -> tuple:
-        message = self._check_message(message)
-        mask = self.tag_space - 1
-        return tuple((message >> (j * self.field_bits)) & mask for j in range(self.message_blocks))
 
     def hash_value(self, alpha: int, message: int) -> int:
         """Evaluate ``sum_j c_j alpha^(j+1)`` by Horner's rule.

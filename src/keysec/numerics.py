@@ -69,8 +69,6 @@ CAPS = {
     "mac_entry_bits": Cap(20, ResourceLimitError, "bits"),  # masked MAC substitution (transcript, key) table
     "data_bits": Cap(12, ResourceLimitError, "bits"),  # ECPA exact expectation over 2^n words
     "matrix_bits": Cap(16, ValidationError, "bits"),  # ECPA parity-check matrix width
-    "float_enum_bits": Cap(20, ResourceLimitError, "bits"),  # KPA enumeration, float mode
-    "rational_enum_bits": Cap(12, ResourceLimitError, "bits"),  # KPA enumeration, rational mode
     "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
     "decimal_digits": Cap(4000, ResourceLimitError, "digits"),  # an exact decimal with an exponent
     "denominator_bits": Cap(1 << 14, ResourceLimitError, "bits"),  # the common denominator of exact entries

@@ -114,6 +114,16 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_an_unreadable_file_is_refused_with_its_flag_and_reason(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv, refusal in (
+        (("dist", "entropy", "--p", f"@{missing}"), f"--p: cannot read {missing}: No such file or directory"),
+        (("ecpa", "compare", "--code", f"@{tmp_path}", "--crossover", "0.1"),
+         f"--code: cannot read {tmp_path}: Is a directory"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"validation error: {refusal}\n"), argv
+
+
 def test_non_utf8_files_exit_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff["1/2","1/2"]')
@@ -222,9 +232,6 @@ CAP_ARGV = {
                        "--hash-key", "uniform:4", "--tag-key", "uniform:4"),
     "data_bits": ("ecpa", "compare", "--code", "0" * 12 + "1", "--crossover", "1/10"),
     "matrix_bits": ("ecpa", "compare", "--code", "0" * 16 + "1", "--crossover", "1/10"),
-    "float_enum_bits": ("kpa", "breach", "--n", "21", "--eps", "1/16", "--n1", "1", "--n2", "20", "--mode", "float"),
-    "rational_enum_bits": ("kpa", "breach", "--n", "13", "--eps", "1/16", "--n1", "1", "--n2", "12",
-                           "--mode", "rational"),
     "state_dim": ("dist", "trace", "--rho", "diag:uniform:7", "--sigma", "diag:uniform:7"),
     "decimal_digits": ("dist", "entropy", "--mode", "rational", "--p", '["1e5000","0"]'),
     "denominator_bits": ("dist", "entropy", "--mode", "rational",
@@ -244,6 +251,24 @@ def test_cap_refusals_of_both_exit_classes_share_one_format(capsys):
         match = line.fullmatch(err)
         assert match and match[4] == name, err
         assert int(match[5]) == cap.limit < int(match[2])
+
+
+def test_kpa_commands_are_bounded_by_key_bits_alone(capsys):
+    validator = jsonschema.Draft202012Validator(_SCHEMA)
+    for argv in (  # one bit past the retired per-mode enumeration caps (12 bits rational, 20 float)
+        ("kpa", "breach", "--n", "13", "--eps", "1/16", "--n1", "1", "--n2", "12", "--mode", "rational"),
+        ("kpa", "avg-guess", "--p", "uniform:13", "--n1", "6", "--n2", "7", "--mode", "rational"),
+        ("kpa", "bit-agreement", "--p", "uniform:13", "--mode", "rational"),
+        ("kpa", "avg-guess", "--p", "uniform:21", "--n1", "1", "--n2", "20", "--mode", "float"),
+        ("kpa", "bit-agreement", "--p", "uniform:21", "--mode", "float"),
+    ):
+        validator.validate(run_json(capsys, *argv))
+    for argv in (
+        ("kpa", "avg-guess", "--p", "uniform:25", "--n1", "12", "--n2", "13"),
+        ("kpa", "breach", "--n", "25", "--eps", "1/16", "--n1", "12", "--n2", "13", "--mode", "rational"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and err.endswith("over the key_bits cap of 24 bits\n"), (argv, err)
 
 
 def test_an_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
@@ -566,6 +591,9 @@ LONG_ECHOES = [
     ["ecpa", "compare", "--code", "2" * 100_000, "--crossover", "1/10"],
     ["dist", "trace", "--rho", json.dumps([["z" * 100_000]]), "--sigma", "[[1]]"],
     ["dist", "event-bound", "--p", "uniform:2", "--q", "uniform:2", "--event", "z" * 100_000],
+    ["kpa", "breach", "--n", "3", "--eps", "1/16", "--n1", "1", "--n2", "2", "--subset", ",".join(["0"] * 50_000)],
+    ["mac", "epsilon", "--b", "4", "--blocks", "1", "--modulus", "0x" + "f" * 99_998],
+    ["dist", "entropy", "--p", "@" + "z" * 99_999],
 ]
 
 

@@ -121,6 +121,15 @@ def test_lattice_is_canonical_and_widens_for_large_numerators():
     assert KeyDistribution(2, small.lattice._replace(nums=small.lattice.nums * 3, den=24)) == small
 
 
+@pytest.mark.parametrize("n", [1, 8, 16])
+def test_exact_uniform_law_is_the_lattice_of_its_fractions(n):
+    law = KeyDistribution.uniform(n, mode="rational")
+    same = KeyDistribution(n, [F(1, 1 << n)] * (1 << n))
+    assert law == same and law.lattice.den == same.lattice.den == 1 << n
+    assert law.lattice.nums.dtype == np.int64 and not law.lattice.nums.flags.writeable
+    assert np.array_equal(law.lattice.nums, same.lattice.nums)
+
+
 # ---------------------------------------------------------------- measures
 
 

@@ -130,11 +130,33 @@ def test_breach_witness_verifies_conditionally(rng):
     assert hit_mass / slice_mass == res.worst_conditional_p
 
 
-def test_breach_caps():
-    with pytest.raises(ResourceLimitError):
-        conditional_breach_witness(21, 0.01, KeySplit(10, 11))
-    with pytest.raises(ResourceLimitError):
-        conditional_breach_witness(13, F(1, 100), KeySplit(6, 7))
+def test_kpa_kernels_run_one_bit_past_the_retired_enumeration_caps(rng):
+    # rational n = 13 and float n = 21 were refused by per-mode caps; key_bits alone bounds them now
+    probs = random_rational_probs(rng, 1 << 13, 10**6)
+    p = KeyDistribution(13, probs)
+    for split in (KeySplit(6, 7), KeySplit(1, 12, (0, 5, 11))):
+        res = average_conditional_guess(p, split)
+        assert res.avg_p1 == oracles.avg_guess_oracle(probs, split.n1, split.n2, split.subset_bits)
+        assert res.holds
+    assert eve_bit_agreement(p) == oracles.ref_bit_agreement(probs, 13)
+    res = conditional_breach_witness(13, F(1, 100), KeySplit(6, 7, (2, 4)))
+    nums, den = res.distribution.lattice
+    slice_ = nums[::1 << 6]  # the k1 = 0 slice, indexed by K2
+    assert res.worst_conditional_p == F(1, 4) + F(1, 100) * (1 << 6)
+    assert F(int(slice_[np.arange(1 << 7) & 0b10100 == 0].sum()), int(slice_.sum())) == res.worst_conditional_p
+    assert statistical_distance(res.distribution) == F(1, 100)
+
+    uniform = KeyDistribution.uniform(21)
+    for split in (KeySplit(1, 20), KeySplit(10, 11, (0, 3, 10))):
+        assert average_conditional_guess(uniform, split).avg_p1 == 2.0**-split.subset_size
+    assert eve_bit_agreement(uniform) == pytest.approx(0.5, rel=1e-12)
+    res = conditional_breach_witness(21, 1 / 16, KeySplit(1, 20))
+    assert res.worst_conditional_p == 2.0**-20 + 1 / 16 * 2
+    law = res.distribution.as_array()
+    assert law[0] / law[::2].sum() == pytest.approx(res.worst_conditional_p, rel=1e-12)
+
+    with pytest.raises(ResourceLimitError, match=r"needs 25 bits, over the key_bits cap of 24 bits$"):
+        KeySplit(12, 13)
 
 
 def test_eve_bit_agreement_frozen():

@@ -218,8 +218,6 @@ CAP_CONTRACT = {
     "mac_entry_bits": (20, ResourceLimitError),
     "data_bits": (12, ResourceLimitError),
     "matrix_bits": (16, ValidationError),
-    "float_enum_bits": (20, ResourceLimitError),
-    "rational_enum_bits": (12, ResourceLimitError),
     "state_dim": (64, ValidationError),
     "decimal_digits": (4000, ResourceLimitError),
     "denominator_bits": (1 << 14, ResourceLimitError),
@@ -235,6 +233,15 @@ def test_every_cap_accepts_its_limit_and_refuses_one_more(name):
     with pytest.raises(cap.error, match=expected):
         check_cap(name, cap.limit + 1, "request")
     assert set(CAPS) == set(CAP_CONTRACT)
+
+
+def test_the_readme_cap_table_is_caps():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\d+)\b[^|]*\|[^|]*\| (\d) \|$", readme, re.MULTILINE)
+    assert sorted(name for name, _, _ in rows) == sorted(CAPS)
+    for name, limit, exit_code in rows:
+        assert int(limit) == CAPS[name].limit, name
+        assert int(exit_code) == {ResourceLimitError: 3, ValidationError: 2}[CAPS[name].error], name
 
 
 def test_refusals_cut_integers_past_fifty_digits():
@@ -367,7 +374,6 @@ INTEGER_SITES = {
     "K2 value": lambda x: ks.KeySplit(1, 2).subset_value(x),
     "hash_value key": lambda x: ks.HashFamilySpec(2, 1).hash_value(x, 1),
     "hash_value message": lambda x: ks.HashFamilySpec(2, 1).hash_value(1, x),
-    "blocks message": lambda x: ks.HashFamilySpec(2, 1).blocks(x),
     "parity-check row": lambda x: ks.ParityCheckMatrix(2, [x]),
     "observation bit": lambda x: ks.mixture_posterior(_ONE_BIT_CODES, [x], ks.EveChannel(Fraction(1, 10))),
     "code index": lambda x: ks.mixture_posterior(
