@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -52,7 +53,7 @@ __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 
 def _int(text, what: str = "value") -> int:
     try:
-        return int(str(text), 0)
+        return keysec.numerics.parse_int(text)
     except ValueError as exc:
         raise ValidationError(f"{what} must be an integer, got {_shown(text, repr)}") from exc
 
@@ -606,7 +607,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader closed stdout early (`| head -1`): exit 1, and exit's flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

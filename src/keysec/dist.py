@@ -179,15 +179,19 @@ def _scalars(nums: np.ndarray, den: int, mode: str) -> tuple:
     return tuple(values if mode == "float" else (Fraction(a, den) for a in values))
 
 
-def _common_denominator(dens) -> int:
-    """The lcm of the positive integers ``dens``, grown one value at a time and charged
-    to the ``denominator_bits`` cap at each step: no step starts from an lcm past the
-    cap, and no numerator is scaled to one."""
-    den = 1
-    for d in dens:
+def _over_lcm(nums, dens) -> Lattice:
+    """Integers ``nums[i] / dens[i]`` (``dens`` positive) as one Lattice over the lcm of ``dens``.  The
+    lcm grows one distinct denominator at a time, charged to the ``denominator_bits`` cap at each step,
+    so no numerator is scaled to an lcm past it; numerators widen through `_wide` by the largest |num|."""
+    nums, dens = _integers(nums, "numerator"), _integers(dens, "denominator")
+    lo, den = int(dens.min()), 1
+    for d in {lo} if lo == dens.max() else set(dens.tolist()):  # one denominator: no set to build
         den = den // math.gcd(den, d) * d
         check_cap("denominator_bits", den.bit_length(), "the entries' common denominator")
-    return den
+    if den == lo:
+        return Lattice(nums, den)
+    top = max(int(nums.max()), -int(nums.min()))
+    return Lattice(_wide(nums, top * (den // lo)) * (den // _wide(dens, den)), den)
 
 
 def _plain_lattice(text: str, count: int) -> Lattice | None:
@@ -206,14 +210,9 @@ def _plain_lattice(text: str, count: int) -> Lattice | None:
     if ",," in f",{parts}," or _LONG_PART in parts.translate(_SHAPE):
         return None
     values = np.fromstring(parts, dtype=np.int64, sep=",")
-    nums, dens = values[0::2], values[1::2]
-    lo = int(dens.min())
-    if lo < 1:  # a zero denominator, which parse_number refuses
+    if values[1::2].min() < 1:  # a zero denominator, which parse_number refuses
         return None
-    if lo == dens.max():  # one denominator: no set of the distinct ones to build
-        return Lattice(nums, lo)
-    den = _common_denominator(set(dens.tolist()))
-    return Lattice(_wide(nums, int(nums.max()) * (den // lo)) * (den // _wide(dens, den)), den)
+    return _over_lcm(values[0::2], values[1::2])
 
 
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
@@ -229,9 +228,7 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     nums, den = probs if isinstance(probs, Lattice) else (probs, 1)
     if exact:
         if not isinstance(probs, Lattice):  # Fractions over the lcm of their denominators
-            dens = [p.denominator for p in nums]
-            den = _common_denominator(set(dens))
-            nums = [p.numerator * (den // d) for p, d in zip(nums, dens)]
+            nums, den = _over_lcm([p.numerator for p in probs], [p.denominator for p in probs])
         den = check_int(den, f"{label(0)} denominator")
         rows = _wide(_integers(nums, f"{label(0)} numerator"), den * width).reshape(-1, width)  # sums fit
     else:
@@ -269,26 +266,19 @@ class KeyDistribution:
 
     Notes
     -----
-    Storage is one read-only `Lattice` in both modes.  Float mode keeps
-    float64 numerators over 1 (`as_array`).  Rational mode (`lattice`)
-    keeps integer numerators over the lcm of the entries' reduced
-    denominators, so equal laws have equal lattices.  The numerators are
-    int64 while ``max(numerator) * 2**n`` fits in int64, so no sum of
-    entries can overflow, and an ``object`` array of Python ints beyond
-    (numerators of ``2**53`` and up at ``n = 10``, ``2**62`` and up at
-    any n).
-
-    Construction validates in one vectorised pass: every entry finite and
-    in ``[0, 1]`` (NaN and infinities are refused), then the total: exact
-    in rational mode, and in float mode the correctly rounded sum (the
-    value `math.fsum` returns) within VALIDATION_TOL of 1.  That sum is
-    `math.fsum` of the entries below ``_LONG_ROW`` (1024) entries and the
-    binned kernel `_exact_sum` from there, with the same bits and no
-    Python float per entry.  A Lattice passed in must hold integer
-    numerators.  ``probs``,
-    the tuple of Python floats or Fractions that indexing and iteration
-    use, and the distance to the uniform law are computed on first use
-    and cached.
+    Storage is one read-only `Lattice` in both modes: float64 numerators
+    over 1 (`as_array`), or integer numerators over the lcm of the
+    entries' reduced denominators (`lattice`), so equal laws have equal
+    lattices.  Exact numerators are int64 while ``max(numerator) * 2**n``
+    fits, so no sum of entries can overflow, and Python ints (``object``)
+    beyond.  Construction (`_check_rows`) refuses NaN, infinities and
+    entries outside ``[0, 1]``, then checks the total: exactly, or in
+    float mode by the correctly rounded sum (the value `math.fsum`
+    returns; `_exact_sum` from ``_LONG_ROW`` entries) within
+    VALIDATION_TOL of 1.  A Lattice passed in must hold integer
+    numerators.  ``probs``, the tuple of Python floats or Fractions that
+    iteration and hashing use, and the distance to the uniform law are
+    computed on first use and cached; indexing and `repr` read the lattice.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -386,18 +376,13 @@ class KeyDistribution:
         cap (`ResourceLimitError`).  ``mode`` forces the backend; when
         omitted, an array with a ``/`` in any entry is read exactly and any
         other as floats.  Entries are read as their string forms.  In
-        rational mode, an array whose entries are all ``"a/b"`` (``b > 0``)
-        with parts of at most 18 ASCII digits is read from its comma-joined
-        text in a few whole-text passes: the separators are checked with
-        the digits deleted, one `np.fromstring` reads the parts into int64,
-        and the numerators are scaled to the lcm of the denominators in one
-        array operation.  `KeyDistribution` reduces that `Lattice` to the
-        one the entries' Fractions give.  Any other array (bare integers,
-        decimals, longer parts) is read entry by entry by `parse_number`,
-        with its values and refusals.  On both paths an lcm past the
-        ``denominator_bits`` cap is refused (`ResourceLimitError`) before
-        any numerator is scaled.  An array of JSON floats read as floats is
-        taken as it is, which gives the same values.
+        rational mode, an array of ``"a/b"`` entries with parts of at most
+        18 ASCII digits is read in whole-text passes (`_plain_lattice`), and
+        any other entry by entry by `parse_number`, with its values and
+        refusals; both paths put the numerators over their lcm through
+        `_over_lcm`, which refuses an lcm past the ``denominator_bits`` cap
+        (`ResourceLimitError`) before any numerator is scaled.  An array of
+        JSON floats read as floats is taken as it is: the same values.
         """
         try:
             raw = json.loads(text)
@@ -427,8 +412,10 @@ class KeyDistribution:
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, k: int) -> Number:
-        return self.probs[k]
+    def __getitem__(self, k):  # `probs[k]`, read from the lattice without building `probs`
+        nums, den = self._data
+        picked = _scalars(nums[k] if isinstance(k, slice) else nums[k, None], den, self.mode)
+        return picked if isinstance(k, slice) else picked[0]
 
     def __iter__(self):
         return iter(self.probs)
@@ -447,7 +434,7 @@ class KeyDistribution:
         return hash((self.n, self.probs))
 
     def __repr__(self) -> str:
-        head = ", ".join(format_number(p) for p in self.probs[:4])
+        head = ", ".join(format_number(p) for p in self[:4])
         tail = ", ..." if self.size > 4 else ""
         return f"KeyDistribution(n={self.n}, [{head}{tail}])"
 

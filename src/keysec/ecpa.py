@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 
+def _read_bits(text: str, what: str) -> int:
+    """A string of 0/1 characters as the int whose bit j is character j, in linear time."""
+    if set(text) - {"0", "1"}:
+        raise ValidationError(f"{what} must be 0/1 characters, got {_shown(text, repr)}")
+    return int(text[::-1] or "0", 2)
+
+
 def _row_rank(rows: Sequence[int]) -> int:
     pivots: dict = {}
     rank = 0
@@ -105,16 +112,11 @@ class ParityCheckMatrix:
         for ln in lines:
             if len(ln) != width:
                 raise ValidationError(f"ragged parity-check rows: {len(ln)} vs {width} columns")
-            if set(ln) - {"0", "1"}:
-                raise ValidationError(f"parity-check rows must be 0/1 characters, got {_shown(ln, repr)}")
-            rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
+            rows.append(_read_bits(ln, "parity-check rows"))
         return cls(width, rows)
 
     def to_text(self) -> str:
-        return "\n".join(
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.n_data))
-            for row in self.rows
-        )
+        return "\n".join(format(row, f"0{self.n_data}b")[::-1] for row in self.rows)
 
     @functools.cached_property
     def _words(self) -> np.ndarray:
@@ -178,10 +180,6 @@ class CodeEnsemble:
     def n_data(self) -> int:
         return self.codes[0].n_data
 
-    @property
-    def mode(self) -> str:
-        return scalar_mode(*self.weights)
-
 
 @dataclass(frozen=True)
 class EveChannel:
@@ -214,14 +212,12 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
 def _as_word(observation, n: int) -> int:
     if isinstance(observation, str):
         bits = observation.strip()
-        if set(bits) - {"0", "1"}:
-            raise ValidationError(f"observation must be 0/1 characters, got {_shown(observation, repr)}")
-        bits = [1 if ch == "1" else 0 for ch in bits]
     else:
-        bits = [check_int(b, "observation bit", lo=0, hi=2) for b in observation]
+        bits = "".join(str(check_int(b, "observation bit", lo=0, hi=2)) for b in observation)
+    word = _read_bits(bits, "observation")
     if len(bits) != n:
         raise ValidationError(f"observation has {len(bits)} bits, data words have {n}")
-    return sum(1 << j for j, b in enumerate(bits) if b)
+    return word
 
 
 def _code_prior(chosen, n: int, exact: bool) -> Lattice:

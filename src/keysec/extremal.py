@@ -18,7 +18,7 @@ import numpy as np
 
 from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
 from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
-                       scalar_mode)
+                       parse_int, scalar_mode)
 
 __all__ = [
     "EventSpec",
@@ -51,8 +51,8 @@ class EventSpec:
     def from_text(cls, text: str) -> "EventSpec":
         """Parse a comma-separated member list like ``"0,1,5"``."""
         try:
-            return cls(int(part) for part in text.split(","))
-        except ValueError as exc:  # int()'s own message would echo the text a second time
+            return cls(parse_int(part) for part in text.split(","))
+        except ValueError as exc:  # parse_int's own message would echo the text a second time
             why = exc if isinstance(exc, ValidationError) else "members must be integers"
             raise ValidationError(f"cannot parse event {_shown(text, repr)}: {why}") from exc
 

@@ -248,6 +248,15 @@ def check_key_bits(n) -> int:
     return n
 
 
+def parse_int(text: str) -> int:
+    """An integer as ``int(text, 0)`` reads it (``0x1f``, ``1_000``), else as ``int(text)`` does (``010``
+    is 10, other decimal digits); else a plain `ValueError`, which each caller words as its refusal."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        return int(text)
+
+
 def parse_number(text: str, mode: str) -> Number:
     """Parse one scalar in the requested mode.
 

@@ -304,6 +304,43 @@ def test_python_m_runs_the_cli():
     assert (envelope["command"], envelope["outputs"]["p1"]) == ("dist entropy", 0.25)
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_call_with_exit_1():
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["spike", "construct", "--n", "12", "--eps", "0.1"], ["budget", "required-d", "--n", "8"]):
+        proc = subprocess.Popen([sys.executable, "-m", "keysec.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the read end closes before the envelope is written
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, (argv, err)
+        assert err.count("\n") <= 1 and "Traceback" not in err and "Exception ignored" not in err, (argv, err)
+
+
+#: integer spellings and their values, read alike by every integer flag, --subset and --event
+INT_SPELLINGS = {"10": 10, "010": 10, "0x1f": 31, "0b101": 5, "1_000": 1000, "-3": -3, " 7 ": 7, "\u0663": 3}
+
+
+def test_integer_flags_subsets_and_events_read_one_grammar(capsys):
+    read = {flag: COMMANDS[command].args[flag].reader for command, flag in (
+        ("budget required-d", "--n"), ("kpa breach", "--subset"), ("dist event-bound", "--event"))}
+    for text, value in INT_SPELLINGS.items():
+        assert read["--n"](text, "float") == value and read["--subset"](f"{text},1", "float") == (value, 1)
+        if value < 0:
+            with pytest.raises(ValidationError, match="event member must be a non-negative integer"):
+                read["--event"](f"{text},1", "float")
+        else:
+            assert read["--event"](f"{text},1", "float").members == {value, 1}
+            assert run_json(capsys, "budget", "required-d", "--n", text)["outputs"] == run_json(
+                capsys, "budget", "required-d", "--n", str(value))["outputs"]
+        for before in (lambda t: int(t, 0), int):  # the old readers: of the integer flags, and of --event
+            try:
+                assert before(text) == value, text  # a spelling accepted before keeps its value
+            except ValueError:
+                pass
+    event = ["dist", "event-bound", "--p", "spike:1:1/4", "--q", "uniform:1", "--event"]
+    assert run_json(capsys, *event, "0x1")["outputs"] == run_json(capsys, *event, "1")["outputs"]
+
+
 #: run `main` on the argv in a fresh interpreter, then print its exit code and the modules loaded
 _LOADED = """import contextlib, io, json, sys
 from keysec.cli import main
@@ -617,11 +654,16 @@ def test_huge_decimal_exponents_exit_cleanly_in_bounded_time(tmp_path):
     law = tmp_path / "law.json"
     law.write_text(json.dumps([f"1/{rng.randrange(10**999, 10**1000)}" for _ in range(1024)]), encoding="utf-8")
     lcm = ["dist", "entropy", "--mode", "rational", "--p", f"@{law}"]
-    argvs = entries + flags + refusals + LONG_ECHOES + LONG_RESULTS + [lcm]
+    row = tmp_path / "row.txt"  # one parity-check row of 1.6 million columns: 55 s when read quadratically
+    row.write_text("1" * 1_600_000, encoding="ascii")
+    wide = ["ecpa", "compare", "--code", f"@{row}", "--crossover", "1/10"]
+    argvs = entries + flags + refusals + LONG_ECHOES + LONG_RESULTS + [lcm, wide]
     proc = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, timeout=120)  # a built 10**exponent takes minutes
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
+    code, out, err = results.pop()
+    assert (code, out, err.count("\n")) == (2, "", 1) and "over the matrix_bits cap of 16 bits" in err, err[:200]
     code, out, err = results.pop()
     assert (code, out, err.count("\n")) == (3, "", 1) and "over the denominator_bits cap" in err, err[:200]
     validator = jsonschema.Draft202012Validator(_SCHEMA)

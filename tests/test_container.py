@@ -42,6 +42,7 @@ from keysec import (
     statistical_distance,
 )
 from keysec.dist import Lattice
+from keysec.numerics import format_number
 
 
 def same(a, b) -> bool:
@@ -108,6 +109,23 @@ def test_probs_equality_and_hash_match_the_tuple(law):
         assert hash(p) == hash(f)
     assert KeyDistribution.from_json(p.to_json()) == p
     assert same(list(p.as_array().tolist()), [float(x) for x in probs])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@given(data=st.data())
+def test_indexing_and_repr_read_the_lattice_without_building_probs(exact, data):
+    n, probs = data.draw(laws(exact=exact))
+    p, size = KeyDistribution(n, list(probs)), len(probs)
+    k = data.draw(st.integers(-size, size - 1))
+    bounds = st.none() | st.integers(-size - 2, size + 2)
+    cut = slice(data.draw(bounds), data.draw(bounds), data.draw(st.none() | st.sampled_from([-3, -1, 1, 2])))
+    assert same(p[k], probs[k]) and same(p[cut], probs[cut])
+    head = ", ".join(format_number(x) for x in probs[:4])
+    assert repr(p) == f"KeyDistribution(n={n}, [{head}{', ...' if size > 4 else ''}])"
+    for outside in (size, -size - 1):
+        with pytest.raises(IndexError):
+            p[outside]
+    assert "probs" not in vars(p)
 
 
 def test_lattice_is_canonical_and_widens_for_large_numerators():

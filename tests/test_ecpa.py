@@ -7,10 +7,13 @@ Fraction arithmetic and no numpy.
 
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from keysec import ecpa
@@ -58,6 +61,37 @@ def test_parity_matrix_basics():
         ParityCheckMatrix.from_text("0000")
     with pytest.raises(ValidationError):
         ParityCheckMatrix.from_text("01\n10\n11")  # more checks than dimensions
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 2**32))))
+def test_parity_text_round_trips(shape):
+    n, checks, seed = shape
+    m = random_parity_check(n, checks, random.Random(seed))
+    text = m.to_text()
+    assert ParityCheckMatrix.from_text(text) == m
+    assert _rows(text) == list(m.rows)  # column j of each line is bit j of its row
+
+
+def test_a_bit_string_is_read_as_the_reference_reads_it():
+    rng = random.Random(23)
+    for width in range(1, 17):
+        words = range(1 << width) if width <= 8 else [0, (1 << width) - 1, *rng.sample(range(1 << width), 200)]
+        for word in words:
+            text = "".join(str((word >> j) & 1) for j in range(width))
+            assert _rows(text) == [word]
+            assert ecpa._as_word(f" {text}\n", width) == ecpa._as_word([int(ch) for ch in text], width) == word
+        with pytest.raises(ValidationError, match="observation has"):
+            ecpa._as_word("0" * (width + 1), width)
+        with pytest.raises(ValidationError, match="observation must be 0/1 characters"):
+            ecpa._as_word("2" * width, width)
+
+
+def test_a_wide_parity_row_is_refused_in_linear_time():
+    start = time.process_time()
+    with pytest.raises(ValidationError, match="needs 1600000 bits, over the matrix_bits cap of 16 bits"):
+        ParityCheckMatrix.from_text("1" * 1_600_000)  # a row of 1.6 million columns: 55 s when read quadratically
+    assert time.process_time() - start < 5
 
 
 def test_parity_matrix_file_round_trip(tmp_path):
@@ -123,14 +157,14 @@ def test_channel_and_ensemble_validation():
     with pytest.raises(ValidationError):
         CodeEnsemble([c1], (F(1, 2),))  # weights must sum to one
     ens = CodeEnsemble([c1], (F(1),))
-    assert ens.mode == "rational"
+    assert ens.weights == (F(1),) and type(ens.weights[0]) is F
 
 
 def test_ensemble_weight_checks():
     codes = [ParityCheckMatrix.from_text(t) for t in (C1_TEXT, C2_TEXT, "1111")]
     ens = CodeEnsemble(codes, (F(1, 3),) * 3)  # exact total, no rounding
-    assert ens.mode == "rational" and all(type(w) is F for w in ens.weights)
-    assert CodeEnsemble(codes[:2], (0.5, 0.5 + 1e-12)).mode == "float"  # float slack
+    assert all(type(w) is F for w in ens.weights)
+    assert CodeEnsemble(codes[:2], (0.5, 0.5 + 1e-12)).weights == (0.5, 0.5 + 1e-12)  # float slack
     for weights, message in (
         ((F(1, 2), F(1, 3)), "ensemble weights sums to 5/6, not 1"),
         ((0.7, 0.7), "ensemble weights sums to 1.4"),
