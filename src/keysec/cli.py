@@ -72,25 +72,13 @@ def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
 
 
 def _maybe_file(text: str) -> str:
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{_shown(text[1:])} is not UTF-8 text: {exc}") from exc
-        except OSError as exc:  # the path is echoed cut, not as the OSError spells it
-            raise ValidationError(f"cannot read {_shown(text[1:])}: {exc.strerror}") from exc
-    return text
+    return keysec.numerics._read_text(text[1:]) if text.startswith("@") else text
 
 
 def _rows(text: str, what: str) -> list:
     """The non-empty JSON array of rows in ``text``, or in the file ``@path`` names."""
-    text = _maybe_file(text)
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
+    raw = keysec.dist._json_array(_maybe_file(text), what)
+    if not all(isinstance(r, list) for r in raw):
         raise ValidationError(f"{what} must be a JSON array of rows")
     return raw
 
@@ -173,11 +161,6 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _helped(args: dict, **helps: str) -> dict:
-    """A shared flag set with help lines for the flags named (by value name) in ``helps``."""
-    return {flag: arg._replace(help=helps.get(_dest(flag), arg.help)) for flag, arg in args.items()}
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -222,14 +205,16 @@ def _verify_all(a):
 
 # ---------------------------------------------------------------- commands
 
-_PROBE = {"--prior": Arg(_DIST, REQUIRED), "--conditional": Arg(_MATRIX, REQUIRED)}
-_SPLIT = {"--n1": Arg(_INT, REQUIRED), "--n2": Arg(_INT, REQUIRED), "--subset": Arg(_SUBSET, None)}
+_PROBE = {"--prior": Arg(_DIST, REQUIRED), "--conditional": Arg(_MATRIX, REQUIRED, "JSON matrix p(y|k) or @file")}
+_SPLIT = {"--n1": Arg(_INT, REQUIRED), "--n2": Arg(_INT, REQUIRED),
+          "--subset": Arg(_SUBSET, None, "K2 bit positions, default all")}
 _FAMILY = {
     "--b": Arg(_INT, REQUIRED),
     "--blocks": Arg(_INT, REQUIRED),
-    "--modulus": Arg(_INT, None),
+    "--modulus": Arg(_INT, None, "field polynomial bit pattern (hex ok)"),
 }
-_ENSEMBLE = {"--code": Arg(_CODES, REQUIRED), "--weights": Arg(_WEIGHTS, None)}
+_ENSEMBLE = {"--code": Arg(_CODES, REQUIRED, "parity rows ('0110;1011'), or @file; repeatable"),
+             "--weights": Arg(_WEIGHTS, None, "comma-separated code weights")}
 _CV = {flag: Arg(_FLOAT, REQUIRED) for flag in ("--s", "--t", "--a", "--b")}
 
 GROUPS = {
@@ -260,7 +245,7 @@ COMMANDS = {
     "dist mi": Command(
         "mutual information of a probe model",
         "I(K;Y) = H(K) - H(K|Y) over the probe model's joint law",
-        _helped(_PROBE, conditional="JSON matrix p(y|k) or @file"),
+        _PROBE,
         lambda a: {"mutual_information_bits": keysec.dist.mutual_information(
             keysec.dist.ClassicalProbeModel(a.prior, a.conditional)
         )},
@@ -319,7 +304,7 @@ COMMANDS = {
     "kpa avg-guess": Command(
         "averaged conditional guess vs its bound",
         "sum_k1 max_v P(K2*=v, K1=k1) <= 2^(-|K2*|) + delta(P,U)",
-        {"--p": Arg(_DIST, REQUIRED), **_helped(_SPLIT, subset="K2 bit positions, default all")},
+        {"--p": Arg(_DIST, REQUIRED), **_SPLIT},
         lambda a: keysec.kpa.average_conditional_guess(a.p, keysec.kpa.KeySplit(a.n1, a.n2, a.subset)),
     ),
     "kpa breach": Command(
@@ -337,7 +322,7 @@ COMMANDS = {
     "mac epsilon": Command(
         "family universality level",
         "polynomial evaluation over GF(2^b): eps = message_blocks / 2^b",
-        _helped(_FAMILY, modulus="field polynomial bit pattern (hex ok)"),
+        _FAMILY,
         lambda a: {"epsilon": keysec.mac.asu_epsilon(_family(a))},
     ),
     "mac attack": Command(
@@ -373,8 +358,7 @@ COMMANDS = {
     "ecpa posterior": Command(
         "posterior over data words",
         "Bayes posterior over data words given a noisy view of a hidden-code codeword",
-        {**_helped(_ENSEMBLE, code="parity rows ('0110;1011'), or @file; repeatable",
-                   weights="comma-separated code weights"),
+        {**_ENSEMBLE,
          "--observation": Arg(None, REQUIRED, "observed bits, e.g. 0110"),
          "--crossover": Arg(_NUMBER, REQUIRED),
          "--code-known": Arg(None, False, "reveal the code index"),

@@ -215,6 +215,17 @@ def _plain_lattice(text: str, count: int) -> Lattice | None:
     return _over_lcm(values[0::2], values[1::2])
 
 
+def _json_array(text: str, what: str) -> list:
+    """The non-empty JSON array in ``text`` (the one JSON reader), else a `ValidationError` naming ``what``."""
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{what} must be a non-empty JSON array")
+    return raw
+
+
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     """Validated read-only rows of ``width`` probabilities, from a Lattice or a flat
     sequence: float64 numerators over 1, or integer numerators (Fractions over the
@@ -277,8 +288,8 @@ class KeyDistribution:
     returns; `_exact_sum` from ``_LONG_ROW`` entries) within
     VALIDATION_TOL of 1.  A Lattice passed in must hold integer
     numerators.  ``probs``, the tuple of Python floats or Fractions that
-    iteration and hashing use, and the distance to the uniform law are
-    computed on first use and cached; indexing and `repr` read the lattice.
+    iteration uses, and the distance to the uniform law are computed on
+    first use and cached; indexing, hashing and `repr` read the lattice.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -384,12 +395,7 @@ class KeyDistribution:
         (`ResourceLimitError`) before any numerator is scaled.  An array of
         JSON floats read as floats is taken as it is: the same values.
         """
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-            raise ValidationError(f"distribution is not valid JSON: {exc}") from exc
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("distribution JSON must be a non-empty array")
+        raw = _json_array(text, "distribution")
         n = len(raw).bit_length() - 1
         if 1 << n != len(raw) or n < 1:
             raise ValidationError(f"length {len(raw)} is not a power of two >= 2")
@@ -430,8 +436,9 @@ class KeyDistribution:
         (a, da), (b, db) = self._data, other._data
         return da == db and bool(np.array_equal(a, b))
 
-    def __hash__(self):
-        return hash((self.n, self.probs))
+    def __hash__(self):  # equal laws share the place and value of their first largest entry
+        at = int(np.argmax(self._data.nums))
+        return hash((self.n, at, self[at]))
 
     def __repr__(self) -> str:
         head = ", ".join(format_number(p) for p in self[:4])
@@ -508,11 +515,11 @@ class ClassicalProbeModel:
         return tuple(_scalars(row, den, self.mode) for row in nums)
 
     def joint(self, k: int, y: int) -> Number:
-        return self.prior[k] * self.conditional[k][y]
+        return _over(self._joint.nums[k, y], self._joint.den)
 
-    def joint_law(self) -> Lattice:
-        """``p(k) p(y | k)`` as a read-only (key, outcome) table of numerators over
-        the product of the two denominators (float64 products over 1 in float mode)."""
+    @functools.cached_property
+    def _joint(self) -> Lattice:
+        """``p(k) p(y | k)``: read-only numerators over ``pd * cd``, float64 over 1 in float mode (built once)."""
         (pn, pd), (cn, cd) = _law(self.prior), self._rows
         # covers d_criterion's sum of |N * joint - marginal| over the table
         bound = pd * cd * self.prior.size**2 * self.outcomes
@@ -520,12 +527,9 @@ class ClassicalProbeModel:
         nums.flags.writeable = False
         return Lattice(nums, pd * cd)
 
-    #: `joint_law`, built once on first use; the measures read this one
-    _joint = functools.cached_property(joint_law)
-
     @functools.cached_property
     def _outcome_totals(self) -> list:
-        """The column sums of `joint_law`, one numerator per outcome (computed once, on first use)."""
+        """The column sums of `_joint`, one numerator per outcome (computed once, on first use)."""
         return _total(self._joint.nums.T)
 
     def outcome_marginal(self) -> list:

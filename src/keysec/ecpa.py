@@ -33,6 +33,7 @@ from .numerics import (
     InfeasibleError,
     Number,
     ValidationError,
+    _read_text,
     _shown,
     check_cap,
     check_int,
@@ -133,8 +134,8 @@ class ParityCheckMatrix:
 
 
 def load_parity_check(path) -> ParityCheckMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return ParityCheckMatrix.from_text(fh.read())
+    """`ParityCheckMatrix.from_text` of the file at ``path``, read by `keysec.numerics._read_text`."""
+    return ParityCheckMatrix.from_text(_read_text(path))
 
 
 def random_parity_check(n_data: int, n_checks: int, rng: random.Random) -> ParityCheckMatrix:

@@ -103,8 +103,6 @@ def _poly_mod(a: int, m: int) -> int:
 
 def _is_irreducible(poly: int) -> bool:
     degree = poly.bit_length() - 1
-    if degree < 1:
-        return False
     # trial division by every polynomial of degree 1 .. degree/2
     for div in range(2, 1 << (degree // 2 + 1)):
         if _poly_mod(poly, div) == 0:

@@ -248,6 +248,18 @@ def check_key_bits(n) -> int:
     return n
 
 
+def _read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text (the one file reader); a file that is not UTF-8 or cannot be
+    read (an `OSError`) is refused with a `ValidationError` that names the path, cut by `_shown`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{_shown(path)} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # the path is echoed cut, not as the OSError spells it
+        raise ValidationError(f"cannot read {_shown(path)}: {exc.strerror}") from exc
+
+
 def parse_int(text: str) -> int:
     """An integer as ``int(text, 0)`` reads it (``0x1f``, ``1_000``), else as ``int(text)`` does (``010``
     is 10, other decimal digits); else a plain `ValueError`, which each caller words as its refusal."""

@@ -110,6 +110,8 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "spike", "construct", "--n", "2", "--eps", "7/8",
                            "--mode", "rational")
     assert code == 2 and "infeasible" in err
+    code, _, err = run_cli(capsys, "spike", "low-info", "--n", "2", "--lam", "0.25")
+    assert code == 2 and err.startswith("infeasible: spike 2**(-0.25*2) exceeds 1/2")
     code, _, err = run_cli(capsys, "dist", "entropy", "--p", "@/nonexistent/file.json")
     assert code == 2
 
@@ -192,10 +194,15 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("dist", "entropy", "--p", f"[{'1' * 5000}, 0]"),  # past int()'s 4,300-digit limit
         ("dist", "mi", "--prior", "uniform:1", "--conditional", f"[[{'1' * 5000}]]"),
         ("dist", "trace", "--rho", f"[[{'1' * 5000}]]", "--sigma", "[[1]]"),
+        ("dist", "trace", "--rho", "[[1,0]]", "--sigma", "[[1]]"),  # not square
+        # finite inputs whose result is not: the only refusal of a non-finite output
+        ("budget", "gap", "--current", "log10:-1e308", "--target", "log10:-1e308", "--exponent", "1/3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
+        if "gap" in argv:
+            assert err.startswith("validation error: an output is not a finite number: "), err
         if "[[NaN]]" in argv or "[[Infinity]]" in argv:
             assert err == "validation error: --rho: state has a non-finite entry\n", err
         if "9" * 400 in argv:
@@ -375,6 +382,20 @@ def test_the_branch_parser_prints_what_the_whole_tree_prints(capsys, monkeypatch
     assert all(code == 0 and out for code, out, _ in branch[:len(helps)])
 
 
+def test_every_command_shows_the_help_line_of_each_of_its_flags(capsys):
+    shared = {}
+    for command, entry in COMMANDS.items():
+        code, out, _ = run_cli(capsys, *command.split(), "--help")
+        screen = " ".join(out.split())  # argparse wraps a long help line
+        assert code == 0
+        for flag, arg in entry.args.items():
+            assert arg.help is None or arg.help in screen, (command, flag)
+            shared.setdefault(flag, []).append(arg.help)
+    # a flag that several commands share carries one help line, shown by each
+    for flag in ("--conditional", "--subset", "--modulus", "--code", "--weights"):
+        assert len(shared[flag]) > 1 and None not in shared[flag] and len(set(shared[flag])) == 1, flag
+
+
 def test_verify_all_reports_and_exits_zero(capsys):
     env = run_json(capsys, "verify-all", "--n-max", "6", "--seed", "42")
     assert env["outputs"]["all_passed"] is True
@@ -410,8 +431,26 @@ def test_state_string_entries_and_malformed_specs(capsys):
          "--rho: cannot read complex entry 'zz'"),
         (("dist", "delta", "--p", "spike:2", "--q", "uniform:2"),
          "--p: spike spec needs spike:n:eps, got 'spike:2'"),
+        (("ecpa", "compare", "--code", "01;011", "--crossover", "0.1"),
+         "--code: ragged parity-check rows: 3 vs 2 columns"),
+        (("kpa", "breach", "--n", "4", "--eps", "0.1", "--n1", "3", "--n2", "3"),
+         "split covers 6 bits but the key has 4"),
     ):
         assert run_cli(capsys, *argv) == (2, "", f"validation error: {message}\n")
+
+
+def test_a_json_flag_must_hold_a_non_empty_array(capsys):
+    before = {"--p": ("dist", "entropy"), "--conditional": ("dist", "mi", "--prior", "uniform:1"),
+              "--rho": ("dist", "trace", "--sigma", "[[1]]")}
+    for flag, what in (("--p", "distribution"), ("--conditional", "matrix"), ("--rho", "state")):
+        for text in ("[]", "{}", '"x"'):
+            refusal = f"validation error: {flag}: {what} must be a non-empty JSON array\n"
+            assert run_cli(capsys, *before[flag], flag, text) == (2, "", refusal), (flag, text)
+    # an array whose elements are not all rows; a law reads each entry as a number
+    for flag, refusal in (("--p", "cannot parse '[2]' as a float number"),
+                          ("--conditional", "matrix must be a JSON array of rows"),
+                          ("--rho", "state must be a JSON array of rows")):
+        assert run_cli(capsys, *before[flag], flag, "[1, [2]]") == (2, "", f"validation error: {flag}: {refusal}\n")
 
 
 def test_conditional_and_mixture_witnesses_via_cli(capsys):

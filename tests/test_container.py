@@ -17,6 +17,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -34,6 +35,7 @@ from keysec import (
     average_conditional_guess,
     check_mixture_decomposition,
     conditional_breach_witness,
+    construct_spike,
     d_criterion,
     entropy_stats,
     eve_bit_agreement,
@@ -101,7 +103,7 @@ def test_probs_equality_and_hash_match_the_tuple(law):
     p = KeyDistribution(n, list(probs))
     assert p.probs == probs
     assert all(type(x) is (F if p.mode == "rational" else float) for x in p.probs)
-    assert p == KeyDistribution(n, probs) and hash(p) == hash((n, probs))
+    assert p == KeyDistribution(n, probs) and hash(p) == hash(KeyDistribution(n, probs))
     as_floats = tuple(float(x) for x in probs)
     f = KeyDistribution(n, as_floats)
     assert (p == f) == ((n, probs) == (n, as_floats))
@@ -125,6 +127,15 @@ def test_indexing_and_repr_read_the_lattice_without_building_probs(exact, data):
     for outside in (size, -size - 1):
         with pytest.raises(IndexError):
             p[outside]
+    hash(p)
+    assert "probs" not in vars(p)
+
+
+def test_hashing_an_exact_n20_spike_reads_the_lattice():
+    p = construct_spike(20, F(1, 8)).distribution
+    start = time.process_time()
+    hash(p)
+    assert time.process_time() - start < 0.5  # 3.8 s when the 2^20 Fractions of `probs` were hashed
     assert "probs" not in vars(p)
 
 
@@ -428,3 +439,13 @@ def test_probe_joint_is_built_once_per_model(monkeypatch, exact):
             measure(model)
         assert not model._joint.nums.flags.writeable
     assert builds == models
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_joint_entry_is_its_prior_entry_times_its_conditional_entry(exact):
+    rng = random.Random(12)
+    model = ClassicalProbeModel(KeyDistribution(4, draw_law(rng, 4, exact, 62, 0.2)),
+                                [_row(rng, 3, exact) for _ in range(16)])
+    joint = [model.joint(k, y) for k in range(16) for y in range(3)]
+    assert "conditional" not in vars(model)
+    assert same(joint, [model.prior[k] * model.conditional[k][y] for k in range(16) for y in range(3)])

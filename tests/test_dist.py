@@ -62,6 +62,11 @@ def test_distribution_is_immutable_and_hashable():
     # 1/4 is dyadic, so the float-backed uniform carries identical values
     assert d == KeyDistribution.uniform(2) and d.mode != KeyDistribution.uniform(2).mode
     assert d != KeyDistribution(2, [F(1, 2), F(1, 6), F(1, 6), F(1, 6)])
+    assert d != "a law" and d != KeyDistribution.uniform(1, mode="rational")  # not a law; another bit length
+    assert KeyDistribution(2, (p for p in [F(1, 4)] * 4)) == d  # entries from a generator
+    assert len(d) == 4 and list(d) == [F(1, 4)] * 4
+    with pytest.raises(ValidationError, match="^a float-mode distribution has no exact lattice$"):
+        KeyDistribution.uniform(2).lattice
 
 
 def test_point_mass_and_prob_of():
@@ -376,6 +381,10 @@ def test_probe_model_validation():
         ClassicalProbeModel(prior, bad)  # rows must be stochastic
     with pytest.raises(ValidationError):
         ClassicalProbeModel(prior, [[0.5, 0.5]] * 4)  # float rows on exact prior
+    with pytest.raises(ValidationError, match="^conditional row 2 has 1 entries, expected 2$"):
+        ClassicalProbeModel(prior, [ROWS[0], ROWS[1], [F(1)], ROWS[3]])
+    with pytest.raises(ValidationError, match="^outcome alphabet must be non-empty$"):
+        ClassicalProbeModel(prior, [[]] * 4)
 
 
 def test_mutual_information_frozen():
@@ -386,6 +395,8 @@ def test_mutual_information_frozen():
 def test_mutual_information_independent_channel_is_zero():
     model = ClassicalProbeModel(KeyDistribution(2, P_RAT), [[F(1, 3), F(2, 3)]] * 4)
     assert mutual_information(model) == pytest.approx(0.0, abs=1e-15)
+    never = ClassicalProbeModel(KeyDistribution(2, P_RAT), [[F(1, 3), F(0), F(2, 3)]] * 4)  # p(y = 1) = 0
+    assert mutual_information(never) == mutual_information(model)
 
 
 def test_mutual_information_bounded_by_prior_entropy():
@@ -450,6 +461,8 @@ def test_state_validation():
     for ragged_or_not_numbers in ([[1, 0], [0]], [[1, "x"]], [[1, [2]]]):
         with pytest.raises(ValidationError, match="not a matrix of numbers"):
             HermitianState(ragged_or_not_numbers)
+    with pytest.raises(ValidationError, match=r"^state must be a square matrix, got shape \(1, 2\)$"):
+        HermitianState([[1, 0]])
     with pytest.raises(ValidationError):
         trace_distance(
             HermitianState(np.eye(2) / 2), HermitianState(np.eye(4) / 4)

@@ -7,6 +7,7 @@ Fraction arithmetic and no numpy.
 
 import dataclasses
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -97,7 +98,16 @@ def test_a_wide_parity_row_is_refused_in_linear_time():
 def test_parity_matrix_file_round_trip(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text(C1_TEXT + "\n")
-    assert load_parity_check(str(path)) == ParityCheckMatrix.from_text(C1_TEXT)
+    assert load_parity_check(str(path)) == load_parity_check(path) == ParityCheckMatrix.from_text(C1_TEXT)
+    # every refusal of the one file reader the CLI's `@path` flags use, as a ValidationError
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff" + C1_TEXT.encode())
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(bad))} is not UTF-8 text: .* byte 0xff"):
+        load_parity_check(bad)
+    missing = tmp_path / "missing.txt"
+    for where, why in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(where))}: {why}$"):
+            load_parity_check(where)
 
 
 def test_random_parity_check_properties():
@@ -158,6 +168,12 @@ def test_channel_and_ensemble_validation():
         CodeEnsemble([c1], (F(1, 2),))  # weights must sum to one
     ens = CodeEnsemble([c1], (F(1),))
     assert ens.weights == (F(1),) and type(ens.weights[0]) is F
+    with pytest.raises(ValidationError, match="^ensemble needs at least one code$"):
+        CodeEnsemble([], [])
+    with pytest.raises(ValidationError, match="^ensemble entries must be ParityCheckMatrix values$"):
+        CodeEnsemble([C1_TEXT], (F(1),))
+    with pytest.raises(ValidationError, match="^parity-check matrix needs at least one row$"):
+        ParityCheckMatrix(4, [])
 
 
 def test_ensemble_weight_checks():

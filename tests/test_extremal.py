@@ -44,6 +44,8 @@ def test_event_spec_parsing():
         EventSpec.from_text("1,x")
     with pytest.raises(ValidationError):
         EventSpec((-1,))
+    with pytest.raises(ValidationError, match="^event must contain at least one key value$"):
+        EventSpec(())
     with pytest.raises(ValidationError):
         EventSpec((9,)).validate_for(3)  # 9 outside a 3-bit key space
 
@@ -131,6 +133,8 @@ def test_low_info_rejects_bad_lambda():
         construct_low_info_high_guess(8, 0.0)
     with pytest.raises(ValidationError):
         construct_low_info_high_guess(8, 1.5)
+    with pytest.raises(InfeasibleError, match=r"need lam \* n >= 1"):
+        construct_low_info_high_guess(2, 0.25)  # a spike of 2^-0.5, past 1/2
 
 
 # ------------------------------------------------------------- mixtures

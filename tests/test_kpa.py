@@ -41,6 +41,10 @@ def test_key_split_validation():
         KeySplit(1, 2, (2,))  # position outside K2
     with pytest.raises(ValidationError):
         KeySplit(1, 2, (0, 0))  # duplicate positions
+    with pytest.raises(ValidationError, match="^target subset of K2 must be nonempty$"):
+        KeySplit(1, 2, ())
+    with pytest.raises(ValidationError, match="^split covers 6 bits but the key has 4$"):
+        conditional_breach_witness(4, F(1, 10), KeySplit(3, 3))
     with pytest.raises(ValidationError):
         average_conditional_guess(KeyDistribution(3, P8), KeySplit(2, 2))
 

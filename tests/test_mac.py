@@ -163,6 +163,11 @@ def test_attack_validation_and_caps():
     keys = MacKeyModel(hash_key_dist=KeyDistribution.uniform(3, mode="rational"))
     with pytest.raises(ValidationError):
         attack_success(spec, keys, "replay")
+    uniform3 = KeyDistribution.uniform(3, mode="rational")
+    with pytest.raises(ValidationError, match="^hash key model requires a KeyDistribution$"):
+        MacKeyModel(hash_key_dist=list(uniform3))
+    with pytest.raises(ValidationError, match="^tag key model must be a KeyDistribution or None$"):
+        MacKeyModel(uniform3, tag_key_dist=list(uniform3))
     with pytest.raises(ValidationError):
         attack_success(
             spec, MacKeyModel(hash_key_dist=KeyDistribution.uniform(4, mode="rational")),
