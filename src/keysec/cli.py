@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple
 
 import keysec
 
-from .numerics import MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, format_number, parse_number
+from .numerics import (MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, format_number, parse_int,
+                       parse_number)
 
 __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 
@@ -51,22 +52,15 @@ __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 # ---------------------------------------------------------------- parsing
 
 
-def _int(text, what: str = "value") -> int:
-    try:
-        return keysec.numerics.parse_int(text)
-    except ValueError as exc:
-        raise ValidationError(f"{what} must be an integer, got {_shown(text, repr)}") from exc
-
-
 def _distribution(text: str, mode: str) -> keysec.dist.KeyDistribution:
     text = text.strip()
     if text.startswith("uniform:"):
-        return keysec.dist.KeyDistribution.uniform(_int(text[8:], "uniform length"), mode=mode)
+        return keysec.dist.KeyDistribution.uniform(parse_int(text[8:], "uniform length"), mode=mode)
     if text.startswith("spike:"):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"spike spec needs spike:n:eps, got {_shown(text, repr)}")
-        spike = keysec.extremal.construct_spike(_int(parts[1], "spike length"), parse_number(parts[2], mode))
+        spike = keysec.extremal.construct_spike(parse_int(parts[1], "spike length"), parse_number(parts[2], mode))
         return spike.distribution
     return keysec.dist.KeyDistribution.from_json(_maybe_file(text), mode=mode)
 
@@ -110,12 +104,12 @@ def _state(text: str, mode: str) -> keysec.dist.HermitianState:
 
 _DIST = _distribution
 _NUMBER = parse_number
-_INT = lambda text, mode: _int(text)
+_INT = lambda text, mode: parse_int(text)
 _FLOAT = lambda text, mode: parse_number(text, "float")  # a float whatever the mode
 _STATE = _state
 _MATRIX = lambda text, mode: [[parse_number(str(v), mode) for v in row] for row in _rows(text, "matrix")]
 _EVENT = lambda text, mode: keysec.extremal.EventSpec.from_text(text)
-_SUBSET = lambda text, mode: tuple(_int(part) for part in text.split(","))
+_SUBSET = lambda text, mode: tuple(parse_int(part) for part in text.split(","))
 # the one repeatable flag: a list of every --code
 _CODES = lambda values, mode: [keysec.ecpa.ParityCheckMatrix.from_text(_maybe_file(v)) for v in values]
 _WEIGHTS = lambda text, mode: tuple(parse_number(part, mode) for part in text.split(","))

@@ -102,10 +102,6 @@ def detectability_verdict(
     return DetectabilityReport(verdict=verdict, loss_limited=loss_limited, masked=masked)
 
 
-def _gauss_cdf(x: float, mean: float, sd: float) -> float:
-    return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
-
-
 def false_alarm_tradeoff(
     p: CvParams, threshold_grid: Sequence[Number], signature_shift: Number
 ) -> list:
@@ -117,8 +113,9 @@ def false_alarm_tradeoff(
     ``signature_shift`` (the signature magnitude is an input, not a
     prediction).  The alarm fires when the level exceeds the threshold,
     so along an ascending grid the false-alarm probability can only fall
-    and the miss probability only rise.  Zero uncertainty degenerates to
-    step functions.
+    and the miss probability only rise.  Each is a Gaussian tail read as
+    ``0.5 * erfc`` of its own side, so neither cancels to 0 far out.  Zero
+    uncertainty degenerates to step functions.
     """
     thresholds = [check_scalar(t, "threshold", mode="float") for t in threshold_grid]
     if not thresholds:
@@ -132,8 +129,8 @@ def false_alarm_tradeoff(
             fa = 1.0 if thr < mean else 0.0
             miss = 1.0 if thr >= mean + shift else 0.0
         else:
-            # the upper tail directly: 1 - cdf rounds to 0 about 9 sd above the mean
+            # each tail by erfc of its own side: 1 - cdf (or 1 + erf) cancels to 0 about 9 sd out
             fa = 0.5 * math.erfc((thr - mean) / (sd * math.sqrt(2.0)))
-            miss = _gauss_cdf(thr, mean + shift, sd)
+            miss = 0.5 * math.erfc((mean + shift - thr) / (sd * math.sqrt(2.0)))
         out.append(TradeoffPoint(threshold=thr, false_alarm_probability=fa, miss_probability=miss))
     return out

@@ -50,11 +50,7 @@ class EventSpec:
     @classmethod
     def from_text(cls, text: str) -> "EventSpec":
         """Parse a comma-separated member list like ``"0,1,5"``."""
-        try:
-            return cls(parse_int(part) for part in text.split(","))
-        except ValueError as exc:  # parse_int's own message would echo the text a second time
-            why = exc if isinstance(exc, ValidationError) else "members must be integers"
-            raise ValidationError(f"cannot parse event {_shown(text, repr)}: {why}") from exc
+        return cls(parse_int(part, "event member") for part in text.split(","))
 
     def validate_for(self, n: int) -> None:
         top = max(self.members)

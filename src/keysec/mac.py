@@ -26,8 +26,8 @@ the best forgery wins with the mass of the posterior's
 Masked substitution still enumerates its transcripts, over the rows
 ``H[d, alpha] = h_alpha(d)`` of the messages it hashes.  By linearity each
 is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
-``uses.bit_length()`` for more) at ``2^b`` field multiplies each.
-``HashFamilySpec.hash_value`` stays as the scalar reference.  The
+``uses.bit_length()`` for more), each row evaluated key by key by
+``HashFamilySpec.hash_value``, the one GF(2^b) evaluator.  The
 forgeable key law is closed form, with no search.
 """
 
@@ -226,17 +226,8 @@ def _key_dist_for(spec: HashFamilySpec, dist: KeyDistribution, what: str) -> Non
 
 
 def _basis_rows(spec: HashFamilySpec, bits: int) -> np.ndarray:
-    """``H[2^k, alpha]`` for ``k < bits``: bit ``k`` of a message is the
-    coefficient ``x^(k mod b)`` of block ``k // b``, hashed to
-    ``x^(k mod b) * alpha^(k // b + 1)``."""
-    b, mod = spec.field_bits, spec.modulus
-    rows = [[0] * spec.tag_space for _ in range(bits)]
-    for alpha in range(spec.tag_space):
-        power = alpha
-        for k in range(bits):
-            if k and k % b == 0:
-                power = _gf_mul(power, alpha, mod, b)
-            rows[k][alpha] = _gf_mul(power, 1 << (k % b), mod, b)
+    """``H[2^k, alpha] = h_alpha(2^k)`` for ``k < bits``, each by `HashFamilySpec.hash_value`."""
+    rows = [[spec.hash_value(alpha, 1 << k) for alpha in range(spec.tag_space)] for k in range(bits)]
     return np.array(rows, dtype=np.intp).reshape(bits, spec.tag_space)
 
 

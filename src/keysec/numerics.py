@@ -249,24 +249,29 @@ def check_key_bits(n) -> int:
 
 
 def _read_text(path) -> str:
-    """The file at ``path`` as UTF-8 text (the one file reader); a file that is not UTF-8 or cannot be
-    read (an `OSError`) is refused with a `ValidationError` that names the path, cut by `_shown`."""
+    """The file at ``path`` as UTF-8 text (the one file reader); a file that is not UTF-8, a path with a NUL
+    or a file that cannot be read (an `OSError`) is refused with a `ValidationError` naming the path, cut."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so it is caught first
         raise ValidationError(f"{_shown(path)} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # open() refuses a path holding a NUL; repr shows the NUL as \x00
+        raise ValidationError(f"cannot read {_shown(path, repr)}: {exc}") from exc
     except OSError as exc:  # the path is echoed cut, not as the OSError spells it
         raise ValidationError(f"cannot read {_shown(path)}: {exc.strerror}") from exc
 
 
-def parse_int(text: str) -> int:
+def parse_int(text: str, what: str = "value") -> int:
     """An integer as ``int(text, 0)`` reads it (``0x1f``, ``1_000``), else as ``int(text)`` does (``010``
-    is 10, other decimal digits); else a plain `ValueError`, which each caller words as its refusal."""
-    try:
-        return int(text, 0)
-    except ValueError:
-        return int(text)
+    is 10, other decimal digits); else a `ValidationError`, ``<what> must be an integer, got '<text>'``
+    (the one integer refusal, its text cut by `_shown`)."""
+    for base in (0, 10):  # int(text) reads base 10
+        try:
+            return int(text, base)
+        except ValueError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {_shown(text, repr)}")
 
 
 def parse_number(text: str, mode: str) -> Number:

@@ -435,6 +435,13 @@ def test_state_string_entries_and_malformed_specs(capsys):
          "--code: ragged parity-check rows: 3 vs 2 columns"),
         (("kpa", "breach", "--n", "4", "--eps", "0.1", "--n1", "3", "--n2", "3"),
          "split covers 6 bits but the key has 4"),
+        # every integer text is refused by parse_int in one wording, named for what it reads
+        (("kpa", "breach", "--n", "3", "--eps", "0.1", "--n1", "1", "--n2", "2", "--subset", "0,x"),
+         "--subset: value must be an integer, got 'x'"),
+        (("dist", "event-bound", "--p", "uniform:2", "--q", "uniform:2", "--event", "1,x"),
+         "--event: event member must be an integer, got 'x'"),
+        (("conditional", "max-deviation", "--n", "2", "--eps", "1/10", "--event", "0,1", "--sub-event", "x"),
+         "--sub-event: event member must be an integer, got 'x'"),
     ):
         assert run_cli(capsys, *argv) == (2, "", f"validation error: {message}\n")
 

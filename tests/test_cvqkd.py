@@ -111,7 +111,20 @@ def test_tradeoff_far_tail_does_not_underflow():
     (pt,) = false_alarm_tradeoff(p, [thr], 0.2)
     expected = 1 - oracles.gauss_cdf_mp(thr, mean, sd)
     assert pt.false_alarm_probability > 0
-    assert pt.false_alarm_probability == pytest.approx(float(expected), rel=1e-12)
+    assert pt.false_alarm_probability == pytest.approx(float(expected), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p, shift, thr", [
+    # 10 sd below the attacked mean, 1 + erf would round to 0; the tail is ~7.6e-24
+    (CvParams(s=1.0, t=1.0, a=0.1, b=0.1), 0.2, 1.2 - 10 * 0.19),
+    (CvParams(s=1.5, t=0.9, a=0.05, b=0.1), 0.1, 0.5),  # 4.9 sd below it: 1 + erf was off by 2.1e-11
+], ids=["10-sd-below", "golden-argv"])
+def test_tradeoff_lower_tail_does_not_cancel(p, shift, thr):
+    mean, sd = p.s * p.t, output_uncertainty(p).absolute
+    (pt,) = false_alarm_tradeoff(p, [thr], shift)
+    expected = oracles.gauss_cdf_mp(thr, mean + shift, sd)
+    assert pt.miss_probability > 0
+    assert pt.miss_probability == pytest.approx(float(expected), rel=1e-12, abs=0)  # approx adds abs=1e-12 else
 
 
 def test_tradeoff_zero_width_is_a_step():

@@ -108,6 +108,8 @@ def test_parity_matrix_file_round_trip(tmp_path):
     for where, why in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
         with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(where))}: {why}$"):
             load_parity_check(where)
+    with pytest.raises(ValidationError, match=r"^cannot read 'a\\x00b': embedded null byte$"):
+        load_parity_check("a\0b")  # open() refuses a NUL in the path with a ValueError of its own
 
 
 def test_random_parity_check_properties():

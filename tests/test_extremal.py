@@ -280,8 +280,8 @@ def test_an_unreadable_event_is_echoed_once():
     text = "z" * 1000
     with pytest.raises(ValidationError) as refusal:
         EventSpec.from_text(text)
-    assert str(refusal.value) == f"cannot parse event '{'z' * 499}...(1002 characters): members must be integers"
-    with pytest.raises(ValidationError, match=r"^cannot parse event '1,x': members must be integers$"):
+    assert str(refusal.value) == f"event member must be an integer, got '{'z' * 499}...(1002 characters)"
+    with pytest.raises(ValidationError, match=r"^event member must be an integer, got 'x'$"):
         EventSpec.from_text("1,x")
-    with pytest.raises(ValidationError, match=r"^cannot parse event '2,-1': event member must be a non-negative"):
+    with pytest.raises(ValidationError, match=r"^event member must be a non-negative integer, got -1$"):
         EventSpec.from_text("2,-1")

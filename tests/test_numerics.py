@@ -28,6 +28,7 @@ from keysec.numerics import (
     check_scalar,
     format_number,
     infer_mode,
+    parse_int,
     parse_number,
     resolve_mode,
     scalar_mode,
@@ -260,6 +261,9 @@ def test_refusals_cut_text_past_500_characters():
     assert _shown("z" * 499, repr) == f"'{'z' * 499}...(501 characters)"
     with pytest.raises(ValidationError, match=r"^cannot parse 'z{499}\.\.\.\(100002 characters\) as a rational number$"):
         parse_number("z" * 100_000, "rational")
+    # the one integer refusal, worded by parse_int with the caller's name for the value
+    with pytest.raises(ValidationError, match=r"^event member must be an integer, got 'x'$"):
+        parse_int("x", "event member")
 
 
 _SOURCES = sorted((Path(ks.__file__).resolve().parent).glob("*.py"))
