@@ -17,7 +17,9 @@ is the one list of its public names.
 ``import keysec`` loads nothing else (PEP 562).  A submodule name such as
 ``keysec.budget`` imports that module alone, and with it only what the
 module imports itself: ``budget``, ``cvqkd`` and ``numerics`` need no
-numpy.  The first other public name, ``__all__`` included, imports all
+numpy, and ``numerics`` holds the scalar formulas ``binary_entropy``,
+``ec_leak`` and ``degraded_epsilon`` (also bound in ``dist``, ``ecpa`` and
+``mac``).  The first other public name, ``__all__`` included, imports all
 nine library modules and binds their names here.
 """
 

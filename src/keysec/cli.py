@@ -23,8 +23,9 @@ A call loads only what its command uses.  `main` builds the flags of
 the one group the argv names, and readers and handlers reach the library
 as ``keysec.<module>.<name>``, so the lazy package imports that module
 alone: a ``budget`` or ``cvqkd`` call loads ``numerics`` and its own
-module and no numpy, a ``dist`` call adds ``dist``, a ``mac`` call
-``dist`` and ``mac``.
+module and no numpy, and so do ``dist binary-entropy``, ``ecpa leak``
+and ``mac degrade``, whose formulas are in ``numerics``; another
+``dist`` call adds ``dist``, another ``mac`` call ``dist`` and ``mac``.
 
 Distribution arguments accept ``uniform:N``, ``spike:N:EPS``, an inline
 JSON array, or ``@path`` to a JSON file.  The numeric mode comes from
@@ -261,7 +262,7 @@ COMMANDS = {
         "binary entropy h(q)",
         "h(q) = -q log2 q - (1-q) log2(1-q)",
         {"--q": Arg(_NUMBER, REQUIRED)},
-        lambda a: {"h": keysec.dist.binary_entropy(a.q)},
+        lambda a: {"h": keysec.numerics.binary_entropy(a.q)},
     ),
     "dist event-bound": Command(
         "event probability gap vs distance",
@@ -335,7 +336,7 @@ COMMANDS = {
         "imperfect keys: eps + eps_h (hash key) and eps + m eps_t (m masked tags), clipped at 1",
         {"--eps": Arg(_NUMBER, REQUIRED), "--eps-h": Arg(_NUMBER, REQUIRED),
          "--eps-t": Arg(_NUMBER, REQUIRED), "--m": Arg(_INT, REQUIRED)},
-        lambda a: keysec.mac.degraded_epsilon(a.eps, a.eps_h, a.eps_t, a.m),
+        lambda a: keysec.numerics.degraded_epsilon(a.eps, a.eps_h, a.eps_t, a.m),
     ),
     "mac forgery-witness": Command(
         "key law defeating the worst case",
@@ -347,7 +348,7 @@ COMMANDS = {
         "reconciliation disclosure f n h(Q)",
         "reconciliation disclosure leak = f n h(Q)",
         {"--f": Arg(_FLOAT, REQUIRED), "--n": Arg(_INT, REQUIRED), "--q": Arg(_NUMBER, REQUIRED)},
-        lambda a: {"leak_bits": keysec.ecpa.ec_leak(a.f, a.n, a.q)},
+        lambda a: {"leak_bits": keysec.numerics.ec_leak(a.f, a.n, a.q)},
     ),
     "ecpa posterior": Command(
         "posterior over data words",

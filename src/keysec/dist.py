@@ -42,6 +42,7 @@ from .numerics import (
     ValidationError,
     VALIDATION_TOL,
     _shown,
+    binary_entropy,  # re-exported: keysec.dist.binary_entropy stays the numerics function
     check_cap,
     check_int,
     check_key_bits,
@@ -60,7 +61,6 @@ __all__ = [
     "EntropyStats",
     "statistical_distance",
     "entropy_stats",
-    "binary_entropy",
     "mutual_information",
     "trace_distance",
     "d_criterion",
@@ -639,14 +639,6 @@ def entropy_stats(p: KeyDistribution) -> EntropyStats:
         min_entropy_bits=-math.log2(float(p1)),
         shannon_bits=_shannon_bits(p.as_array()),
     )
-
-
-def binary_entropy(q: Number) -> float:
-    """Entropy ``h(q) = -q log2 q - (1-q) log2 (1-q)`` of a coin with bias q."""
-    qf = float(check_scalar(q, "binary entropy argument", lo=0, hi=1))
-    if qf == 0.0 or qf == 1.0:
-        return 0.0
-    return -qf * math.log2(qf) - (1.0 - qf) * math.log2(1.0 - qf)
 
 
 def mutual_information(model: ClassicalProbeModel) -> float:

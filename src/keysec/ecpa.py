@@ -1,10 +1,12 @@
 """Error-correction side effects on key secrecy.
 
 ``ec_leak`` is the ad hoc accounting formula ``f * n * h(Q)`` for the
-information disclosed during reconciliation.  The rest of the module
-measures a subtler effect at desk scale: when the data word is a random
-codeword of one of several linear codes, announced error-correction
-structure helps the eavesdropper clean up her *own* noisy observation.
+information disclosed during reconciliation.  It is scalar, so it lives
+in `keysec.numerics`, which loads no numpy, and is bound here too.  The
+rest of the module measures a subtler effect at desk scale: when the
+data word is a random codeword of one of several linear codes, announced
+error-correction structure helps the eavesdropper clean up her *own*
+noisy observation.
 Everything is exact expectation over the observation channel -- no
 sampling -- so the information ordering
 
@@ -28,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _check_rows, _wide, binary_entropy
+from .dist import KeyDistribution, Lattice, _check_rows, _wide
 from .numerics import (
     InfeasibleError,
     Number,
@@ -38,6 +40,7 @@ from .numerics import (
     check_cap,
     check_int,
     check_scalar,
+    ec_leak,  # re-exported: keysec.ecpa.ec_leak stays the numerics function
     infer_mode,
     scalar_mode,
 )
@@ -47,7 +50,6 @@ __all__ = [
     "CodeEnsemble",
     "EveChannel",
     "LeakageComparison",
-    "ec_leak",
     "mixture_posterior",
     "leakage_comparison",
     "load_parity_check",
@@ -197,17 +199,6 @@ class LeakageComparison(NamedTuple):
     p1_no_code: float
     p1_code_known_avg: float
     p1_mixture: float
-
-
-def ec_leak(f: Number, n: int, q: Number) -> float:
-    """Reconciliation disclosure ``f * n * h(q)`` in bits.
-
-    ``f`` is the inefficiency factor, stipulated to lie in [1, 2]; ``n``
-    the block length; ``q`` the error rate seen by the reconciliation.
-    """
-    f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
-    n = check_scalar(check_int(n, "block length", lo=0), "block length", mode="float")
-    return float(f) * n * binary_entropy(q)
 
 
 def _as_word(observation, n: int) -> int:

@@ -28,7 +28,9 @@ Masked substitution still enumerates its transcripts, over the rows
 is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
 ``uses.bit_length()`` for more), each row evaluated key by key by
 ``HashFamilySpec.hash_value``, the one GF(2^b) evaluator.  The
-forgeable key law is closed form, with no search.
+forgeable key law is closed form, with no search.  The degraded levels
+``eps + eps_h`` and ``eps + m eps_t`` (`degraded_epsilon`) are scalar, so
+they live in `keysec.numerics`, which loads no numpy, and are bound here too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import numpy as np
 
 from .dist import KeyDistribution, _law, _over, _wide, statistical_distance
 from .numerics import (
+    DegradedLevels,  # re-exported: keysec.mac.DegradedLevels and .degraded_epsilon stay the numerics objects
     InfeasibleError,
     Number,
     ValidationError,
@@ -48,19 +51,16 @@ from .numerics import (
     _shown,
     check_cap,
     check_int,
-    check_scalar,
-    scalar_mode,
+    degraded_epsilon,
 )
 
 __all__ = [
     "HashFamilySpec",
     "MacKeyModel",
-    "DegradedLevels",
     "ForgeryWitness",
     "DEFAULT_MODULI",
     "asu_epsilon",
     "attack_success",
-    "degraded_epsilon",
     "forgeable_key_distribution",
 ]
 
@@ -193,11 +193,6 @@ class MacKeyModel:
         if self.tag_key_dist is not None and not isinstance(self.tag_key_dist, KeyDistribution):
             raise ValidationError("tag key model must be a KeyDistribution or None")
         object.__setattr__(self, "uses", check_int(self.uses, "uses"))
-
-
-class DegradedLevels(NamedTuple):
-    hash_key_level: Number
-    tag_key_level: Number
 
 
 class ForgeryWitness(NamedTuple):
@@ -352,26 +347,6 @@ def attack_success(
         if hit * top[1] > top[0] * weight:
             top = (hit, weight)
     return _over(*top)
-
-
-def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> DegradedLevels:
-    """Universality levels after substituting imperfect keys.
-
-    A hash key within ``eps_h`` of uniform degrades the family to level
-    ``eps + eps_h``; tag masks within ``eps_t`` of uniform, spent over
-    ``m`` tags under one hash key, degrade it to ``eps + m * eps_t``.
-    Both are clipped at 1.
-    """
-    eps, eps_h, eps_t = (
-        check_scalar(value, name, lo=0, hi=1)
-        for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
-    )
-    m = check_scalar(check_int(m, "number of uses"), "number of uses", mode=scalar_mode(eps_t))
-    try:  # a float eps plus an exact m * eps_t is rounded to a float
-        levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
-    except OverflowError as exc:
-        raise ValidationError("level is outside the float range") from exc
-    return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))
 
 
 def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:

@@ -11,7 +11,9 @@ the types of its entries: all entries `Fraction`/`int` means rational,
 anything else means float.  Mixing modes inside one container is rejected
 rather than silently coerced.  A scalar argument is read by `check_scalar`
 and keeps its own mode, so each formula is written once and computes in
-whichever mode its scalars arrive in.
+whichever mode its scalars arrive in.  The purely scalar formulas live
+here too (`binary_entropy`, `ec_leak`, `degraded_epsilon`), as this
+module imports no numpy and nothing a CLI call does not already load.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ __all__ = [
     "ValidationError",
     "InfeasibleError",
     "ResourceLimitError",
+    "DegradedLevels",
+    "binary_entropy",
+    "degraded_epsilon",
+    "ec_leak",
     "infer_mode",
     "parse_number",
     "resolve_mode",
@@ -304,3 +310,48 @@ def format_number(value: Number) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return f"{value}/1"
     return repr(float(value))
+
+
+def binary_entropy(q: Number) -> float:
+    """Entropy ``h(q) = -q log2 q - (1-q) log2 (1-q)`` of a coin with bias q."""
+    q = check_scalar(q, "binary entropy argument", lo=0, hi=1)
+    qf = float(min(q, 1 - q) if isinstance(q, Fraction) else q)  # h(q) = h(1-q): an exact q near 1 keeps 1-q
+    if qf == 0.0 or qf == 1.0:
+        return 0.0
+    return -qf * math.log2(qf) - (1.0 - qf) * math.log2(1.0 - qf)
+
+
+def ec_leak(f: Number, n: int, q: Number) -> float:
+    """Reconciliation disclosure ``f * n * h(q)`` in bits.
+
+    ``f`` is the inefficiency factor, stipulated to lie in [1, 2]; ``n``
+    the block length; ``q`` the error rate seen by the reconciliation.
+    """
+    f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
+    n = check_scalar(check_int(n, "block length", lo=0), "block length", mode="float")
+    return float(f) * n * binary_entropy(q)
+
+
+class DegradedLevels(NamedTuple):
+    hash_key_level: Number
+    tag_key_level: Number
+
+
+def degraded_epsilon(eps: Number, eps_h: Number, eps_t: Number, m: int) -> DegradedLevels:
+    """Universality levels after substituting imperfect keys.
+
+    A hash key within ``eps_h`` of uniform degrades the family to level
+    ``eps + eps_h``; tag masks within ``eps_t`` of uniform, spent over
+    ``m`` tags under one hash key, degrade it to ``eps + m * eps_t``.
+    Both are clipped at 1.
+    """
+    eps, eps_h, eps_t = (
+        check_scalar(value, name, lo=0, hi=1)
+        for value, name in ((eps, "eps"), (eps_h, "eps_h"), (eps_t, "eps_t"))
+    )
+    m = check_scalar(check_int(m, "number of uses"), "number of uses", mode=scalar_mode(eps_t))
+    try:  # a float eps plus an exact m * eps_t is rounded to a float
+        levels = (eps + eps_h, eps + m * eps_t)  # each clipped at 1 in its own mode
+    except OverflowError as exc:
+        raise ValidationError("level is outside the float range") from exc
+    return DegradedLevels(*(min(level, check_scalar(1, "level", mode=scalar_mode(level))) for level in levels))

@@ -20,7 +20,6 @@ from .dist import (
     ClassicalProbeModel,
     HermitianState,
     KeyDistribution,
-    binary_entropy,
     d_criterion,
     entropy_stats,
     mutual_information,
@@ -36,7 +35,7 @@ from .extremal import (
     max_conditional_deviation,
 )
 from .kpa import KeySplit, average_conditional_guess, conditional_breach_witness, eve_bit_agreement
-from .numerics import check_int
+from .numerics import binary_entropy, check_int, degraded_epsilon, ec_leak
 
 __all__ = ["InvariantResult", "run_invariant_suite"]
 
@@ -281,8 +280,8 @@ def _check_mac_uniform(rng: random.Random, n_max: int) -> tuple:
     forged = _mac.attack_success(spec2, _mac.MacKeyModel(witness.distribution), "substitution")
     if forged != 1:
         return False, f"witness key reached only {forged}"
-    base = _mac.degraded_epsilon(Fraction(1, 8), Fraction(1, 100), Fraction(1, 100), 2)
-    worse = _mac.degraded_epsilon(Fraction(1, 8), Fraction(2, 100), Fraction(1, 100), 3)
+    base = degraded_epsilon(Fraction(1, 8), Fraction(1, 100), Fraction(1, 100), 2)
+    worse = degraded_epsilon(Fraction(1, 8), Fraction(2, 100), Fraction(1, 100), 3)
     if worse.hash_key_level < base.hash_key_level or worse.tag_key_level < base.tag_key_level:
         return False, "degradation not monotone"
     return True, "uniform keys within eps; forgery witness certain; degradation monotone"
@@ -302,7 +301,7 @@ def _check_ecpa_ordering(rng: random.Random, n_max: int) -> tuple:
     cmp = _ecpa.leakage_comparison(single, _ecpa.EveChannel(0.1))
     if cmp.p1_code_known_avg != cmp.p1_mixture:
         return False, "single-code mixture did not coincide with the known-code value"
-    leaks = [_ecpa.ec_leak(1.2, 100, q / 20) for q in range(11)]
+    leaks = [ec_leak(1.2, 100, q / 20) for q in range(11)]
     if any(b < a for a, b in zip(leaks, leaks[1:])):
         return False, "disclosure formula not monotone in the error rate"
     return True, "ordering on random ensembles; single-code coincidence exact"

@@ -17,7 +17,7 @@ import pytest
 import keysec
 from keysec import cli
 from keysec.cli import COMMANDS, GROUPS, build_parser, main
-from keysec.numerics import CAPS, ResourceLimitError, ValidationError
+from keysec.numerics import CAPS, MODES, ResourceLimitError, ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -356,19 +356,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(sys.modules)]))"""
 
 
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` in a fresh interpreter that imports this checkout's keysec."""
+    src = str(Path(keysec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+#: what the scalar commands of dist, ecpa and mac leave unloaded, their formulas living in numerics
+_NUMPY_FREE = {"numpy", "keysec.dist", "keysec.ecpa", "keysec.mac"}
+
+
 @pytest.mark.parametrize("argv, unloaded", [
     ("budget required-d --n 128", {"numpy", "keysec.dist"}),
     ("cvqkd uncertainty --s 1 --t 1 --a 0.01 --b 0.01", {"numpy", "keysec.dist"}),
     ("dist entropy --p uniform:4", {f"keysec.{name}" for name in ("mac", "ecpa", "extremal", "kpa", "verify")}),
+    *((f"{call} --mode {mode}", _NUMPY_FREE) for call in (
+        "dist binary-entropy --q 1/10", "ecpa leak --f 1.2 --n 1000 --q 3/100",
+        "mac degrade --eps 1/8 --eps-h 1/100 --eps-t 1/50 --m 3") for mode in MODES),
 ])
 def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
-    src = str(Path(keysec.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh(_LOADED, *argv.split())
     code, loaded = json.loads(proc.stdout)
     assert code == 0, proc.stderr
     assert not unloaded & set(loaded)
+
+
+def test_importing_the_cli_loads_numerics_alone_of_the_library():
+    proc = _fresh("import json, sys; import keysec.cli; print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(proc.stdout))
+    assert {m for m in loaded if m.split(".")[0] == "keysec"} == {"keysec", "keysec.cli", "keysec.numerics"}
+    assert not {"numpy", "dataclasses"} & loaded
 
 
 def test_the_branch_parser_prints_what_the_whole_tree_prints(capsys, monkeypatch):

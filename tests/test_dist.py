@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
+
 from keysec import (
     ClassicalProbeModel,
     HermitianState,
@@ -366,6 +368,15 @@ def test_binary_entropy_frozen():
         binary_entropy(-0.1)
     with pytest.raises(ValidationError):
         binary_entropy(1.01)
+
+
+@pytest.mark.parametrize("q, rel", [(1 - F(1, 10**19), 0.03), (1 - F(1, 10**12), 1e-6), (F(7, 10), 1e-15)])
+def test_an_exact_q_near_one_keeps_its_distance_to_one(q, rel):
+    # h(q) = h(1-q), so an exact q is reflected below 1/2 before it is rounded: the two agree bit for bit,
+    # and near 1 the error is that of the small argument 1-q, whose (1-q) log2(1-q) term rounds 1 - (1-q)
+    # (2.2% at 10**-19, 7.7e-7 at 10**-12); q = 1 - 10**-19 rounded to a float is 1, with h = 0
+    assert binary_entropy(q) == binary_entropy(1 - q)
+    assert binary_entropy(q) == pytest.approx(float(oracles.binary_entropy_mp(q)), rel=rel)
 
 
 # ---------------------------------------------------------------- probe model

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import keysec as ks
-from keysec import KeyDistribution
+from keysec import KeyDistribution, numerics
 from keysec.dist import Lattice
 from keysec.numerics import (
     CAPS,
@@ -446,6 +446,14 @@ def test_package_reexports_every_library_module_all():
     assert len(PACKAGE_NAMES_BEFORE) == 71
     added = {"Lattice", "DEFAULT_MODULI", "VERDICT_LOSS", "VERDICT_MASKED", "VERDICT_DETECTABLE"}
     assert set(ks.__all__) == set(PACKAGE_NAMES_BEFORE) | added
+
+
+@pytest.mark.parametrize("module, name", [
+    ("dist", "binary_entropy"), ("ecpa", "ec_leak"), ("mac", "degraded_epsilon"), ("mac", "DegradedLevels")])
+def test_a_scalar_formula_moved_to_numerics_keeps_its_old_address(module, name):
+    old = importlib.import_module(f"keysec.{module}")
+    assert getattr(old, name) is getattr(numerics, name) is getattr(ks, name)
+    assert name in numerics.__all__ and name not in old.__all__
 
 
 #: in a fresh interpreter: the keysec submodules and numpy loaded after each step
