@@ -328,9 +328,8 @@ class KeyDistribution:
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":
         size = 1 << check_key_bits(n)
-        nums = np.zeros(size, dtype=np.int64)
-        nums[check_int(at, "point-mass location", lo=0, hi=size)] = 1
-        return cls(n, Lattice(nums, 1) if mode == "rational" else nums.astype(np.float64))
+        at = check_int(at, "point-mass location", lo=0, hi=size)
+        return _transport(n, np.delete(np.arange(size), at), [at], 1 if mode == "rational" else 1.0)[0]
 
     @property
     def size(self) -> int:
@@ -446,15 +445,20 @@ class KeyDistribution:
         return f"KeyDistribution(n={self.n}, [{head}{tail}])"
 
 
-def _transport(size: int, donors, receivers, moved: Number):
-    """The uniform law on ``size`` values with ``moved`` mass taken evenly
-    from ``donors`` and spread evenly over ``receivers``, in ``moved``'s mode.
+def _transport(n: int, donors, receivers, budget: Number) -> tuple:
+    """The uniform law on ``n``-bit keys with mass moved from ``donors`` (disjoint
+    from ``receivers``) onto ``receivers``: the one builder of every witness law.
 
-    Entry values are as ``1/N - moved/|donors|`` and ``1/N + moved/|receivers|``
-    compute them: a `Lattice` of integer numerators over their lcm (int64 while
-    it fits) when exact, a float64 array otherwise.
+    The mass moved is ``min(budget, U(donors))``, the budget clipped at the donors'
+    uniform mass, computed in ``budget``'s mode; it is taken evenly from the donors
+    and spread evenly over the receivers.  Entry values are as ``1/N - moved/|donors|``
+    and ``1/N + moved/|receivers|`` compute them: integer numerators over their lcm
+    (int64 while it fits) when exact, float64 otherwise.  Returns the law and
+    ``moved``, which is the law's distance to the uniform law.
     """
-    u = low = high = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(moved))
+    size = 1 << n
+    u = low = high = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(budget))
+    moved = min(budget, u * len(donors))
     if moved > 0:
         low, high = u - moved / len(donors), u + moved / len(receivers)
     exact, den, values = isinstance(u, Fraction), 1, (u, low, high)
@@ -463,7 +467,7 @@ def _transport(size: int, donors, receivers, moved: Number):
         values = [v.numerator * (den // v.denominator) for v in values]
     nums = np.full(size, values[0], dtype=object if den >= _INT64_LIMIT else None)
     nums[donors], nums[receivers] = values[1:]
-    return Lattice(nums, den) if exact else nums
+    return KeyDistribution(n, Lattice(nums, den) if exact else nums), moved
 
 
 @dataclass(frozen=True, eq=False)

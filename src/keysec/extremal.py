@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
-from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
-                       parse_int, scalar_mode)
+from .numerics import (VALIDATION_TOL, InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits,
+                       check_scalar, parse_int, scalar_mode)
 
 __all__ = [
     "EventSpec",
@@ -133,9 +133,8 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
         raise InfeasibleError(
             f"distance {_shown(eps)} from uniform is impossible on {size} values (maximum is {top})"
         )
-    eps = min(eps, top)
-    law = _transport(size, np.delete(np.arange(size), at), [at], eps)
-    return SpikeResult(distribution=KeyDistribution(n, law), p1=Fraction(1, size) + eps, distance=eps)
+    law, moved = _transport(n, np.delete(np.arange(size), at), [at], eps)
+    return SpikeResult(distribution=law, p1=Fraction(1, size) + moved, distance=moved)
 
 
 def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
@@ -226,34 +225,27 @@ def max_conditional_deviation(
     if not sub_event.issubset(event):
         raise ValidationError("sub-event must be contained in the conditioning event")
     eps = check_scalar(epsilon, "distance budget", lo=0)
-    mode = scalar_mode(eps)
+    u_event = check_scalar(Fraction(len(event), size), "uniform mass", mode=scalar_mode(eps))
     inside = sub_event.sorted_members()
     complement = sorted(event.members - sub_event.members)
-    u_event, u_sub, u_comp = (
-        check_scalar(Fraction(len(part), size), "uniform mass", mode=mode)
-        for part in (event, inside, complement)
-    )
-
-    # moving m inside A changes P(B|A) by exactly m / U(A); with A \ B empty nothing moves
-    move_up = min(eps, u_comp)
-    move_down = min(eps, u_sub) if complement else move_up
-    if move_up >= move_down:
-        donors, receivers, moved = complement, inside, move_up
-    else:
-        donors, receivers, moved = inside, complement, move_down
-
-    law = _transport(size, donors, receivers, moved)
-    return ConditionalDeviation(distribution=KeyDistribution(n, law), deviation=moved / u_event)
+    # moving m inside A changes P(B|A) by exactly m / U(A); with A \ B empty nothing moves.
+    # Lowering moves more only when B is the larger part and the budget exceeds U(A \ B).
+    law, moved = _transport(n, complement, inside, eps)
+    if 0 < len(complement) < len(inside) and moved < eps:
+        law, moved = _transport(n, inside, complement, eps)
+    return ConditionalDeviation(distribution=law, deviation=moved / u_event)
 
 
 def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) -> EventBoundReport:
     """Report ``|P(A) - Q(A)|`` against the statistical distance.
 
-    The gap can never exceed the distance; ``holds`` is the verdict
-    (with a 1e-12 slack on the float path).
+    The gap can never exceed the distance; ``holds`` is the verdict, with a
+    VALIDATION_TOL slack on the float path: a float law's total may miss 1 by
+    that much, and the gap can exceed the distance by half the difference of
+    the two totals.
     """
     distance = statistical_distance(p, q)  # refuses laws of different bit lengths
     event.validate_for(p.n)
     gap = abs(p.prob_of(event.members) - q.prob_of(event.members))
-    holds = gap <= distance + (0 if p.mode == q.mode == "rational" else 1e-12)
+    holds = gap <= distance + (0 if p.mode == q.mode == "rational" else VALIDATION_TOL)
     return EventBoundReport(gap=gap, distance=distance, holds=holds)

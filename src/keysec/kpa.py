@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, _law, _over, _transport, _wide, statistical_distance
-from .numerics import Number, ValidationError, _shown, check_int, check_key_bits, check_scalar, scalar_mode
+from .numerics import VALIDATION_TOL, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar
 
 __all__ = [
     "KeySplit",
@@ -103,7 +103,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     ``2^-|K2*| + delta(P, U)``.
 
     Returns the average, the bound, and the comparison verdict (exact in
-    rational mode, 1e-9 slack in float mode).
+    rational mode, VALIDATION_TOL slack in float mode).
     """
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
@@ -118,7 +118,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     joint = cube.sum(axis=1)
     avg = _over(joint.max(axis=0).sum(), den)
     bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
-    slack = 0 if p.mode == "rational" else 1e-9
+    slack = 0 if p.mode == "rational" else VALIDATION_TOL
     return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + slack)
 
 
@@ -133,18 +133,17 @@ def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> Brea
     when the budget covers the slice.  Budgets beyond that are clipped to
     the feasible maximum rather than rejected.
     """
-    size = 1 << check_key_bits(n)
+    check_key_bits(n)
     if split.n != n:
         raise ValidationError(f"split covers {split.n} bits but the key has {n}")
     eps = check_scalar(epsilon, "distance budget", lo=0)
-    u = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(eps))
     k2 = np.arange(1 << split.n2)
     hit = k2 & sum(1 << pos for pos in split.subset_bits) == 0  # K2* = 0
     receivers, donors = k2[hit] << split.n1, k2[~hit] << split.n1  # the k1 = 0 slice
-    moved = min(eps, u * len(donors))
+    law, moved = _transport(n, donors, receivers, eps)
     worst = Fraction(1, 1 << split.subset_size) + moved * (1 << split.n1)
     return BreachWitness(
-        distribution=KeyDistribution(n, _transport(size, donors, receivers, moved)),
+        distribution=law,
         worst_conditional_p=worst,
         k1_value=0,
         subset_value=0,

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dist import KeyDistribution, _law, _over, _wide, statistical_distance
+from .dist import KeyDistribution, _law, _over, _transport, _wide
 from .numerics import (
     DegradedLevels,  # re-exported: keysec.mac.DegradedLevels and .degraded_epsilon stay the numerics objects
     InfeasibleError,
@@ -370,5 +370,5 @@ def forgeable_key_distribution(spec: HashFamilySpec) -> ForgeryWitness:
     # the witness claims certainty: confirm it by scalar Horner
     if spec.hash_value(0, size + 1) != 0 or spec.hash_value(1, size + 1) != 0:
         raise RuntimeError("internal check failed: alpha + alpha^2 does not vanish at 0 and 1")
-    dist = KeyDistribution(spec.field_bits, [Fraction(1, 2)] * 2 + [Fraction(0)] * (size - 2))
-    return ForgeryWitness(dist, message_delta=size + 1, tag_delta=0, distance=statistical_distance(dist))
+    law, moved = _transport(spec.field_bits, np.arange(2, size), [0, 1], 1)
+    return ForgeryWitness(law, message_delta=size + 1, tag_delta=0, distance=moved)

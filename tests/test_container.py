@@ -29,6 +29,7 @@ import _oracles as oracles
 from keysec import (
     ClassicalProbeModel,
     EventSpec,
+    HashFamilySpec,
     KeyDistribution,
     KeySplit,
     ValidationError,
@@ -39,6 +40,7 @@ from keysec import (
     d_criterion,
     entropy_stats,
     eve_bit_agreement,
+    forgeable_key_distribution,
     max_conditional_deviation,
     mutual_information,
     statistical_distance,
@@ -294,6 +296,43 @@ def test_breach_witness_is_the_raising_conditional_deviation(n, data):
     s = split.subset_size
     base = F(1, 1 << s) if isinstance(dev.deviation, F) else 1.0 / (1 << s)
     assert same(breach.worst_conditional_p, base + dev.deviation)
+
+
+#: (build at a budget, key bits, uniform mass of the donors): the spike's budget reaches its
+#: donors' mass (it refuses more), the others' 3/4 passes it; B = {0, 1, 2} of A = {0, .., 3}
+#: is the larger part, so past U(A \ B) = 1/8 the deviation lowers P(B | A)
+WITNESSES = {
+    "spike": (lambda eps: construct_spike(2, eps, at=1).distribution, 2, F(3, 4)),
+    "breach": (lambda eps: conditional_breach_witness(4, eps, KeySplit(2, 2)).distribution, 4, F(3, 16)),
+    "raise": (lambda eps: max_conditional_deviation(3, eps, EventSpec(range(4)), EventSpec({0})).distribution,
+              3, F(3, 8)),
+    "lower": (lambda eps: max_conditional_deviation(3, eps, EventSpec(range(4)), EventSpec(range(3))).distribution,
+              3, F(3, 8)),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("eps", [F(1, 100), F(3, 4)])
+@pytest.mark.parametrize("witness", sorted(WITNESSES))
+def test_a_witness_moves_its_distance_to_uniform(witness, eps, exact):
+    build, n, donors = WITNESSES[witness]
+    law = build(eps if exact else float(eps))
+    moved = min(eps, donors)  # the budget, clipped at the donors' uniform mass
+    assert statistical_distance(law) == (moved if exact else pytest.approx(float(moved), abs=1e-15))
+
+
+@pytest.mark.parametrize("b", range(2, 7))
+def test_the_forgery_witness_reports_its_distance_to_uniform(b):
+    witness = forgeable_key_distribution(HashFamilySpec(b, 2))
+    assert witness.distance == statistical_distance(witness.distribution) == F((1 << b) - 2, 1 << b)
+    assert witness.distribution.probs == (F(1, 2), F(1, 2)) + (F(0),) * ((1 << b) - 2)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_a_point_mass_is_all_mass_moved(mode):
+    law = KeyDistribution.point_mass(3, at=6, mode=mode)
+    assert statistical_distance(law) == F(7, 8) and law.probs == (0,) * 6 + (1, 0)
+    assert law.mode == mode and type(law[6]) is (F if mode == "rational" else float)
 
 
 # ---------------------------------------------------------------- refusals

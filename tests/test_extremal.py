@@ -262,6 +262,16 @@ def test_event_bound_frozen():
     assert rep2.gap == F(1, 4) and rep2.holds
 
 
+def test_a_float_event_bound_allows_the_totals_the_container_accepts():
+    # both laws pass validation, their totals 4e-10 off 1 each; the whole space's gap is
+    # 8e-10 against a distance of 4e-10, the half-difference of the totals over it
+    p = KeyDistribution(1, [0.5000000004, 0.5])
+    q = KeyDistribution(1, [0.5, 0.4999999996])
+    rep = check_event_bound(p, q, EventSpec((0, 1)))
+    assert rep.gap == pytest.approx(8e-10) and rep.distance == pytest.approx(4e-10)
+    assert rep.holds
+
+
 @given(st.lists(st.integers(0, 50), min_size=8, max_size=8), st.integers(1, 254))
 def test_event_bound_holds_always(raw, mask):
     total = sum(raw) or 1

@@ -283,6 +283,23 @@ def test_only_numerics_knows_a_cap(path):
     assert not constants, f"{path.name} declares cap constants {constants}"
 
 
+#: names a module imports only to keep them at their old address, pinned by
+#: `test_a_scalar_formula_moved_to_numerics_keeps_its_old_address`
+_REEXPORTS = {("dist.py", "binary_entropy"), ("ecpa.py", "ec_leak"), ("mac.py", "degraded_epsilon"),
+              ("mac.py", "DegradedLevels")}
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name for name in imported - used if (path.name, name) not in _REEXPORTS}
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
 def test_check_key_bits_caps_dense_laws_before_allocating():
     limit = CAPS["key_bits"].limit
     refusal = f"needs {limit + 1} bits, over the key_bits cap of {limit} bits"
