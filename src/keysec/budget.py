@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, _shown, check_int, check_scalar, parse_number, scalar_mode
+from .numerics import Number, ValidationError, _shown, check_int, check_mode, check_scalar, parse_number, scalar_mode
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -183,4 +183,4 @@ def parse_security_level(text: str, mode: str = "float") -> Number:
         raise ValidationError(f"distance level must be positive, got {_shown(text, repr)}")
     if dec > 1:
         raise ValidationError(f"distance level cannot exceed 1, got {_shown(text, repr)}")
-    return Fraction(dec.log10()) if mode == "rational" else float(dec.log10())
+    return check_scalar(Fraction(dec.log10()), "log10 of a distance level", mode=check_mode(mode))

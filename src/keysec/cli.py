@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 
 import keysec
 
-from .numerics import (MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, format_number, parse_int,
-                       parse_number)
+from .numerics import (MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, check_scalar,
+                       format_number, parse_int, parse_number)
 
 __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
 
@@ -165,7 +165,7 @@ def _family(a) -> keysec.mac.HashFamilySpec:
 
 def _ensemble(a) -> keysec.ecpa.CodeEnsemble:
     count = len(a.code)
-    weights = a.weights or [Fraction(1, count) if a.mode == "rational" else 1.0 / count] * count
+    weights = a.weights or [check_scalar(Fraction(1, count), "code weight", mode=a.mode)] * count
     return keysec.ecpa.CodeEnsemble(a.code, weights)
 
 

@@ -46,6 +46,7 @@ from .numerics import (
     check_cap,
     check_int,
     check_key_bits,
+    check_mode,
     check_scalar,
     format_number,
     infer_mode,
@@ -322,14 +323,15 @@ class KeyDistribution:
     @classmethod
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
         """The uniform distribution on ``n``-bit keys, in the given backend."""
-        size = 1 << check_key_bits(n)
-        return cls(n, Lattice(np.ones(size, np.int64), size) if mode == "rational" else np.full(size, 1.0 / size))
+        size, exact = 1 << check_key_bits(n), check_mode(mode) == "rational"
+        return cls(n, Lattice(np.ones(size, np.int64), size) if exact else np.full(size, 1.0 / size))
 
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":
+        """All mass on the ``n``-bit key ``at``, in the given backend."""
         size = 1 << check_key_bits(n)
         at = check_int(at, "point-mass location", lo=0, hi=size)
-        return _transport(n, np.delete(np.arange(size), at), [at], 1 if mode == "rational" else 1.0)[0]
+        return _transport(n, np.delete(np.arange(size), at), [at], check_scalar(1, "mass", mode=check_mode(mode)))[0]
 
     @property
     def size(self) -> int:
@@ -399,7 +401,7 @@ class KeyDistribution:
         if 1 << n != len(raw) or n < 1:
             raise ValidationError(f"length {len(raw)} is not a power of two >= 2")
         check_key_bits(n)
-        if mode != "rational" and set(map(type, raw)) == {float}:
+        if (mode is None or check_mode(mode) == "float") and set(map(type, raw)) == {float}:
             probs = np.array(raw)  # float(repr(x)) == x, NaN and infinities included
         else:
             try:
@@ -545,9 +547,9 @@ class ClassicalProbeModel:
 class HermitianState:
     """Density matrix, its dimension capped by ``state_dim`` in `keysec.numerics.CAPS`.
 
-    Accepts anything `numpy.asarray` can turn into a square complex
-    matrix; validates hermiticity, unit trace, and positivity up to 1e-9.
-    States compare by identity.
+    Accepts anything `numpy.asarray` can turn into a square complex matrix and validates
+    hermiticity by `numpy.allclose` at ``atol=VALIDATION_TOL`` (1e-9), the trace to within
+    1e-6 of 1, and every eigenvalue to at least -1e-8.  States compare by identity.
     """
 
     matrix: np.ndarray
@@ -615,7 +617,7 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
         return p._uniform_distance
     if p.n != q.n:
         raise ValidationError(f"bit lengths differ: {p.n} vs {q.n}")
-    mode = "rational" if p.mode == q.mode == "rational" else "float"
+    mode = scalar_mode(p, q)
     (a, da), (b, db) = _law(p, mode), _law(q, mode)
     den = math.lcm(da, db)
     if da != db:  # both over the common denominator, as Python ints where the sum could overflow

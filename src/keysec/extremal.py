@@ -228,11 +228,10 @@ def max_conditional_deviation(
     u_event = check_scalar(Fraction(len(event), size), "uniform mass", mode=scalar_mode(eps))
     inside = sub_event.sorted_members()
     complement = sorted(event.members - sub_event.members)
-    # moving m inside A changes P(B|A) by exactly m / U(A); with A \ B empty nothing moves.
-    # Lowering moves more only when B is the larger part and the budget exceeds U(A \ B).
-    law, moved = _transport(n, complement, inside, eps)
-    if 0 < len(complement) < len(inside) and moved < eps:
-        law, moved = _transport(n, inside, complement, eps)
+    # moving m inside A changes P(B|A) by exactly m / U(A); with A \ B empty nothing moves. Lowering moves
+    # more only when B is the larger part and eps > U(A \ B), that is eps * 2^n > |A \ B|: exact in both modes.
+    lower = 0 < len(complement) < len(inside) and eps * size > len(complement)
+    law, moved = _transport(n, *((inside, complement) if lower else (complement, inside)), eps)
     return ConditionalDeviation(distribution=law, deviation=moved / u_event)
 
 
@@ -247,5 +246,5 @@ def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) 
     distance = statistical_distance(p, q)  # refuses laws of different bit lengths
     event.validate_for(p.n)
     gap = abs(p.prob_of(event.members) - q.prob_of(event.members))
-    holds = gap <= distance + (0 if p.mode == q.mode == "rational" else VALIDATION_TOL)
+    holds = gap <= distance + (0 if scalar_mode(p, q) == "rational" else VALIDATION_TOL)
     return EventBoundReport(gap=gap, distance=distance, holds=holds)

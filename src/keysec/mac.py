@@ -52,6 +52,7 @@ from .numerics import (
     check_cap,
     check_int,
     degraded_epsilon,
+    scalar_mode,
 )
 
 __all__ = [
@@ -302,8 +303,7 @@ def attack_success(
         _key_dist_for(spec, keys.tag_key_dist, "tag key distribution")
     size = spec.tag_space
     masked = keys.tag_key_dist is not None
-    laws = (keys.hash_key_dist, keys.tag_key_dist) if masked else (keys.hash_key_dist,)
-    mode = "rational" if all(law.mode == "rational" for law in laws) else "float"
+    mode = scalar_mode(keys.hash_key_dist, keys.tag_key_dist if masked else keys.hash_key_dist)
 
     prior, den = _law(keys.hash_key_dist, mode)
     # the ideal pad is a uniform mask: numerator 1 over 2^b

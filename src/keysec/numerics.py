@@ -6,14 +6,14 @@ equals the constructed offset" hold with no tolerance at all.  Float mode
 uses double precision and accepts a 1e-9 slack when validating that
 probabilities sum to one.
 
-A value container (distribution, probe model, ...) infers its mode from
-the types of its entries: all entries `Fraction`/`int` means rational,
-anything else means float.  Mixing modes inside one container is rejected
-rather than silently coerced.  A scalar argument is read by `check_scalar`
-and keeps its own mode, so each formula is written once and computes in
-whichever mode its scalars arrive in.  The purely scalar formulas live
-here too (`binary_entropy`, `ec_leak`, `degraded_epsilon`), as this
-module imports no numpy and nothing a CLI call does not already load.
+A value container (distribution, probe model, ...) infers its mode from the
+types of its entries: all entries `Fraction`/`int` means rational, anything
+else means float; mixing modes in one container is refused.  A scalar argument
+is read by `check_scalar` and keeps its own mode, so each formula is written once
+and computes in the `scalar_mode` of its scalars and laws.  A mode a caller names
+is checked by `check_mode`, and `check_scalar` puts a constant into a mode.  The
+scalar formulas live here too (`binary_entropy`, `ec_leak`, `degraded_epsilon`),
+as this module imports no numpy and nothing a CLI call does not already load.
 """
 
 from __future__ import annotations
@@ -123,13 +123,16 @@ def check_cap(name: str, requested: int, what: str) -> int:
     return requested
 
 
-def resolve_mode(mode: str | None = None) -> str:
-    """Pick the numeric mode: explicit argument, else environment, else float."""
-    if mode is None:
-        mode = os.environ.get(MODE_ENV_VAR) or "float"
+def check_mode(mode: str) -> str:
+    """``mode`` if it is one of `MODES`, else a `ValidationError` naming it: the one mode-name check."""
     if mode not in MODES:
         raise ValidationError(f"unknown numeric mode {_shown(mode, repr)}; expected one of {MODES}")
     return mode
+
+
+def resolve_mode(mode: str | None = None) -> str:
+    """Pick the numeric mode: explicit argument, else environment, else float."""
+    return check_mode((os.environ.get(MODE_ENV_VAR) or "float") if mode is None else mode)
 
 
 def _kind(t: type) -> str | None:
@@ -187,11 +190,11 @@ def check_scalar(
 
     Ints (numpy's too), Fractions and numeric strings (``"3/10"``,
     ``"0.3"``) come back as Fractions and floats as floats, unless
-    ``mode`` names the mode to convert to.  NaN, infinities, bools and
-    other types are refused with a `ValidationError` naming ``what``, and
-    so is a value outside ``[lo, hi]`` (a bound is omitted when None, and
-    open when its ``*_open`` flag is set).  The range is checked on the
-    returned value.
+    ``mode`` names the mode to convert to: the one cast into a mode, which
+    refuses a name outside `MODES`.  NaN, infinities, bools and other types
+    are refused with a `ValidationError` naming ``what``, and so is a value
+    outside ``[lo, hi]`` (a bound is omitted when None, and open when its
+    ``*_open`` flag is set).  The range is checked on the returned value.
     """
     if isinstance(value, str):
         shown = f"{what} {_cut(repr(value))}"
@@ -207,7 +210,7 @@ def check_scalar(
     if kind == "float" and not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {_shown(value, repr)}")
     try:
-        value = Fraction(value) if (mode or kind) == "rational" else float(value)
+        value = Fraction(value) if (kind if mode is None else check_mode(mode)) == "rational" else float(value)
     except OverflowError as exc:
         raise ValidationError(f"{what} is outside the float range") from exc
     below = lo is not None and (value <= lo if lo_open else value < lo)
@@ -223,10 +226,10 @@ def check_scalar(
     return value
 
 
-def scalar_mode(*values: Number) -> str:
-    """The mode arithmetic over checked scalars computes in: rational while
-    every value is exact, float as soon as one is a float."""
-    return "rational" if all(_kind(type(v)) == "rational" for v in values) else "float"
+def scalar_mode(*values) -> str:
+    """The mode arithmetic over checked scalars and laws computes in: rational while every
+    value is exact, float as soon as one is a float; a law or a probe model counts by its ``mode``."""
+    return "rational" if all((_kind(type(v)) or getattr(v, "mode", None)) == "rational" for v in values) else "float"
 
 
 def check_int(value, what: str, lo: int | None = 1, hi: int | None = None) -> int:
@@ -289,6 +292,7 @@ def parse_number(text: str, mode: str) -> Number:
     accepts anything ``float()`` does, plus ``num/den`` forms (rounded to
     double), and refuses NaN, infinities and values outside the float range.
     """
+    check_mode(mode)
     text = text.strip()
     shown = _cut(repr(text))  # built on every call, so without `_shown`'s type tests
     try:

@@ -250,6 +250,24 @@ def test_conditional_deviation_validation():
     assert res.deviation == 0
 
 
+@pytest.mark.parametrize("eps, event, sub, lowers", [
+    (F(1, 10), (0, 1), (0,), False),  # B is no larger than A \ B: raise
+    (F(1, 2), (0, 1, 2), (0, 1), True),  # B the larger part and eps > U(A \ B) = 1/4: lower
+    (F(1, 4), (0, 1, 2), (0, 1), False),  # eps = U(A \ B): both directions move 1/4, and the tie raises
+])
+@pytest.mark.parametrize("kind", [F, float])
+def test_conditional_deviation_builds_one_witness(monkeypatch, eps, event, sub, lowers, kind):
+    import keysec.extremal
+
+    calls, transport = [], keysec.extremal._transport
+    monkeypatch.setattr(keysec.extremal, "_transport", lambda *args: calls.append(args) or transport(*args))
+    res = max_conditional_deviation(2, kind(eps), EventSpec(event), EventSpec(sub))
+    assert len(calls) == 1
+    donors = sub if lowers else sorted(set(event) - set(sub))
+    assert list(calls[0][1]) == list(donors)
+    assert res.deviation == kind(min(eps, F(len(donors), 4)) / F(len(event), 4))
+
+
 # ------------------------------------------------------------ event bound
 
 
@@ -270,6 +288,16 @@ def test_a_float_event_bound_allows_the_totals_the_container_accepts():
     rep = check_event_bound(p, q, EventSpec((0, 1)))
     assert rep.gap == pytest.approx(8e-10) and rep.distance == pytest.approx(4e-10)
     assert rep.holds
+
+
+def test_a_mixed_mode_event_bound_keeps_the_float_slack():
+    # an exact law beside a float one computes in float, slack included: the gap over the
+    # whole space is 4e-10 against a distance of 2e-10
+    p = KeyDistribution(1, [F(1, 2), F(1, 2)])
+    q = KeyDistribution(1, [0.5, 0.4999999996])
+    rep = check_event_bound(p, q, EventSpec((0, 1)))
+    assert type(rep.distance) is float and rep.distance == pytest.approx(2e-10)
+    assert rep.gap == pytest.approx(4e-10) and rep.gap > rep.distance and rep.holds
 
 
 @given(st.lists(st.integers(0, 50), min_size=8, max_size=8), st.integers(1, 254))

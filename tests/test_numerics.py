@@ -19,12 +19,14 @@ from keysec import KeyDistribution, numerics
 from keysec.dist import Lattice
 from keysec.numerics import (
     CAPS,
+    MODES,
     ResourceLimitError,
     ValidationError,
     _shown,
     check_cap,
     check_int,
     check_key_bits,
+    check_mode,
     check_scalar,
     format_number,
     infer_mode,
@@ -182,6 +184,51 @@ def test_check_scalar_keeps_or_converts_the_mode():
     assert check_scalar("0.1", "x", mode="float") == 0.1
     assert scalar_mode(Fraction(1, 2), Fraction(1)) == "rational"
     assert scalar_mode(Fraction(1, 2), 0.5) == "float"
+
+
+def test_scalar_mode_counts_a_law_or_probe_model_by_its_mode():
+    exact, floats = KeyDistribution.uniform(1, mode="rational"), KeyDistribution.uniform(1)
+    assert scalar_mode(exact, exact) == "rational" and scalar_mode(exact, floats) == "float"
+    assert scalar_mode(exact, Fraction(1, 3), 2) == "rational"
+    assert scalar_mode(exact, 0.5) == "float" and scalar_mode(floats, Fraction(1, 3)) == "float"
+    model = ks.ClassicalProbeModel(exact, [[Fraction(1, 2)] * 2] * 2)
+    assert scalar_mode(model, exact) == "rational" and scalar_mode(model, floats) == "float"
+
+
+#: every library call that takes a mode by name, called with a given mode
+NAMED_MODE_CALLS = {
+    "check_scalar": lambda mode: check_scalar(1, "x", mode=mode),
+    "parse_number": lambda mode: parse_number("1/3", mode),
+    "uniform": lambda mode: KeyDistribution.uniform(2, mode=mode),
+    "point_mass": lambda mode: KeyDistribution.point_mass(2, mode=mode),
+    "from_json exact entries": lambda mode: KeyDistribution.from_json('["1/2", "1/2"]', mode=mode),
+    "from_json float entries": lambda mode: KeyDistribution.from_json("[0.5, 0.5]", mode=mode),
+    "parse_security_level log10": lambda mode: ks.budget.parse_security_level("log10:-3", mode),
+    "parse_security_level decimal": lambda mode: ks.budget.parse_security_level("1e-3", mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "Rational", ""])
+@pytest.mark.parametrize("call", list(NAMED_MODE_CALLS))
+def test_a_mode_name_outside_modes_is_refused_everywhere(call, mode):
+    refusal = f"unknown numeric mode {mode!r}; expected one of ('rational', 'float')"
+    with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
+        NAMED_MODE_CALLS[call](mode)
+
+
+def test_a_mode_of_none_keeps_its_meaning_where_it_has_one():
+    # check_scalar keeps the value's own kind, and from_json reads the mode from the text
+    assert type(check_scalar(1, "x", mode=None)) is Fraction and type(check_scalar(0.5, "x", mode=None)) is float
+    assert KeyDistribution.from_json('["1/2", "1/2"]').mode == "rational"
+    assert KeyDistribution.from_json('["0.5", "0.5"]').mode == KeyDistribution.from_json("[0.5, 0.5]").mode == "float"
+    # elsewhere None names no mode
+    for call in ("parse_number", "uniform", "point_mass", "parse_security_level log10", "parse_security_level decimal"):
+        with pytest.raises(ValidationError, match="^unknown numeric mode None;"):
+            NAMED_MODE_CALLS[call](None)
+    for mode in MODES:
+        assert check_mode(mode) == mode
+        assert {type(NAMED_MODE_CALLS[call](mode)) for call in ("check_scalar", "parse_number")} == {
+            Fraction if mode == "rational" else float}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), True, np.bool_(True), None, "zz",
