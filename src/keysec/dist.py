@@ -227,14 +227,35 @@ def _json_array(text: str, what: str) -> list:
     return raw
 
 
+def _certified(rows: np.ndarray, slack: float, least: float) -> bool:
+    """Whether plain sums prove that every row of ``rows`` (finite float64, least entry
+    ``least``) has a correctly rounded sum within ``slack`` of 1.  False means only that
+    they cannot tell; the caller then sums each row correctly rounded.
+
+    Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2: in any order of its
+    N - 1 additions (NumPy's pairwise order too), the float sum ``s`` of N entries is
+    within ``g A / (1 - g)`` of their true sum ``T``, with ``u = 2**-53``,
+    ``g = (N - 1) u / (1 - (N - 1) u)`` and ``A`` the float sum of their magnitudes (``s``
+    when no entry is negative).  For ``N < 2**51`` that is below the rounded ``A N 2**-52``
+    used here.  The few operations here round by a relative ``4 u`` at most, so an
+    accepted row has ``|T - 1| <= slack - 2**-52``: ``T`` lies a float spacing inside
+    ``[1 - slack, 1 + slack]``, and so does its correctly rounded value.  From
+    ``N 2**-52 > slack`` (about ``2**22.1`` entries) no row is certified.
+    """
+    sums = rows.sum(axis=1).tolist()
+    mags = sums if least >= 0 else np.abs(rows).sum(axis=1).tolist()
+    return max(max(sums) - 1, 1 - min(sums)) + max(mags) * (rows.shape[1] * 2.0**-52) <= slack - 2.0**-51
+
+
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     """Validated read-only rows of ``width`` probabilities, from a Lattice or a flat
     sequence: float64 numerators over 1, or integer numerators (Fractions over the
     lcm of their denominators) in lowest terms, int64 while ``max * count`` fits.
     Every entry lies in ``[0, 1]``, within VALIDATION_TOL for floats, and every
     row sums to the denominator: exactly, or within VALIDATION_TOL by the correctly
-    rounded sum (the value `math.fsum` returns).
-    ``label(k)`` names row ``k`` in a refusal.
+    rounded sum (the value `math.fsum` returns), certified from plain sums and their
+    error bound (`_certified`) where that bound decides, and computed (`_total`) where
+    it does not.  ``label(k)`` names row ``k`` in a refusal.
     """
     exact = mode == "rational"
     nums, den = probs if isinstance(probs, Lattice) else (probs, 1)
@@ -246,11 +267,11 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     else:
         rows = np.array(nums, dtype=np.float64).reshape(-1, width)
     slack = 0 if exact else VALIDATION_TOL
-    top, most = den + slack, rows.max()
-    if not (rows.min() >= -slack and most <= top):  # NaN fails both comparisons
+    top, least, most = den + slack, rows.min(), rows.max()
+    if not (least >= -slack and most <= top):  # NaN fails both comparisons
         k, i = divmod(int(np.argmin((rows >= -slack) & (rows <= top))), width)
         raise ValidationError(f"{label(k)} entry {i} is {_shown(_over(rows[k, i], den), repr)}, outside [0, 1]")
-    for k, total in enumerate(_total(rows)):
+    for k, total in enumerate([] if not exact and _certified(rows, slack, least) else _total(rows)):
         if abs(total - den) > slack:
             tolerance = f" (tolerance {slack})" if slack else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
@@ -286,8 +307,10 @@ class KeyDistribution:
     beyond.  Construction (`_check_rows`) refuses NaN, infinities and
     entries outside ``[0, 1]``, then checks the total: exactly, or in
     float mode by the correctly rounded sum (the value `math.fsum`
-    returns; `_exact_sum` from ``_LONG_ROW`` entries) within
-    VALIDATION_TOL of 1.  A Lattice passed in must hold integer
+    returns) within VALIDATION_TOL of 1, certified by a plain sum's
+    error bound where the bound decides (`_certified`) and summed
+    correctly rounded where it does not (`_exact_sum` from ``_LONG_ROW``
+    entries).  A Lattice passed in must hold integer
     numerators.  ``probs``, the tuple of Python floats or Fractions that
     iteration uses, and the distance to the uniform law are computed on
     first use and cached; indexing, hashing and `repr` read the lattice.

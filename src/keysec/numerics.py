@@ -229,7 +229,10 @@ def check_scalar(
 def scalar_mode(*values) -> str:
     """The mode arithmetic over checked scalars and laws computes in: rational while every
     value is exact, float as soon as one is a float; a law or a probe model counts by its ``mode``."""
-    return "rational" if all((_kind(type(v)) or getattr(v, "mode", None)) == "rational" for v in values) else "float"
+    for v in values:  # a plain loop, its mode read first: the kind of a law needs no subclass check
+        if (getattr(v, "mode", None) or _kind(type(v))) != "rational":
+            return "float"
+    return "rational"
 
 
 def check_int(value, what: str, lo: int | None = 1, hi: int | None = None) -> int:

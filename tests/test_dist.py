@@ -32,7 +32,7 @@ from keysec import (
     statistical_distance,
     trace_distance,
 )
-from keysec.dist import _LONG_ROW, _exact_sum, _total
+from keysec.dist import _LONG_ROW, _certified, _check_rows, _exact_sum, _total
 from keysec.numerics import CAPS, VALIDATION_TOL
 
 P_RAT = [F(1, 2), F(1, 8), F(1, 8), F(1, 4)]
@@ -570,3 +570,96 @@ def test_no_bin_of_an_exact_sum_reaches_2_to_the_53():
     assert (1 << CAPS["key_bits"].limit) * 5 > run
     # frexp's exponents of finite doubles span -1073..1024: a bounded number of bins
     assert np.frexp(5e-324)[1] == -1073 and np.frexp(np.finfo(float).max)[1] == 1024
+
+
+# ---------------------------------------------------------------- certified totals
+
+
+def _fsum_verdict(rows: np.ndarray, label) -> str | None:
+    """The refusal a float table earns by its entries' range, then by the correctly rounded
+    sum of each row; None if it earns none."""
+    for k, row in enumerate(rows.tolist()):
+        for i, entry in enumerate(row):
+            if not -VALIDATION_TOL <= entry <= 1 + VALIDATION_TOL:
+                return f"{label(k)} entry {i} is {entry!r}, outside [0, 1]"
+    for k, row in enumerate(rows.tolist()):
+        total = math.fsum(row)
+        if abs(total - 1) > VALIDATION_TOL:
+            return f"{label(k)} sums to {total!r}, not 1 (tolerance {VALIDATION_TOL})"
+    return None
+
+
+@st.composite
+def _edge_tables(draw):
+    """Float tables (one row: a law; several: probe rows) whose rows' correctly rounded
+    totals sit at 1 or 1 +- VALIDATION_TOL, give or take a few ulps, some with entries
+    slightly below 0."""
+    width = draw(st.sampled_from([2, 3, 16, 255, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, 4096]))
+    count = draw(st.sampled_from([1, 1, 4, 64])) if width <= 16 else 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = rng.random((count, width)) ** draw(st.sampled_from([1, 4]))
+    rows /= rows.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        rows[rng.random(rows.shape) < 0.2] = -VALIDATION_TOL * rng.random()
+    for row in rows:
+        # move the largest entry so the correctly rounded total lands at the drawn target
+        target = 1 + draw(st.sampled_from([-1.0, 0.0, 1.0])) * VALIDATION_TOL
+        target += draw(st.integers(-4, 4)) * 2.0**-52
+        row[np.argmax(row)] += target - math.fsum(row.tolist())
+    return rows
+
+
+@settings(max_examples=300)
+@given(_edge_tables())
+def test_the_certified_total_keeps_the_correctly_rounded_verdict(rows):
+    count, width = rows.shape
+    label = ("distribution" if count == 1 else "conditional row {}").format
+    refusal = _fsum_verdict(rows, label)
+    try:
+        nums, den = _check_rows(rows.ravel(), "float", width, label)
+    except ValidationError as exc:
+        assert str(exc) == refusal
+    else:
+        assert refusal is None
+        assert den == 1 and nums.tobytes() == rows.tobytes()
+
+
+def test_certified_laws_and_probe_rows_skip_the_correctly_rounded_sum(monkeypatch):
+    def refuse(nums):
+        raise AssertionError("_total ran")
+
+    monkeypatch.setattr("keysec.dist._total", refuse)
+    rng = np.random.default_rng(29)
+    law = rng.random(1 << 16)
+    KeyDistribution(16, law / law.sum())
+    rows = rng.random((1 << 10, 16))
+    prior = rng.random(1 << 10)
+    ClassicalProbeModel(KeyDistribution(10, prior / prior.sum()), (rows / rows.sum(axis=1, keepdims=True)).tolist())
+
+
+def test_laws_the_bound_cannot_decide_reach_the_correctly_rounded_sum(monkeypatch):
+    calls = []
+
+    def counted(nums):
+        calls.append(nums.shape)
+        return _total(nums)
+
+    monkeypatch.setattr("keysec.dist._total", counted)
+    # 1,024 entries of (1 + 1e-9 - 1e-13) / 1024: the plain sum is within the tolerance,
+    # but its error bound, about 2.3e-13 at 1,024 entries, is wider than the room left
+    inside = np.full(_LONG_ROW, (1 + VALIDATION_TOL - 1e-13) / _LONG_ROW)
+    KeyDistribution(10, inside)
+    assert calls == [(1, _LONG_ROW)]
+    outside = np.full(_LONG_ROW, (1 + 2 * VALIDATION_TOL) / _LONG_ROW)
+    with pytest.raises(ValidationError, match=r"^distribution sums to 1\.000000002\d*, not 1 \(tolerance 1e-09\)$"):
+        KeyDistribution(10, outside)
+    assert calls == [(1, _LONG_ROW)] * 2
+
+
+def test_no_row_is_certified_where_the_summation_bound_exceeds_the_tolerance():
+    # gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) with u = 2**-53 passes VALIDATION_TOL at N = 2**24
+    size, u = 1 << 24, 2.0**-53
+    assert (size - 1) * u / (1 - (size - 1) * u) > VALIDATION_TOL
+    for bits in (22, 23, 24):  # entries 2**-bits sum to exactly 1, in every order
+        row = np.broadcast_to(2.0**-bits, (1, 1 << bits))
+        assert _certified(row, VALIDATION_TOL, 0.0) is (bits == 22)
