@@ -13,7 +13,8 @@ sampling -- so the information ordering
     p1_code_known_avg >= p1_mixture >= p1_no_code
 
 is checkable without Monte Carlo slack.  MAP guessing success, with a
-known code or the mixture, grows Hamming balls around each observation.
+known code or the mixture, grows Hamming balls around each observation's
+syndrome under the stacked parity rows, over ``2^rank`` syndromes.
 Posteriors and comparisons enumerate all ``2^n_data`` words, so they are
 capped by the ``data_bits`` entry of `keysec.numerics.CAPS`, and
 parity-check matrices by its ``matrix_bits`` entry.
@@ -26,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,20 +65,17 @@ def _read_bits(text: str, what: str) -> int:
     return int(text[::-1] or "0", 2)
 
 
-def _row_rank(rows: Sequence[int]) -> int:
-    pivots: dict = {}
-    rank = 0
+def _basis(rows) -> list:
+    """A reduced echelon basis of the GF(2) span of ``rows``, sorted by leading bit:
+    no basis row has a bit set at another row's leading bit."""
+    basis: list = []
     for row in rows:
-        cur = row
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead in pivots:
-                cur ^= pivots[lead]
-            else:
-                pivots[lead] = cur
-                rank += 1
-                break
-    return rank
+        for b in basis:
+            if row ^ b < row:  # row has b's leading bit
+                row ^= b
+        if row:  # a new leading bit, cleared from the other rows
+            basis = [b ^ row if b ^ row < b else b for b in basis] + [row]
+    return sorted(basis)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class ParityCheckMatrix:
             raise ValidationError("parity-check matrix needs at least one row")
         if len(rows) > n_data:
             raise ValidationError(f"{len(rows)} checks cannot be independent over {n_data} bits")
-        if _row_rank(rows) != len(rows):
+        if len(_basis(rows)) != len(rows):
             raise ValidationError("parity-check rows are linearly dependent (need full row rank)")
         object.__setattr__(self, "n_data", n_data)
         object.__setattr__(self, "rows", rows)
@@ -146,7 +144,7 @@ def random_parity_check(n_data: int, n_checks: int, rng: random.Random) -> Parit
     n_checks = check_int(n_checks, "check count", hi=n_data + 1)
     for _ in range(1000):
         rows = [rng.randrange(1, 1 << n_data) for _ in range(n_checks)]
-        if _row_rank(rows) == n_checks:
+        if len(_basis(rows)) == n_checks:
             return ParityCheckMatrix(n_data, rows)
     raise RuntimeError("could not draw an independent parity-check matrix")
 
@@ -268,26 +266,51 @@ def mixture_posterior(
     return KeyDistribution(n, Lattice(post, total) if exact else post / total)
 
 
-def _map_success(prior: np.ndarray, like_by_weight: np.ndarray, n: int) -> float:
-    """Success of the best guess of x from y: sum_y max_x prior(x) L(x XOR y).
+def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:
+    """Success of the best guess of x from y: sum_y max_x prior(x) L(x XOR y),
+    for the `_code_prior` of the ``(code, weight)`` pairs ``chosen``.
 
     L falls as the flip count grows (q <= 1/2), so the best x within w flips
     of y is the heaviest word in the radius-w Hamming ball around y.  The
     ball grows one flip per radius, scored at L(w), until it stops growing;
     float products are monotone, so the bits are those of the max over all
     x.  The per-y maxima are summed in y order.
+
+    The balls grow on syndromes, not words.  With the stacked parity rows
+    row-reduced to r rows, a word's syndrome holds its r checks, and whether
+    it lies in a code is linear in them, so the prior is a function of the
+    syndrome.  Flipping bit i adds column i to the syndrome, so the syndrome
+    map sends the radius-w ball around y onto the radius-w ball around y's
+    syndrome, and every ball maximum, stopping radius and product is the
+    same float on the 2^r syndromes as on the 2^n words.  The basis is
+    reduced echelon, so the column of row j's leading bit is syndrome bit j.
     """
-    ball, best = prior, prior * like_by_weight[0]
+    chosen = list(chosen)
+    basis = _basis(row for code, _ in chosen for row in code.rows)
+    columns = [0] * n  # column i holds bit i of every basis row
+    for j, b in enumerate(basis):
+        for i in range(b.bit_length()):
+            columns[i] |= (b >> i & 1) << j
+    syndrome = np.zeros(1 << n, np.intp)
+    for i, column in enumerate(columns):  # word x + 2^i has the syndrome of x plus column i
+        np.bitwise_xor(syndrome[: 1 << i], column, out=syndrome[1 << i : 2 << i])
+    ball = np.empty(1 << len(basis))
+    ball[syndrome] = _code_prior(chosen, n, False).nums
+    best = ball * like_by_weight[0]
+    # columns of two or more syndrome bits; a single bit is a pair axis below
+    gathers = [np.arange(len(ball)) ^ c for c in set(columns) if c & (c - 1)]
     for w in range(1, n + 1):
         grown = ball.copy()
-        for j in range(n):  # ball[y ^ 2^j] is the pair axis of this view reversed
+        for j in range(len(basis)):  # ball[s ^ 2^j] is the pair axis of this view reversed
             pairs = grown.reshape(-1, 2, 1 << j)
             np.maximum(pairs, ball.reshape(-1, 2, 1 << j)[:, ::-1], out=pairs)
+        for index in gathers:
+            np.maximum(grown, ball[index], out=grown)
         if np.array_equal(grown, ball):
             break  # every later radius scores this ball at a smaller L
         ball = grown
         best = np.maximum(best, ball * like_by_weight[w])
-    return float(np.add.accumulate(best)[-1])
+    return float(np.add.accumulate(best[syndrome])[-1])
 
 
 def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageComparison:
@@ -310,10 +333,10 @@ def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageCo
     like_by_weight = np.power(q, ws) * np.power(1.0 - q, n - ws)
     weights = [float(w) for w in ensemble.weights]
     known = sum(
-        w * _map_success(_code_prior([(code, Fraction(1))], n, False).nums, like_by_weight, n)
+        w * _map_success([(code, Fraction(1))], like_by_weight, n)
         for w, code in zip(weights, ensemble.codes)
     )
-    mixture = _map_success(_code_prior(zip(ensemble.codes, weights), n, False).nums, like_by_weight, n)
+    mixture = _map_success(zip(ensemble.codes, weights), like_by_weight, n)
     no_code = (1.0 - q) ** n
     return LeakageComparison(
         p1_no_code=no_code, p1_code_known_avg=float(known), p1_mixture=float(mixture)

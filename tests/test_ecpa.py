@@ -334,11 +334,56 @@ def test_map_success_matches_the_brute_force_oracle():
         for trial in range(2 if n > 10 else 4):
             codes = [random_parity_check(n, rng.randint(1, n), rng) for _ in range(rng.randint(1, 12))]
             weights = [rng.random() + 0.01 for _ in codes]
-            prior = ecpa._code_prior(zip(codes, [w / sum(weights) for w in weights]), n, False).nums
+            chosen = list(zip(codes, [w / sum(weights) for w in weights]))
+            prior = ecpa._code_prior(chosen, n, False).nums
             for q in (0.0, 0.5, near_half[trial], rng.random() / 2):
                 like = np.power(q, flips) * np.power(1.0 - q, n - flips)
-                got = ecpa._map_success(prior, like, n)
+                got = ecpa._map_success(chosen, like, n)
                 assert got.hex() == oracles.map_success_float_oracle(prior, like).hex(), (n, trial, q)
+
+
+def test_map_success_keeps_its_bits_on_stacks_random_codes_rarely_reach():
+    # full stacked rank, rank 1, the code {0} and twelve copies of one code
+    rng = random.Random(2020)
+    near_half = [float(np.nextafter(0.5, 0))]
+    for _ in range(3):
+        near_half.append(float(np.nextafter(near_half[-1], 0)))
+    for n in (1, 2, 5, 8, 10):
+        single = random_parity_check(n, 1, rng)
+        zero = ParityCheckMatrix(n, [1 << i for i in range(n)])
+        full = [random_parity_check(n, rng.randint(1, max(1, n // 2)), rng)]
+        while len(ecpa._basis(row for code in full for row in code.rows)) < n:
+            full.append(random_parity_check(n, rng.randint(1, max(1, n // 2)), rng))
+        copied = random_parity_check(n, rng.randint(1, n), rng)
+        stacks = [
+            ("full rank", full, n),
+            ("rank 1", [single] * 3, 1),
+            ("the code {0}", [zero], n),
+            ("twelve copies", [copied] * 12, copied.n_checks),
+        ]
+        flips = np.arange(n + 1, dtype=float)
+        for name, codes, rank in stacks:
+            assert len(ecpa._basis(row for code in codes for row in code.rows)) == rank
+            weights = [rng.random() + 0.01 for _ in codes]
+            chosen = list(zip(codes, [w / sum(weights) for w in weights]))
+            prior = ecpa._code_prior(chosen, n, False).nums
+            for q in (0.0, 0.5, *near_half, rng.random() / 2):
+                like = np.power(q, flips) * np.power(1.0 - q, n - flips)
+                got = ecpa._map_success(chosen, like, n)
+                assert got.hex() == oracles.map_success_float_oracle(prior, like).hex(), (n, name, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
+def test_basis_is_reduced_echelon_with_the_rank_of_the_span(rows):
+    basis = ecpa._basis(rows)
+    leads = [b.bit_length() - 1 for b in basis]
+    assert 0 not in basis and leads == sorted(set(leads))
+    assert all(not (b >> lead & 1) for lead in leads for b in basis if b.bit_length() - 1 != lead)
+    span = {0}
+    for row in rows:
+        span |= {s ^ row for s in span}
+    assert len(span) == 1 << len(basis) and set(basis) <= span
 
 
 def test_single_code_known_equals_mixture_exactly():
