@@ -12,10 +12,10 @@ sampling -- so the information ordering
 
     p1_code_known_avg >= p1_mixture >= p1_no_code
 
-is checkable without Monte Carlo slack.  MAP guessing success, with a
-known code or the mixture, grows Hamming balls around each observation's
-syndrome under the stacked parity rows, over ``2^rank`` syndromes.
-Posteriors and comparisons enumerate all ``2^n_data`` words, so they are
+is checkable without Monte Carlo slack.  The code prior and the MAP
+Hamming balls, with a known code or the mixture, live on the ``2^rank``
+syndromes of the stacked parity rows; mapping words to syndromes, the
+posterior and the MAP total visit all ``2^n_data`` words, so they are
 capped by the ``data_bits`` entry of `keysec.numerics.CAPS`, and
 parity-check matrices by its ``matrix_bits`` entry.
 """
@@ -172,7 +172,7 @@ class CodeEnsemble:
             raise ValidationError("all codes in an ensemble must share the data length")
         mode = infer_mode(weights)
         if mode == "rational":
-            weights = tuple(Fraction(w) for w in weights)
+            weights = tuple(check_scalar(w, "ensemble weight", mode=mode) for w in weights)
         _check_rows(weights, mode, len(weights), "ensemble weights".format)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "weights", weights)
@@ -210,17 +210,48 @@ def _as_word(observation, n: int) -> int:
     return word
 
 
-def _code_prior(chosen, n: int, exact: bool) -> Lattice:
+def _xor_span(vectors) -> np.ndarray:
+    """Entry x is the XOR of ``vectors[i]`` over the bits i of x, built by doubling."""
+    span = np.zeros(1 << len(vectors), np.intp)
+    for i, vector in enumerate(vectors):  # x + 2^i adds vector i to x
+        np.bitwise_xor(span[: 1 << i], vector, out=span[1 << i : 2 << i])
+    return span
+
+
+def _code_prior(chosen, n: int, exact: bool) -> tuple:
     """Prior of a uniform codeword of a code drawn by weight from ``(code, weight)``
-    pairs: integer numerators over the lcm of the shares ``weight / |C|`` when
-    exact, float64 over 1 otherwise; a word's shares add in the pairs' order."""
+    pairs on the syndromes of the stacked parity rows, with the map from words to
+    syndromes: integer numerators over the lcm of the shares ``weight / |C|`` when
+    exact, float64 over 1 otherwise, a syndrome's shares added in the pairs' order.
+
+    Bit j of x's syndrome is the parity of x and row j of the `_basis` of the rows.
+    Only basis row j has a bit at its leading bit, pivot j, so a code's row is the
+    sum of the basis rows at whose pivots it has a bit, and x meets it when x's
+    syndrome and those coordinates share an even count of bits.  So x lies in a
+    code when its syndrome is in the null space of the code's coordinates, spanned
+    by one vector per coordinate that leads no reduced row, and word x's prior is
+    ``prior[syndrome[x]]``, its shares added in the same order.
+    """
+    chosen = list(chosen)
+    basis = _basis(row for code, _ in chosen for row in code.rows)
+    columns = [0] * n  # column i holds bit i of every basis row
+    for j, b in enumerate(basis):
+        for i in range(b.bit_length()):
+            columns[i] |= (b >> i & 1) << j
+    syndrome = _xor_span(columns)
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)  # column of pivot j is 2^j
     # the rows have full rank, so |C| = 2^(n - checks) and a float share scales exactly
-    shares = [(code._words, weight / (1 << (n - code.n_checks))) for code, weight in chosen]
+    shares = [(code.rows, weight / (1 << (n - code.n_checks))) for code, weight in chosen]
     den = math.lcm(*(share.denominator for _, share in shares)) if exact else 1
-    prior = _wide(np.zeros(1 << n, np.int64), den) if exact else np.zeros(1 << n)  # no entry passes den
-    for words, share in shares:
-        prior[words] += share.numerator * (den // share.denominator) if exact else float(share)
-    return Lattice(prior, den)
+    size = 1 << len(basis)
+    prior = _wide(np.zeros(size, np.int64), den) if exact else np.zeros(size)  # no entry passes den
+    for rows, share in shares:
+        reduced = _basis(syndrome[np.array(rows) & pivots].tolist())  # the code's rows in coordinates
+        leads = {b.bit_length() - 1: b for b in reduced}
+        free = [f for f in range(len(basis)) if f not in leads]
+        null = [1 << f | sum(1 << lead for lead, b in leads.items() if b >> f & 1) for f in free]
+        prior[_xor_span(null)] += share.numerator * (den // share.denominator) if exact else float(share)
+    return Lattice(prior, den), syndrome
 
 
 def mixture_posterior(
@@ -253,10 +284,10 @@ def mixture_posterior(
         if not 0 <= code_index < len(ensemble.codes):
             raise ValidationError(f"code index {_shown(code_index)} outside the {len(ensemble.codes)}-code ensemble")
         chosen = [(ensemble.codes[code_index], Fraction(1))]
-    prior, den = _code_prior(chosen, n, exact)
+    (prior, den), syndrome = _code_prior(chosen, n, exact)
     # likelihood up^c down^(n - c) of c flips: a^c (b - a)^(n - c) over b^n when exact
     up, down = (q.numerator, q.denominator - q.numerator) if exact else (q, 1 - q)
-    prior = _wide(prior, den * (up + down) ** n)  # the posterior's numerators and total fit
+    prior = _wide(prior[syndrome], den * (up + down) ** n)  # the posterior's numerators and total fit
     flips = np.bitwise_count(np.arange(1 << n) ^ y)
     post = prior * np.array([up**c for c in range(n + 1)], dtype=prior.dtype)[flips]
     post = post * np.array([down ** (n - c) for c in range(n + 1)], dtype=prior.dtype)[flips]
@@ -276,36 +307,23 @@ def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:
     float products are monotone, so the bits are those of the max over all
     x.  The per-y maxima are summed in y order.
 
-    The balls grow on syndromes, not words.  With the stacked parity rows
-    row-reduced to r rows, a word's syndrome holds its r checks, and whether
-    it lies in a code is linear in them, so the prior is a function of the
-    syndrome.  Flipping bit i adds column i to the syndrome, so the syndrome
-    map sends the radius-w ball around y onto the radius-w ball around y's
-    syndrome, and every ball maximum, stopping radius and product is the
-    same float on the 2^r syndromes as on the 2^n words.  The basis is
-    reduced echelon, so the column of row j's leading bit is syndrome bit j.
+    The balls grow on the 2^r syndromes of `_code_prior`, not on words, and
+    no bit changes.  The prior is a function of the syndrome, with each
+    syndrome's shares added in the order a word's are, so
+    ``prior[syndrome[x]]`` is word x's float.  Flipping bit i adds column i,
+    ``syndrome[2^i]``, to the syndrome, so the syndrome map sends the radius-w
+    ball around y onto the radius-w ball around y's syndrome; one gather over
+    the distinct columns (and 0) grows every ball by one flip, and a max picks
+    one exact product, so every ball maximum, stopping radius and product is
+    the same float.  ``best[syndrome]`` gives each y its maximum, added in y
+    order as on the words.
     """
-    chosen = list(chosen)
-    basis = _basis(row for code, _ in chosen for row in code.rows)
-    columns = [0] * n  # column i holds bit i of every basis row
-    for j, b in enumerate(basis):
-        for i in range(b.bit_length()):
-            columns[i] |= (b >> i & 1) << j
-    syndrome = np.zeros(1 << n, np.intp)
-    for i, column in enumerate(columns):  # word x + 2^i has the syndrome of x plus column i
-        np.bitwise_xor(syndrome[: 1 << i], column, out=syndrome[1 << i : 2 << i])
-    ball = np.empty(1 << len(basis))
-    ball[syndrome] = _code_prior(chosen, n, False).nums
+    (ball, _), syndrome = _code_prior(chosen, n, False)
     best = ball * like_by_weight[0]
-    # columns of two or more syndrome bits; a single bit is a pair axis below
-    gathers = [np.arange(len(ball)) ^ c for c in set(columns) if c & (c - 1)]
+    columns = {0, *syndrome[1 << np.arange(n)].tolist()}  # flipping bit i adds syndrome[2^i]
+    neighbours = np.array(list(columns))[:, None] ^ np.arange(len(ball))  # row c: s XOR c for each s
     for w in range(1, n + 1):
-        grown = ball.copy()
-        for j in range(len(basis)):  # ball[s ^ 2^j] is the pair axis of this view reversed
-            pairs = grown.reshape(-1, 2, 1 << j)
-            np.maximum(pairs, ball.reshape(-1, 2, 1 << j)[:, ::-1], out=pairs)
-        for index in gathers:
-            np.maximum(grown, ball[index], out=grown)
+        grown = ball[neighbours].max(axis=0)
         if np.array_equal(grown, ball):
             break  # every later radius scores this ball at a smaller L
         ball = grown

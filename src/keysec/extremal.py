@@ -42,7 +42,11 @@ class EventSpec:
     members: frozenset
 
     def __init__(self, members):
-        values = frozenset(check_int(m, "event member", lo=0) for m in members)
+        members = list(members)  # `from_text` passes a generator
+        if set(map(type, members)) == {int} and min(members) >= 0:
+            values = frozenset(members)
+        else:  # bools, numpy integers, other types, negative members or none: check each
+            values = frozenset(check_int(m, "event member", lo=0) for m in members)
         if not values:
             raise ValidationError("event must contain at least one key value")
         object.__setattr__(self, "members", values)

@@ -6,6 +6,7 @@ Fraction arithmetic and no numpy.
 """
 
 import dataclasses
+import math
 import random
 import re
 import time
@@ -182,6 +183,8 @@ def test_ensemble_weight_checks():
     codes = [ParityCheckMatrix.from_text(t) for t in (C1_TEXT, C2_TEXT, "1111")]
     ens = CodeEnsemble(codes, (F(1, 3),) * 3)  # exact total, no rounding
     assert all(type(w) is F for w in ens.weights)
+    ints = CodeEnsemble(codes[:2], (1, 0))  # ints are exact weights, read as Fractions
+    assert ints.weights == (1, 0) and [type(w) for w in ints.weights] == [F, F]
     assert CodeEnsemble(codes[:2], (0.5, 0.5 + 1e-12)).weights == (0.5, 0.5 + 1e-12)  # float slack
     for weights, message in (
         ((F(1, 2), F(1, 3)), "ensemble weights sums to 5/6, not 1"),
@@ -322,6 +325,17 @@ def test_float_results_keep_their_bits():
     )
 
 
+def _oracle_prior(chosen, n):
+    """The code prior from the reference codewords, each word's shares
+    ``weight / |C|`` added in the order of the ``(code, weight)`` pairs."""
+    prior = [0.0 if isinstance(chosen[0][1], float) else F(0)] * (1 << n)
+    for code, weight in chosen:
+        words = oracles.enumerate_codewords(code.rows, n)
+        for x in words:
+            prior[x] += weight / len(words)
+    return prior
+
+
 def test_map_success_matches_the_brute_force_oracle():
     # q = 1/2 and the doubles just below it make the float likelihoods of
     # neighbouring flip counts nearly equal
@@ -335,7 +349,7 @@ def test_map_success_matches_the_brute_force_oracle():
             codes = [random_parity_check(n, rng.randint(1, n), rng) for _ in range(rng.randint(1, 12))]
             weights = [rng.random() + 0.01 for _ in codes]
             chosen = list(zip(codes, [w / sum(weights) for w in weights]))
-            prior = ecpa._code_prior(chosen, n, False).nums
+            prior = _oracle_prior(chosen, n)
             for q in (0.0, 0.5, near_half[trial], rng.random() / 2):
                 like = np.power(q, flips) * np.power(1.0 - q, n - flips)
                 got = ecpa._map_success(chosen, like, n)
@@ -343,7 +357,8 @@ def test_map_success_matches_the_brute_force_oracle():
 
 
 def test_map_success_keeps_its_bits_on_stacks_random_codes_rarely_reach():
-    # full stacked rank, rank 1, the code {0} and twelve copies of one code
+    # full stacked rank, rank 1, the code {0}, twelve copies of one code, a data
+    # bit in no check (a zero column) and two data bits in the same checks
     rng = random.Random(2020)
     near_half = [float(np.nextafter(0.5, 0))]
     for _ in range(3):
@@ -361,12 +376,19 @@ def test_map_success_keeps_its_bits_on_stacks_random_codes_rarely_reach():
             ("the code {0}", [zero], n),
             ("twelve copies", [copied] * 12, copied.n_checks),
         ]
+        if n > 1:
+            narrow = [random_parity_check(n - 1, rng.randint(1, n - 1), rng) for _ in range(3)]
+            # bit 0 in no row; bit n - 1 in the rows that hold bit 0
+            unchecked = [ParityCheckMatrix(n, [row << 1 for row in c.rows]) for c in narrow]
+            twin = [ParityCheckMatrix(n, [row | (row & 1) << (n - 1) for row in c.rows]) for c in narrow]
+            rank = len(ecpa._basis(row for code in narrow for row in code.rows))
+            stacks += [("a bit in no check", unchecked, rank), ("two equal columns", twin, rank)]
         flips = np.arange(n + 1, dtype=float)
         for name, codes, rank in stacks:
             assert len(ecpa._basis(row for code in codes for row in code.rows)) == rank
             weights = [rng.random() + 0.01 for _ in codes]
             chosen = list(zip(codes, [w / sum(weights) for w in weights]))
-            prior = ecpa._code_prior(chosen, n, False).nums
+            prior = _oracle_prior(chosen, n)
             for q in (0.0, 0.5, *near_half, rng.random() / 2):
                 like = np.power(q, flips) * np.power(1.0 - q, n - flips)
                 got = ecpa._map_success(chosen, like, n)
@@ -493,6 +515,42 @@ def test_float_posterior_is_summed_left_to_right():
                 total += x
             res = mixture_posterior(ensemble, format(y, f"0{n}b")[::-1], EveChannel(q), hidden, 0)
             assert [v.hex() for v in res.probs] == [(x / total).hex() for x in post]
+
+
+def test_compare_and_posterior_never_enumerate_codewords(monkeypatch):
+    def enumerate_words(code):
+        raise AssertionError("codewords enumerated")
+
+    monkeypatch.setattr(ParityCheckMatrix, "_words", property(enumerate_words))
+    rng = random.Random(47)
+    for n, codes, weights, q in _seeded_ensembles(rng, 8):
+        for ws, crossover in ((weights, q), ([float(w) for w in weights], float(q))):
+            ensemble = CodeEnsemble(codes, ws)
+            leakage_comparison(ensemble, EveChannel(crossover))
+            for hidden in (True, False):
+                mixture_posterior(ensemble, "0" * n, EveChannel(crossover), hidden, len(codes) - 1)
+    with pytest.raises(AssertionError, match="codewords enumerated"):
+        codes[0].codewords()
+
+
+def test_syndrome_prior_gathered_to_words_is_the_oracle_prior():
+    rng = random.Random(61)
+    cases = [(n, codes, weights) for n, codes, weights, _ in _seeded_ensembles(rng, 12)]
+    wide = [random_parity_check(6, 2, rng), random_parity_check(6, 3, rng)]
+    cases.append((6, wide, [F(1, 3**40), 1 - F(1, 3**40)]))  # a denominator past int64
+    repeated = [random_parity_check(10, k, rng) for k in (2, 5, 9)]
+    cases.append((10, repeated + repeated[:1], [F(1, 4)] * 4))
+    for n, codes, weights in cases:
+        for chosen in (list(zip(codes, weights)), [(codes[-1], F(1))]):
+            (nums, den), syndrome = ecpa._code_prior(chosen, n, True)
+            shares = [w / len(oracles.enumerate_codewords(c.rows, n)) for c, w in chosen]
+            assert den == math.lcm(*(share.denominator for share in shares))
+            assert nums.dtype == (object if den >= 1 << 63 else np.int64)
+            assert [F(int(v), den) for v in nums[syndrome]] == _oracle_prior(chosen, n)
+            floats = [(c, float(w)) for c, w in chosen]
+            (nums, den), syndrome = ecpa._code_prior(floats, n, False)
+            assert den == 1 and nums.dtype == np.float64
+            assert [v.hex() for v in nums[syndrome]] == [v.hex() for v in _oracle_prior(floats, n)]
 
 
 @pytest.mark.parametrize("up,down,dtype", [

@@ -9,6 +9,7 @@ objective, scipy HiGHS) in `_oracles.lp_max_conditional_deviation`.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from keysec import (
     max_conditional_deviation,
     statistical_distance,
 )
+from keysec.numerics import check_int
 
 
 # ---------------------------------------------------------------- events
@@ -312,6 +314,33 @@ def test_event_bound_holds_always(raw, mask):
     members = tuple(i for i in range(8) if (mask >> i) & 1)
     rep = check_event_bound(p, q, EventSpec(members))
     assert rep.holds and rep.gap <= rep.distance
+
+
+def _per_member(members):
+    """The reference reading of an event: each member through `check_int`, then the empty-event refusal."""
+    values = frozenset(check_int(m, "event member", lo=0) for m in members)
+    if not values:
+        raise ValidationError("event must contain at least one key value")
+    return values
+
+
+@pytest.mark.parametrize("members", [
+    (0,), (5, 0, 1), [3, 3, 3], {7, 2}, range(1, 9), (2**80, 0), [0] * 5,
+    (True,), (1, False), (np.int64(3),), (2, np.uint8(4)), (np.int64(-1), 2),
+    (-1,), (4, -2, 5), (0.0,), (1, 2.5), ("1",), (None,), (F(1),), (), [],
+])
+def test_event_members_read_as_the_per_member_check_reads_them(members):
+    # a generator is read once, as `from_text` passes it
+    for given_as in (members, (m for m in members)):
+        try:
+            expected = _per_member(members)
+        except ValidationError as refusal:
+            with pytest.raises(ValidationError) as got:
+                EventSpec(given_as)
+            assert str(got.value) == str(refusal)
+        else:
+            event = EventSpec(given_as)
+            assert event.members == expected and set(map(type, event.members)) == {int}
 
 
 def test_an_unreadable_event_is_echoed_once():
