@@ -69,15 +69,8 @@ __all__ = [
 
 _INT64_LIMIT = 1 << 63
 
-#: the separators of a plain array's text: its ASCII digits deleted
-_SEPARATORS = str.maketrans("", "", "0123456789")
-
-#: a plain array's text with every ASCII digit as "0"
-_SHAPE = str.maketrans("123456789", "000000000")
-
-#: 19 digits in a row: a part that `np.fromstring` may not read as int64, since past
-#: ``2**63 - 1`` it saturates silently (``"99999999999999999999"`` reads as ``2**63 - 1``)
-_LONG_PART = "0" * 19
+#: a plain array's bytes with each "/" read as the separator ","
+_PARTS = bytes.maketrans(b"/", b",")
 
 #: float rows of this many entries and more are summed by `_exact_sum`, shorter ones by `math.fsum`
 _LONG_ROW = 1024
@@ -162,12 +155,15 @@ def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
 
 
 def _integers(nums, what: str) -> np.ndarray:
-    """Integer numerators in int64, or as Python ints beyond; other entries are refused."""
+    """Integer numerators in int64, or as Python ints beyond; other entries are refused.  An
+    ``object`` array of Python ints, which its maker chose, is kept: no int64 cast is tried."""
     if isinstance(nums, np.ndarray) and nums.dtype == np.int64:
         return nums
     values = nums.ravel().tolist() if isinstance(nums, np.ndarray) else list(nums)
     if set(map(type, values)) - {int}:
         values = [check_int(a, what, lo=None) for a in values]
+    elif isinstance(nums, np.ndarray) and nums.dtype == object:
+        return nums.ravel()
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -195,23 +191,45 @@ def _over_lcm(nums, dens) -> Lattice:
     return Lattice(_wide(nums, top * (den // lo)) * (den // _wide(dens, den)), den)
 
 
-def _plain_lattice(text: str, count: int) -> Lattice | None:
-    """The ``count`` comma-joined entries of ``text``, all ``"a/b"`` (``b > 0``) with
-    parts of at most 18 ASCII digits, as one Lattice of numerators over the lcm of
-    their denominators; None for any other text.
+def _law_bits(count: int) -> int:
+    """The key length of a dense law of ``count`` entries, checked before any entry is read: a
+    count that is not a power of two >= 2 is refused, and so is one past the ``key_bits`` cap."""
+    n = count.bit_length() - 1
+    if n < 1 or 1 << n != count:
+        raise ValidationError(f"length {count} is not a power of two >= 2")
+    return check_key_bits(n)
 
-    The text is read in whole-text passes.  With its digits deleted it must read
-    ``"/,/,...,/"``, and no part between separators may be empty or run to 19 digits
-    (past ``2**63 - 1`` `np.fromstring` saturates silently); one `np.fromstring`
-    reads the parts as int64.
+
+def _plain_lattice(text: str) -> Lattice | None:
+    """The JSON text ``text`` when it is a plain array, ``["a/b", ...]`` with every part ASCII
+    digits, ``b > 0`` and ``", "`` (what `json.dumps` writes) or ``","`` between entries, as one
+    Lattice of numerators over the lcm of their denominators; None for any other text.
+
+    The text is read as bytes in whole-text passes, with no JSON decode.  With its ASCII digits
+    deleted it must read ``["/", "/", ..., "/"]`` (one separator throughout), with no digit inside
+    a separator and none after the closing ``"]``: then every digit lies in a part.  The count of
+    slashes is checked as a law's length (`_law_bits`, which may refuse) before any number is
+    read.  One translate leaves ``a,b,a,b,...`` and one `np.fromstring` reads its parts as int64;
+    an empty part stops that read short (numpy raises, or reads fewer numbers).  Past
+    ``2**63 - 1`` `np.fromstring` saturates silently (``"99999999999999999999"`` reads as
+    ``2**63 - 1``), so a part read as ``2**63 - 1`` leaves the text to the JSON reader, and so
+    does a zero denominator, which `parse_number` refuses.
     """
-    if text.translate(_SEPARATORS) != "/," * (count - 1) + "/":
+    if not (isinstance(text, str) and text.startswith('["') and text.isascii()):
         return None
-    parts = text.replace("/", ",")
-    if ",," in f",{parts}," or _LONG_PART in parts.translate(_SHAPE):
+    data = text.encode()
+    shape = data.translate(None, b"0123456789")
+    count = shape.count(b"/")
+    sep = b'", "' if shape[5:6] == b" " else b'","'
+    plain = shape == b'["/' + (sep + b"/") * (count - 1) + b'"]'
+    if not (plain and data.endswith(b'"]') and data.count(sep) == count - 1):
         return None
-    values = np.fromstring(parts, dtype=np.int64, sep=",")
-    if values[1::2].min() < 1:  # a zero denominator, which parse_number refuses
+    _law_bits(count)
+    try:
+        values = np.fromstring(data.translate(_PARTS, b'[" ]'), dtype=np.int64, sep=",")
+    except ValueError:  # an empty part, inside or first
+        return None
+    if values.size != 2 * count or values.max() >= _INT64_LIMIT - 1 or values[1::2].min() < 1:
         return None
     return _over_lcm(values[0::2], values[1::2])
 
@@ -275,8 +293,8 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
         if abs(total - den) > slack:
             tolerance = f" (tolerance {slack})" if slack else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
-    if exact:
-        common = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
+    if exact:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
+        common = math.gcd(den, *rows.ravel().tolist() if rows.dtype == object else [np.gcd.reduce(rows, axis=None)])
         if common > 1:
             rows, den, most = rows // common, den // common, most // common
         rows = rows.astype(np.int64 if int(most) * rows.size < _INT64_LIMIT else object)
@@ -406,24 +424,27 @@ class KeyDistribution:
     def from_json(cls, text: str, mode: str | None = None) -> "KeyDistribution":
         """Inverse of :meth:`to_json`.
 
-        The length is checked before any entry is read: one that is not a
-        power of two >= 2 is refused, and so is one past the ``key_bits``
-        cap (`ResourceLimitError`).  ``mode`` forces the backend; when
-        omitted, an array with a ``/`` in any entry is read exactly and any
-        other as floats.  Entries are read as their string forms.  In
-        rational mode, an array of ``"a/b"`` entries with parts of at most
-        18 ASCII digits is read in whole-text passes (`_plain_lattice`), and
-        any other entry by entry by `parse_number`, with its values and
-        refusals; both paths put the numerators over their lcm through
-        `_over_lcm`, which refuses an lcm past the ``denominator_bits`` cap
-        (`ResourceLimitError`) before any numerator is scaled.  An array of
-        JSON floats read as floats is taken as it is: the same values.
+        The length is checked before any entry is read (`_law_bits`): one
+        that is not a power of two >= 2 is refused, and so is one past the
+        ``key_bits`` cap (`ResourceLimitError`).  ``mode`` forces the
+        backend; when omitted, an array with a ``/`` in any entry is read
+        exactly and any other as floats.  Entries are read as their string
+        forms.  Unless ``mode`` is ``"float"``, a plain array of ``"a/b"``
+        entries, as `to_json` and `json.dumps` write it or with ``","``
+        between entries, is read from the JSON text itself in whole-text
+        passes (`_plain_lattice`).  Any other text is decoded as JSON and,
+        in rational mode, read entry by entry by `parse_number`, with its
+        values and refusals; both paths put the numerators over their lcm
+        through `_over_lcm`, which refuses an lcm past the
+        ``denominator_bits`` cap (`ResourceLimitError`) before any numerator
+        is scaled.  An array of JSON floats read as floats is taken as it
+        is: the same values.
         """
+        probs = _plain_lattice(text) if mode is None or mode == "rational" else None
+        if probs is not None:
+            return cls(len(probs.nums).bit_length() - 1, probs)
         raw = _json_array(text, "distribution")
-        n = len(raw).bit_length() - 1
-        if 1 << n != len(raw) or n < 1:
-            raise ValidationError(f"length {len(raw)} is not a power of two >= 2")
-        check_key_bits(n)
+        n = _law_bits(len(raw))
         if (mode is None or check_mode(mode) == "float") and set(map(type, raw)) == {float}:
             probs = np.array(raw)  # float(repr(x)) == x, NaN and infinities included
         else:
@@ -434,9 +455,7 @@ class KeyDistribution:
                 text = ",".join(raw)
             if mode is None:
                 mode = "rational" if "/" in text else "float"
-            probs = _plain_lattice(text, len(raw)) if mode == "rational" else None
-            if probs is None:
-                probs = [parse_number(e, mode) for e in raw]
+            probs = [parse_number(e, mode) for e in raw]
         return cls(n, probs)
 
     def __len__(self) -> int:

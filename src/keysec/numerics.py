@@ -135,10 +135,14 @@ def resolve_mode(mode: str | None = None) -> str:
     return check_mode((os.environ.get(MODE_ENV_VAR) or "float") if mode is None else mode)
 
 
+#: the exact rational types, looked up before the subclass test against the `Fraction` ABC
+_RATIONALS = frozenset({int, Fraction})
+
+
 def _kind(t: type) -> str | None:
     if issubclass(t, float):
         return "float"
-    if issubclass(t, (int, Fraction)) and not issubclass(t, bool):
+    if t in _RATIONALS or issubclass(t, (int, Fraction)) and not issubclass(t, bool):
         return "rational"
     return None
 

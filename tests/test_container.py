@@ -152,6 +152,19 @@ def test_lattice_is_canonical_and_widens_for_large_numerators():
     assert KeyDistribution(2, small.lattice._replace(nums=small.lattice.nums * 3, den=24)) == small
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("nums, den, stored", [
+    ([1, 1, 2, 4], 8, np.int64), ([3, 3, 6, 12], 24, np.int64), ([1, 1, 1, 2**70 - 3], 2**70, object),
+], ids=["reduced", "unreduced", "wide"])
+def test_a_lattice_passed_in_is_stored_as_a_read_only_copy(dtype, nums, den, stored):
+    given = np.array(nums, dtype=dtype if max(nums) < 2**63 else object)
+    law = KeyDistribution(2, Lattice(given, den))
+    assert law.lattice.nums.dtype == stored and not law.lattice.nums.flags.writeable
+    assert given.flags.writeable
+    given[0] = 0
+    assert law.lattice.nums.tolist() == [a // math.gcd(den, *nums) for a in nums]
+
+
 @pytest.mark.parametrize("n", [1, 8, 16])
 def test_exact_uniform_law_is_the_lattice_of_its_fractions(n):
     law = KeyDistribution.uniform(n, mode="rational")

@@ -9,6 +9,7 @@ distances) and are asserted here at 1e-12 or exactly.
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -32,6 +33,7 @@ from keysec import (
     statistical_distance,
     trace_distance,
 )
+from keysec import dist
 from keysec.dist import _LONG_ROW, _certified, _check_rows, _exact_sum, _total
 from keysec.numerics import CAPS, VALIDATION_TOL
 
@@ -191,6 +193,8 @@ READ_LIKE_PARSE_NUMBER = {
     "two slashes": ["1/2/3", "4"],
     "double slash": ["1//2", "3"],
     "empty parts": ["/2", "1/"],
+    "empty last part": ["1/2", "1/"],
+    "empty middle part": ["1/4", "1/", "1/4", "1/4"],
     "comma inside": ["1,2/3", "0"],
     "comma and slash": ["1/2,3", "4/5"],
     "leading comma": [",1/2", "1/2"],
@@ -296,8 +300,122 @@ def test_a_wrong_length_is_refused_before_any_entry_is_read(monkeypatch):
         with pytest.raises(ValidationError, match=r"^length 3 is not a power of two >= 2$"):
             KeyDistribution.from_json('["x", "1/2", "1/2"]', mode=mode)
     monkeypatch.setitem(CAPS, "key_bits", CAPS["key_bits"]._replace(limit=2))
-    with pytest.raises(ResourceLimitError, match=r"^a dense law over 2\^3 keys needs 3 bits, over the key_bits cap"):
-        KeyDistribution.from_json(json.dumps(["x"] * 8), mode="rational")
+    for entries in (["x"] * 8, ["1/8"] * 8):  # a plain array is refused before its numbers are read too
+        with pytest.raises(ResourceLimitError, match=r"^a dense law over 2\^3 keys needs 3 bits, over the key_bits cap"):
+            KeyDistribution.from_json(json.dumps(entries), mode="rational")
+
+
+def _no_decode(text, what):
+    raise AssertionError(f"{what} was decoded as JSON")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plain_arrays_are_read_from_their_text_with_no_json_decode(n, monkeypatch):
+    """`json.dumps` output, compact separators and `to_json` output read to the law's lattice,
+    int64 or (half the mass on one key, at odd n >= 9) ``object``, with the JSON reader disabled."""
+    rng = random.Random(n)
+    top = 10**14 if n % 2 else 1000
+    weights = [rng.randrange(top) for _ in range(1 << n)]
+    weights[0] += top << n >> 1
+    law = [F(w, sum(weights)) for w in weights]
+    oracle = _outcome(lambda: KeyDistribution(n, law))
+    entries = [f"{p.numerator * k}/{p.denominator * k}" for p, k in zip(law, rng.choices([1, 2, 3], k=1 << n))]
+    texts = [json.dumps(entries), json.dumps(entries, separators=(",", ":")), KeyDistribution(n, law).to_json()]
+    monkeypatch.setattr(dist, "_json_array", _no_decode)
+    for text in texts:
+        for mode in ("rational", None):
+            assert _outcome(lambda: KeyDistribution.from_json(text, mode=mode)) == oracle
+
+
+def _decoded(text):
+    """The outcome of decoding ``text`` as JSON and reading its entries as `_parsed` does, or the JSON refusal."""
+    try:
+        entries = json.loads(text)
+    except ValueError as exc:
+        return ValidationError, f"distribution is not valid JSON: {exc}"
+    return _parsed(entries)
+
+
+def _nth(text, old, new, k):
+    """``text`` with occurrence ``k`` (modulo their count) of ``old`` replaced by ``new``."""
+    if old not in text:
+        return text
+    at = -1
+    for _ in range(k % text.count(old) + 1):
+        at = text.index(old, at + 1)
+    return text[:at] + new + text[at + len(old):]
+
+
+#: edits that take a plain array's text just off its shape, each at the k-th place it can go
+OFF_SHAPE = {
+    "space inside [": lambda t, k: "[ " + t[1:],
+    "space inside ]": lambda t, k: t[:-1] + " ]",
+    "space around the text": lambda t, k: f" {t}\n",
+    "space before a comma": lambda t, k: _nth(t, '", "', '" , "', k),
+    "no space after a comma": lambda t, k: _nth(t, '", "', '","', k),
+    "two spaces after a comma": lambda t, k: _nth(t, '", "', '",  "', k),
+    "newline separator": lambda t, k: _nth(t, '", "', '",\n"', k),
+    "escaped slash": lambda t, k: _nth(t, "/", "\\/", k),
+    "escaped digit": lambda t, k: _nth(t, "1", "\\u0031", k),
+    "trailing comma": lambda t, k: t[:-1] + ",]",
+    "arabic-indic digit": lambda t, k: _nth(t, "2", "\u0662", k),
+    "fullwidth digit": lambda t, k: _nth(t, "1", "\uff11", k),
+    "digit after a string": lambda t, k: _nth(t, '",', '"5,', k),
+    "digit before a string": lambda t, k: _nth(t, ' "', ' 5"', k),
+    "digit inside a separator": lambda t, k: _nth(t, '", "', '",5 "', k),
+    "digit after ]": lambda t, k: t + "0",
+    "digit before ]": lambda t, k: t[:-1] + "0]",
+    "lone surrogate": lambda t, k: _nth(t, "1", "\ud800", k),
+    "empty first numerator": lambda t, k: re.sub(r'"[0-9]+/', '"/', t, count=1),
+    "empty last denominator": lambda t, k: re.sub(r'/[0-9]+"]$', '/"]', t),
+    "on the shape": lambda t, k: t,
+}
+
+
+@st.composite
+def _off_shape_texts(draw):
+    """A plain array, its parts 1 to 25 digits long or 2^63 - 1 and its entries sometimes
+    ``"1/0"`` or a bare ``"0"``, in the text of an `OFF_SHAPE` edit."""
+    n = draw(st.integers(1, 4))
+    digits = st.integers(1, 25).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1).map(str))
+    part = st.one_of(digits, st.just(str(_E63 - 1)), st.sampled_from(["1", "2", "12"]))
+    if draw(st.booleans()):  # a law over one denominator, so some texts are read to a law
+        den = int(draw(part)) + (1 << n)
+        nums = [1] * ((1 << n) - 1) + [den - (1 << n) + 1]
+        entries = [f"{a}/{den}" for a in draw(st.permutations(nums))]
+    else:
+        entries = [f"{draw(part)}/{draw(part)}" for _ in range(1 << n)]
+    entries[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from([entries[0], "1/0", "0"]))
+    text = json.dumps(entries)
+    edit = draw(st.sampled_from(sorted(OFF_SHAPE)))
+    return edit, OFF_SHAPE[edit](text, draw(st.integers(0, 100)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_off_shape_texts())
+def test_texts_just_off_a_plain_array_read_as_their_json_decode(case):
+    edit, text = case
+    expected = _decoded(text)
+    assert _outcome(lambda: KeyDistribution.from_json(text, mode="rational")) == expected
+    try:
+        entries = json.loads(text)
+    except ValueError:  # a misspelled mode is never looked at before the text is found not to be JSON
+        assert _outcome(lambda: KeyDistribution.from_json(text, mode="rationl")) == expected
+        return
+    if any("/" in e for e in entries):
+        assert _outcome(lambda: KeyDistribution.from_json(text)) == expected
+    with pytest.raises(ValidationError, match="^unknown numeric mode 'rationl'"):
+        KeyDistribution.from_json(text, mode="rationl")
+
+
+def test_the_numpy_reads_the_plain_reader_relies_on():
+    """`np.fromstring` saturates an int64 part at 2^63 - 1, which the plain reader takes as a part
+    too long to read, and stops short at an empty part, inside or first, which it refuses."""
+    assert np.fromstring("99999999999999999999", dtype=np.int64, sep=",").tolist() == [_E63 - 1]
+    assert np.fromstring(b"1,2,", dtype=np.int64, sep=",").tolist() == [1, 2]
+    for text in (b"1,,2", b",1,2"):
+        with pytest.raises(ValueError):
+            np.fromstring(text, dtype=np.int64, sep=",")
 
 
 # ---------------------------------------------------------------- distance

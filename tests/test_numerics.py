@@ -127,6 +127,17 @@ def test_infer_mode():
     assert infer_mode([]) == "float"
 
 
+@pytest.mark.parametrize("t, kind", [
+    (float, "float"), (int, "rational"), (Fraction, "rational"), (bool, None),
+    (type("FloatSub", (float,), {}), "float"), (type("IntSub", (int,), {}), "rational"),
+    (type("FractionSub", (Fraction,), {}), "rational"),
+    (np.float64, "float"), (np.float32, None), (np.int64, None), (np.bool_, None),
+    (complex, None), (str, None), (type(None), None),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_kind_of_exact_types_subclasses_bools_and_numpy_scalars(t, kind):
+    assert numerics._kind(t) == kind
+
+
 def test_resolve_mode_env(monkeypatch):
     monkeypatch.delenv("KEYSEC_NUMERIC_MODE", raising=False)
     assert resolve_mode(None) == "float"
