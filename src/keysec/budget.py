@@ -18,7 +18,8 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .numerics import Number, ValidationError, _shown, check_int, check_mode, check_scalar, parse_number, scalar_mode
+from .numerics import (SLACKS, Number, ValidationError, _shown, check_int, check_mode, check_scalar, parse_number,
+                       scalar_mode, slack)
 
 __all__ = [
     "MARKOV_EXPONENTS",
@@ -47,14 +48,15 @@ DEFAULT_ONE_SHOT_LOG10 = -15.0
 def as_markov_exponent(value: Union[str, Number]) -> Fraction:
     """Coerce to one of the admissible exponents {1, 1/2, 1/3}.
 
-    Strings like ``"1/3"`` are exact; floats are matched within 1e-12.
+    Strings like ``"1/3"`` are exact; floats are matched within the ``rounding``
+    slack of `keysec.numerics.SLACKS`.
     Anything else -- notably 1/4 -- is rejected: iterating the tail bound
     twice buys the cube root, and no further.
     """
     value = check_scalar(value, "exponent")
-    slack = 1e-12 if scalar_mode(value) == "float" else 0
+    tol = slack("rounding", value)
     for frac in MARKOV_EXPONENTS:
-        if abs(value - frac) <= slack:
+        if abs(value - frac) <= tol:
             return frac
     raise ValidationError(
         f"exponent {_shown(value)} is not admissible: the average-to-individual "
@@ -120,14 +122,14 @@ def near_uniform_bits(log10_d: Number, exponent: Union[str, Number] = Fraction(1
 
     Near-uniform at length ``n`` asks for a distance around ``2^-n``; the
     answer is ``floor(-log10_d * exponent * log2(10))``, with the exponent
-    applying the average-to-individual conversion first.  A 1e-9 nudge
-    absorbs float round-off so exact powers of two invert cleanly
+    applying the average-to-individual conversion first.  A nudge by the
+    ``bits`` slack absorbs float round-off so exact powers of two invert cleanly
     (e.g. ``log10_d = -15`` must yield 49, not 48).
     """
     log10_d = check_scalar(log10_d, "log10 d", hi=0, hi_open=True)
     exp = as_markov_exponent(exponent)
     try:
-        return int(math.floor(-float(log10_d) * float(exp) * math.log2(10.0) + 1e-9))
+        return int(math.floor(-float(log10_d) * float(exp) * math.log2(10.0) + SLACKS["bits"].size))
     except OverflowError as exc:  # the level, or the bit count, exceeds float range
         raise ValidationError(f"log10 d is too far below 0 for a float bit count (exponent {exp})") from exc
 

@@ -39,8 +39,8 @@ import numpy as np
 
 from .numerics import (
     Number,
+    SLACKS,
     ValidationError,
-    VALIDATION_TOL,
     _shown,
     binary_entropy,  # re-exported: keysec.dist.binary_entropy stays the numerics function
     check_cap,
@@ -52,6 +52,7 @@ from .numerics import (
     infer_mode,
     parse_number,
     scalar_mode,
+    slack,
 )
 
 __all__ = [
@@ -203,7 +204,9 @@ def _law_bits(count: int) -> int:
 def _plain_lattice(text: str) -> Lattice | None:
     """The JSON text ``text`` when it is a plain array, ``["a/b", ...]`` with every part ASCII
     digits, ``b > 0`` and ``", "`` (what `json.dumps` writes) or ``","`` between entries, as one
-    Lattice of numerators over the lcm of their denominators; None for any other text.
+    Lattice of numerators over the lcm of their denominators; None for any other text.  JSON
+    whitespace (``" \t\n\r"``, not the ``"\x0c"`` that `str.strip` drops too) at either end is
+    ignored, as `json.loads` ignores it: a file's closing newline keeps its text plain.
 
     The text is read as bytes in whole-text passes, with no JSON decode.  With its ASCII digits
     deleted it must read ``["/", "/", ..., "/"]`` (one separator throughout), with no digit inside
@@ -215,7 +218,8 @@ def _plain_lattice(text: str) -> Lattice | None:
     ``2**63 - 1``), so a part read as ``2**63 - 1`` leaves the text to the JSON reader, and so
     does a zero denominator, which `parse_number` refuses.
     """
-    if not (isinstance(text, str) and text.startswith('["') and text.isascii()):
+    text = text.strip(" \t\n\r") if isinstance(text, str) else ""  # bytes are left to the JSON reader
+    if not (text.startswith('["') and text.isascii()):
         return None
     data = text.encode()
     shape = data.translate(None, b"0123456789")
@@ -245,9 +249,9 @@ def _json_array(text: str, what: str) -> list:
     return raw
 
 
-def _certified(rows: np.ndarray, slack: float, least: float) -> bool:
+def _certified(rows: np.ndarray, tol: float, least: float) -> bool:
     """Whether plain sums prove that every row of ``rows`` (finite float64, least entry
-    ``least``) has a correctly rounded sum within ``slack`` of 1.  False means only that
+    ``least``) has a correctly rounded sum within ``tol`` of 1.  False means only that
     they cannot tell; the caller then sums each row correctly rounded.
 
     Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2: in any order of its
@@ -256,21 +260,21 @@ def _certified(rows: np.ndarray, slack: float, least: float) -> bool:
     ``g = (N - 1) u / (1 - (N - 1) u)`` and ``A`` the float sum of their magnitudes (``s``
     when no entry is negative).  For ``N < 2**51`` that is below the rounded ``A N 2**-52``
     used here.  The few operations here round by a relative ``4 u`` at most, so an
-    accepted row has ``|T - 1| <= slack - 2**-52``: ``T`` lies a float spacing inside
-    ``[1 - slack, 1 + slack]``, and so does its correctly rounded value.  From
-    ``N 2**-52 > slack`` (about ``2**22.1`` entries) no row is certified.
+    accepted row has ``|T - 1| <= tol - 2**-52``: ``T`` lies a float spacing inside
+    ``[1 - tol, 1 + tol]``, and so does its correctly rounded value.  From
+    ``N 2**-52 > tol`` (about ``2**22.1`` entries) no row is certified.
     """
     sums = rows.sum(axis=1).tolist()
     mags = sums if least >= 0 else np.abs(rows).sum(axis=1).tolist()
-    return max(max(sums) - 1, 1 - min(sums)) + max(mags) * (rows.shape[1] * 2.0**-52) <= slack - 2.0**-51
+    return max(max(sums) - 1, 1 - min(sums)) + max(mags) * (rows.shape[1] * 2.0**-52) <= tol - 2.0**-51
 
 
 def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     """Validated read-only rows of ``width`` probabilities, from a Lattice or a flat
     sequence: float64 numerators over 1, or integer numerators (Fractions over the
     lcm of their denominators) in lowest terms, int64 while ``max * count`` fits.
-    Every entry lies in ``[0, 1]``, within VALIDATION_TOL for floats, and every
-    row sums to the denominator: exactly, or within VALIDATION_TOL by the correctly
+    Every entry lies in ``[0, 1]``, within the ``total`` slack for floats, and every
+    row sums to the denominator: exactly, or within that slack by the correctly
     rounded sum (the value `math.fsum` returns), certified from plain sums and their
     error bound (`_certified`) where that bound decides, and computed (`_total`) where
     it does not.  ``label(k)`` names row ``k`` in a refusal.
@@ -284,14 +288,14 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
         rows = _wide(_integers(nums, f"{label(0)} numerator"), den * width).reshape(-1, width)  # sums fit
     else:
         rows = np.array(nums, dtype=np.float64).reshape(-1, width)
-    slack = 0 if exact else VALIDATION_TOL
-    top, least, most = den + slack, rows.min(), rows.max()
-    if not (least >= -slack and most <= top):  # NaN fails both comparisons
-        k, i = divmod(int(np.argmin((rows >= -slack) & (rows <= top))), width)
+    tol = slack("total", rows.item(0))  # an int when exact, so 0; a float in float mode
+    top, least, most = den + tol, rows.min(), rows.max()
+    if not (least >= -tol and most <= top):  # NaN fails both comparisons
+        k, i = divmod(int(np.argmin((rows >= -tol) & (rows <= top))), width)
         raise ValidationError(f"{label(k)} entry {i} is {_shown(_over(rows[k, i], den), repr)}, outside [0, 1]")
-    for k, total in enumerate([] if not exact and _certified(rows, slack, least) else _total(rows)):
-        if abs(total - den) > slack:
-            tolerance = f" (tolerance {slack})" if slack else ""
+    for k, total in enumerate([] if not exact and _certified(rows, tol, least) else _total(rows)):
+        if abs(total - den) > tol:
+            tolerance = f" (tolerance {tol})" if tol else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
     if exact:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
         common = math.gcd(den, *rows.ravel().tolist() if rows.dtype == object else [np.gcd.reduce(rows, axis=None)])
@@ -325,7 +329,7 @@ class KeyDistribution:
     beyond.  Construction (`_check_rows`) refuses NaN, infinities and
     entries outside ``[0, 1]``, then checks the total: exactly, or in
     float mode by the correctly rounded sum (the value `math.fsum`
-    returns) within VALIDATION_TOL of 1, certified by a plain sum's
+    returns) within the ``total`` slack of 1, certified by a plain sum's
     error bound where the bound decides (`_certified`) and summed
     correctly rounded where it does not (`_exact_sum` from ``_LONG_ROW``
     entries).  A Lattice passed in must hold integer
@@ -590,8 +594,10 @@ class HermitianState:
     """Density matrix, its dimension capped by ``state_dim`` in `keysec.numerics.CAPS`.
 
     Accepts anything `numpy.asarray` can turn into a square complex matrix and validates
-    hermiticity by `numpy.allclose` at ``atol=VALIDATION_TOL`` (1e-9), the trace to within
-    1e-6 of 1, and every eigenvalue to at least -1e-8.  States compare by identity.
+    hermiticity entrywise, ``|m_ij - conj(m_ji)| <= hermitian + hermitian_rel * |m_ji|`` (the
+    test of `numpy.allclose`), the trace to within the ``trace`` slack of 1, and every
+    eigenvalue to at least minus the ``eigenvalue`` slack, each slack read from `SLACKS`.
+    States compare by identity.
     """
 
     matrix: np.ndarray
@@ -606,13 +612,13 @@ class HermitianState:
         check_cap("state_dim", mat.shape[0], "state")
         if not np.isfinite(mat).all():
             raise ValidationError("state has a non-finite entry")
-        if not np.allclose(mat, mat.conj().T, atol=VALIDATION_TOL):
+        if not np.allclose(mat, mat.conj().T, rtol=SLACKS["hermitian_rel"].size, atol=SLACKS["hermitian"].size):
             raise ValidationError("state is not Hermitian")
         trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > 1e-6:
+        if abs(trace - 1.0) > SLACKS["trace"].size:
             raise ValidationError(f"state trace is {trace!r}, not 1")
         least = float(np.linalg.eigvalsh(mat).min())
-        if least < -1e-8:
+        if least < -SLACKS["eigenvalue"].size:
             raise ValidationError(f"state has negative eigenvalue {least!r}")
         object.__setattr__(self, "matrix", mat)
 

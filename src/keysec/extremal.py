@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
-from .numerics import (VALIDATION_TOL, InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits,
-                       check_scalar, parse_int, scalar_mode)
+from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
+                       parse_int, scalar_mode, slack)
 
 __all__ = [
     "EventSpec",
@@ -133,7 +133,7 @@ def construct_spike(n: int, epsilon: Number, at: int = 0) -> SpikeResult:
     eps = check_scalar(epsilon, "distance budget", lo=0)
     mode = scalar_mode(eps)
     top = check_scalar(Fraction(size - 1, size), "largest distance", mode=mode)
-    if eps > top + (1e-12 if mode == "float" else 0):
+    if eps > top + slack("rounding", eps):
         raise InfeasibleError(
             f"distance {_shown(eps)} from uniform is impossible on {size} values (maximum is {top})"
         )
@@ -164,7 +164,7 @@ def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
     dist = KeyDistribution(n, law)
     info = n - _shannon_bits(law)
     bound = n * p1
-    if info > bound + 1e-9:
+    if info > bound + slack("bits", info):
         raise RuntimeError(
             f"internal check failed: information {info} exceeds bound {bound}"
         )
@@ -181,16 +181,19 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     bounds fail.
 
     The backend follows ``p``; a float ``lam`` passed against an exact
-    distribution is converted to its exact binary value.
+    distribution is converted to its exact binary value.  On the float path
+    ``lam`` may leave ``[0, 1]`` by the ``rounding`` slack, and an entry its
+    bounds by the ``total`` slack, the one the law was accepted with.
     """
     size = p.size
-    slack = 0 if p.mode == "rational" else 1e-12
-    lam = check_scalar(lam, "mixture weight", lo=-slack, hi=1 + slack, mode=p.mode)
+    rounding = slack("rounding", p)
+    lam = check_scalar(lam, "mixture weight", lo=-rounding, hi=1 + rounding, mode=p.mode)
     lam = min(max(lam, 0.0), 1.0)  # a float within the slack onto [0, 1]; exact weights pass as they are
     lo = (1 - lam) / size
     hi = lam + lo
     nums, den = _law(p)
-    if _over(nums.min(), den) < lo - slack or _over(nums.max(), den) > hi + slack:
+    tol = slack("total", p)
+    if _over(nums.min(), den) < lo - tol or _over(nums.max(), den) > hi + tol:
         return None
     if lam == 0:
         residual = KeyDistribution.uniform(p.n, mode=p.mode)
@@ -242,13 +245,13 @@ def max_conditional_deviation(
 def check_event_bound(p: KeyDistribution, q: KeyDistribution, event: EventSpec) -> EventBoundReport:
     """Report ``|P(A) - Q(A)|`` against the statistical distance.
 
-    The gap can never exceed the distance; ``holds`` is the verdict, with a
-    VALIDATION_TOL slack on the float path: a float law's total may miss 1 by
-    that much, and the gap can exceed the distance by half the difference of
-    the two totals.
+    The gap can never exceed the distance; ``holds`` is the verdict, with the
+    ``total`` slack on the float path: a float law's total may miss 1 by that
+    much, and the gap can exceed the distance by half the difference of the
+    two totals.
     """
     distance = statistical_distance(p, q)  # refuses laws of different bit lengths
     event.validate_for(p.n)
     gap = abs(p.prob_of(event.members) - q.prob_of(event.members))
-    holds = gap <= distance + (0 if scalar_mode(p, q) == "rational" else VALIDATION_TOL)
+    holds = gap <= distance + slack("total", p, q)
     return EventBoundReport(gap=gap, distance=distance, holds=holds)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import KeyDistribution, _law, _over, _transport, _wide, statistical_distance
-from .numerics import VALIDATION_TOL, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar
+from .numerics import Number, ValidationError, _shown, check_int, check_key_bits, check_scalar, slack
 
 __all__ = [
     "KeySplit",
@@ -103,7 +103,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     ``2^-|K2*| + delta(P, U)``.
 
     Returns the average, the bound, and the comparison verdict (exact in
-    rational mode, VALIDATION_TOL slack in float mode).
+    rational mode, within the ``total`` slack in float mode).
     """
     if split.n != p.n:
         raise ValidationError(f"split covers {split.n} bits but the key has {p.n}")
@@ -118,8 +118,7 @@ def average_conditional_guess(p: KeyDistribution, split: KeySplit) -> AverageGue
     joint = cube.sum(axis=1)
     avg = _over(joint.max(axis=0).sum(), den)
     bound = Fraction(1, 1 << s) + statistical_distance(p)  # the distance to the uniform law
-    slack = 0 if p.mode == "rational" else VALIDATION_TOL
-    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + slack)
+    return AverageGuessBound(avg_p1=avg, bound=bound, holds=avg <= bound + slack("total", p))
 
 
 def conditional_breach_witness(n: int, epsilon: Number, split: KeySplit) -> BreachWitness:

@@ -3,8 +3,8 @@
 Every quantity in this package lives in one of two worlds.  Exact mode
 carries `fractions.Fraction` end to end, so statements like "the distance
 equals the constructed offset" hold with no tolerance at all.  Float mode
-uses double precision and accepts a 1e-9 slack when validating that
-probabilities sum to one.
+uses double precision, and every comparison round-off can tip allows one
+named slack of `SLACKS`, read by `slack`, which is 0 on exact values.
 
 A value container (distribution, probe model, ...) infers its mode from the
 types of its entries: all entries `Fraction`/`int` means rational, anything
@@ -38,9 +38,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
-
-#: slack used when validating float-mode probability data
-VALIDATION_TOL = 1e-9
 
 #: environment variable consulted by the CLI when --mode is not given
 MODE_ENV_VAR = "KEYSEC_NUMERIC_MODE"
@@ -78,6 +75,28 @@ CAPS = {
     "state_dim": Cap(64, ValidationError, "dimensions"),  # density matrices
     "decimal_digits": Cap(4000, ResourceLimitError, "digits"),  # an exact decimal with an exponent
     "denominator_bits": Cap(1 << 14, ResourceLimitError, "bits"),  # the common denominator of exact entries
+}
+
+
+class Slack(NamedTuple):
+    """One float slack: its size and what it absorbs."""
+
+    size: float
+    reason: str
+
+
+#: every float slack of the package, by name; `slack` reads one, 0 when the values compared are exact
+SLACKS = {
+    "total": Slack(1e-9, "a float law's or probe row's total off 1, and each bound or verdict read from its entries"),
+    "rounding": Slack(1e-12, "a float against an exact constant, or ordered against a second formula of it"),
+    "bits": Slack(1e-9, "a float bit count against its bound, or just below the integer it floors to"),
+    "cross_formula": Slack(1e-10, "an entropy or distance against another formula's value of it"),
+    "identity": Slack(1e-14, "a float against an algebraically equal float of a few operations"),
+    "symmetry": Slack(1e-15, "a distance against the same distance with its arguments swapped"),
+    "hermitian": Slack(1e-9, "a state's entry against its mirror entry's conjugate, absolutely"),
+    "hermitian_rel": Slack(1e-5, "a state's entry against its mirror entry's conjugate, relative to that conjugate"),
+    "trace": Slack(1e-6, "a state's trace off 1"),
+    "eigenvalue": Slack(1e-8, "a state's least eigenvalue below 0"),
 }
 
 
@@ -237,6 +256,18 @@ def scalar_mode(*values) -> str:
         if (getattr(v, "mode", None) or _kind(type(v))) != "rational":
             return "float"
     return "rational"
+
+
+def slack(name: str, value, *values) -> Number:
+    """The slack ``SLACKS[name]`` allows a comparison over ``value`` and ``values``: 0 while every
+    one is exact (`scalar_mode`), its size otherwise.  A mode name is refused: it is no value, and
+    ``scalar_mode("rational")`` is float; `check_scalar(1, what, mode=...)` puts a name into a value."""
+    if scalar_mode(value, *values) == "rational":  # a str is never exact: refused below
+        return 0
+    for v in (value, *values):
+        if isinstance(v, str):
+            raise TypeError(f"slack {name!r} reads the compared values, not a mode name")
+    return SLACKS[name].size
 
 
 def check_int(value, what: str, lo: int | None = 1, hi: int | None = None) -> int:

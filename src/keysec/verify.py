@@ -35,7 +35,7 @@ from .extremal import (
     max_conditional_deviation,
 )
 from .kpa import KeySplit, average_conditional_guess, conditional_breach_witness, eve_bit_agreement
-from .numerics import binary_entropy, check_int, degraded_epsilon, ec_leak
+from .numerics import SLACKS, ValidationError, binary_entropy, check_int, degraded_epsilon, ec_leak, slack
 
 __all__ = ["InvariantResult", "run_invariant_suite"]
 
@@ -65,11 +65,11 @@ def _check_delta_metric(rng: random.Random, n_max: int) -> tuple:
     for _ in range(30):
         p, q, r = (_random_float_dist(rng, n) for _ in range(3))
         dpq = statistical_distance(p, q)
-        if dpq < 0 or abs(dpq - statistical_distance(q, p)) > 1e-15:
+        if dpq < 0 or abs(dpq - statistical_distance(q, p)) > slack("symmetry", dpq):
             return False, "symmetry/nonnegativity failed"
         if statistical_distance(p, p) != 0:
             return False, "identity of indiscernibles failed"
-        if dpq > statistical_distance(p, r) + statistical_distance(r, q) + 1e-12:
+        if dpq > statistical_distance(p, r) + statistical_distance(r, q) + slack("rounding", dpq):
             return False, "triangle inequality failed"
     return True, "metric axioms on 30 random triples"
 
@@ -97,9 +97,9 @@ def _check_trace_matches_delta(rng: random.Random, n_max: int) -> tuple:
         p = _random_float_dist(rng, n)
         q = _random_float_dist(rng, n)
         td = trace_distance(HermitianState.from_distribution(p), HermitianState.from_distribution(q))
-        if abs(td - float(statistical_distance(p, q))) > 1e-10:
+        if abs(td - float(statistical_distance(p, q))) > slack("cross_formula", td):
             return False, f"diagonal states disagreed at n={n}"
-    return True, "diagonal trace distance equals statistical distance (1e-10)"
+    return True, f"diagonal trace distance equals statistical distance ({SLACKS['cross_formula'].size:g})"
 
 
 def _check_mutual_information(rng: random.Random, n_max: int) -> tuple:
@@ -123,13 +123,13 @@ def _check_mutual_information(rng: random.Random, n_max: int) -> tuple:
             for y in range(outcomes)
         ]
         h_ky = -math.fsum(v * math.log2(v) for v in joint if v > 0)
-        if abs(mi - (h_k + h_y - h_ky)) > 1e-10:
+        if abs(mi - (h_k + h_y - h_ky)) > slack("cross_formula", mi):
             return False, "entropy-sum cross-formula disagreed"
-        if not 0 <= mi <= h_k + 1e-12:
+        if not 0 <= mi <= h_k + slack("rounding", mi):
             return False, "mutual information escaped [0, H(K)]"
         if d_criterion(model) < 0:
             return False, "joint-vs-product distance went negative"
-    return True, "two formulas agree on 15 random probe models (1e-10)"
+    return True, f"two formulas agree on 15 random probe models ({SLACKS['cross_formula'].size:g})"
 
 
 def _check_binary_entropy(rng: random.Random, n_max: int) -> tuple:
@@ -137,10 +137,10 @@ def _check_binary_entropy(rng: random.Random, n_max: int) -> tuple:
         return False, "endpoint values wrong"
     for i in range(1, 50):
         q = i / 100
-        if abs(binary_entropy(q) - binary_entropy(1 - q)) > 1e-14:
+        if abs(binary_entropy(q) - binary_entropy(1 - q)) > slack("identity", q):
             return False, f"asymmetric at q={q}"
         mid = binary_entropy(0.5 * q + 0.5 * (q + 0.02))
-        if mid + 1e-12 < 0.5 * (binary_entropy(q) + binary_entropy(q + 0.02)):
+        if mid + slack("rounding", mid) < 0.5 * (binary_entropy(q) + binary_entropy(q + 0.02)):
             return False, f"concavity violated near q={q}"
     return True, "symmetry and concavity on a 49-point grid"
 
@@ -203,9 +203,9 @@ def _check_low_info_monotone(rng: random.Random, n_max: int) -> tuple:
     lams = [0.25, 0.4, 0.5, 0.75, 1.0]
     fams = [construct_low_info_high_guess(n, lam) for lam in lams]
     infos = [f.info_bits for f in fams]
-    if any(b > a + 1e-12 for a, b in zip(infos, infos[1:])):
+    if any(b > a + slack("rounding", a) for a, b in zip(infos, infos[1:])):
         return False, "information not decreasing in the decay rate"
-    if any(f.info_bits > f.info_bound_bits + 1e-9 for f in fams):
+    if any(f.info_bits > f.info_bound_bits + slack("bits", f.info_bits) for f in fams):
         return False, "information exceeded its stated bound"
     return True, "information decreasing and within bound on a 5-point grid"
 
@@ -231,7 +231,7 @@ def _check_kpa_average(rng: random.Random, n_max: int) -> tuple:
     vals = [
         average_conditional_guess(p, KeySplit(1, n - 1, bits)).avg_p1 for bits in chain
     ]
-    if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
+    if any(b > a + slack("rounding", a) for a, b in zip(vals, vals[1:])):
         return False, "average guess increased as the target grew"
     return True, f"uniform exact; bound and monotonicity at n={n}"
 
@@ -295,7 +295,8 @@ def _check_ecpa_ordering(rng: random.Random, n_max: int) -> tuple:
         ]
         ensemble = _ecpa.CodeEnsemble(codes, (0.5, 0.5))
         cmp = _ecpa.leakage_comparison(ensemble, _ecpa.EveChannel(0.08))
-        if not cmp.p1_code_known_avg + 1e-12 >= cmp.p1_mixture >= cmp.p1_no_code - 1e-12:
+        tol = slack("rounding", *cmp)
+        if not cmp.p1_code_known_avg + tol >= cmp.p1_mixture >= cmp.p1_no_code - tol:
             return False, f"ordering violated: {cmp}"
     single = _ecpa.CodeEnsemble([_ecpa.random_parity_check(n, 2, rng)], (1.0,))
     cmp = _ecpa.leakage_comparison(single, _ecpa.EveChannel(0.1))
@@ -318,7 +319,7 @@ def _check_budget(rng: random.Random, n_max: int) -> tuple:
             return False, "gap arithmetic inconsistent"
     a = _budget.accumulated_failure(-14, 100, 3600)
     b = _budget.accumulated_failure(-14, 100, 7200)
-    if abs((b.log10_total - a.log10_total) - math.log10(2)) > 1e-12:
+    if abs((b.log10_total - a.log10_total) - math.log10(2)) > slack("rounding", b.log10_total):
         return False, "doubling the duration did not add log10(2)"
     for n in (1, 7, 49, 100):
         if _budget.near_uniform_bits(-n * math.log10(2.0), 1) != n:
@@ -328,7 +329,7 @@ def _check_budget(rng: random.Random, n_max: int) -> tuple:
     try:
         _budget.as_markov_exponent("1/4")
         return False, "quarter-root exponent was accepted"
-    except Exception:
+    except ValidationError:
         pass
     return True, "round trips, additivity, bit inversion, exponent policing"
 
@@ -338,7 +339,7 @@ def _check_cvqkd(rng: random.Random, n_max: int) -> tuple:
         a, b = rng.random() * 0.99, rng.random() * 0.99
         p = _cvqkd.CvParams(s=1.5, t=0.9, a=a, b=b)
         rel = _cvqkd.output_uncertainty(p).relative
-        if abs(rel - (1 - (1 - a) * (1 - b))) > 1e-14:
+        if abs(rel - (1 - (1 - a) * (1 - b))) > slack("identity", rel):
             return False, "product identity failed"
     low = _cvqkd.detectability_verdict(_cvqkd.CvParams(1.0, 0.4, 0.01, 0.01))
     high = _cvqkd.detectability_verdict(_cvqkd.CvParams(1.5, 1.0, 0.3, 0.3))
@@ -354,9 +355,9 @@ def _check_cvqkd(rng: random.Random, n_max: int) -> tuple:
     pts = _cvqkd.false_alarm_tradeoff(p, grid, 0.4)
     fas = [pt.false_alarm_probability for pt in pts]
     misses = [pt.miss_probability for pt in pts]
-    if any(b > a + 1e-12 for a, b in zip(fas, fas[1:])):
+    if any(b > a + slack("rounding", a) for a, b in zip(fas, fas[1:])):
         return False, "false alarms increased along an ascending grid"
-    if any(b + 1e-12 < a for a, b in zip(misses, misses[1:])):
+    if any(b + slack("rounding", b) < a for a, b in zip(misses, misses[1:])):
         return False, "misses decreased along an ascending grid"
     if not all(0 <= v <= 1 for v in fas + misses):
         return False, "error probabilities escaped [0, 1]"

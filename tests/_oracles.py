@@ -18,6 +18,8 @@ import mpmath
 import numpy as np
 from scipy.optimize import linprog
 
+from keysec.numerics import SLACKS  # the contract's float slacks: named constants, no code path
+
 mpmath.mp.dps = 60
 
 
@@ -425,7 +427,8 @@ def ref_mixture(probs, n: int, lam):
         return 1 - lam, tuple((p - lo) / lam for p in probs)
     lam = min(max(float(lam), 0.0), 1.0)
     lo = (1.0 - lam) / size
-    if any(p < lo - 1e-12 or p > lam + lo + 1e-12 for p in probs):
+    tol = SLACKS["total"].size  # the slack the float law was accepted with
+    if any(p < lo - tol or p > lam + lo + tol for p in probs):
         return None
     if lam == 0.0:
         return 1.0 - lam, ref_uniform(n, False)

@@ -478,6 +478,16 @@ def test_a_json_flag_must_hold_a_non_empty_array(capsys):
         assert run_cli(capsys, *before[flag], flag, "[1, [2]]") == (2, "", f"validation error: {flag}: {refusal}\n")
 
 
+def test_a_float_law_accepted_as_uniform_decomposes_at_lam_zero(capsys):
+    """Each entry exceeds 1/2 by 4e-10: the container accepts the law within the ``total`` slack,
+    and the mixture check reads its entry bounds with the same slack, as the event bound does."""
+    law = "[0.5000000004, 0.5000000004]"
+    env = run_json(capsys, "mixture", "check", "--p", law, "--lam", "0", "--mode", "float")
+    assert env["outputs"] == {"decomposable": True, "residual": [0.5, 0.5], "uniform_weight": 1.0}
+    env = run_json(capsys, "dist", "event-bound", "--p", law, "--q", "uniform:1", "--event", "0", "--mode", "float")
+    assert env["outputs"]["holds"] is True
+
+
 def test_conditional_and_mixture_witnesses_via_cli(capsys):
     env = run_json(capsys, "conditional", "max-deviation", "--n", "2", "--eps", "1/10",
                    "--event", "0,1", "--sub-event", "0", "--mode", "rational")

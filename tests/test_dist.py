@@ -33,9 +33,11 @@ from keysec import (
     statistical_distance,
     trace_distance,
 )
-from keysec import dist
+from keysec import cli, dist
 from keysec.dist import _LONG_ROW, _certified, _check_rows, _exact_sum, _total
-from keysec.numerics import CAPS, VALIDATION_TOL
+from keysec.numerics import CAPS, SLACKS
+
+TOTAL = SLACKS["total"].size  # a float law's total may miss 1 by this much
 
 P_RAT = [F(1, 2), F(1, 8), F(1, 8), F(1, 4)]
 ROWS = [[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)], [F(0), F(1)]]
@@ -327,6 +329,22 @@ def test_plain_arrays_are_read_from_their_text_with_no_json_decode(n, monkeypatc
             assert _outcome(lambda: KeyDistribution.from_json(text, mode=mode)) == oracle
 
 
+def test_a_law_file_ending_in_a_newline_is_read_with_no_json_decode(tmp_path, monkeypatch):
+    """JSON whitespace at either end leaves a plain array plain: a file's closing newline included."""
+    path = tmp_path / "law.json"
+    path.write_text('["1/2", "1/4", "1/8", "1/8"]\n', encoding="utf-8")
+    monkeypatch.setattr(dist, "_json_array", _no_decode)
+    law = cli._distribution(f"@{path}", "rational")
+    assert law == KeyDistribution(2, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+    assert KeyDistribution.from_json(' \t\r\n["1/2", "1/2"]\r\n') == KeyDistribution.uniform(1, mode="rational")
+
+
+def test_a_form_feed_is_not_json_whitespace():
+    for text in ('["1/2", "1/2"]\x0c', '\x0c["1/2", "1/2"]'):  # str.strip() would drop it; json.loads refuses it
+        with pytest.raises(ValidationError, match="^distribution is not valid JSON"):
+            KeyDistribution.from_json(text, mode="rational")
+
+
 def _decoded(text):
     """The outcome of decoding ``text`` as JSON and reading its entries as `_parsed` does, or the JSON refusal."""
     try:
@@ -575,6 +593,14 @@ def test_trace_distance_matches_delta_on_diagonals():
     assert trace_distance(rho, sigma) == pytest.approx(expected, abs=1e-14)
 
 
+def test_hermiticity_is_numpy_allcloses_test_with_a_relative_part():
+    """``|m_ij - conj(m_ji)| <= hermitian + hermitian_rel * |m_ji|``: an asymmetry of 1e-7 on
+    entries of 0.1 passes through the relative part, and one of 1e-5 does not."""
+    HermitianState([[0.5, 0.1 + 1e-7], [0.1, 0.5]])
+    with pytest.raises(ValidationError, match="^state is not Hermitian$"):
+        HermitianState([[0.5, 0.1 + 1e-5], [0.1, 0.5]])
+
+
 def test_state_validation():
     with pytest.raises(ValidationError, match="^state is not Hermitian$"):
         HermitianState(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -634,11 +660,11 @@ def test_exact_sum_is_the_fsum_of_the_entries(values):
 
 @given(st.sampled_from(_SUM_SIZES), st.integers(0, 2**32))
 def test_exact_sum_of_a_law_with_slightly_negative_entries(size, seed):
-    # float laws may hold entries down to -VALIDATION_TOL; their sums are the validation totals
+    # float laws may hold entries down to -TOTAL; their sums are the validation totals
     rng = np.random.default_rng(seed)
     law = rng.random(size) ** 2
     law /= law.sum()
-    law[rng.random(size) < 0.2] = -VALIDATION_TOL * rng.random()
+    law[rng.random(size) < 0.2] = -TOTAL * rng.random()
     assert _exact_sum(law).hex() == _fsum_hex(law)
 
 
@@ -698,19 +724,19 @@ def _fsum_verdict(rows: np.ndarray, label) -> str | None:
     sum of each row; None if it earns none."""
     for k, row in enumerate(rows.tolist()):
         for i, entry in enumerate(row):
-            if not -VALIDATION_TOL <= entry <= 1 + VALIDATION_TOL:
+            if not -TOTAL <= entry <= 1 + TOTAL:
                 return f"{label(k)} entry {i} is {entry!r}, outside [0, 1]"
     for k, row in enumerate(rows.tolist()):
         total = math.fsum(row)
-        if abs(total - 1) > VALIDATION_TOL:
-            return f"{label(k)} sums to {total!r}, not 1 (tolerance {VALIDATION_TOL})"
+        if abs(total - 1) > TOTAL:
+            return f"{label(k)} sums to {total!r}, not 1 (tolerance {TOTAL})"
     return None
 
 
 @st.composite
 def _edge_tables(draw):
     """Float tables (one row: a law; several: probe rows) whose rows' correctly rounded
-    totals sit at 1 or 1 +- VALIDATION_TOL, give or take a few ulps, some with entries
+    totals sit at 1 or 1 +- TOTAL, give or take a few ulps, some with entries
     slightly below 0."""
     width = draw(st.sampled_from([2, 3, 16, 255, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, 4096]))
     count = draw(st.sampled_from([1, 1, 4, 64])) if width <= 16 else 1
@@ -718,10 +744,10 @@ def _edge_tables(draw):
     rows = rng.random((count, width)) ** draw(st.sampled_from([1, 4]))
     rows /= rows.sum(axis=1, keepdims=True)
     if draw(st.booleans()):
-        rows[rng.random(rows.shape) < 0.2] = -VALIDATION_TOL * rng.random()
+        rows[rng.random(rows.shape) < 0.2] = -TOTAL * rng.random()
     for row in rows:
         # move the largest entry so the correctly rounded total lands at the drawn target
-        target = 1 + draw(st.sampled_from([-1.0, 0.0, 1.0])) * VALIDATION_TOL
+        target = 1 + draw(st.sampled_from([-1.0, 0.0, 1.0])) * TOTAL
         target += draw(st.integers(-4, 4)) * 2.0**-52
         row[np.argmax(row)] += target - math.fsum(row.tolist())
     return rows
@@ -765,19 +791,19 @@ def test_laws_the_bound_cannot_decide_reach_the_correctly_rounded_sum(monkeypatc
     monkeypatch.setattr("keysec.dist._total", counted)
     # 1,024 entries of (1 + 1e-9 - 1e-13) / 1024: the plain sum is within the tolerance,
     # but its error bound, about 2.3e-13 at 1,024 entries, is wider than the room left
-    inside = np.full(_LONG_ROW, (1 + VALIDATION_TOL - 1e-13) / _LONG_ROW)
+    inside = np.full(_LONG_ROW, (1 + TOTAL - 1e-13) / _LONG_ROW)
     KeyDistribution(10, inside)
     assert calls == [(1, _LONG_ROW)]
-    outside = np.full(_LONG_ROW, (1 + 2 * VALIDATION_TOL) / _LONG_ROW)
+    outside = np.full(_LONG_ROW, (1 + 2 * TOTAL) / _LONG_ROW)
     with pytest.raises(ValidationError, match=r"^distribution sums to 1\.000000002\d*, not 1 \(tolerance 1e-09\)$"):
         KeyDistribution(10, outside)
     assert calls == [(1, _LONG_ROW)] * 2
 
 
 def test_no_row_is_certified_where_the_summation_bound_exceeds_the_tolerance():
-    # gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) with u = 2**-53 passes VALIDATION_TOL at N = 2**24
+    # gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) with u = 2**-53 passes TOTAL at N = 2**24
     size, u = 1 << 24, 2.0**-53
-    assert (size - 1) * u / (1 - (size - 1) * u) > VALIDATION_TOL
+    assert (size - 1) * u / (1 - (size - 1) * u) > TOTAL
     for bits in (22, 23, 24):  # entries 2**-bits sum to exactly 1, in every order
         row = np.broadcast_to(2.0**-bits, (1, 1 << bits))
-        assert _certified(row, VALIDATION_TOL, 0.0) is (bits == 22)
+        assert _certified(row, TOTAL, 0.0) is (bits == 22)

@@ -16,10 +16,12 @@ import pytest
 
 import keysec as ks
 from keysec import KeyDistribution, numerics
-from keysec.dist import Lattice
+from keysec.dist import ClassicalProbeModel, Lattice
+from keysec.ecpa import CodeEnsemble, random_parity_check
 from keysec.numerics import (
     CAPS,
     MODES,
+    SLACKS,
     ResourceLimitError,
     ValidationError,
     _shown,
@@ -34,6 +36,7 @@ from keysec.numerics import (
     parse_number,
     resolve_mode,
     scalar_mode,
+    slack,
 )
 
 
@@ -303,6 +306,45 @@ def test_the_readme_cap_table_is_caps():
         assert int(exit_code) == {ResourceLimitError: 3, ValidationError: 2}[CAPS[name].error], name
 
 
+def test_the_readme_slack_table_is_slacks():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\d+e-\d+) \| ([^|]+) \|$", readme, re.MULTILINE)
+    assert [name for name, _, _ in rows] == list(SLACKS)
+    for name, size, reason in rows:
+        assert float(size) == SLACKS[name].size and reason == SLACKS[name].reason, name
+
+
+def test_a_slack_is_zero_on_exact_values_and_its_size_on_floats():
+    law = KeyDistribution(1, [Fraction(1, 4), Fraction(3, 4)])
+    model = ClassicalProbeModel(law, [[Fraction(1, 2)] * 2, [1, 0]])
+    float_law = KeyDistribution.uniform(1)
+    float_model = ClassicalProbeModel(float_law, [[1.0]] * 2)
+    for name, row in SLACKS.items():
+        for exact in ([Fraction(1, 3)], [0], [7, Fraction(1, 2)], [law], [model, law, 1]):
+            assert slack(name, *exact) == 0, (name, exact)
+        for inexact in ([0.5], [Fraction(1, 3), 0.5], [float_law], [law, float_law], [float_model]):
+            assert slack(name, *inexact) == row.size, (name, inexact)
+
+
+def test_a_mode_name_never_loosens_exact_validation():
+    """``scalar_mode("rational")`` is float, so a mode name is refused as a value; a total
+    1e-12 off 1, far inside the float slack, is refused by every exact validation."""
+    for values in (["rational"], [Fraction(1), "rational"], ["float"]):
+        with pytest.raises(TypeError, match="^slack 'total' reads the compared values, not a mode name$"):
+            slack("total", *values)
+    off = Fraction(1, 2) + Fraction(1, 10**12)
+    with pytest.raises(ValidationError, match=r"^distribution sums to 1000000000001/1000000000000, not 1$"):
+        KeyDistribution(1, [off, Fraction(1, 2)])
+    with pytest.raises(ValidationError, match=r"^distribution sums to 1000000000001/1000000000000, not 1$"):
+        KeyDistribution.from_json('["500000000001/1000000000000", "1/2"]', mode="rational")
+    with pytest.raises(ValidationError, match=r"^conditional row 1 sums to 1000000000001/1000000000000, not 1$"):
+        ClassicalProbeModel(KeyDistribution.uniform(1, mode="rational"), [[1, 0], [off, Fraction(1, 2)]])
+    with pytest.raises(ValidationError, match=r"^ensemble weights sums to 1000000000001/1000000000000, not 1$"):
+        CodeEnsemble([random_parity_check(4, 2, random.Random(0))] * 2, (off, Fraction(1, 2)))
+    with pytest.raises(ValidationError, match=r"^distribution entry 0 is Fraction\(-1, 10{12}\), outside \[0, 1\]$"):
+        KeyDistribution(1, [-Fraction(1, 10**12), 1 + Fraction(1, 10**12)])
+
+
 def test_refusals_cut_integers_past_fifty_digits():
     assert _shown(10**50 - 1) == "9" * 50 and _shown(-(10**49)) == str(-(10**49))
     assert _shown(10**50 + 7) == f"1{'0' * 49}...(51 digits)"
@@ -356,6 +398,42 @@ def test_every_top_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name for name in imported - used if (path.name, name) not in _REEXPORTS}
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+#: float literals below 1e-3 outside `SLACKS` that are no slack, by the expression holding them
+_NOT_SLACKS = {
+    ("verify.py", "rng.random() + 1e-12"): "a random float law's draw, kept above 0",
+    ("verify.py", "rng.random() + 1e-09"): "a random probe row's draw, kept above 0",
+}
+
+
+def test_no_float_slack_is_written_outside_numerics_slacks():
+    found = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = [node for node in tree.body if isinstance(node, ast.Assign) and path.name == "numerics.py"
+                 and [getattr(target, "id", None) for target in node.targets] == ["SLACKS"]]
+        skipped = {id(node) for node in ast.walk(table[0])} if table else set()
+        found += [((path.name, ast.unparse(parent)), node.lineno) for parent in ast.walk(tree)
+                  for node in ast.iter_child_nodes(parent) if id(node) not in skipped
+                  and isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-3]
+    assert sorted(where for where, _ in found) == sorted(_NOT_SLACKS), found
+
+
+def _broad_handlers(node, where):
+    """The name of the function around each ``except`` that catches every exception below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            caught = {name.id for name in ast.walk(child.type) if isinstance(name, ast.Name)} if child.type else {""}
+            if caught & {"", "Exception", "BaseException"}:
+                yield where
+        yield from _broad_handlers(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+
+def test_only_the_two_failure_boundaries_catch_every_exception():
+    broad = [(path.name, name) for path in _SOURCES
+             for name in _broad_handlers(ast.parse(path.read_text(encoding="utf-8")), None)]
+    assert sorted(broad) == [("cli.py", "main"), ("verify.py", "run_invariant_suite")]
 
 
 def test_check_key_bits_caps_dense_laws_before_allocating():

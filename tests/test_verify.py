@@ -88,3 +88,20 @@ def test_a_check_fails_on_the_fault_it_names(name, monkeypatch):
     [result] = run_invariant_suite(n_max=10, seed=42)
     assert result.name == name and not result.passed
     assert re.fullmatch(detail, result.detail), result.detail
+
+
+def test_the_budget_check_does_not_read_a_crash_as_a_refusal(monkeypatch):
+    """Only a `ValidationError` is the refusal of the quarter-root exponent; a reader that
+    crashes on ``"1/4"`` fails the check."""
+    real = keysec.budget.as_markov_exponent
+
+    def crashes_on_a_quarter(value):
+        if value == "1/4":
+            raise TypeError("a broken exponent reader")
+        return real(value)
+
+    monkeypatch.setattr(keysec.budget, "as_markov_exponent", crashes_on_a_quarter)
+    budget_only = [entry for entry in verify._CHECKS if entry[0] == "budget_log_domain_arithmetic"]
+    monkeypatch.setattr(verify, "_CHECKS", budget_only)
+    [result] = run_invariant_suite(n_max=10, seed=42)
+    assert not result.passed and result.detail == "raised TypeError: a broken exponent reader"
