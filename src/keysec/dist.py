@@ -674,23 +674,23 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
 
 
 def _shannon_bits(values: np.ndarray) -> float:
-    # 0 log 0 = 0 by continuity; math.log2 per entry, as np.log2 rounds some inputs differently
+    # 0 log 0 = 0 by continuity; one np.log2 over the support rounds each entry as it rounds that
+    # entry alone; 0.0 - x, as -x gives a certain key -0.0 bits
     support = values[values > 0]
-    logs = np.fromiter(map(math.log2, support.tolist()), np.float64, support.size)
-    return -_total(support * logs)  # the correctly rounded sum of the IEEE products p * log2(p)
+    return 0.0 - _total(support * np.log2(support))  # the correctly rounded sum of the IEEE p * log2(p)
 
 
 def entropy_stats(p: KeyDistribution) -> EntropyStats:
     """Best single-guess probability plus min- and Shannon entropy (bits).
 
     ``p1`` keeps the distribution's backend; the entropies are floats
-    (``min_entropy_bits = -log2(p1)``).
+    (``min_entropy_bits = -log2(p1)``), both ``+0.0`` for a certain key.
     """
     nums, den = _law(p)
     p1 = _over(nums.max(), den)
     return EntropyStats(
         p1=p1,
-        min_entropy_bits=-math.log2(float(p1)),
+        min_entropy_bits=0.0 - math.log2(float(p1)),
         shannon_bits=_shannon_bits(p.as_array()),
     )
 

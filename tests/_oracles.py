@@ -378,13 +378,13 @@ def ref_distance(p, q):
 
 
 def ref_shannon(probs) -> float:
-    return -math.fsum(float(p) * math.log2(float(p)) for p in probs if p > 0)
+    return 0.0 - math.fsum(float(p) * np.log2(float(p)) for p in probs if p > 0)
 
 
 def ref_entropy_stats(probs) -> tuple:
     """(p1, min-entropy, Shannon entropy)."""
     p1 = max(probs)
-    return p1, -math.log2(float(p1)), ref_shannon(probs)
+    return p1, 0.0 - math.log2(float(p1)), ref_shannon(probs)
 
 
 def ref_avg_guess(probs, n1: int, n2: int, subset) -> tuple:

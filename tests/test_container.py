@@ -20,6 +20,7 @@ import re
 import time
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,9 +72,9 @@ def draw_law(rng: random.Random, n: int, exact: bool, scale_bits: int, zeros: fl
 
 
 @st.composite
-def laws(draw, n=None, n_min=1, exact=None):
+def laws(draw, n=None, n_min=1, exact=None, n_max=10):
     """(n, entries) of a random law; the entries come from a seeded generator."""
-    n = draw(st.integers(n_min, 10)) if n is None else n
+    n = draw(st.integers(n_min, n_max)) if n is None else n
     exact = draw(st.booleans()) if exact is None else exact
     scale_bits = draw(st.sampled_from([6, 40, 62, 80]))
     zeros = draw(st.sampled_from([0.0, 0.3, 0.9]))
@@ -201,13 +202,52 @@ def test_average_guess_matches_reference(data):
     assert same(tuple(res), oracles.ref_avg_guess(probs, split.n1, split.n2, split.subset_bits))
 
 
-@pytest.mark.parametrize("x", [0.8987919599055768, 0.9873506349586143, 0.8741944479676026, 0.8306978238042115])
-def test_entropy_keeps_the_bits_of_math_log2(x):
-    # inputs where np.log2 rounds differently and the difference reaches the sum: in (x, 1 - x),
-    # and beside 2047 equal entries, a support summed by the binned kernel
+# inputs where np.log2 and math.log2 round differently and the difference reaches the sum
+CRAFTED = (0.8987919599055768, 0.9873506349586143, 0.8741944479676026, 0.8306978238042115)
+
+
+def crafted_law(x: float, n: int) -> tuple:
+    """``x`` beside ``2^n - 1`` equal entries: (x, 1 - x) at n = 1, a support summed by the binned
+    kernel at n = 11."""
+    return (x, *((1 - x) / ((1 << n) - 1),) * ((1 << n) - 1))
+
+
+@pytest.mark.parametrize("x", CRAFTED)
+def test_entropy_keeps_the_bits_of_np_log2_per_entry(x):
     for n in (1, 11):
-        law = (x, *((1 - x) / ((1 << n) - 1),) * ((1 << n) - 1))
+        law = crafted_law(x, n)
         assert same(entropy_stats(KeyDistribution(n, law)).shannon_bits, oracles.ref_shannon(law))
+
+
+@st.composite
+def entropy_laws(draw):
+    """(n, entries) of a law at n <= 12: a random float or exact one, or a point mass."""
+    if draw(st.booleans()):
+        return draw(laws(n_max=12))
+    n = draw(st.integers(1, 12))
+    zero, one = (F(0), F(1)) if draw(st.booleans()) else (0.0, 1.0)
+    at = draw(st.integers(0, (1 << n) - 1))
+    return n, tuple(one if k == at else zero for k in range(1 << n))
+
+
+def assert_shannon_within_bound(law: KeyDistribution):
+    """Shannon bits within a relative 2^-51 of -sum p log2 p at 60 digits over the stored floats:
+    with log2 within 1 ulp each term is within 1.5 * 2^-52, every term has one sign, and the
+    correctly rounded sum adds 2^-53."""
+    got = entropy_stats(law).shannon_bits
+    ref = oracles.shannon_bits_mp(law.as_array().tolist())
+    assert abs(mpmath.mpf(got) - ref) <= ref * mpmath.mpf(2) ** -51
+
+
+@given(entropy_laws())
+def test_entropy_is_within_its_bound_of_mpmath(law):
+    assert_shannon_within_bound(KeyDistribution(*law))
+
+
+@pytest.mark.parametrize("x", CRAFTED)
+@pytest.mark.parametrize("n", [1, 11])
+def test_crafted_entropy_is_within_its_bound_of_mpmath(x, n):
+    assert_shannon_within_bound(KeyDistribution(n, crafted_law(x, n)))
 
 
 @pytest.mark.parametrize("n, seed, zeros", [(11, 1, 0.0), (11, 2, 0.3), (12, 3, 0.0), (12, 4, 0.3)])

@@ -493,6 +493,43 @@ def test_entropy_extremes():
     assert pt.p1 == 1 and pt.min_entropy_bits == 0.0 and pt.shannon_bits == 0.0
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_a_certain_key_has_positive_zero_entropy(mode):
+    # -log2(1.0) and a negated zero total are -0.0; the entropies are written 0.0 - x
+    for n in (1, 4):
+        stats = entropy_stats(KeyDistribution.point_mass(n, at=n - 1, mode=mode))
+        assert math.copysign(1.0, stats.min_entropy_bits) == math.copysign(1.0, stats.shannon_bits) == 1.0
+        row = [F(1, 2)] * 2 if mode == "rational" else [0.5, 0.5]
+        model = ClassicalProbeModel(KeyDistribution.point_mass(n, mode=mode), [row] * (1 << n))
+        assert math.copysign(1.0, mutual_information(model)) == 1.0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("dist", "entropy", "--p", "[1.0,0.0]"), "min_entropy_bits"),
+    (("dist", "entropy", "--p", "[1.0,0.0]"), "shannon_entropy_bits"),
+    (("dist", "entropy", "--p", '["1","0"]'), "shannon_entropy_bits"),
+    (("dist", "mi", "--prior", "[1.0,0.0]", "--conditional", "[[0.5,0.5],[0.25,0.75]]"), "mutual_information_bits"),
+])
+def test_a_certain_key_prints_no_negative_zero(capsys, argv, key):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["outputs"][key] == 0.0 and "-0.0" not in out
+
+
+def test_the_numpy_log2_the_entropy_relies_on():
+    """`np.log2` rounds each entry as it rounds that entry alone, wherever the entry sits: the
+    Shannon kernel takes one call over the support, and its reference `np.log2(float(p))` per entry."""
+    values = 1.0 - np.random.default_rng(35).random(200_001)  # in (0, 1]
+    bits = np.log2(values).view(np.int64)
+    strided = np.empty(2 * values.size)
+    strided[::2] = values
+    shifted = np.empty(values.size + 1)
+    shifted[1:] = values
+    assert np.array_equal(np.log2(strided[::2]).view(np.int64), bits)
+    assert np.array_equal(np.log2(shifted[1:]).view(np.int64), bits)
+    assert np.array_equal(np.array([np.log2(x) for x in values.tolist()]).view(np.int64), bits)
+
+
 def test_binary_entropy_frozen():
     assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-14)
     assert binary_entropy(F(1, 4)) == pytest.approx(0.8112781244591328, abs=1e-14)
