@@ -91,6 +91,15 @@ def _wide(nums: np.ndarray, bound: int) -> np.ndarray:
     return nums.astype(object) if bound >= _INT64_LIMIT and nums.dtype == np.int64 else nums
 
 
+def _xor_span(vectors) -> np.ndarray:
+    """Entry x is the XOR of ``vectors[i]`` over the bits i of x, built by doubling.  The
+    vectors are ints or the equal rows of an array (a list of ints gives a 1-D span)."""
+    span = np.zeros((1 << len(vectors), *getattr(vectors, "shape", ())[1:]), np.intp)
+    for i, vector in enumerate(vectors):  # x + 2^i adds vector i to x
+        np.bitwise_xor(span[: 1 << i], vector, out=span[1 << i : 2 << i])
+    return span
+
+
 def _exact_sum(values: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D float64 array of finite values: the value
     `math.fsum` returns, with no Python float per entry.

@@ -14,7 +14,9 @@ sampling -- so the information ordering
 
 is checkable without Monte Carlo slack.  The code prior and the MAP
 Hamming balls, with a known code or the mixture, live on the ``2^rank``
-syndromes of the stacked parity rows; mapping words to syndromes, the
+syndromes of the stacked parity rows.  The syndrome map, each code's
+syndromes and its codewords are XOR spans (`keysec.dist._xor_span`) of
+the parity columns or a `_null_space`.  Mapping words to syndromes, the
 posterior and the MAP total visit all ``2^n_data`` words, so they are
 capped by the ``data_bits`` entry of `keysec.numerics.CAPS`, and
 parity-check matrices by its ``matrix_bits`` entry.
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _check_rows, _wide
+from .dist import KeyDistribution, Lattice, _check_rows, _wide, _xor_span
 from .numerics import (
     InfeasibleError,
     Number,
@@ -78,6 +80,14 @@ def _basis(rows) -> list:
     return sorted(basis)
 
 
+def _null_space(rows, width: int) -> list:
+    """A basis of the vectors below ``2^width`` that share an even count of bits with
+    every row: one per bit f that leads no row of the reduced `_basis`, f with the
+    leading bits of the reduced rows that hold f."""
+    leads = {b.bit_length() - 1: b for b in _basis(rows)}
+    return [1 << f | sum(1 << lead for lead, b in leads.items() if b >> f & 1) for f in range(width) if f not in leads]
+
+
 @dataclass(frozen=True)
 class ParityCheckMatrix:
     """Binary linear code given by parity checks; data bit j is integer bit j."""
@@ -122,9 +132,7 @@ class ParityCheckMatrix:
     @functools.cached_property
     def _words(self) -> np.ndarray:
         """The codewords in increasing order, a read-only int array (built once, on first use)."""
-        words = np.arange(1 << self.n_data)
-        for row in self.rows:
-            words = words[np.bitwise_count(words & row) % 2 == 0]
+        words = np.sort(_xor_span(_null_space(self.rows, self.n_data)))
         words.flags.writeable = False
         return words
 
@@ -210,14 +218,6 @@ def _as_word(observation, n: int) -> int:
     return word
 
 
-def _xor_span(vectors) -> np.ndarray:
-    """Entry x is the XOR of ``vectors[i]`` over the bits i of x, built by doubling."""
-    span = np.zeros(1 << len(vectors), np.intp)
-    for i, vector in enumerate(vectors):  # x + 2^i adds vector i to x
-        np.bitwise_xor(span[: 1 << i], vector, out=span[1 << i : 2 << i])
-    return span
-
-
 def _code_prior(chosen, n: int, exact: bool) -> tuple:
     """Prior of a uniform codeword of a code drawn by weight from ``(code, weight)``
     pairs on the syndromes of the stacked parity rows, with the map from words to
@@ -228,8 +228,8 @@ def _code_prior(chosen, n: int, exact: bool) -> tuple:
     Only basis row j has a bit at its leading bit, pivot j, so a code's row is the
     sum of the basis rows at whose pivots it has a bit, and x meets it when x's
     syndrome and those coordinates share an even count of bits.  So x lies in a
-    code when its syndrome is in the null space of the code's coordinates, spanned
-    by one vector per coordinate that leads no reduced row, and word x's prior is
+    code when its syndrome is in the `_null_space` of the code's coordinates, whose
+    `_xor_span` lists the code's syndromes, and word x's prior is
     ``prior[syndrome[x]]``, its shares added in the same order.
     """
     chosen = list(chosen)
@@ -246,10 +246,7 @@ def _code_prior(chosen, n: int, exact: bool) -> tuple:
     size = 1 << len(basis)
     prior = _wide(np.zeros(size, np.int64), den) if exact else np.zeros(size)  # no entry passes den
     for rows, share in shares:
-        reduced = _basis(syndrome[np.array(rows) & pivots].tolist())  # the code's rows in coordinates
-        leads = {b.bit_length() - 1: b for b in reduced}
-        free = [f for f in range(len(basis)) if f not in leads]
-        null = [1 << f | sum(1 << lead for lead, b in leads.items() if b >> f & 1) for f in free]
+        null = _null_space(syndrome[np.array(rows) & pivots].tolist(), len(basis))  # rows in coordinates
         prior[_xor_span(null)] += share.numerator * (den // share.denominator) if exact else float(share)
     return Lattice(prior, den), syndrome
 
@@ -313,10 +310,13 @@ def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:
     ``prior[syndrome[x]]`` is word x's float.  Flipping bit i adds column i,
     ``syndrome[2^i]``, to the syndrome, so the syndrome map sends the radius-w
     ball around y onto the radius-w ball around y's syndrome; one gather over
-    the distinct columns (and 0) grows every ball by one flip, and a max picks
+    the distinct columns and 0 grows every ball by one flip, and a max picks
     one exact product, so every ball maximum, stopping radius and product is
-    the same float.  ``best[syndrome]`` gives each y its maximum, added in y
-    order as on the words.
+    the same float.  The 0 keeps each centre in its ball, so ball w is the whole
+    radius-w ball; without it ball w holds the words at distance w, w - 2, ...,
+    which gives the same result (the nearer words scored earlier at a larger L)
+    by a longer argument.  ``best[syndrome]`` gives each y its maximum, added in
+    y order as on the words.
     """
     (ball, _), syndrome = _code_prior(chosen, n, False)
     best = ball * like_by_weight[0]

@@ -27,8 +27,9 @@ Masked substitution still enumerates its transcripts, over the rows
 ``H[d, alpha] = h_alpha(d)`` of the messages it hashes.  By linearity each
 is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
 ``uses.bit_length()`` for more), each row evaluated key by key by
-``HashFamilySpec.hash_value``, the one GF(2^b) evaluator.  The
-forgeable key law is closed form, with no search.  The degraded levels
+``HashFamilySpec.hash_value``, the one GF(2^b) evaluator, and the table
+is their XOR span (`keysec.dist._xor_span`).  The forgeable key law is
+closed form, with no search.  The degraded levels
 ``eps + eps_h`` and ``eps + m eps_t`` (`degraded_epsilon`) are scalar, so
 they live in `keysec.numerics`, which loads no numpy, and are bound here too.
 """
@@ -41,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dist import KeyDistribution, _law, _over, _transport, _wide
+from .dist import KeyDistribution, _law, _over, _transport, _wide, _xor_span
 from .numerics import (
     DegradedLevels,  # re-exported: keysec.mac.DegradedLevels and .degraded_epsilon stay the numerics objects
     InfeasibleError,
@@ -227,21 +228,6 @@ def _basis_rows(spec: HashFamilySpec, bits: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(bits, spec.tag_space)
 
 
-def _hash_table(basis: np.ndarray, stop: int) -> np.ndarray:
-    """``H[d, alpha] = h_alpha(d)`` for every message ``d < stop``; ``basis``
-    holds at least the first ``(stop - 1).bit_length()`` basis rows.
-
-    The hash is GF-linear in the message, so ``H[r | 2^k] = H[r] XOR
-    H[2^k]`` for ``r < 2^k``: the table is filled by doubling from the
-    basis rows.
-    """
-    bits = (stop - 1).bit_length()
-    table = np.zeros((1 << bits, basis.shape[1]), dtype=np.intp)
-    for k in range(bits):
-        np.bitwise_xor(table[: 1 << k], basis[k], out=table[1 << k : 2 << k])
-    return table[:stop]
-
-
 def _top_mass(posts: np.ndarray, roots: int) -> np.ndarray:
     """Per posterior row: the mass of its ``roots`` largest entries.
 
@@ -324,7 +310,8 @@ def attack_success(
         return _over(_top_mass(prior[None, :], roots)[0], den)
     # sent[g, i]: the hash row of message i of transcript group g, one group per message for a single use
     stop = spec.message_space if uses == 1 else uses + 1
-    table = _hash_table(_basis_rows(spec, (stop - 1).bit_length()), stop)
+    # the hash is GF-linear in the message: H[r | 2^k] = H[r] XOR H[2^k] for r < 2^k
+    table = _xor_span(_basis_rows(spec, (stop - 1).bit_length()))[:stop]
     sent = table[:, None] if uses == 1 else table[None, 1:]
     groups, tags, posts = len(sent), np.arange(size), prior[None, None]
     for i in range(sent.shape[1]):  # posts[g, (t_1, ..., t_i), alpha] = P(alpha, tags t_1..t_i on group g)

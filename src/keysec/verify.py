@@ -52,8 +52,8 @@ def _random_float_dist(rng: random.Random, n: int) -> KeyDistribution:
     return KeyDistribution(n, [x / total for x in raw])
 
 
-def _random_rational_dist(rng: random.Random, n: int, scale: int = 60) -> KeyDistribution:
-    raw = [rng.randrange(scale + 1) for _ in range(1 << n)]
+def _random_rational_dist(rng: random.Random, n: int) -> KeyDistribution:
+    raw = [rng.randrange(61) for _ in range(1 << n)]  # weights 0..60
     if sum(raw) == 0:
         raw[0] = 1
     total = sum(raw)

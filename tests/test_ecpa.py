@@ -14,11 +14,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from keysec import ecpa
+from keysec import dist, ecpa
 from keysec import (
     CodeEnsemble,
     EveChannel,
@@ -406,6 +406,42 @@ def test_basis_is_reduced_echelon_with_the_rank_of_the_span(rows):
     for row in rows:
         span |= {s ^ row for s in span}
     assert len(span) == 1 << len(basis) and set(basis) <= span
+
+
+def _xor_at_bits(vectors, x, total):
+    for i, vector in enumerate(vectors):
+        if x >> i & 1:
+            total = total ^ vector
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 20) - 1), max_size=8))
+def test_xor_span_of_ints_is_the_xor_at_each_set_bit(vectors):
+    span = dist._xor_span(vectors)
+    assert span.shape == (1 << len(vectors),)
+    assert span.tolist() == [_xor_at_bits(vectors, x, 0) for x in range(1 << len(vectors))]
+
+
+def test_xor_span_of_rows_is_the_xor_at_each_set_bit(rng):
+    assert dist._xor_span([]).tolist() == [0]
+    for k in range(7):
+        width = rng.randint(1, 6)
+        rows = np.array([[rng.randrange(1 << 12) for _ in range(width)] for _ in range(k)], np.intp).reshape(k, width)
+        span = dist._xor_span(rows)
+        assert span.shape == (1 << k, width)
+        for x in range(1 << k):
+            assert span[x].tolist() == _xor_at_bits(rows, x, np.zeros(width, np.intp)).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=n))))
+def test_null_space_of_independent_rows_meets_every_row_evenly(case):
+    width, rows = case
+    assume(len(ecpa._basis(rows)) == len(rows))
+    null = ecpa._null_space(rows, width)
+    assert len(null) == width - len(rows) and len(ecpa._basis(null)) == len(null)
+    assert all(0 < v < 1 << width and (v & row).bit_count() % 2 == 0 for v in null for row in rows)
 
 
 def test_single_code_known_equals_mixture_exactly():

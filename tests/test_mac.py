@@ -280,7 +280,7 @@ def test_hash_table_matches_polynomial_oracle(b, m, modulus):
     spec = HashFamilySpec(field_bits=b, message_blocks=m, modulus=modulus)
     msgs = spec.message_space
     basis = mac._basis_rows(spec, b * m)
-    table = mac._hash_table(basis, msgs)
+    table = mac._xor_span(basis)[:msgs]
     expected = [
         [oracles.hash_oracle(alpha, d, b, m, modulus) for alpha in range(1 << b)]
         for d in range(msgs)
