@@ -471,11 +471,10 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
 
 def _render(args: argparse.Namespace, mode: str, outputs) -> str:
     """The envelope as JSON text.  Exact results print at any length: Python's limit
-    on the digits of an int turned into text (3.11, and 3.10 from 3.10.7) is lifted
-    while the envelope is built and restored afterwards."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    on the digits of an int turned into text is lifted while the envelope is built
+    and restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         envelope = {
             "command": args.command,
@@ -489,8 +488,7 @@ def _render(args: argparse.Namespace, mode: str, outputs) -> str:
         except ValueError as exc:  # strict JSON has no NaN or infinity
             raise ValidationError(f"an output is not a finite number: {exc}") from exc
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- entry points

@@ -147,6 +147,14 @@ def _total(nums: np.ndarray):
     return sums if nums.ndim == 2 else sums[0]
 
 
+def _in_order(values: np.ndarray):
+    """Sums along the last axis, added left to right as a loop over the entries adds
+    them: a Python number for a 1-D array (an exact int for integer entries), an
+    array of row sums for a 2-D one.  The other float total is `_total`'s."""
+    last = np.add.accumulate(values, axis=-1)[..., -1]
+    return last if last.ndim else last.tolist()
+
+
 def _over(total, den) -> Number:
     """A total over its denominator: a Fraction, or a Python float for a float total."""
     return float(total) / float(den) if isinstance(total, float) else Fraction(int(total), int(den))
@@ -712,11 +720,8 @@ def mutual_information(model: ClassicalProbeModel) -> float:
     """
     h_prior = _shannon_bits(model.prior.as_array())
     joint = _ratios(*model._joint)
-    h_cond = 0.0
-    for y, py in enumerate(float(v) for v in model.outcome_marginal()):
-        if py <= 0.0:
-            continue
-        h_cond += py * _shannon_bits(joint[:, y] / py)
+    marginal = [float(v) for v in model.outcome_marginal()]
+    h_cond = _in_order(np.array([py * _shannon_bits(joint[:, y] / py) for y, py in enumerate(marginal) if py > 0.0]))
     return min(max(h_prior - h_cond, 0.0), h_prior)
 
 

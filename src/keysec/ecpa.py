@@ -19,7 +19,8 @@ syndromes and its codewords are XOR spans (`keysec.dist._xor_span`) of
 the parity columns or a `_null_space`.  Mapping words to syndromes, the
 posterior and the MAP total visit all ``2^n_data`` words, so they are
 capped by the ``data_bits`` entry of `keysec.numerics.CAPS`, and
-parity-check matrices by its ``matrix_bits`` entry.
+parity-check matrices by its ``matrix_bits`` entry.  Float totals add left
+to right, as the scalar formulas do (`keysec.dist._in_order`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _check_rows, _wide, _xor_span
+from .dist import KeyDistribution, Lattice, _check_rows, _in_order, _wide, _xor_span
 from .numerics import (
     InfeasibleError,
     Number,
@@ -288,7 +289,7 @@ def mixture_posterior(
     flips = np.bitwise_count(np.arange(1 << n) ^ y)
     post = prior * np.array([up**c for c in range(n + 1)], dtype=prior.dtype)[flips]
     post = post * np.array([down ** (n - c) for c in range(n + 1)], dtype=prior.dtype)[flips]
-    total = np.add.accumulate(post)[-1]  # left to right, as the scalar formula
+    total = _in_order(post)  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
     return KeyDistribution(n, Lattice(post, total) if exact else post / total)
@@ -328,7 +329,7 @@ def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:
             break  # every later radius scores this ball at a smaller L
         ball = grown
         best = np.maximum(best, ball * like_by_weight[w])
-    return float(np.add.accumulate(best[syndrome])[-1])
+    return _in_order(best[syndrome])
 
 
 def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageComparison:
@@ -350,12 +351,7 @@ def leakage_comparison(ensemble: CodeEnsemble, channel: EveChannel) -> LeakageCo
     ws = np.arange(n + 1, dtype=float)
     like_by_weight = np.power(q, ws) * np.power(1.0 - q, n - ws)
     weights = [float(w) for w in ensemble.weights]
-    known = sum(
-        w * _map_success([(code, Fraction(1))], like_by_weight, n)
-        for w, code in zip(weights, ensemble.codes)
-    )
+    known = _in_order(np.array([w * _map_success([(code, Fraction(1))], like_by_weight, n)
+                                for w, code in zip(weights, ensemble.codes)]))
     mixture = _map_success(zip(ensemble.codes, weights), like_by_weight, n)
-    no_code = (1.0 - q) ** n
-    return LeakageComparison(
-        p1_no_code=no_code, p1_code_known_avg=float(known), p1_mixture=float(mixture)
-    )
+    return LeakageComparison(p1_no_code=(1.0 - q) ** n, p1_code_known_avg=known, p1_mixture=mixture)

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import KeyDistribution, Lattice, _law, _over, _shannon_bits, _transport, _wide, statistical_distance
+from .dist import (KeyDistribution, Lattice, _in_order, _law, _over, _shannon_bits, _transport, _wide,
+                   statistical_distance)
 from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
                        parse_int, scalar_mode, slack)
 
@@ -205,8 +206,7 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     else:
         shifted = nums - lo
         raw = np.where(shifted < 0.0, 0.0, shifted) / lam  # max(x, 0.0) keeps -0.0
-        total = np.add.accumulate(raw)[-1]  # left to right, as the scalar formula
-        residual = KeyDistribution(p.n, raw / total)
+        residual = KeyDistribution(p.n, raw / _in_order(raw))  # summed left to right, as the scalar formula
     return MixtureDecomposition(uniform_weight=1 - lam, residual=residual)
 
 

@@ -28,10 +28,10 @@ Masked substitution still enumerates its transcripts, over the rows
 is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
 ``uses.bit_length()`` for more), each row evaluated key by key by
 ``HashFamilySpec.hash_value``, the one GF(2^b) evaluator, and the table
-is their XOR span (`keysec.dist._xor_span`).  The forgeable key law is
-closed form, with no search.  The degraded levels
-``eps + eps_h`` and ``eps + m eps_t`` (`degraded_epsilon`) are scalar, so
-they live in `keysec.numerics`, which loads no numpy, and are bound here too.
+is their XOR span (`keysec.dist._xor_span`).  The forgeable key law is closed
+form, with no search.  Float totals add left to right (`keysec.dist._in_order`).
+The degraded levels ``eps + eps_h`` and ``eps + m eps_t`` (`degraded_epsilon`) are
+scalar, so they live in `keysec.numerics`, which loads no numpy, and are bound here too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dist import KeyDistribution, _law, _over, _transport, _wide, _xor_span
+from .dist import KeyDistribution, _in_order, _law, _over, _transport, _wide, _xor_span
 from .numerics import (
     DegradedLevels,  # re-exported: keysec.mac.DegradedLevels and .degraded_epsilon stay the numerics objects
     InfeasibleError,
@@ -236,11 +236,11 @@ def _top_mass(posts: np.ndarray, roots: int) -> np.ndarray:
     a nonzero polynomial of degree at most ``m_blk``, and every such set
     of keys ``S`` is the root set of ``prod_{s in S} (alpha + s)``.  A
     stable sort breaks ties toward the lower key, and the chosen entries
-    are summed in key order; the values are unnormalized (they scale with
-    the row's total).
+    are summed in key order (`_in_order`); the values are unnormalized
+    (they scale with the row's total).
     """
     order = np.sort(np.argsort(-posts, axis=1, kind="stable")[:, :roots], axis=1)
-    return np.add.accumulate(np.take_along_axis(posts, order, axis=1), axis=1)[:, -1]
+    return _in_order(np.take_along_axis(posts, order, axis=1))
 
 
 def attack_success(
@@ -275,9 +275,9 @@ def attack_success(
     top-``min(m_blk, 2^b)`` key mass (`_top_mass`).  Exact laws become
     integer numerators over one common denominator, widened by `_wide` to
     Python integers once twice the game's total numerator reaches 2^63.
-    Float laws are summed in the order a loop over the keys would use: a
-    float forgery mass is the key-order sum of the lowest-index top
-    entries, which can sit 1 ulp below another tied choice of keys.  More
+    Float laws are summed in the order a loop over the keys would use (`_in_order`):
+    a float forgery mass is the key-order sum of the lowest-index top entries,
+    which can sit 1 ulp below another tied choice of keys.  More
     uses than messages is a `ValidationError`; then the (transcript, key)
     table's bit count, ``b * m_blk + 2b`` for one use and ``b * (uses + 1)``
     for more, meets the ``mac_entry_bits`` cap before anything is built.
@@ -295,7 +295,7 @@ def attack_success(
     # the ideal pad is a uniform mask: numerator 1 over 2^b
     mask, mask_den = _law(keys.tag_key_dist, mode) if masked else (np.ones(1, np.int64), size)
     if attack == "impersonation":  # the zero message hashes to 0 under every key: its tag is the mask
-        return _over(sum(prior.tolist()) * max(mask.tolist()), den * mask_den)
+        return _over(_in_order(prior) * max(mask.tolist()), den * mask_den)
     b, uses = spec.field_bits, keys.uses
     if masked:  # the ideal pad builds nothing of size 2^(b * m_blk)
         bits = b * spec.message_blocks
@@ -320,10 +320,10 @@ def attack_success(
     hits = _top_mass(posts, roots)
     if tag_averaged:
         # per observed-message choice, its hits summed over the tags in order
-        totals = np.add.accumulate(hits.reshape(groups, -1), axis=1)[:, -1]
+        totals = _in_order(hits.reshape(groups, -1))
         return _over(totals.max(), den)
     # worst case: the transcript of highest conditional success hit / P(transcript), then one division
-    weights = np.add.accumulate(posts, axis=1)[:, -1]
+    weights = _in_order(posts)
     seen = weights > 0
     hits, weights = hits[seen], weights[seen]
     if mode == "float":

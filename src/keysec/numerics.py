@@ -212,7 +212,8 @@ def check_scalar(
     """Read one scalar argument: the reader every library entry point shares.
 
     Ints (numpy's too), Fractions and numeric strings (``"3/10"``,
-    ``"0.3"``) come back as Fractions and floats as floats, unless
+    ``"0.3"``) come back as Fractions and floats as floats (``-0.0`` as
+    ``+0.0``: ``x + 0.0`` is ``x`` for every other float), unless
     ``mode`` names the mode to convert to: the one cast into a mode, which
     refuses a name outside `MODES`.  NaN, infinities, bools and other types
     are refused with a `ValidationError` naming ``what``, and so is a value
@@ -233,7 +234,7 @@ def check_scalar(
     if kind == "float" and not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {_shown(value, repr)}")
     try:
-        value = Fraction(value) if (kind if mode is None else check_mode(mode)) == "rational" else float(value)
+        value = Fraction(value) if (kind if mode is None else check_mode(mode)) == "rational" else float(value) + 0.0
     except OverflowError as exc:
         raise ValidationError(f"{what} is outside the float range") from exc
     below = lo is not None and (value <= lo if lo_open else value < lo)

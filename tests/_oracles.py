@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -433,7 +434,7 @@ def ref_mixture(probs, n: int, lam):
     if lam == 0.0:
         return 1.0 - lam, ref_uniform(n, False)
     raw = [max(float(p) - lo, 0.0) / lam for p in probs]
-    total = sum(raw)
+    total = functools.reduce(operator.add, raw)  # left to right, whatever the interpreter's `sum` does
     return 1.0 - lam, tuple(r / total for r in raw)
 
 

@@ -6,8 +6,10 @@ implementations (plain summation over the defining formulas, mpmath at
 distances) and are asserted here at 1e-12 or exactly.
 """
 
+import functools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -34,7 +36,7 @@ from keysec import (
     trace_distance,
 )
 from keysec import cli, dist
-from keysec.dist import _LONG_ROW, _certified, _check_rows, _exact_sum, _total
+from keysec.dist import _LONG_ROW, _certified, _check_rows, _exact_sum, _in_order, _total
 from keysec.numerics import CAPS, SLACKS
 
 TOTAL = SLACKS["total"].size  # a float law's total may miss 1 by this much
@@ -509,11 +511,18 @@ def test_a_certain_key_has_positive_zero_entropy(mode):
     (("dist", "entropy", "--p", "[1.0,0.0]"), "shannon_entropy_bits"),
     (("dist", "entropy", "--p", '["1","0"]'), "shannon_entropy_bits"),
     (("dist", "mi", "--prior", "[1.0,0.0]", "--conditional", "[[0.5,0.5],[0.25,0.75]]"), "mutual_information_bits"),
+    # a -0.0 argument reads as +0.0 (`check_scalar`); the inputs echo its text
+    (("ecpa", "posterior", "--code", "0110", "--observation", "0110", "--crossover", "-0.0", "--mode", "float"),
+     "posterior"),
+    (("budget", "markov", "--mean", "-0.0", "--threshold", "1", "--mode", "float"), "bound"),
+    (("spike", "construct", "--n", "1", "--eps", "-0.0", "--mode", "float"), "distance"),
+    (("conditional", "max-deviation", "--n", "1", "--eps", "-0.0", "--event", "0", "--sub-event", "0",
+      "--mode", "float"), "deviation"),
 ])
 def test_a_certain_key_prints_no_negative_zero(capsys, argv, key):
     assert cli.main(list(argv)) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["outputs"][key] == 0.0 and "-0.0" not in out
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert 0.0 in np.ravel(outputs[key]) and "-0.0" not in json.dumps(outputs)
 
 
 def test_the_numpy_log2_the_entropy_relies_on():
@@ -737,6 +746,27 @@ def test_total_of_tables_of_both_widths(width):
     assert [x.hex() for x in _total(table)] == [x.hex() for x in expected]
     assert [x.hex() for x in _total(table.T.copy().T)] == [x.hex() for x in expected]  # strided rows
     assert _total(table[3]).hex() == expected[3].hex()
+
+
+@given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 300))
+@settings(max_examples=200)
+def test_in_order_adds_left_to_right(seed, rows, width):
+    # the fold a loop over the entries makes, to the bit, whatever builtin `sum` does
+    rng = np.random.default_rng(seed)
+    table = np.ldexp(rng.random((rows, width)), rng.integers(-60, 1, (rows, width)))
+    table[rng.random((rows, width)) < 0.3] *= -1.0
+    expected = [functools.reduce(operator.add, row).hex() for row in table.tolist()]
+    assert [x.hex() for x in _in_order(table).tolist()] == expected
+    totals = [_in_order(row) for row in table]
+    assert {type(x) for x in totals} == {float} and [x.hex() for x in totals] == expected
+
+
+def test_in_order_keeps_integers_exact():
+    assert type(_in_order(np.array([3, 4], dtype=np.int64))) is int
+    wide = np.array([2**63 - 1, 2**63, 5], dtype=object)  # past int64
+    total = _in_order(wide)
+    assert type(total) is int and total == 2**64 + 4
+    assert _in_order(np.stack([wide, wide])).tolist() == [2**64 + 4] * 2
 
 
 def test_no_bin_of_an_exact_sum_reaches_2_to_the_53():

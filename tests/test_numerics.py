@@ -191,7 +191,7 @@ def test_check_scalar_keeps_or_converts_the_mode():
     assert type(check_scalar(0.25, "x")) is float
     assert type(check_scalar(np.float64(0.25), "x")) is float
     assert check_scalar(np.int64(3), "x") == Fraction(3)
-    assert check_scalar(-0.0, "x", lo=0).hex() == "-0x0.0p+0"
+    assert check_scalar(-0.0, "x", lo=0).hex() == "0x0.0p+0"  # a float zero reads as +0.0
     # mode converts: exactly to rational, correctly rounded to float
     assert check_scalar(0.1, "x", mode="rational") == Fraction(0.1)
     assert check_scalar(Fraction(1, 3), "x", mode="float") == 1 / 3
@@ -418,6 +418,23 @@ def test_no_float_slack_is_written_outside_numerics_slacks():
                   for node in ast.iter_child_nodes(parent) if id(node) not in skipped
                   and isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-3]
     assert sorted(where for where, _ in found) == sorted(_NOT_SLACKS), found
+
+
+def _enclosing_functions(tree, pattern: str):
+    """The name of the function around each expression of ``tree`` written as ``pattern``."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr) and ast.unparse(child) == pattern:
+                yield where
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+    return list(visit(tree, None))
+
+
+def test_only_the_in_order_total_calls_np_add_accumulate():
+    # a float total added left to right is written once, in `dist._in_order`
+    found = [(path.name, name) for path in _SOURCES
+             for name in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")), "np.add.accumulate")]
+    assert found == [("dist.py", "_in_order")]
 
 
 def _broad_handlers(node, where):
