@@ -305,6 +305,7 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
         rows = _wide(_integers(nums, f"{label(0)} numerator"), den * width).reshape(-1, width)  # sums fit
     else:
         rows = np.array(nums, dtype=np.float64).reshape(-1, width)
+        rows += 0.0  # a copy, so each -0.0 is stored as +0.0 in place
     tol = slack("total", rows.item(0))  # an int when exact, so 0; a float in float mode
     top, least, most = den + tol, rows.min(), rows.max()
     if not (least >= -tol and most <= top):  # NaN fails both comparisons
@@ -314,13 +315,20 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
         if abs(total - den) > tol:
             tolerance = f" (tolerance {tol})" if tol else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
-    if exact:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
-        common = math.gcd(den, *rows.ravel().tolist() if rows.dtype == object else [np.gcd.reduce(rows, axis=None)])
+    return _stored(rows, den if exact else None, most)
+
+
+def _stored(nums: np.ndarray, den: int | None, most=None) -> Lattice:
+    """``nums`` stored read-only: float64 over 1 as they are (``den`` None), or integers over ``den``
+    (largest ``most``, found if not given) in lowest terms, int64 while ``most * count`` fits, else ``object``."""
+    if den is not None:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
+        most = nums.max() if most is None else most
+        common = math.gcd(den, *nums.ravel().tolist() if nums.dtype == object else [np.gcd.reduce(nums, axis=None)])
         if common > 1:
-            rows, den, most = rows // common, den // common, most // common
-        rows = rows.astype(np.int64 if int(most) * rows.size < _INT64_LIMIT else object)
-    rows.flags.writeable = False
-    return Lattice(rows, den)
+            nums, den, most = nums // common, den // common, most // common
+        nums = nums.astype(np.int64 if int(most) * nums.size < _INT64_LIMIT else object)
+    nums.flags.writeable = False
+    return Lattice(nums, 1 if den is None else den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,16 +351,17 @@ class KeyDistribution:
     entries' reduced denominators (`lattice`), so equal laws have equal
     lattices.  Exact numerators are int64 while ``max(numerator) * 2**n``
     fits, so no sum of entries can overflow, and Python ints (``object``)
-    beyond.  Construction (`_check_rows`) refuses NaN, infinities and
-    entries outside ``[0, 1]``, then checks the total: exactly, or in
+    beyond.  Public construction (`_check_rows`) refuses NaN, infinities
+    and entries outside ``[0, 1]``, then checks the total: exactly, or in
     float mode by the correctly rounded sum (the value `math.fsum`
     returns) within the ``total`` slack of 1, certified by a plain sum's
     error bound where the bound decides (`_certified`) and summed
     correctly rounded where it does not (`_exact_sum` from ``_LONG_ROW``
-    entries).  A Lattice passed in must hold integer
-    numerators.  ``probs``, the tuple of Python floats or Fractions that
-    iteration uses, and the distance to the uniform law are computed on
-    first use and cached; indexing, hashing and `repr` read the lattice.
+    entries).  A Lattice passed in must hold integer numerators.  A law
+    keysec builds is stored unchecked (`_built`); Tier-1 tests check each
+    builder against `_check_rows`.  ``probs`` (the tuple iteration uses)
+    and the distance to the uniform law are computed on first use and
+    cached; indexing, hashing and `repr` read the lattice.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -383,10 +392,17 @@ class KeyDistribution:
         object.__setattr__(self, "_data", Lattice(data.nums[0], data.den))
 
     @classmethod
+    def _built(cls, n: int, nums: np.ndarray, den: int | None = None) -> "KeyDistribution":
+        """A law keysec computed, ``2**n`` integers over ``den`` or float64 (``den`` None), stored unchecked."""
+        law = cls.__new__(cls)
+        vars(law).update(n=n, mode="float" if den is None else "rational", _data=_stored(nums, den))
+        return law
+
+    @classmethod
     def uniform(cls, n: int, mode: str = "float") -> "KeyDistribution":
         """The uniform distribution on ``n``-bit keys, in the given backend."""
         size, exact = 1 << check_key_bits(n), check_mode(mode) == "rational"
-        return cls(n, Lattice(np.ones(size, np.int64), size) if exact else np.full(size, 1.0 / size))
+        return cls._built(n, np.ones(size, np.int64), size) if exact else cls._built(n, np.full(size, 1.0 / size))
 
     @classmethod
     def point_mass(cls, n: int, at: int = 0, mode: str = "float") -> "KeyDistribution":
@@ -532,7 +548,7 @@ def _transport(n: int, donors, receivers, budget: Number) -> tuple:
         values = [v.numerator * (den // v.denominator) for v in values]
     nums = np.full(size, values[0], dtype=object if den >= _INT64_LIMIT else None)
     nums[donors], nums[receivers] = values[1:]
-    return KeyDistribution(n, Lattice(nums, den) if exact else nums), moved
+    return KeyDistribution._built(n, nums, den) if exact else KeyDistribution(n, nums), moved
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,7 +292,7 @@ def mixture_posterior(
     total = _in_order(post)  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
-    return KeyDistribution(n, Lattice(post, total) if exact else post / total)
+    return KeyDistribution._built(n, post, total) if exact else KeyDistribution(n, post / total)
 
 
 def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:

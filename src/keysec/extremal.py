@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import (KeyDistribution, Lattice, _in_order, _law, _over, _shannon_bits, _transport, _wide,
+from .dist import (KeyDistribution, _in_order, _law, _over, _shannon_bits, _transport, _wide,
                    statistical_distance)
 from .numerics import (InfeasibleError, Number, ValidationError, _shown, check_int, check_key_bits, check_scalar,
                        parse_int, scalar_mode, slack)
@@ -196,18 +196,20 @@ def check_mixture_decomposition(p: KeyDistribution, lam: Number) -> MixtureDecom
     tol = slack("total", p)
     if _over(nums.min(), den) < lo - tol or _over(nums.max(), den) > hi + tol:
         return None
-    if lam == 0:
-        residual = KeyDistribution.uniform(p.n, mode=p.mode)
-    elif p.mode == "rational":
+    if lam and p.mode == "rational":
         # (num/den - lo) / lam over the denominator den * lo.den * lam.num
         scale = lo.denominator * lam.denominator
         shifted = _wide(nums, den * scale) * scale - lo.numerator * lam.denominator * den
-        residual = KeyDistribution(p.n, Lattice(shifted, den * lo.denominator * lam.numerator))
-    else:
-        shifted = nums - lo
-        raw = np.where(shifted < 0.0, 0.0, shifted) / lam  # max(x, 0.0) keeps -0.0
-        residual = KeyDistribution(p.n, raw / _in_order(raw))  # summed left to right, as the scalar formula
-    return MixtureDecomposition(uniform_weight=1 - lam, residual=residual)
+        return MixtureDecomposition(1 - lam, KeyDistribution._built(p.n, shifted, den * lo.denominator * lam.numerator))
+    if lam:
+        shifted = np.maximum(nums - lo, 0.0)
+        with np.errstate(over="ignore"):  # a shift / lam past the float range is normalised as it is
+            raw = shifted / lam
+            total = _in_order(raw)  # summed left to right, as the scalar formula
+        raw, total = (raw, total) if np.isfinite(total) else (shifted, _in_order(shifted))
+        if total:
+            return MixtureDecomposition(1 - lam, KeyDistribution(p.n, raw / total))
+    return MixtureDecomposition(1 - lam, KeyDistribution.uniform(p.n, p.mode))  # lam = 0, or a shift rounded to 0
 
 
 def max_conditional_deviation(

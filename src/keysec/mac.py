@@ -27,7 +27,7 @@ Masked substitution still enumerates its transcripts, over the rows
 ``H[d, alpha] = h_alpha(d)`` of the messages it hashes.  By linearity each
 is an XOR of basis rows, one per message bit (``b * m_blk`` for one use,
 ``uses.bit_length()`` for more), each row evaluated key by key by
-``HashFamilySpec.hash_value``, the one GF(2^b) evaluator, and the table
+``HashFamilySpec._horner``, the one GF(2^b) evaluator, unchecked, and the table
 is their XOR span (`keysec.dist._xor_span`).  The forgeable key law is closed
 form, with no search.  Float totals add left to right (`keysec.dist._in_order`).
 The degraded levels ``eps + eps_h`` and ``eps + m eps_t`` (`degraded_epsilon`) are
@@ -165,8 +165,9 @@ class HashFamilySpec:
         key, keeping the map GF-linear in the message with no constant
         part: ``h(M) XOR h(M') = h(M XOR M')``.
         """
-        alpha = check_int(alpha, "key value", lo=0, hi=self.tag_space)
-        message = self._check_message(message)
+        return self._horner(check_int(alpha, "key value", lo=0, hi=self.tag_space), self._check_message(message))
+
+    def _horner(self, alpha: int, message: int) -> int:  # the one GF(2^b) evaluator; key and message checked
         b = self.field_bits
         acc = 0
         # zero blocks above the message's top block would leave acc at 0
@@ -223,8 +224,8 @@ def _key_dist_for(spec: HashFamilySpec, dist: KeyDistribution, what: str) -> Non
 
 
 def _basis_rows(spec: HashFamilySpec, bits: int) -> np.ndarray:
-    """``H[2^k, alpha] = h_alpha(2^k)`` for ``k < bits``, each by `HashFamilySpec.hash_value`."""
-    rows = [[spec.hash_value(alpha, 1 << k) for alpha in range(spec.tag_space)] for k in range(bits)]
+    """``H[2^k, alpha] = h_alpha(2^k)`` for ``k < bits``, each by `HashFamilySpec._horner`."""
+    rows = [[spec._horner(alpha, 1 << k) for alpha in range(spec.tag_space)] for k in range(bits)]
     return np.array(rows, dtype=np.intp).reshape(bits, spec.tag_space)
 
 

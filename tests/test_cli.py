@@ -488,6 +488,16 @@ def test_a_float_law_accepted_as_uniform_decomposes_at_lam_zero(capsys):
     assert env["outputs"]["holds"] is True
 
 
+@pytest.mark.parametrize("law, lam, residual", [
+    ("uniform:2", "1e-300", [0.25] * 4),  # the shift rounds to 0: the uniform residual, as in rational mode
+    ("[0.250000000001, 0.249999999999, 0.25, 0.25]", "5e-324", [1.0, 0.0, 0.0, 0.0]),  # shift / lam overflows
+])
+def test_a_float_mixture_at_a_tiny_weight_decomposes_with_nothing_on_stderr(capsys, law, lam, residual):
+    code, out, err = run_cli(capsys, "mixture", "check", "--p", law, "--lam", lam, "--mode", "float")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"] == {"decomposable": True, "residual": residual, "uniform_weight": 1.0}
+
+
 def test_conditional_and_mixture_witnesses_via_cli(capsys):
     env = run_json(capsys, "conditional", "max-deviation", "--n", "2", "--eps", "1/10",
                    "--event", "0,1", "--sub-event", "0", "--mode", "rational")

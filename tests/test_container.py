@@ -46,7 +46,8 @@ from keysec import (
     mutual_information,
     statistical_distance,
 )
-from keysec.dist import Lattice
+from keysec.dist import Lattice, _check_rows
+from keysec.ecpa import CodeEnsemble, EveChannel, mixture_posterior, random_parity_check
 from keysec.numerics import format_number
 
 
@@ -301,10 +302,12 @@ def test_mixture_matches_reference(law, which, u):
         assert same(res.uniform_weight, ref[0]) and same(res.residual.probs, ref[1])
 
 
-def test_mixture_residual_keeps_negative_zero():
-    law = (-0.0, 1.0)  # -0.0 lies in [0, 1]; max(-0.0 - 0.0, 0.0) is -0.0
-    res = check_mixture_decomposition(KeyDistribution(1, law), 1.0)
-    assert same(res.residual.probs, oracles.ref_mixture(law, 1, 1.0)[1])
+def test_a_float_law_stores_negative_zero_as_positive_zero():
+    # -0.0 lies in [0, 1]; every reader stores it as +0.0, and the mixture residual keeps no -0.0
+    for law in (KeyDistribution(1, (-0.0, 1.0)), KeyDistribution(1, np.array([-0.0, 1.0])),
+                KeyDistribution.from_json("[-0.0, 1.0]"), KeyDistribution.from_json('["-0.0", "1.0"]')):
+        assert same(law.probs, (0.0, 1.0))
+        assert same(check_mixture_decomposition(law, 1.0).residual.probs, (0.0, 1.0))
 
 
 @given(st.data())
@@ -386,6 +389,64 @@ def test_a_point_mass_is_all_mass_moved(mode):
     law = KeyDistribution.point_mass(3, at=6, mode=mode)
     assert statistical_distance(law) == F(7, 8) and law.probs == (0,) * 6 + (1, 0)
     assert law.mode == mode and type(law[6]) is (F if mode == "rational" else float)
+
+
+# ---------------------------------------------------------------- laws keysec builds
+
+
+def _budget(rng: random.Random, exact: bool):
+    """A distance budget in [0, 1/2], over a denominator past 2^63 half the time."""
+    q = rng.choice([100, 3**50])
+    eps = F(rng.randrange(q + 1), 2 * q)
+    return eps if exact else float(eps)
+
+
+def _posterior(rng: random.Random, n: int, exact: bool) -> KeyDistribution:
+    codes = [random_parity_check(n, rng.randrange(1, n), rng) for _ in range(rng.randrange(1, 4))]
+    weights = [F(rng.randrange(1, 10)) for _ in codes]
+    weights = [w / sum(weights) for w in weights]
+    d = rng.choice([100, 3**40])  # a crossover over 3^40 takes the Python-int lattice
+    q = F(rng.randrange(1, d // 2 + 1), d)
+    if not exact:
+        weights, q = [float(w) for w in weights[:-1]], float(q)
+        weights.append(1.0 - math.fsum(weights))
+    return mixture_posterior(CodeEnsemble(codes, weights), format(rng.randrange(1 << n), f"0{n}b"), EveChannel(q))
+
+
+def _residual(rng: random.Random, n: int, exact: bool) -> KeyDistribution:
+    law = draw_law(rng, n, exact, rng.choice([6, 80]), rng.choice([0.0, 0.3]))
+    low, high, size = F(min(law)), F(max(law)), 1 << n
+    least = max(1 - size * low, (size * high - 1) / (size - 1), F(0))  # the least decomposable weight
+    lam = least + (1 - least) * F(rng.randrange(1, 11), 10)
+    return check_mixture_decomposition(KeyDistribution(n, law), lam if exact else float(lam)).residual
+
+
+#: every law keysec builds, from (generator, key bits n >= 2, exact); the forgery witness is exact in both
+BUILDERS = {
+    "uniform": lambda rng, n, exact: KeyDistribution.uniform(n, "rational" if exact else "float"),
+    "point mass": lambda rng, n, exact: KeyDistribution.point_mass(
+        n, rng.randrange(1 << n), "rational" if exact else "float"),
+    "spike": lambda rng, n, exact: construct_spike(n, _budget(rng, exact), at=rng.randrange(1 << n)).distribution,
+    "breach": lambda rng, n, exact: conditional_breach_witness(
+        n, _budget(rng, exact), KeySplit(n - 1, 1) if rng.random() < 0.5 else KeySplit(1, n - 1)).distribution,
+    "max-deviation": lambda rng, n, exact: max_conditional_deviation(
+        n, _budget(rng, exact), EventSpec(range(1, 1 << n)), EventSpec(range(1, rng.randrange(2, 1 << n)))
+    ).distribution,
+    "forgery witness": lambda rng, n, exact: forgeable_key_distribution(HashFamilySpec(n, 2)).distribution,
+    "posterior": _posterior,
+    "residual": _residual,
+}
+
+
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(2, 8), st.booleans(), st.integers(0, 2**32))
+def test_every_built_law_is_the_lattice_the_public_check_returns(builder, n, exact, seed):
+    # a law keysec builds is stored unchecked (`KeyDistribution._built`); `_check_rows`, the check of
+    # public construction, accepts it and returns the same denominator, dtype and numerators
+    law = BUILDERS[builder](random.Random(seed), n, exact)
+    nums, den = _check_rows(law._data, law.mode, law.size, "distribution".format)
+    stored = law._data
+    assert type(den) is type(stored.den) and den == stored.den and nums.dtype == stored.nums.dtype
+    assert same(nums[0].tolist(), stored.nums.tolist()) and not stored.nums.flags.writeable
 
 
 # ---------------------------------------------------------------- refusals

@@ -437,6 +437,16 @@ def test_only_the_in_order_total_calls_np_add_accumulate():
     assert found == [("dist.py", "_in_order")]
 
 
+def test_no_kernel_builds_a_law_through_the_public_check():
+    # a law keysec computes is stored by `KeyDistribution._built`; `KeyDistribution(n, Lattice(...))`
+    # would re-check numerators the kernel has just computed
+    found = [(path.name, node.lineno) for path in _SOURCES for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("KeyDistribution", "cls")
+             and any(isinstance(inner, ast.Call) and ast.unparse(inner.func) == "Lattice"
+                     for arg in node.args for inner in ast.walk(arg))]
+    assert found == []
+
+
 def _broad_handlers(node, where):
     """The name of the function around each ``except`` that catches every exception below ``node``."""
     for child in ast.iter_child_nodes(node):
