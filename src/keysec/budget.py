@@ -160,7 +160,7 @@ def guarantee_gap(
     target = check_scalar(log10_target_individual, "target level log10 d", hi=0, hi_open=True)
     # exact only when both levels are: beside a float current level the target is read as a float
     target = check_scalar(target, "target level log10 d", mode=scalar_mode(current, target))
-    return current - target / exp
+    return current - check_scalar(target / exp, "required average level log10 d")
 
 
 def parse_security_level(text: str, mode: str = "float") -> Number:

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import keysec
 
-from .numerics import (MODES, InfeasibleError, ResourceLimitError, ValidationError, _shown, check_scalar,
+from .numerics import (MODES, ResourceLimitError, ValidationError, _shown, check_scalar,
                        format_number, parse_int, parse_number)
 
 __all__ = ["main", "console_main", "build_parser", "COMMANDS"]
@@ -565,15 +565,9 @@ def main(argv=None) -> int:
         mode = keysec.numerics.resolve_mode(args.mode)
         outputs = COMMANDS[args.command].handler(_read(args, mode))
         text = _render(args, mode, outputs)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+    except (ValidationError, ResourceLimitError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # the failure boundary: a fault in keysec itself, reported on one line
         print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1

@@ -134,23 +134,23 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _total(nums: np.ndarray):
-    """Sums of numerators along the last axis, exact or correctly rounded for floats
-    (`math.fsum` for short rows, `_exact_sum` from ``_LONG_ROW`` entries): one number
-    for a 1-D array, a list of row sums for a 2-D one."""
+    """Sums along the last axis, exact for integers and correctly rounded for floats
+    (`math.fsum` for short rows, `_exact_sum` from ``_LONG_ROW`` entries): a Python
+    number for a 1-D array, an array of row sums for a 2-D one, as from `_in_order`."""
     rows = nums if nums.ndim == 2 else nums[None]
     if nums.dtype != np.float64:
-        sums = rows.sum(axis=1).tolist()
+        sums = rows.sum(axis=1)
     elif rows.shape[1] < _LONG_ROW:
-        sums = [math.fsum(row) for row in rows.tolist()]
+        sums = np.array([math.fsum(row) for row in rows.tolist()])
     else:
-        sums = [_exact_sum(row) for row in rows]
-    return sums if nums.ndim == 2 else sums[0]
+        sums = np.array([_exact_sum(row) for row in rows])
+    return sums if nums.ndim == 2 else sums.item(0)
 
 
 def _in_order(values: np.ndarray):
     """Sums along the last axis, added left to right as a loop over the entries adds
     them: a Python number for a 1-D array (an exact int for integer entries), an
-    array of row sums for a 2-D one.  The other float total is `_total`'s."""
+    array of row sums for a 2-D one, as from `_total`, the correctly rounded float total."""
     last = np.add.accumulate(values, axis=-1)[..., -1]
     return last if last.ndim else last.tolist()
 
@@ -311,7 +311,7 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
     if not (least >= -tol and most <= top):  # NaN fails both comparisons
         k, i = divmod(int(np.argmin((rows >= -tol) & (rows <= top))), width)
         raise ValidationError(f"{label(k)} entry {i} is {_shown(_over(rows[k, i], den), repr)}, outside [0, 1]")
-    for k, total in enumerate([] if not exact and _certified(rows, tol, least) else _total(rows)):
+    for k, total in enumerate([] if not exact and _certified(rows, tol, least) else _total(rows).tolist()):
         if abs(total - den) > tol:
             tolerance = f" (tolerance {tol})" if tol else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
@@ -613,13 +613,12 @@ class ClassicalProbeModel:
         return Lattice(nums, pd * cd)
 
     @functools.cached_property
-    def _outcome_totals(self) -> list:
+    def _outcome_totals(self) -> np.ndarray:
         """The column sums of `_joint`, one numerator per outcome (computed once, on first use)."""
         return _total(self._joint.nums.T)
 
     def outcome_marginal(self) -> list:
-        den = _law(self.prior).den * self._rows.den
-        return [_over(total, den) for total in self._outcome_totals]
+        return [_over(total, self._joint.den) for total in self._outcome_totals.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,11 +705,10 @@ def statistical_distance(p: KeyDistribution, q: KeyDistribution | None = None) -
     return _over(_total(np.abs(a - b)), 2 * den)
 
 
-def _shannon_bits(values: np.ndarray) -> float:
-    # 0 log 0 = 0 by continuity; one np.log2 over the support rounds each entry as it rounds that
-    # entry alone; 0.0 - x, as -x gives a certain key -0.0 bits
-    support = values[values > 0]
-    return 0.0 - _total(support * np.log2(support))  # the correctly rounded sum of the IEEE p * log2(p)
+def _shannon_bits(values: np.ndarray):
+    """Shannon entropy in bits of a law, or of each row of a table: the correctly rounded sum of the
+    IEEE ``p * log2(p)``, with ``log2(1)`` at entries <= 0 (0 log 0 = 0), as `_total` returns it."""
+    return 0.0 - _total(values * np.log2(np.where(values > 0, values, 1.0)))  # -x would give -0.0 for a certain key
 
 
 def entropy_stats(p: KeyDistribution) -> EntropyStats:
@@ -731,13 +729,15 @@ def entropy_stats(p: KeyDistribution) -> EntropyStats:
 def mutual_information(model: ClassicalProbeModel) -> float:
     """Mutual information ``I(K; Y)`` of a probe model, in bits.
 
-    Computed as ``H(K) - sum_y p(y) H(K | Y = y)``; the result is clamped
+    Computed as ``H(K) - sum_y p(y) H(K | Y = y)`` over the outcomes of positive mass, their
+    conditional entropies in one `_shannon_bits` call over a table; the result is clamped
     into ``[0, H(K)]`` to absorb float round-off near the endpoints.
     """
     h_prior = _shannon_bits(model.prior.as_array())
-    joint = _ratios(*model._joint)
-    marginal = [float(v) for v in model.outcome_marginal()]
-    h_cond = _in_order(np.array([py * _shannon_bits(joint[:, y] / py) for y, py in enumerate(marginal) if py > 0.0]))
+    nums, den = model._joint
+    marginal = _ratios(model._outcome_totals, den)
+    seen = marginal > 0.0
+    h_cond = _in_order(marginal[seen] * _shannon_bits(_ratios(nums, den).T[seen] / marginal[seen, None]))
     return min(max(h_prior - h_cond, 0.0), h_prior)
 
 
@@ -768,5 +768,4 @@ def d_criterion(model: ClassicalProbeModel) -> Number:
     """
     size = model.prior.size
     nums, den = model._joint
-    marginal = np.array(model._outcome_totals, dtype=nums.dtype)
-    return _over(_total(np.abs(size * nums - marginal).ravel()), 2 * size * den)
+    return _over(_total(np.abs(size * nums - model._outcome_totals).ravel()), 2 * size * den)

@@ -46,15 +46,21 @@ MODES = ("rational", "float")
 
 
 class ValidationError(ValueError):
-    """Malformed or out-of-domain input."""
+    """Malformed or out-of-domain input.  Each refusal class holds the CLI's label and exit code."""
+
+    label, exit_code = "validation error", 2
 
 
 class InfeasibleError(ValidationError):
     """Request is well-formed but mathematically unsatisfiable."""
 
+    label = "infeasible"
+
 
 class ResourceLimitError(RuntimeError):
     """Exact/enumerative computation would exceed the supported size cap."""
+
+    label, exit_code = "resource limit", 3
 
 
 class Cap(NamedTuple):
@@ -372,7 +378,7 @@ def ec_leak(f: Number, n: int, q: Number) -> float:
     """
     f = check_scalar(f, "inefficiency factor", lo=1, hi=2)
     n = check_scalar(check_int(n, "block length", lo=0), "block length", mode="float")
-    return float(f) * n * binary_entropy(q)
+    return check_scalar(float(f) * n * binary_entropy(q), "reconciliation disclosure")
 
 
 class DegradedLevels(NamedTuple):

@@ -17,7 +17,7 @@ import pytest
 import keysec
 from keysec import cli
 from keysec.cli import COMMANDS, GROUPS, build_parser, main
-from keysec.numerics import CAPS, MODES, ResourceLimitError, ValidationError
+from keysec.numerics import CAPS, MODES, ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -195,14 +195,17 @@ def test_non_finite_inputs_exit_2_with_one_line(capsys):
         ("dist", "mi", "--prior", "uniform:1", "--conditional", f"[[{'1' * 5000}]]"),
         ("dist", "trace", "--rho", f"[[{'1' * 5000}]]", "--sigma", "[[1]]"),
         ("dist", "trace", "--rho", "[[1,0]]", "--sigma", "[[1]]"),  # not square
-        # finite inputs whose result is not: the only refusal of a non-finite output
+        # finite inputs whose result is not: the refusal names the quantity that overflows
         ("budget", "gap", "--current", "log10:-1e308", "--target", "log10:-1e308", "--exponent", "1/3"),
+        ("ecpa", "leak", "--f", "2", "--n", str(10**308), "--q", "0.5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("validation error:") and err.count("\n") == 1, err
         if "gap" in argv:
-            assert err.startswith("validation error: an output is not a finite number: "), err
+            assert err == "validation error: required average level log10 d must be finite, got -inf\n", err
+        if str(10**308) in argv:
+            assert err == "validation error: reconciliation disclosure must be finite, got inf\n", err
         if "[[NaN]]" in argv or "[[Infinity]]" in argv:
             assert err == "validation error: --rho: state has a non-finite entry\n", err
         if "9" * 400 in argv:
@@ -254,7 +257,7 @@ def test_cap_refusals_of_both_exit_classes_share_one_format(capsys):
     for name, argv in CAP_ARGV.items():
         code, out, err = run_cli(capsys, *argv)
         cap = CAPS[name]
-        assert (code, out) == ({ResourceLimitError: 3, ValidationError: 2}[cap.error], ""), argv
+        assert (code, out) == (cap.error.exit_code, ""), argv
         match = line.fullmatch(err)
         assert match and match[4] == name, err
         assert int(match[5]) == cap.limit < int(match[2])

@@ -324,6 +324,19 @@ def test_probe_model_matches_reference(data):
     assert same(d_criterion(model), d)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_probe_model_with_an_outcome_of_no_mass_matches_reference(exact):
+    # outcome 1 has no mass: it adds no conditional entropy and its column of d is the joint's
+    rng = random.Random(17)
+    prior = draw_law(rng, 5, exact, 40, 0.2)
+    rows = [[row[0], row[0] * 0, *row[1:]] for row in (_row(rng, 3, exact) for _ in prior)]
+    model = ClassicalProbeModel(KeyDistribution(5, prior), rows)
+    assert model.outcome_marginal()[1] == 0
+    info, d = oracles.ref_probe(prior, rows)
+    assert same(mutual_information(model), info)
+    assert same(d_criterion(model), d)
+
+
 def _row(rng: random.Random, width: int, exact: bool) -> list:
     if exact:
         weights = [rng.randrange(0, 30) for _ in range(width)]

@@ -736,16 +736,38 @@ def test_exact_sum_of_ties_subnormals_and_zeros(head, fill, size):
         assert _exact_sum(values).hex() == (0.0).hex()  # as math.fsum: +0.0, also from -0.0 entries
 
 
-@pytest.mark.parametrize("width", [_LONG_ROW - 1, _LONG_ROW])
+@pytest.mark.parametrize("width", [_LONG_ROW - 1, _LONG_ROW, 3 * _LONG_ROW])
 def test_total_of_tables_of_both_widths(width):
+    # every row in one call, an array of row sums: float rows of both summations (an all-zero
+    # row, entries of both signs, subnormals, one entry slightly below 0), then integer rows
+    # in int64 and past it; a row alone gives a Python number
     rng = np.random.default_rng(width)
-    table = np.ldexp(rng.random((5, width)), rng.integers(-80, 1, (5, width)))
+    table = np.ldexp(rng.random((6, width)), rng.integers(-80, 1, (6, width)))
     table[1] = 0.0
     table[2, ::2] = -table[2, ::2]
-    expected = [math.fsum(row) for row in table.tolist()]
-    assert [x.hex() for x in _total(table)] == [x.hex() for x in expected]
-    assert [x.hex() for x in _total(table.T.copy().T)] == [x.hex() for x in expected]  # strided rows
-    assert _total(table[3]).hex() == expected[3].hex()
+    table[4] = np.ldexp(rng.random(width), -1070)
+    table[5, 7] = -TOTAL * rng.random()
+    expected = [math.fsum(row).hex() for row in table.tolist()]
+    for rows in (table, table.T.copy().T):  # contiguous and strided rows
+        sums = _total(rows)
+        assert isinstance(sums, np.ndarray) and sums.dtype == np.float64
+        assert [x.hex() for x in sums.tolist()] == expected
+    assert type(_total(table[3])) is float and _total(table[3]).hex() == expected[3]
+    ints = rng.integers(-(2**40), 2**40, (3, width))
+    for rows in (ints, ints.astype(object) * 2**40):
+        sums = _total(rows)
+        assert isinstance(sums, np.ndarray) and sums.dtype == rows.dtype
+        assert sums.tolist() == [sum(row) for row in rows.tolist()]
+        assert type(_total(rows[0])) is int and _total(rows[0]) == sums[0]
+
+
+@pytest.mark.parametrize("total", [_total, _in_order])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_both_totals_give_a_number_for_a_row_and_an_array_for_a_table(total, dtype):
+    table = np.arange(6).reshape(2, 3).astype(dtype)
+    assert type(total(table[1])) is (float if dtype is np.float64 else int) and total(table[1]) == 12
+    sums = total(table)
+    assert isinstance(sums, np.ndarray) and sums.dtype == table.dtype and sums.tolist() == [3, 12]
 
 
 @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 300))

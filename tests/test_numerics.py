@@ -113,6 +113,21 @@ def test_huge_counts_are_refused_as_outside_the_float_range():
     assert ks.required_d_for_near_uniform(128) == -128 * math.log10(2.0)
 
 
+def test_finite_inputs_with_an_infinite_result_are_refused_by_name():
+    with pytest.raises(ValidationError, match=r"^reconciliation disclosure must be finite, got inf$"):
+        ks.ec_leak(2, 10**308, 0.5)
+    with pytest.raises(ValidationError, match=r"^required average level log10 d must be finite, got -inf$"):
+        ks.guarantee_gap(-1e308, -1e308, "1/3")
+    # finite results keep their value
+    assert ks.ec_leak(2, 10**307, 0.5) == 2.0 * 1e307
+    assert ks.guarantee_gap(-1e308, -1e307, "1/3") == -1e308 - -1e307 / (1 / 3)
+
+
+def test_each_refusal_class_carries_its_label_and_exit_code():
+    classes = (ValidationError, numerics.InfeasibleError, numerics.ResourceLimitError)
+    assert [(c.label, c.exit_code) for c in classes] == [("validation error", 2), ("infeasible", 2), ("resource limit", 3)]
+
+
 def test_infer_mode():
     assert infer_mode([Fraction(1, 2), 1]) == "rational"
     assert infer_mode([0.5, 0.5]) == "float"
@@ -435,6 +450,26 @@ def test_only_the_in_order_total_calls_np_add_accumulate():
     found = [(path.name, name) for path in _SOURCES
              for name in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")), "np.add.accumulate")]
     assert found == [("dist.py", "_in_order")]
+
+
+def _per_pass(node) -> list:
+    """The parts of a loop or a comprehension evaluated once per pass (all but a comprehension's
+    first iterable and a loop's iterable); empty for any other node."""
+    if isinstance(node, (ast.For, ast.While)):
+        return [*node.body, *([node.test] if isinstance(node, ast.While) else [])]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        first, *rest = node.generators
+        return [*(getattr(node, part) for part in ("elt", "key", "value") if hasattr(node, part)), *first.ifs, *rest]
+    return []
+
+
+def test_no_float_total_or_entropy_is_taken_once_per_pass_of_a_loop():
+    # `_total`, `_in_order` and `_shannon_bits` take every row of a table in one call, so a per-row
+    # or per-outcome total is one call over the table, not one call per row in a Python loop
+    found = [(path.name, call.lineno) for path in _SOURCES for loop in ast.walk(ast.parse(path.read_text("utf-8")))
+             for part in _per_pass(loop) for call in ast.walk(part) if isinstance(call, ast.Call)
+             and ast.unparse(call.func) in ("_total", "_in_order", "_shannon_bits")]
+    assert found == []
 
 
 def test_no_kernel_builds_a_law_through_the_public_check():
