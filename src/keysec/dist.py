@@ -315,20 +315,20 @@ def _check_rows(probs, mode: str, width: int, label) -> Lattice:
         if abs(total - den) > tol:
             tolerance = f" (tolerance {tol})" if tol else ""
             raise ValidationError(f"{label(k)} sums to {_shown(_over(total, den))}, not 1{tolerance}")
-    return _stored(rows, den if exact else None, most)
+    return _stored(rows, den, most)
 
 
-def _stored(nums: np.ndarray, den: int | None, most=None) -> Lattice:
-    """``nums`` stored read-only: float64 over 1 as they are (``den`` None), or integers over ``den``
-    (largest ``most``, found if not given) in lowest terms, int64 while ``most * count`` fits, else ``object``."""
-    if den is not None:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
+def _stored(nums: np.ndarray, den: int, most=None) -> Lattice:
+    """``nums`` over ``den`` stored read-only: float64 as they are (``den`` 1), or integers (largest ``most``,
+    found if not given) in lowest terms, int64 while ``most * count`` fits, else ``object``."""
+    if nums.dtype != np.float64:  # over Python ints one `math.gcd` is faster than `np.gcd.reduce`
         most = nums.max() if most is None else most
         common = math.gcd(den, *nums.ravel().tolist() if nums.dtype == object else [np.gcd.reduce(nums, axis=None)])
         if common > 1:
             nums, den, most = nums // common, den // common, most // common
         nums = nums.astype(np.int64 if int(most) * nums.size < _INT64_LIMIT else object)
     nums.flags.writeable = False
-    return Lattice(nums, 1 if den is None else den)
+    return Lattice(nums, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,11 +357,11 @@ class KeyDistribution:
     returns) within the ``total`` slack of 1, certified by a plain sum's
     error bound where the bound decides (`_certified`) and summed
     correctly rounded where it does not (`_exact_sum` from ``_LONG_ROW``
-    entries).  A Lattice passed in must hold integer numerators.  A law
-    keysec builds is stored unchecked (`_built`); Tier-1 tests check each
-    builder against `_check_rows`.  ``probs`` (the tuple iteration uses)
-    and the distance to the uniform law are computed on first use and
-    cached; indexing, hashing and `repr` read the lattice.
+    entries).  A Lattice passed in must hold integer numerators.  A law keysec computes is
+    stored unchecked by `_built` in both modes, but two float laws the check may refuse: the
+    mixture residual, for its total, and an ECPA posterior with a negative term; Tier-1 tests
+    check each builder against `_check_rows`.  ``probs`` and the distance to the uniform law
+    are cached on first use; indexing, hashing and `repr` read the lattice.
 
     Instances are immutable.  Equality compares bit length and entries
     exactly (no tolerance), so two float-mode distributions are equal only
@@ -387,15 +387,13 @@ class KeyDistribution:
             raise ValidationError(f"need {1 << n} probabilities for a {n}-bit key, got {count}")
         mode = mode or infer_mode(probs)
         data = _check_rows(probs, mode, count, "distribution".format)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_data", Lattice(data.nums[0], data.den))
+        vars(self).update(n=n, mode=mode, _data=Lattice(data.nums[0], data.den))
 
     @classmethod
-    def _built(cls, n: int, nums: np.ndarray, den: int | None = None) -> "KeyDistribution":
-        """A law keysec computed, ``2**n`` integers over ``den`` or float64 (``den`` None), stored unchecked."""
+    def _built(cls, n: int, nums: np.ndarray, den: int = 1) -> "KeyDistribution":
+        """A law keysec computed, stored unchecked in its dtype's mode: float64 over 1, or integers over ``den``."""
         law = cls.__new__(cls)
-        vars(law).update(n=n, mode="float" if den is None else "rational", _data=_stored(nums, den))
+        vars(law).update(n=n, mode="float" if nums.dtype == np.float64 else "rational", _data=_stored(nums, den))
         return law
 
     @classmethod
@@ -534,21 +532,21 @@ def _transport(n: int, donors, receivers, budget: Number) -> tuple:
     uniform mass, computed in ``budget``'s mode; it is taken evenly from the donors
     and spread evenly over the receivers.  Entry values are as ``1/N - moved/|donors|``
     and ``1/N + moved/|receivers|`` compute them: integer numerators over their lcm
-    (int64 while it fits) when exact, float64 otherwise.  Returns the law and
-    ``moved``, which is the law's distance to the uniform law.
+    (widened by `_wide`) when exact, float64 otherwise, stored by `_built` in both modes.
+    Returns the law and ``moved``, which is the law's distance to the uniform law.
     """
     size = 1 << n
     u = low = high = check_scalar(Fraction(1, size), "uniform mass", mode=scalar_mode(budget))
     moved = min(budget, u * len(donors))
     if moved > 0:
         low, high = u - moved / len(donors), u + moved / len(receivers)
-    exact, den, values = isinstance(u, Fraction), 1, (u, low, high)
-    if exact:
+    den, values = 1, (u, low, high)
+    if isinstance(u, Fraction):
         den = math.lcm(*(v.denominator for v in values))
         values = [v.numerator * (den // v.denominator) for v in values]
-    nums = np.full(size, values[0], dtype=object if den >= _INT64_LIMIT else None)
+    nums = _wide(np.zeros(size, type(values[0])), den) + values[0]  # int64 or Python ints, or float64
     nums[donors], nums[receivers] = values[1:]
-    return KeyDistribution._built(n, nums, den) if exact else KeyDistribution(n, nums), moved
+    return KeyDistribution._built(n, nums, den), moved
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,7 +292,9 @@ def mixture_posterior(
     total = _in_order(post)  # left to right, as the scalar formula
     if total == 0:
         raise InfeasibleError("observation has zero likelihood under every code in the ensemble")
-    return KeyDistribution._built(n, post, total) if exact else KeyDistribution(n, post / total)
+    if not exact:  # a term < 0, from a float weight within slack below 0, is left to the public check
+        post, total = post / total, 1
+    return KeyDistribution._built(n, post, total) if exact or post.min() >= 0 else KeyDistribution(n, post)
 
 
 def _map_success(chosen, like_by_weight: np.ndarray, n: int) -> float:

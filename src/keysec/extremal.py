@@ -162,7 +162,7 @@ def construct_low_info_high_guess(n: int, lam: float) -> LowInfoFamily:
     rest = (1.0 - p1) / (size - 1)
     law = np.full(size, rest)
     law[0] = p1
-    dist = KeyDistribution(n, law)
+    dist = KeyDistribution._built(n, law)
     info = n - _shannon_bits(law)
     bound = n * p1
     if info > bound + slack("bits", info):

@@ -23,7 +23,7 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -37,6 +37,7 @@ from keysec import (
     average_conditional_guess,
     check_mixture_decomposition,
     conditional_breach_witness,
+    construct_low_info_high_guess,
     construct_spike,
     d_criterion,
     entropy_stats,
@@ -48,7 +49,7 @@ from keysec import (
 )
 from keysec.dist import Lattice, _check_rows
 from keysec.ecpa import CodeEnsemble, EveChannel, mixture_posterior, random_parity_check
-from keysec.numerics import format_number
+from keysec.numerics import CAPS, format_number
 
 
 def same(a, b) -> bool:
@@ -435,6 +436,7 @@ def _residual(rng: random.Random, n: int, exact: bool) -> KeyDistribution:
 
 
 #: every law keysec builds, from (generator, key bits n >= 2, exact); the forgery witness is exact in both
+#: (and at most the field_bits cap wide), the low-information family float in both
 BUILDERS = {
     "uniform": lambda rng, n, exact: KeyDistribution.uniform(n, "rational" if exact else "float"),
     "point mass": lambda rng, n, exact: KeyDistribution.point_mass(
@@ -445,17 +447,32 @@ BUILDERS = {
     "max-deviation": lambda rng, n, exact: max_conditional_deviation(
         n, _budget(rng, exact), EventSpec(range(1, 1 << n)), EventSpec(range(1, rng.randrange(2, 1 << n)))
     ).distribution,
-    "forgery witness": lambda rng, n, exact: forgeable_key_distribution(HashFamilySpec(n, 2)).distribution,
+    "forgery witness": lambda rng, n, exact: forgeable_key_distribution(
+        HashFamilySpec(min(n, CAPS["field_bits"].limit), 2)).distribution,
+    "low information": lambda rng, n, exact: construct_low_info_high_guess(n, rng.uniform(1 / n, 1)).distribution,
     "posterior": _posterior,
     "residual": _residual,
 }
 
 
-@given(st.sampled_from(sorted(BUILDERS)), st.integers(2, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=400)  # about 20 draws a builder in each mode
+@given(st.sampled_from(sorted(BUILDERS)), st.sampled_from([*range(2, 9), 11]), st.booleans(), st.integers(0, 2**32))
 def test_every_built_law_is_the_lattice_the_public_check_returns(builder, n, exact, seed):
-    # a law keysec builds is stored unchecked (`KeyDistribution._built`); `_check_rows`, the check of
-    # public construction, accepts it and returns the same denominator, dtype and numerators
-    law = BUILDERS[builder](random.Random(seed), n, exact)
+    # a law keysec builds is stored unchecked (`KeyDistribution._built`) in both modes; `_check_rows`, the
+    # check of public construction, accepts it and returns the same denominator, dtype and numerators (float
+    # ones bit for bit); at n = 11 a float row is past `_LONG_ROW`, so the check takes its long-row path
+    _assert_stored_as_checked(BUILDERS[builder](random.Random(seed), n, exact))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_exact_witness_with_a_uniform_numerator_past_int64_is_stored_as_python_ints(n):
+    # a denominator of 2^(63 + n) puts the uniform numerator at 2^63, which numpy alone would store as uint64
+    spike = construct_spike(n, F((2**n - 1) * (2**62 + 1), 2 ** (63 + n))).distribution
+    assert spike.lattice.den == 2 ** (63 + n) and spike.lattice.nums[1] == 2**62 - 1
+    _assert_stored_as_checked(spike)
+
+
+def _assert_stored_as_checked(law: KeyDistribution):
     nums, den = _check_rows(law._data, law.mode, law.size, "distribution".format)
     stored = law._data
     assert type(den) is type(stored.den) and den == stored.den and nums.dtype == stored.nums.dtype

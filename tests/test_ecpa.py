@@ -199,6 +199,17 @@ def test_ensemble_weight_checks():
             CodeEnsemble(codes[:2], weights)
 
 
+def test_a_float_posterior_with_a_negative_term_is_left_to_the_public_check():
+    # a float weight within slack below 0 is accepted, and can make a posterior term negative; the posterior
+    # is then checked as a public law: refused when a term lies past the slack, stored as given within it
+    ens = CodeEnsemble([ParityCheckMatrix(2, (0b01, 0b10)), ParityCheckMatrix(2, (0b11,))],
+                       (1.0000000005, -0.0000000005))
+    with pytest.raises(ValidationError, match="distribution entry 0 is -0.66.*, outside"):
+        mixture_posterior(ens, "11", EveChannel(1e-5))  # the terms' total is about -1.5e-10
+    law = mixture_posterior(ens, "00", EveChannel(1e-5))
+    assert law.probs[3] < 0 and law == KeyDistribution(2, law.as_array())
+
+
 def test_mixture_posterior_frozen():
     ens = CodeEnsemble(
         [ParityCheckMatrix.from_text(C1_TEXT), ParityCheckMatrix.from_text(C2_TEXT)],

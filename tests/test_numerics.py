@@ -472,14 +472,38 @@ def test_no_float_total_or_entropy_is_taken_once_per_pass_of_a_loop():
     assert found == []
 
 
+def _public_constructions(node, where=None, owner=None):
+    """(function, call) for each call of the public `KeyDistribution` constructor below ``node``: by name, or
+    as ``cls(...)`` inside ``class KeyDistribution`` (other classes call their own ``cls``)."""
+    names = ("KeyDistribution", "cls") if owner == "KeyDistribution" else ("KeyDistribution",)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and ast.unparse(child.func) in names:
+            yield where, child
+        yield from _public_constructions(child, child.name if isinstance(child, ast.FunctionDef) else where,
+                                         child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+#: every call of the public constructor in `src/`, by (module, function): each checks a law it was handed
+#: or one drawn at random, never one a kernel computed
+PUBLIC_CONSTRUCTIONS = [
+    ("dist.py", "from_json"), ("dist.py", "from_json"),  # input text, a plain exact array and any other
+    ("ecpa.py", "mixture_posterior"),  # a float posterior with a term below 0, from a weight within slack below 0
+    ("extremal.py", "check_mixture_decomposition"),  # the float residual: its in-order total may miss the slack
+    ("verify.py", "_check_mac_uniform"), ("verify.py", "_check_mac_uniform"),  # the invariant suite's inputs
+    ("verify.py", "_random_float_dist"), ("verify.py", "_random_rational_dist"),
+]
+
+
 def test_no_kernel_builds_a_law_through_the_public_check():
-    # a law keysec computes is stored by `KeyDistribution._built`; `KeyDistribution(n, Lattice(...))`
-    # would re-check numerators the kernel has just computed
-    found = [(path.name, node.lineno) for path in _SOURCES for node in ast.walk(ast.parse(path.read_text("utf-8")))
-             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("KeyDistribution", "cls")
-             and any(isinstance(inner, ast.Call) and ast.unparse(inner.func) == "Lattice"
-                     for arg in node.args for inner in ast.walk(arg))]
-    assert found == []
+    # a law keysec computes is stored by `KeyDistribution._built` in both modes; the public constructor
+    # re-checks every entry and the total, and `KeyDistribution(n, Lattice(...))` would re-check numerators
+    # a kernel has just computed
+    calls = [(path.name, where, call) for path in _SOURCES
+             for where, call in _public_constructions(ast.parse(path.read_text("utf-8")))]
+    assert sorted((name, where) for name, where, _ in calls) == sorted(PUBLIC_CONSTRUCTIONS)
+    lattices = [where for _, where, call in calls for arg in call.args for inner in ast.walk(arg)
+                if isinstance(inner, ast.Call) and ast.unparse(inner.func) == "Lattice"]
+    assert lattices == []
 
 
 def _broad_handlers(node, where):
